@@ -5,6 +5,8 @@ use parallax_math::{SimdMode, Transform, Vec3};
 use parallax_physics::broadphase::{Broadphase, SweepAndPrune, UniformGrid};
 use parallax_physics::narrowphase::collide_shapes;
 use parallax_physics::{BodyDesc, Cloth, Shape, World, WorldConfig};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_broadphase(c: &mut Criterion) {
     let mut group = c.benchmark_group("broadphase");
@@ -22,13 +24,42 @@ fn bench_broadphase(c: &mut Criterion) {
                 )
             })
             .collect();
+        // The harness calls each closure once per sample; the structures
+        // live outside so that every sample continues one history.
+        let mut sap = SweepAndPrune::new();
+        let mut grid = UniformGrid::new(2.0);
+        let mut out = Vec::new();
         group.bench_with_input(CritId::new("sweep_and_prune", n), &aabbs, |b, aabbs| {
-            let mut sap = SweepAndPrune::new();
-            b.iter(|| sap.pairs(aabbs));
+            b.iter(|| sap.pairs_into(aabbs, &mut out));
         });
+        // On a frozen cloud the persistent grid runs its zero-churn path.
         group.bench_with_input(CritId::new("uniform_grid", n), &aabbs, |b, aabbs| {
-            let mut grid = UniformGrid::new(2.0);
-            b.iter(|| grid.pairs(aabbs));
+            b.iter(|| grid.pairs_into(aabbs, &mut out));
+        });
+
+        // A coherent sequence gives churn a number: every frame each box
+        // jitters by up to 2 cm and about one in twenty is displaced by up
+        // to 0.5 m, which takes it out of its fat box.
+        let mut rng = SmallRng::seed_from_u64(n as u64);
+        let mut unit = move || rng.gen_range(-1.0f32..1.0);
+        let mut boxes = aabbs.clone();
+        let frames: Vec<Vec<_>> = (0..32)
+            .map(|_| {
+                for (_, bb) in &mut boxes {
+                    let reach = if unit() > 0.9 { 0.5 } else { 0.02 };
+                    let d = Vec3::new(unit(), unit(), unit()) * reach;
+                    *bb = parallax_math::Aabb::new(bb.min + d, bb.max + d);
+                }
+                boxes.clone()
+            })
+            .collect();
+        let mut sap_frame = frames.iter().cycle();
+        group.bench_function(CritId::new("sweep_and_prune_coherent", n), |b| {
+            b.iter(|| sap.pairs_into(sap_frame.next().unwrap(), &mut out));
+        });
+        let mut grid_frame = frames.iter().cycle();
+        group.bench_function(CritId::new("uniform_grid_coherent", n), |b| {
+            b.iter(|| grid.pairs_into(grid_frame.next().unwrap(), &mut out));
         });
     }
     group.finish();

@@ -7,6 +7,9 @@
 //!        --a threads=1,simd=scalar --b threads=8,simd=avx2
 //! ```
 //!
+//! `--a broadphase=sap --b broadphase=grid` holds the persistent grid to
+//! the history-free sweep-and-prune rebuild; it must report no divergence.
+//!
 //! Exit status: 0 when the sides are bit-identical, 3 when a divergence
 //! was found (the report line starts with `divergence:`), 2 on usage
 //! errors. `--fault STEP:PHASE` (or `PARALLAX_DIGEST_FAULT`) injects a
@@ -74,25 +77,21 @@ fn main() {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: bisect [--scene NAME] [--steps N] [--scale F] [--chunk N] \
-                 [--a threads=N,simd=MODE,sleep=on|off] \
-                 [--b threads=N,simd=MODE,sleep=on|off] [--fault STEP:PHASE]"
+                 [--a threads=N,simd=MODE,sleep=on|off,broadphase=grid|sap] \
+                 [--b threads=N,simd=MODE,sleep=on|off,broadphase=grid|sap] \
+                 [--fault STEP:PHASE]"
             );
             std::process::exit(2);
         }
     };
 
     println!(
-        "bisect: {} for {} steps @ scale {}: A(threads={}, simd={}, sleep={}) vs \
-         B(threads={}, simd={}, sleep={}){}",
+        "bisect: {} for {} steps @ scale {}: A({}) vs B({}){}",
         cfg.scene.name(),
         cfg.steps,
         cfg.scale,
-        cfg.a.threads,
-        cfg.a.simd.clamp_to_supported().name(),
-        if cfg.a.sleep { "on" } else { "off" },
-        cfg.b.threads,
-        cfg.b.simd.clamp_to_supported().name(),
-        if cfg.b.sleep { "on" } else { "off" },
+        cfg.a,
+        cfg.b,
         match cfg.fault {
             Some(f) => format!(" with fault injected at step {} {}", f.step, f.phase.name()),
             None => String::new(),

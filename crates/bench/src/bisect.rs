@@ -18,8 +18,11 @@
 //!    lane ([`parallax_physics::first_divergence`]).
 //!
 //! Both sides must be built from the same benchmark and scale; only
-//! threads, SIMD mode and island sleeping (the axes determinism is
-//! promised over) differ. A cross-sleep bisection (`sleep=on` vs
+//! threads, SIMD mode, broad-phase algorithm and island sleeping (the
+//! axes determinism is promised over) differ. Every broad phase emits the
+//! same canonical candidate list, so `broadphase=sap` against
+//! `broadphase=grid` must report clean: the history-free rebuild is the
+//! reference the persistent grid is held to. A cross-sleep bisection (`sleep=on` vs
 //! `sleep=off`) is *expected* to diverge at the first sleep transition —
 //! running it localizes exactly where the fast path first bites, which
 //! doubles as a smoke test that the bisector attributes sleep-lane
@@ -28,12 +31,12 @@
 //! lets the machinery be verified end to end.
 
 use parallax_math::SimdMode;
-use parallax_physics::{self as physics, DigestFault, PhaseKind};
+use parallax_physics::{self as physics, BroadphaseKind, DigestFault, PhaseKind, WorldConfig};
 use parallax_workloads::{BenchmarkId, Scene, SceneParams};
 
 /// One side of an A/B bisection: the configuration axes that may differ
 /// while the simulation must not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SideSpec {
     /// Executor width.
     pub threads: usize,
@@ -41,17 +44,44 @@ pub struct SideSpec {
     pub simd: SimdMode,
     /// Island sleeping.
     pub sleep: bool,
+    /// Broad-phase algorithm.
+    pub broadphase: BroadphaseKind,
 }
 
-impl SideSpec {
-    /// Parses `"threads=8,simd=avx2,sleep=on"` (every key optional, any
-    /// order; defaults: 1 thread, scalar kernels, sleeping off).
-    pub fn parse(spec: &str) -> Result<SideSpec, String> {
-        let mut side = SideSpec {
+impl Default for SideSpec {
+    /// 1 thread, scalar kernels, sleeping off, the engine's default grid.
+    fn default() -> Self {
+        SideSpec {
             threads: 1,
             simd: SimdMode::Scalar,
             sleep: false,
-        };
+            broadphase: WorldConfig::default().broadphase,
+        }
+    }
+}
+
+impl std::fmt::Display for SideSpec {
+    /// The side in `parse` syntax, with the SIMD mode the host will run.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "threads={}, simd={}, sleep={}, broadphase={}",
+            self.threads,
+            self.simd.clamp_to_supported().name(),
+            if self.sleep { "on" } else { "off" },
+            match self.broadphase {
+                BroadphaseKind::Grid { .. } => "grid",
+                BroadphaseKind::SweepAndPrune => "sap",
+            }
+        )
+    }
+}
+
+impl SideSpec {
+    /// Parses `"threads=8,simd=avx2,sleep=on,broadphase=sap"` (every key
+    /// optional, any order; defaults: [`SideSpec::default`]).
+    pub fn parse(spec: &str) -> Result<SideSpec, String> {
+        let mut side = SideSpec::default();
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) = part
                 .split_once('=')
@@ -71,9 +101,18 @@ impl SideSpec {
                         other => return Err(format!("sleep: expected on|off, got {other:?}")),
                     }
                 }
+                "broadphase" => {
+                    side.broadphase = match value.trim() {
+                        "grid" => SideSpec::default().broadphase,
+                        "sap" => BroadphaseKind::SweepAndPrune,
+                        other => {
+                            return Err(format!("broadphase: expected grid|sap, got {other:?}"))
+                        }
+                    }
+                }
                 other => {
                     return Err(format!(
-                        "unknown key {other:?} (expected threads/simd/sleep)"
+                        "unknown key {other:?} (expected threads/simd/sleep/broadphase)"
                     ))
                 }
             }
@@ -107,16 +146,8 @@ impl Default for BisectConfig {
             scene: BenchmarkId::Mix,
             steps: 200,
             scale: 0.25,
-            a: SideSpec {
-                threads: 1,
-                simd: SimdMode::Scalar,
-                sleep: false,
-            },
-            b: SideSpec {
-                threads: 1,
-                simd: SimdMode::Scalar,
-                sleep: false,
-            },
+            a: SideSpec::default(),
+            b: SideSpec::default(),
             fault: None,
             chunk: 64,
         }
@@ -169,6 +200,7 @@ fn build_side(cfg: &BisectConfig, side: SideSpec, fault: Option<DigestFault>) ->
         ..SceneParams::default()
     });
     scene.world.config_mut().digest_fault = fault;
+    scene.world.set_broadphase(side.broadphase);
     scene
 }
 
@@ -312,6 +344,12 @@ mod tests {
         assert!(SideSpec::parse("cores=4").is_err());
         assert!(SideSpec::parse("simd=neon").is_err());
         assert!(SideSpec::parse("sleep=maybe").is_err());
+        assert_eq!(d.broadphase, WorldConfig::default().broadphase);
+        let sap = SideSpec::parse("broadphase=sap").unwrap();
+        assert_eq!(sap.broadphase, BroadphaseKind::SweepAndPrune);
+        assert_eq!(SideSpec::parse("broadphase=grid").unwrap(), d);
+        let err = SideSpec::parse("broadphase=bvh").unwrap_err();
+        assert!(err.contains("grid|sap"), "{err}");
     }
 
     #[test]

@@ -581,6 +581,7 @@ mod tests {
 
     #[test]
     fn record_captures_all_phases_for_every_scene() {
+        let _flag = crate::telemetry_flag_lock();
         let b = record(&tiny_config());
         assert_eq!(b.scenes.len(), 2);
         for sc in &b.scenes {
@@ -593,6 +594,7 @@ mod tests {
 
     #[test]
     fn baseline_json_round_trips() {
+        let _flag = crate::telemetry_flag_lock();
         let b = record(&tiny_config());
         let parsed = Baseline::from_json(&b.to_json()).expect("parse");
         assert_eq!(parsed.schema_version, SCHEMA_VERSION);
@@ -628,6 +630,7 @@ mod tests {
 
     #[test]
     fn identical_baselines_have_no_regressions() {
+        let _flag = crate::telemetry_flag_lock();
         let b = record(&tiny_config());
         let rows = compare_baselines(&b, &b, 0.35);
         // 5 phase rows + 1 step-total row per scene.

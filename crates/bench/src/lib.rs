@@ -388,6 +388,15 @@ pub fn warm_measure(
     r
 }
 
+/// Serializes the unit tests that switch, or count on, the process-global
+/// telemetry flag: `harness::record` turns it back off on return, which
+/// zeroes the counters a concurrent `server_gate::record` is sampling.
+#[cfg(test)]
+pub(crate) fn telemetry_flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -627,6 +627,7 @@ mod tests {
         // A miniature live recording: 3 sessions, tiny windows — this is
         // the whole record path (create, settle, rate switch, clients,
         // counter sampling) compressed to test scale.
+        let _flag = crate::telemetry_flag_lock();
         let cfg = ServerGateConfig {
             cells: vec![(3, 10)],
             step_rate: 120.0,

@@ -77,6 +77,17 @@ impl Aabb {
             && p.z <= self.max.z
     }
 
+    /// Returns `true` if `other` lies entirely inside the box (closed).
+    #[inline]
+    pub fn contains(&self, other: &Aabb) -> bool {
+        self.min.x <= other.min.x
+            && self.min.y <= other.min.y
+            && self.min.z <= other.min.z
+            && self.max.x >= other.max.x
+            && self.max.y >= other.max.y
+            && self.max.z >= other.max.z
+    }
+
     /// Smallest box containing both.
     #[inline]
     pub fn union(&self, other: &Aabb) -> Aabb {
@@ -140,6 +151,15 @@ mod tests {
         assert!(a.contains_point(Vec3::ONE));
         assert!(a.contains_point(Vec3::splat(0.5)));
         assert!(!a.contains_point(Vec3::new(0.5, 0.5, 1.1)));
+    }
+
+    #[test]
+    fn contains_is_closed_and_rejects_partial_overlap() {
+        let a = Aabb::new(Vec3::ZERO, Vec3::ONE);
+        assert!(a.contains(&a));
+        assert!(a.contains(&Aabb::new(Vec3::splat(0.25), Vec3::splat(0.75))));
+        assert!(!a.contains(&Aabb::new(Vec3::splat(0.5), Vec3::splat(1.5))));
+        assert!(!Aabb::new(Vec3::splat(0.25), Vec3::splat(0.75)).contains(&a));
     }
 
     #[test]

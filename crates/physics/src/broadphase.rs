@@ -2,29 +2,46 @@
 //!
 //! The paper notes that broad-phase algorithms that maintain a spatial
 //! structure (hash tables, kd-trees, sweep-and-prune axes) are hard to
-//! parallelize — this is one of the two *serial* phases. Two interchangeable
-//! algorithms are provided:
+//! parallelize — this is one of the two *serial* phases. Every algorithm
+//! here emits the same canonical candidate list (sorted, deduplicated,
+//! `a < b`), so they are interchangeable down to the phase digests:
 //!
-//! * [`SweepAndPrune`] — sort-and-sweep along the X axis (the default, and
-//!   the algorithm ODE's `dxSAPSpace` uses), and
-//! * [`UniformGrid`] — a uniform spatial hash, used by the ablation study.
+//! * [`UniformGrid`] — a persistent uniform spatial hash (the default,
+//!   `BroadphaseKind::Grid { cell: 1.2 }`). Proxies carry fat AABBs and the
+//!   set of fat-overlapping pairs is maintained by deltas, so a step pays
+//!   for the geoms that left their margin, not for the population. Its two
+//!   invariants (tight ⊆ fat; pair list ⊇ fat-overlapping pairs) are
+//!   purely geometric — see the type's documentation.
+//! * [`SweepAndPrune`] — sort-and-sweep along the X axis (the algorithm
+//!   ODE's `dxSAPSpace` uses), rebuilt from the AABBs every step: the
+//!   history-free reference the grid is compared against by digest.
+//! * [`BruteForce`] — all pairs; the oracle of the property tests.
 
-use parallax_math::Aabb;
+use std::collections::HashMap;
+
+use parallax_math::{Aabb, Vec3};
 
 use crate::shape::GeomId;
 
 /// Work statistics produced by a broad-phase pass (consumed by the trace
 /// layer to derive instruction counts).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BroadphaseStats {
     /// Number of enabled geoms considered.
     pub geoms: usize,
-    /// Comparisons performed while sorting endpoints / hashing cells.
+    /// Comparisons performed while sorting endpoints, or cell-table
+    /// inserts and removes.
     pub sort_ops: usize,
-    /// Candidate AABB overlap tests performed.
+    /// AABB overlap tests performed (fat and tight alike).
     pub overlap_tests: usize,
     /// Pairs emitted.
     pub pairs: usize,
+    /// Proxies a persistent structure inserted or re-inserted this call
+    /// (0 for the rebuild-per-step algorithms).
+    pub reinserts: usize,
+    /// Fat-overlapping pairs a persistent structure holds after this call
+    /// (0 for the rebuild-per-step algorithms).
+    pub fat_pairs: usize,
 }
 
 /// A broad-phase algorithm: produces candidate geom pairs from AABBs.
@@ -32,8 +49,9 @@ pub trait Broadphase {
     /// Computes candidate overlapping pairs into `out` (cleared first),
     /// reusing `out`'s capacity across calls.
     ///
-    /// `aabbs` carries `(geom, world aabb)` for every enabled geom. The
-    /// emitted pairs are unordered and deduplicated, with `a < b`.
+    /// `aabbs` carries `(geom, world aabb)` for every enabled geom, each
+    /// geom once. The emitted pairs are sorted and deduplicated, with
+    /// `a < b`, so every algorithm drives the same downstream order.
     fn pairs_into(
         &mut self,
         aabbs: &[(GeomId, Aabb)],
@@ -120,6 +138,8 @@ impl Broadphase for SweepAndPrune {
                 }
             }
         }
+        // Sweep order follows min-x; emit the canonical order instead.
+        out.sort_unstable();
         stats.pairs = out.len();
         stats
     }
@@ -160,25 +180,92 @@ impl Broadphase for BruteForce {
                 }
             }
         }
+        out.sort_unstable();
         stats.pairs = out.len();
         stats
     }
 }
 
-/// Uniform-grid spatial hash broad-phase.
+/// Persistent uniform-grid broad-phase.
 ///
-/// Geoms are binned into cells of a fixed size; pairs are generated within
-/// each cell and deduplicated. Useful as an ablation against
-/// [`SweepAndPrune`].
+/// Every geom owns a *proxy* with a fat AABB. It starts as the tight box;
+/// once the geom escapes it, it is the tight box grown by a margin of
+/// `MARGIN_PER_CELL`·`cell` and stretched along the observed per-step
+/// displacement, so a fast mover is not re-inserted every step and a geom
+/// that never moves pays for no margin. The cell table bins proxies by
+/// their fat boxes, and a sorted list holds every pair of live proxies
+/// whose fat boxes overlap. A step walks the input once; only a geom that
+/// is new, that vanished from the input, or whose tight box left its fat
+/// box touches the cell table and the pair list. The candidates emitted
+/// are the pair list filtered by the tight overlap test — the same list a
+/// from-scratch pass produces, whatever the history — while
+/// [`BroadphaseStats`] counts the work this call actually did, which does
+/// depend on the history.
+///
+/// Two invariants hold between calls and carry the correctness argument;
+/// nothing else about the caller (epochs, sleep or static flags) is used:
+///
+/// 1. tight ⊆ fat for every live proxy, and
+/// 2. the pair list ⊇ every pair of live proxies whose fat boxes overlap.
 #[derive(Debug)]
 pub struct UniformGrid {
     cell: f32,
-    // Scratch reused across steps: cell table, oversized-AABB bin and the
-    // pair-dedup set keep their capacity between calls.
-    cells: std::collections::HashMap<(i32, i32, i32), Vec<u32>>,
+    /// Indexed by `GeomId`.
+    proxies: Vec<Proxy>,
+    cells: HashMap<(i32, i32, i32), Vec<u32>>,
+    /// Emptied cell vectors, reused so movers do not allocate.
+    spare: Vec<Vec<u32>>,
+    /// Proxies too large for the cell table (planes, big heightfields),
+    /// tested against everyone.
     global: Vec<u32>,
-    global_mask: Vec<bool>,
-    seen: std::collections::HashSet<(GeomId, GeomId)>,
+    /// Sorted `(a < b)` pairs of live proxies with overlapping fat boxes.
+    fat_pairs: Vec<(GeomId, GeomId)>,
+    // Per-call scratch, kept for its capacity.
+    dirty: Vec<u32>,
+    added: Vec<(GeomId, GeomId)>,
+    merged: Vec<(GeomId, GeomId)>,
+    touched: Vec<u32>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Proxy {
+    tight: Aabb,
+    fat: Aabb,
+    /// In the cell table or the global list.
+    live: bool,
+    /// Carried by the current call's input.
+    seen: bool,
+    /// Inserted, re-inserted or removed by the current call.
+    dirty: bool,
+    /// Already visited by the current neighbour scan.
+    mark: bool,
+}
+
+impl Proxy {
+    const ABSENT: Proxy = Proxy {
+        tight: Aabb::EMPTY,
+        fat: Aabb::EMPTY,
+        live: false,
+        seen: false,
+        dirty: false,
+        mark: false,
+    };
+}
+
+/// Fat-box margin as a fraction of the cell size.
+const MARGIN_PER_CELL: f32 = 0.1;
+/// Steps of observed displacement a re-inserted proxy is stretched by
+/// (each side by at most one cell, so a teleport does not flood the grid).
+const LOOKAHEAD_STEPS: f32 = 4.0;
+/// A fat box spanning more cells than this on any axis goes to the
+/// global list instead of the cell table.
+const MAX_CELLS_PER_AXIS: i64 = 64;
+
+/// The keys of an inclusive cell range.
+fn cell_keys((lo, hi): ([i32; 3], [i32; 3])) -> impl Iterator<Item = (i32, i32, i32)> {
+    (lo[0]..=hi[0]).flat_map(move |x| {
+        (lo[1]..=hi[1]).flat_map(move |y| (lo[2]..=hi[2]).map(move |z| (x, y, z)))
+    })
 }
 
 impl UniformGrid {
@@ -191,25 +278,132 @@ impl UniformGrid {
         assert!(cell > 0.0 && cell.is_finite(), "cell size must be positive");
         UniformGrid {
             cell,
-            cells: std::collections::HashMap::new(),
+            proxies: Vec::new(),
+            cells: HashMap::new(),
+            spare: Vec::new(),
             global: Vec::new(),
-            global_mask: Vec::new(),
-            seen: std::collections::HashSet::new(),
+            fat_pairs: Vec::new(),
+            dirty: Vec::new(),
+            added: Vec::new(),
+            merged: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
-    fn cell_range(&self, bb: &Aabb) -> ([i32; 3], [i32; 3]) {
-        let lo = [
-            (bb.min.x / self.cell).floor() as i32,
-            (bb.min.y / self.cell).floor() as i32,
-            (bb.min.z / self.cell).floor() as i32,
-        ];
-        let hi = [
-            (bb.max.x / self.cell).floor() as i32,
-            (bb.max.y / self.cell).floor() as i32,
-            (bb.max.z / self.cell).floor() as i32,
-        ];
-        (lo, hi)
+    /// Inclusive cell range of a fat box, or `None` when it belongs in
+    /// the global list.
+    fn cell_range(&self, fat: &Aabb) -> Option<([i32; 3], [i32; 3])> {
+        let index = |v: Vec3| {
+            [
+                (v.x / self.cell).floor() as i32,
+                (v.y / self.cell).floor() as i32,
+                (v.z / self.cell).floor() as i32,
+            ]
+        };
+        let (lo, hi) = (index(fat.min), index(fat.max));
+        let oversized = (0..3).any(|k| hi[k] as i64 - lo[k] as i64 > MAX_CELLS_PER_AXIS);
+        (!oversized).then_some((lo, hi))
+    }
+
+    /// The fat box of a proxy that escaped: `tight` grown by the margin
+    /// and stretched along its change since `prev`, the tight box of the
+    /// previous call.
+    fn fatten(&self, tight: &Aabb, prev: &Aabb) -> Aabb {
+        // A NaN difference (infinite boxes) stretches by nothing: the
+        // `min`/`max` against zero discard it.
+        let reach = |d: f32| (d * LOOKAHEAD_STEPS).clamp(-self.cell, self.cell);
+        let lo = tight.min - prev.min;
+        let hi = tight.max - prev.max;
+        let mut fat = tight.expanded(self.cell * MARGIN_PER_CELL);
+        fat.min += Vec3::new(reach(lo.x), reach(lo.y), reach(lo.z)).min(Vec3::ZERO);
+        fat.max += Vec3::new(reach(hi.x), reach(hi.y), reach(hi.z)).max(Vec3::ZERO);
+        fat
+    }
+
+    /// Adds proxy `i` to the cells (or the global list) its fat box covers.
+    fn insert(&mut self, i: u32, stats: &mut BroadphaseStats) {
+        let Some(range) = self.cell_range(&self.proxies[i as usize].fat) else {
+            self.global.push(i);
+            stats.sort_ops += 1;
+            return;
+        };
+        for key in cell_keys(range) {
+            let spare = &mut self.spare;
+            self.cells
+                .entry(key)
+                .or_insert_with(|| spare.pop().unwrap_or_default())
+                .push(i);
+            stats.sort_ops += 1;
+        }
+    }
+
+    /// Removes proxy `i` from wherever [`insert`](Self::insert) put it;
+    /// its fat box must be unchanged since.
+    fn remove(&mut self, i: u32, stats: &mut BroadphaseStats) {
+        let Some(range) = self.cell_range(&self.proxies[i as usize].fat) else {
+            self.global.retain(|&g| g != i);
+            stats.sort_ops += 1;
+            return;
+        };
+        for key in cell_keys(range) {
+            let members = self.cells.get_mut(&key).expect("proxy is in its cells");
+            let at = members
+                .iter()
+                .position(|&m| m == i)
+                .expect("proxy is in its cells");
+            members.swap_remove(at);
+            if members.is_empty() {
+                let emptied = self.cells.remove(&key).expect("cell exists");
+                self.spare.push(emptied);
+            }
+            stats.sort_ops += 1;
+        }
+    }
+
+    /// Fat-tests dirty proxy `i` against live proxy `m`, recording an
+    /// overlap in `added`. A pair of two dirty proxies is left to the scan
+    /// of the lower id, so it is tested and recorded once.
+    fn test_fat(&mut self, i: u32, m: u32, stats: &mut BroadphaseStats) {
+        let other = &self.proxies[m as usize];
+        if m == i || (other.dirty && m < i) {
+            return;
+        }
+        stats.overlap_tests += 1;
+        if self.proxies[i as usize].fat.overlaps(&other.fat) {
+            self.added.push((GeomId(i.min(m)), GeomId(i.max(m))));
+        }
+    }
+
+    /// Finds every live proxy whose fat box overlaps dirty proxy `i`'s.
+    fn scan_neighbours(&mut self, i: u32, stats: &mut BroadphaseStats) {
+        let Some(range) = self.cell_range(&self.proxies[i as usize].fat) else {
+            for m in 0..self.proxies.len() as u32 {
+                if self.proxies[m as usize].live {
+                    self.test_fat(i, m, stats);
+                }
+            }
+            return;
+        };
+        // A neighbour sharing several cells is tested once.
+        let mut touched = std::mem::take(&mut self.touched);
+        for key in cell_keys(range) {
+            for &m in &self.cells[&key] {
+                let mark = &mut self.proxies[m as usize].mark;
+                if !*mark {
+                    *mark = true;
+                    touched.push(m);
+                }
+            }
+        }
+        for &m in &touched {
+            self.proxies[m as usize].mark = false;
+            self.test_fat(i, m, stats);
+        }
+        touched.clear();
+        self.touched = touched;
+        for k in 0..self.global.len() {
+            self.test_fat(i, self.global[k], stats);
+        }
     }
 }
 
@@ -223,80 +417,92 @@ impl Broadphase for UniformGrid {
             geoms: aabbs.len(),
             ..Default::default()
         };
-        // Very large AABBs (planes) would flood the grid; put anything
-        // spanning more than `MAX_CELLS_PER_AXIS` cells into a global bin
-        // tested against everyone.
-        const MAX_CELLS_PER_AXIS: i32 = 64;
-        // Work on taken scratch so the closure below can borrow freely;
-        // returned to `self` at the end for reuse next step.
-        let mut cells = std::mem::take(&mut self.cells);
-        let mut global = std::mem::take(&mut self.global);
-        let mut global_mask = std::mem::take(&mut self.global_mask);
-        let mut seen = std::mem::take(&mut self.seen);
-        cells.clear();
-        global.clear();
-        global_mask.clear();
-        global_mask.resize(aabbs.len(), false);
-        seen.clear();
         out.clear();
-        for (i, (_, bb)) in aabbs.iter().enumerate() {
-            let (lo, hi) = self.cell_range(bb);
-            if (0..3).any(|k| hi[k] - lo[k] > MAX_CELLS_PER_AXIS) {
-                global.push(i as u32);
-                global_mask[i] = true;
-                continue;
+
+        // Containment sweep: refresh every tight box; a proxy that is new
+        // or escaped its fat box is (re-)inserted and becomes dirty.
+        for &(id, tight) in aabbs {
+            let i = id.index();
+            if i >= self.proxies.len() {
+                self.proxies.resize(i + 1, Proxy::ABSENT);
             }
-            for x in lo[0]..=hi[0] {
-                for y in lo[1]..=hi[1] {
-                    for z in lo[2]..=hi[2] {
-                        cells.entry((x, y, z)).or_default().push(i as u32);
-                        stats.sort_ops += 1;
-                    }
+            let p = &mut self.proxies[i];
+            p.seen = true;
+            let prev = std::mem::replace(&mut p.tight, tight);
+            if p.live {
+                if p.fat.contains(&tight) {
+                    continue;
                 }
+                self.remove(id.0, &mut stats);
+                self.proxies[i].fat = self.fatten(&tight, &prev);
+            } else {
+                // No margin until the proxy is seen to move: geoms that
+                // never do (terrain, walls, dormant debris) add no fat
+                // pairs beyond their tight ones.
+                p.live = true;
+                p.fat = tight;
+            }
+            self.insert(id.0, &mut stats);
+            self.proxies[i].dirty = true;
+            self.dirty.push(id.0);
+        }
+        stats.reinserts = self.dirty.len();
+
+        // Proxies the input no longer carries (disabled, fractured) leave.
+        for i in 0..self.proxies.len() as u32 {
+            let p = &mut self.proxies[i as usize];
+            if p.live && !std::mem::take(&mut p.seen) {
+                p.live = false;
+                p.dirty = true;
+                self.remove(i, &mut stats);
+                self.dirty.push(i);
             }
         }
-        let mut emit = |ia: u32, ib: u32, stats: &mut BroadphaseStats| {
-            let (ga, ba) = &aabbs[ia as usize];
-            let (gb, bb) = &aabbs[ib as usize];
-            // Deduplicate before testing: a pair sharing several cells is
-            // AABB-tested only once.
-            let key = if ga < gb { (*ga, *gb) } else { (*gb, *ga) };
-            if !seen.insert(key) {
-                return;
+
+        // Pairs gained: every fat overlap of a dirty, live proxy.
+        for k in 0..self.dirty.len() {
+            let i = self.dirty[k];
+            if self.proxies[i as usize].live {
+                self.scan_neighbours(i, &mut stats);
             }
+        }
+        self.added.sort_unstable();
+
+        // One merge pass: pairs with a dirty end are dropped (those that
+        // still overlap were just found again), gained pairs are merged
+        // in, and what survives the tight test is emitted.
+        let proxies = &self.proxies;
+        let merged = &mut self.merged;
+        let mut keep = |pair: (GeomId, GeomId)| {
+            merged.push(pair);
             stats.overlap_tests += 1;
-            if ba.overlaps(bb) {
-                out.push(key);
+            if proxies[pair.0.index()]
+                .tight
+                .overlaps(&proxies[pair.1.index()].tight)
+            {
+                out.push(pair);
             }
         };
-        for members in cells.values() {
-            for (i, &a) in members.iter().enumerate() {
-                for &b in &members[i + 1..] {
-                    emit(a, b, &mut stats);
-                }
+        let mut gained = self.added.iter().copied().peekable();
+        for &pair in &self.fat_pairs {
+            if proxies[pair.0.index()].dirty || proxies[pair.1.index()].dirty {
+                continue;
             }
+            while let Some(g) = gained.next_if(|g| *g < pair) {
+                keep(g);
+            }
+            keep(pair);
         }
-        // Membership mask instead of a `global.contains` scan: the inner
-        // loop stays O(n) per global geom rather than O(n·g).
-        for (i, &a) in global.iter().enumerate() {
-            for &b in &global[i + 1..] {
-                emit(a, b, &mut stats);
-            }
-            for j in 0..aabbs.len() as u32 {
-                if !global_mask[j as usize] {
-                    emit(a, j, &mut stats);
-                }
-            }
+        gained.for_each(keep);
+        std::mem::swap(&mut self.fat_pairs, &mut self.merged);
+        self.merged.clear();
+        self.added.clear();
+        for i in self.dirty.drain(..) {
+            self.proxies[i as usize].dirty = false;
         }
-        // HashMap iteration order is randomized per process; sort so the
-        // pair order (and everything downstream: solver row order,
-        // island numbering, dynamics) is deterministic.
-        out.sort_unstable();
+
         stats.pairs = out.len();
-        self.cells = cells;
-        self.global = global;
-        self.global_mask = global_mask;
-        self.seen = seen;
+        stats.fat_pairs = self.fat_pairs.len();
         stats
     }
 }
@@ -432,8 +638,9 @@ mod tests {
 
     #[test]
     fn grid_global_bin_work_is_linear_in_population() {
-        // g global geoms against n total must do g·(g-1)/2 + g·(n-g)
-        // overlap tests — each pair tested exactly once, no rescans.
+        // g global geoms against n total must do g·(g-1)/2 + g·(n-g) fat
+        // tests when they enter — each pair tested exactly once, no
+        // rescans — and as many tight tests per frame after that.
         let g = 3usize;
         let small = 12usize;
         let mut aabbs = boxes(
@@ -448,12 +655,58 @@ mod tests {
                 Aabb::from_center_half_extents(Vec3::ZERO, Vec3::splat(1e8 + k as f32)),
             ));
         }
-        let (pairs, stats) = UniformGrid::new(1.0).pairs(&aabbs);
-        let expected_global_tests = g * (g - 1) / 2 + g * small;
+        let mut grid = UniformGrid::new(1.0);
+        let (pairs, first) = grid.pairs(&aabbs);
+        let global_pairs = g * (g - 1) / 2 + g * small;
         // Small geoms are 10 apart with cell 1.0 — no cell-local tests.
-        assert_eq!(stats.overlap_tests, expected_global_tests);
+        assert_eq!(first.overlap_tests, 2 * global_pairs);
         // Every global overlaps everything.
-        assert_eq!(pairs.len(), expected_global_tests);
+        assert_eq!(pairs.len(), global_pairs);
+        let (pairs, second) = grid.pairs(&aabbs);
+        assert_eq!(second.overlap_tests, global_pairs);
+        assert_eq!(pairs.len(), global_pairs);
+    }
+
+    #[test]
+    fn grid_touches_the_cell_table_only_for_escapes() {
+        let mut centers = vec![
+            Vec3::ZERO,
+            Vec3::new(0.95, 0.0, 0.0),
+            Vec3::new(8.0, 0.0, 0.0),
+        ];
+        let mut grid = UniformGrid::new(1.0);
+        let (pairs, first) = grid.pairs(&boxes(&centers, 0.5));
+        assert_eq!(pairs, vec![(GeomId(0), GeomId(1))]);
+        assert_eq!(first.reinserts, 3);
+        assert!(first.sort_ops > 0);
+
+        // A proxy has no margin until it first moves; that escape buys it
+        // one of 0.1, stretched along the motion.
+        centers[1].x = 0.97;
+        let (pairs, escape) = grid.pairs(&boxes(&centers, 0.5));
+        assert_eq!(pairs, vec![(GeomId(0), GeomId(1))]);
+        assert_eq!(escape.reinserts, 1);
+
+        // Jitter inside the margin: no cell work, and the fat pair (0, 1)
+        // is filtered out once the tight boxes part.
+        centers[1].x = 1.03;
+        let (pairs, jitter) = grid.pairs(&boxes(&centers, 0.5));
+        assert!(pairs.is_empty());
+        assert_eq!((jitter.reinserts, jitter.sort_ops), (0, 0));
+        assert_eq!((jitter.fat_pairs, jitter.overlap_tests), (1, 1));
+
+        // Geom 2 teleports onto geom 0: one re-insert finds the new pair.
+        centers[2] = Vec3::new(-0.5, 0.0, 0.0);
+        let (pairs, teleport) = grid.pairs(&boxes(&centers, 0.5));
+        assert_eq!(pairs, vec![(GeomId(0), GeomId(2))]);
+        assert_eq!(teleport.reinserts, 1);
+
+        // Geom 0 vanishes from the input: its pairs go with it.
+        let rest = boxes(&centers, 0.5).split_off(1);
+        let (pairs, vanish) = grid.pairs(&rest);
+        assert!(pairs.is_empty());
+        assert_eq!((vanish.reinserts, vanish.fat_pairs), (0, 0));
+        assert!(vanish.sort_ops > 0, "leaving the cells is counted");
     }
 
     #[test]

@@ -108,14 +108,14 @@ impl Stage for ClothStage {
 }
 
 enum BroadphaseImpl {
-    Grid(UniformGrid),
+    Grid(Box<UniformGrid>),
     Sap(SweepAndPrune),
 }
 
 impl BroadphaseImpl {
     fn of(kind: BroadphaseKind) -> BroadphaseImpl {
         match kind {
-            BroadphaseKind::Grid { cell } => BroadphaseImpl::Grid(UniformGrid::new(cell)),
+            BroadphaseKind::Grid { cell } => BroadphaseImpl::Grid(Box::new(UniformGrid::new(cell))),
             BroadphaseKind::SweepAndPrune => BroadphaseImpl::Sap(SweepAndPrune::new()),
         }
     }
@@ -144,7 +144,15 @@ impl BroadphaseStage {
     /// Refreshes world AABBs and fills `self.candidates`.
     fn run(&mut self, world: &mut World) -> BroadphaseStats {
         world.refresh_aabbs_into(&mut self.aabbs);
-        self.imp.pairs_into(&self.aabbs, &mut self.candidates)
+        let stats = self.imp.pairs_into(&self.aabbs, &mut self.candidates);
+        // Solver row order follows candidate order, so every algorithm
+        // must emit the canonical list (see `Broadphase::pairs_into`).
+        debug_assert!(
+            self.candidates.iter().all(|(a, b)| a < b)
+                && self.candidates.windows(2).all(|w| w[0] < w[1]),
+            "broad-phase candidates must be sorted, deduplicated, a < b"
+        );
+        stats
     }
 }
 
@@ -567,6 +575,11 @@ struct PipelineTelemetry {
     /// Awake islands rebuilt by island creation, accumulated per step —
     /// the incremental-graph work measure (settled scenes: ~0/step).
     islands_rebuilt: telemetry::Counter,
+    /// Broad-phase proxies (re-)inserted, accumulated per step — the
+    /// persistent grid's churn measure (settled scenes: ~0/step).
+    broadphase_reinserts: telemetry::Counter,
+    /// Fat-overlapping pairs the persistent grid holds (end of step).
+    broadphase_fat_pairs: telemetry::Gauge,
     /// Active kernel layout/ISA: 0 = scalar, 1 = SSE2, 2 = AVX2.
     simd_mode: telemetry::Gauge,
     /// Per-phase state digests (`physics.digest.<phase>`), published only
@@ -591,6 +604,8 @@ impl PipelineTelemetry {
             sleeping_bodies: telemetry::gauge("physics.sleeping_bodies"),
             sleeping_islands: telemetry::gauge("physics.sleeping_islands"),
             islands_rebuilt: telemetry::counter("physics.islands_rebuilt"),
+            broadphase_reinserts: telemetry::counter("physics.broadphase.reinserts"),
+            broadphase_fat_pairs: telemetry::gauge("physics.broadphase.fat_pairs"),
             simd_mode: telemetry::gauge("physics.simd_mode"),
             digest_gauges: PhaseKind::ALL
                 .map(|p| telemetry::gauge(&format!("physics.digest.{}", p.name()))),
@@ -1055,6 +1070,7 @@ impl StepPipeline {
                 self.quiet.stats = BroadphaseStats {
                     sort_ops: 0,
                     overlap_tests: 0,
+                    reinserts: 0,
                     ..profile.broadphase
                 };
             }
@@ -1094,6 +1110,12 @@ impl StepPipeline {
             self.telemetry
                 .islands_rebuilt
                 .add(profile.island_creation.islands as u64);
+            self.telemetry
+                .broadphase_reinserts
+                .add(profile.broadphase.reinserts as u64);
+            self.telemetry
+                .broadphase_fat_pairs
+                .set(profile.broadphase.fat_pairs as u64);
         }
 
         if digests_on {

@@ -51,8 +51,9 @@ pub struct WorldConfig {
     /// Physics steps per displayed frame (paper: 3).
     pub steps_per_frame: usize,
     /// Broad-phase algorithm. The paper's engine updates a spatial hash
-    /// each step (the default here); sweep-and-prune is available as an
-    /// ablation.
+    /// each step (the default here, maintained incrementally);
+    /// sweep-and-prune, rebuilt every step, is the reference it is
+    /// compared against.
     pub broadphase: BroadphaseKind,
     /// Spring stiffness used by slider suspensions.
     pub slider_spring_k: f32,
@@ -124,7 +125,7 @@ impl Default for WorldConfig {
 /// Broad-phase algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BroadphaseKind {
-    /// Uniform spatial hash with the given cell size (default).
+    /// Persistent uniform spatial hash with the given cell size (default).
     Grid {
         /// Cell edge length in metres.
         cell: f32,

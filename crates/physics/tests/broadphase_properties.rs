@@ -1,14 +1,20 @@
 //! Property-based equivalence of the broad-phase algorithms.
 //!
 //! [`BruteForce`] tests every pair and is trivially correct; sweep-and-prune
-//! and the uniform grid must emit exactly the same pair set on arbitrary
+//! and the uniform grid must emit exactly the same pair list on arbitrary
 //! AABB clouds — including negative coordinates, exactly touching boxes and
-//! plane-sized AABBs that land in the grid's global bin.
+//! plane-sized AABBs that land in the grid's global bin — and the
+//! persistent grid must keep doing so over whole sequences of frames,
+//! whatever its history.
 
 use parallax_math::{Aabb, Vec3};
-use parallax_physics::broadphase::{Broadphase, BruteForce, SweepAndPrune, UniformGrid};
+use parallax_physics::broadphase::{
+    Broadphase, BroadphaseStats, BruteForce, SweepAndPrune, UniformGrid,
+};
 use parallax_physics::shape::GeomId;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn aabb_cloud(max_len: usize) -> impl Strategy<Value = Vec<(f32, f32, f32, f32, f32, f32)>> {
     // (center xyz in ±20, half-extents in (0, 3]) per box.
@@ -38,21 +44,142 @@ fn build(cloud: &[(f32, f32, f32, f32, f32, f32)]) -> Vec<(GeomId, Aabb)> {
         .collect()
 }
 
-fn sorted_pairs(bp: &mut dyn Broadphase, aabbs: &[(GeomId, Aabb)]) -> Vec<(GeomId, GeomId)> {
-    let (mut pairs, _) = bp.pairs(aabbs);
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
+const CELLS: [f32; 3] = [0.5, 1.2, 4.0];
+
+/// The pairs exactly as emitted: the canonical order (sorted, deduplicated,
+/// `a < b`) is part of every algorithm's contract.
+fn emitted(bp: &mut dyn Broadphase, aabbs: &[(GeomId, Aabb)]) -> Vec<(GeomId, GeomId)> {
+    bp.pairs(aabbs).0
 }
 
 fn assert_all_agree(aabbs: &[(GeomId, Aabb)]) {
-    let oracle = sorted_pairs(&mut BruteForce::new(), aabbs);
-    let sap = sorted_pairs(&mut SweepAndPrune::new(), aabbs);
+    let oracle = emitted(&mut BruteForce::new(), aabbs);
+    assert!(oracle.iter().all(|(a, b)| a < b) && oracle.windows(2).all(|w| w[0] < w[1]));
+    let sap = emitted(&mut SweepAndPrune::new(), aabbs);
     assert_eq!(sap, oracle, "sweep-and-prune diverged from brute force");
-    for cell in [0.5, 1.2, 4.0] {
-        let grid = sorted_pairs(&mut UniformGrid::new(cell), aabbs);
+    for cell in CELLS {
+        let grid = emitted(&mut UniformGrid::new(cell), aabbs);
         assert_eq!(grid, oracle, "grid (cell {cell}) diverged from brute force");
     }
+}
+
+/// One geom of a temporal sequence.
+#[derive(Clone, Copy)]
+struct Actor {
+    center: Vec3,
+    half: Vec3,
+    /// Carried by the input (enabled) this frame.
+    present: bool,
+    /// Plane-sized this frame: lands in the grid's global list.
+    huge: bool,
+}
+
+/// Deterministic frame generator: every frame each actor jitters inside
+/// the grid's margin, drifts out of it, teleports, toggles its presence
+/// (disable / re-enable) or swells to a plane-sized box and back; new
+/// actors appear at the end of the id range (fracture debris).
+struct Sequence {
+    actors: Vec<Actor>,
+    rng: SmallRng,
+}
+
+impl Sequence {
+    fn new(cloud: &[(f32, f32, f32, f32, f32, f32)], seed: u64) -> Self {
+        Sequence {
+            actors: cloud
+                .iter()
+                .map(|&(x, y, z, hx, hy, hz)| Actor {
+                    center: Vec3::new(x, y, z),
+                    half: Vec3::new(hx, hy, hz),
+                    present: true,
+                    huge: false,
+                })
+                .collect(),
+            rng: SmallRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Uniform in `[-scale, scale)` per axis.
+    fn offset(&mut self, scale: f32) -> Vec3 {
+        let mut axis = || self.rng.gen_range(-scale..scale);
+        Vec3::new(axis(), axis(), axis())
+    }
+
+    fn advance(&mut self) {
+        for i in 0..self.actors.len() {
+            let roll = self.rng.gen_range(0u32..100);
+            let step = match roll {
+                0..=54 => self.offset(0.02),
+                55..=79 => self.offset(0.4),
+                80..=84 => {
+                    self.actors[i].center = Vec3::ZERO;
+                    self.offset(20.0)
+                }
+                85..=89 => {
+                    self.actors[i].present = !self.actors[i].present;
+                    Vec3::ZERO
+                }
+                90..=92 => {
+                    self.actors[i].huge = !self.actors[i].huge;
+                    Vec3::ZERO
+                }
+                _ => Vec3::ZERO,
+            };
+            self.actors[i].center += step;
+        }
+        if self.rng.gen_bool(0.25) {
+            let center = self.offset(20.0);
+            let half = self.offset(1.5).abs() + Vec3::splat(0.01);
+            self.actors.push(Actor {
+                center,
+                half,
+                present: true,
+                huge: false,
+            });
+        }
+    }
+
+    fn frame(&self) -> Vec<(GeomId, Aabb)> {
+        self.actors
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.present)
+            .map(|(i, a)| {
+                let half = if a.huge {
+                    Vec3::new(1e7, 0.1, 1e7)
+                } else {
+                    a.half
+                };
+                (
+                    GeomId(i as u32),
+                    Aabb::from_center_half_extents(a.center, half),
+                )
+            })
+            .collect()
+    }
+}
+
+/// Feeds `frames` frames of one sequence to long-lived grids (one per cell
+/// size), checking every frame against a fresh oracle; returns the stats.
+fn run_sequence(
+    cloud: &[(f32, f32, f32, f32, f32, f32)],
+    seed: u64,
+    frames: usize,
+) -> Vec<BroadphaseStats> {
+    let mut sequence = Sequence::new(cloud, seed);
+    let mut grids = CELLS.map(UniformGrid::new);
+    let mut out = Vec::new();
+    let mut stats = Vec::new();
+    for frame in 0..frames {
+        let aabbs = sequence.frame();
+        let oracle = emitted(&mut BruteForce::new(), &aabbs);
+        for grid in &mut grids {
+            stats.push(grid.pairs_into(&aabbs, &mut out));
+            assert_eq!(out, oracle, "grid diverged at frame {frame} (seed {seed})");
+        }
+        sequence.advance();
+    }
+    stats
 }
 
 proptest! {
@@ -97,13 +224,40 @@ proptest! {
                 .map(|&(x, y, z, hx, hy, hz)| (x + dx * frame as f32, y, z, hx, hy, hz))
                 .collect();
             let aabbs = build(&shifted);
-            let oracle = sorted_pairs(&mut BruteForce::new(), &aabbs);
+            let oracle = emitted(&mut BruteForce::new(), &aabbs);
             sap.pairs_into(&aabbs, &mut out);
-            out.sort_unstable();
             prop_assert_eq!(&out, &oracle, "SAP frame {}", frame);
             grid.pairs_into(&aabbs, &mut out);
-            out.sort_unstable();
             prop_assert_eq!(&out, &oracle, "grid frame {}", frame);
+        }
+    }
+
+    #[test]
+    fn persistent_grid_tracks_the_oracle_over_frame_sequences(
+        cloud in aabb_cloud(24),
+        seed in any::<u64>(),
+    ) {
+        let stats = run_sequence(&cloud, seed, 24);
+        // Work counts are a function of the frame history alone: a second
+        // set of instances fed the same sequence reports the same numbers.
+        prop_assert_eq!(stats, run_sequence(&cloud, seed, 24));
+    }
+}
+
+#[test]
+fn settled_sequence_does_no_cell_work() {
+    // Frames that repeat exactly: after the first, nothing is inserted.
+    let cloud: Vec<_> = (0..30)
+        .map(|i| (i as f32 * 0.7 - 10.0, (i % 3) as f32, 0.0, 0.5, 0.5, 0.5))
+        .collect();
+    let aabbs = build(&cloud);
+    for cell in CELLS {
+        let mut grid = UniformGrid::new(cell);
+        let (first, _) = grid.pairs(&aabbs);
+        for _ in 0..3 {
+            let (pairs, stats) = grid.pairs(&aabbs);
+            assert_eq!(pairs, first);
+            assert_eq!((stats.sort_ops, stats.reinserts), (0, 0));
         }
     }
 }

@@ -128,6 +128,14 @@ pub const SLEEPING_ISLANDS_GAUGE: &str = "physics.sleeping_islands";
 /// builder (the from-scratch cost this PR's fast path avoids).
 pub const ISLANDS_REBUILT_COUNTER: &str = "physics.islands_rebuilt";
 
+/// Gauge: fat-overlapping pairs the persistent broad phase holds at the
+/// end of a step.
+pub const BROADPHASE_FAT_PAIRS_GAUGE: &str = "physics.broadphase.fat_pairs";
+
+/// Counter: broad-phase proxies inserted or re-inserted (the churn the
+/// persistent grid pays for; a settled scene adds none).
+pub const BROADPHASE_REINSERTS_COUNTER: &str = "physics.broadphase.reinserts";
+
 /// Largest `telemetry.spans_dropped` gauge value across records: the
 /// cumulative number of spans the recording process lost to full ring
 /// buffers (0 when the gauge was never set — nothing was dropped).
@@ -265,6 +273,25 @@ pub fn render(records: &[StepRecord]) -> String {
             out,
             "  {:<20} {rebuilt} component(s) over all steps",
             "incremental rebuilds"
+        );
+    }
+
+    // Persistent broad phase: a level and its churn, like the above.
+    let peak_fat = peak(BROADPHASE_FAT_PAIRS_GAUGE).unwrap_or(0);
+    let reinserts = merged.counter(BROADPHASE_REINSERTS_COUNTER);
+    if peak_fat > 0 || reinserts > 0 {
+        let _ = writeln!(out, "\nPersistent broad phase:");
+        let _ = writeln!(
+            out,
+            "  {:<20} final {:>8}, peak {:>8}",
+            "fat pairs",
+            last(BROADPHASE_FAT_PAIRS_GAUGE).unwrap_or(0),
+            peak_fat
+        );
+        let _ = writeln!(
+            out,
+            "  {:<20} {reinserts} proxy(ies) over all steps",
+            "re-inserts"
         );
     }
 
@@ -421,6 +448,21 @@ mod tests {
         assert!(text.contains("5 component(s)"), "{text}");
         // A run that never slept and never rebuilt renders no section.
         assert!(!render(&[rec(0, 1, 1)]).contains("Island sleeping"));
+    }
+
+    #[test]
+    fn broadphase_section_reports_fat_pair_level_and_total_churn() {
+        let mut a = rec(0, 1, 1);
+        a.metrics.gauges = vec![(BROADPHASE_FAT_PAIRS_GAUGE.into(), 900)];
+        a.metrics.counters = vec![(BROADPHASE_REINSERTS_COUNTER.into(), 650)];
+        let mut b = rec(1, 1, 1);
+        b.metrics.gauges = vec![(BROADPHASE_FAT_PAIRS_GAUGE.into(), 880)];
+        b.metrics.counters = vec![(BROADPHASE_REINSERTS_COUNTER.into(), 4)];
+        let text = render(&[a, b]);
+        assert!(text.contains("Persistent broad phase:"), "{text}");
+        assert!(text.contains("final      880, peak      900"), "{text}");
+        assert!(text.contains("654 proxy(ies)"), "{text}");
+        assert!(!render(&[rec(0, 1, 1)]).contains("Persistent broad phase"));
     }
 
     #[test]

@@ -119,6 +119,19 @@ set -e
 test "$bisect_rc" -eq 3
 grep -q "^divergence: step=" "$tmp/bisect_sleep.out"
 
+# Persistent broad phase: the grid is held to the history-free
+# sweep-and-prune rebuild by digest. The integration test compares every
+# phase of every step on Mix and Breakable (sleeping on and off, through
+# a mid-run restore and an enable toggle); the two bisections run the
+# whole 200-step horizon on Mix and Explosions and must exit 0 (no
+# divergence).
+cargo test -q --offline --test broadphase_equivalence
+for scene in Mix Explosions; do
+    cargo run --release --offline -q -p parallax-bench --bin bisect -- \
+        --scene "$scene" --steps 200 --scale 0.2 \
+        --a broadphase=sap --b broadphase=grid >/dev/null 2>&1
+done
+
 # Digest overhead gate: per-phase state digests must cost <=3% of the
 # step total on Mix (interleaved A/B, whole bootstrap CI must clear the
 # budget). Unlike bench_gate --quick, the threshold does not widen.

@@ -178,7 +178,14 @@ fn every_registered_metric_name_lints_after_a_real_run() {
     assert!(seen > 0, "a stepped Mix scene must register metrics");
 
     // And the full exposition lints line by line.
-    for line in telemetry::prometheus_text(&snap)
+    let text = telemetry::prometheus_text(&snap);
+    for churn in [
+        "physics_broadphase_reinserts",
+        "physics_broadphase_fat_pairs",
+    ] {
+        assert!(text.contains(churn), "/metrics lacks {churn}");
+    }
+    for line in text
         .lines()
         .filter(|l| !l.starts_with('#') && !l.is_empty())
     {

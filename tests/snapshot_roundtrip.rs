@@ -158,12 +158,12 @@ fn bisect_localizes_injected_fault_to_exact_step_and_phase() {
         a: SideSpec {
             threads: 1,
             simd: SimdMode::Scalar,
-            sleep: false,
+            ..SideSpec::default()
         },
         b: SideSpec {
             threads: 2,
             simd: SimdMode::Scalar,
-            sleep: false,
+            ..SideSpec::default()
         },
         fault: Some(fault),
         chunk: 32,

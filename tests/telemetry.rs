@@ -11,8 +11,18 @@ use parallax_telemetry::{
 };
 use parallax_workloads::{BenchmarkId, SceneParams};
 
-/// Serializes tests that toggle the process-global telemetry flag, and
-/// restores the disabled state even on panic.
+/// Serializes the tests of this file: the metrics registry is
+/// process-global, so a scene stepped by one test while another has
+/// telemetry on is counted in the other's deltas.
+fn registry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
+
+/// Takes the registry lock and switches telemetry on; restores the
+/// disabled state even on panic.
 fn enable_telemetry() -> impl Drop {
     struct Guard(Option<MutexGuard<'static, ()>>);
     impl Drop for Guard {
@@ -21,11 +31,7 @@ fn enable_telemetry() -> impl Drop {
             self.0.take();
         }
     }
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = LOCK
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
+    let guard = registry_lock();
     parallax_telemetry::set_enabled(true);
     Guard(Some(guard))
 }
@@ -35,6 +41,7 @@ fn enable_telemetry() -> impl Drop {
 /// externally timed total.
 #[test]
 fn phase_walls_account_for_step_time() {
+    let _registry = registry_lock();
     let mut scene = BenchmarkId::Mix.build(&SceneParams {
         scale: 0.15,
         ..SceneParams::default()
