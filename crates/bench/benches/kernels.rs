@@ -3,16 +3,23 @@
 //! host supports, so the per-kernel speedup over the scalar fallback is
 //! directly visible.
 //!
+//! The PGS group also prints the cost of one row projection (`ns per
+//! row-iteration`: a whole solve divided by rows × iterations) on the
+//! island shapes the scenes are made of.
+//!
 //! `PARALLAX_BENCH_QUICK=1` shrinks the problem sizes and sample counts
 //! to a smoke-test shape (used by `scripts/verify.sh`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
-use parallax_math::{SimdMode, Vec3};
+use std::time::Instant;
+
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
+use parallax_math::{Mat3, SimdMode, Transform, Vec3};
 use parallax_physics::cloth::Cloth;
 use parallax_physics::contact::{ContactManifold, ContactPoint};
 use parallax_physics::integrator;
+use parallax_physics::narrowphase;
 use parallax_physics::shape::GeomId;
-use parallax_physics::solver::{self, RowParams, RowSoA, VelState};
+use parallax_physics::solver::{self, RowParams, RowSet, VelState, STATIC_BODY};
 use parallax_physics::{BodyDesc, BodyStore, Shape};
 
 fn quick() -> bool {
@@ -63,10 +70,10 @@ fn bench_integrator(c: &mut Criterion) {
 
 /// A contact chain: body i touches body i+1, two friction rows per
 /// contact — the shape the per-island solver actually sees.
-fn build_rows(n_bodies: usize) -> (RowSoA, Vec<VelState>) {
+fn build_rows(n_bodies: usize) -> (RowSet, Vec<VelState>) {
     let store = build_store(n_bodies);
     let vel: Vec<VelState> = (0..n_bodies).map(|i| store.vel_state(i)).collect();
-    let mut rows = RowSoA::new();
+    let mut rows = RowSet::new();
     for i in 0..n_bodies - 1 {
         let mut m = ContactManifold::new(GeomId(i as u32), GeomId(i as u32 + 1));
         m.friction = 0.6;
@@ -89,6 +96,99 @@ fn build_rows(n_bodies: usize) -> (RowSoA, Vec<VelState>) {
         );
     }
     (rows, vel)
+}
+
+/// A heap of unit boxes on the ground as one island: brick-laid layers
+/// (an upper box rests on the four lower ones it straddles), every
+/// touching pair collided by the real narrow phase. `layers` lists each
+/// layer's grid; the pyramid `[(4, 4), (3, 3), (2, 2), (1, 1)]` has the
+/// rows and the schedule depth of a mean Explosions island (864 rows in
+/// 228 batches, against 860 in 245; 30 bodies against 45): many rows per
+/// body, so the level schedule is deep and its batches are short.
+/// `[(1, 1)]` is one body resting on the ground.
+fn build_pile(layers: &[(usize, usize)]) -> (RowSet, Vec<VelState>) {
+    let half = Vec3::splat(0.5);
+    // Layers sink 1 cm into each other; boxes of one layer stand apart.
+    let (rise, pitch) = (0.99, 1.04);
+    let mut centres = Vec::new();
+    for (layer, &(nx, nz)) in layers.iter().enumerate() {
+        for ix in 0..nx {
+            for iz in 0..nz {
+                centres.push(Vec3::new(
+                    (ix as f32 - (nx - 1) as f32 * 0.5) * pitch,
+                    0.49 + layer as f32 * rise,
+                    (iz as f32 - (nz - 1) as f32 * 0.5) * pitch,
+                ));
+            }
+        }
+    }
+    let vel: Vec<VelState> = (0..centres.len())
+        .map(|i| VelState {
+            lin: Vec3::new(0.02 * (i % 5) as f32 - 0.04, -0.0981, 0.01 * (i % 3) as f32),
+            ang: Vec3::new(0.01 * (i % 4) as f32, 0.0, -0.01 * (i % 7) as f32),
+            inv_mass: 1.0,
+            inv_inertia: Mat3::from_diagonal(Vec3::splat(6.0)),
+        })
+        .collect();
+    let cube = Shape::cuboid(half);
+    let ground = Shape::plane(Vec3::UNIT_Y, 0.0);
+    let params = RowParams::default();
+    let mut rows = RowSet::new();
+    for (i, &ci) in centres.iter().enumerate() {
+        let ti = Transform::from_position(ci);
+        let gi = GeomId(i as u32 + 1);
+        if let Some(m) =
+            narrowphase::collide_with_ids(gi, &cube, &ti, GeomId(0), &ground, &Transform::IDENTITY)
+        {
+            solver::build_contact_rows(
+                &m,
+                i as u32,
+                STATIC_BODY,
+                ci,
+                Vec3::ZERO,
+                &vel,
+                &params,
+                None,
+                &mut rows,
+            );
+        }
+        for (j, &cj) in centres.iter().enumerate().skip(i + 1) {
+            let tj = Transform::from_position(cj);
+            let gj = GeomId(j as u32 + 1);
+            if let Some(m) = narrowphase::collide_with_ids(gi, &cube, &ti, gj, &cube, &tj) {
+                solver::build_contact_rows(
+                    &m, i as u32, j as u32, ci, cj, &vel, &params, None, &mut rows,
+                );
+            }
+        }
+    }
+    (rows, vel)
+}
+
+/// Times whole 20-iteration solves of one island and prints the cost per
+/// row-iteration — the number the island-processing budget is made of.
+fn report_row_iteration(label: &str, rows: &RowSet, vel: &[VelState], mode: SimdMode) {
+    const ITERATIONS: usize = 20;
+    let reps = if quick() { 20 } else { 2000 };
+    let mut batches = 0;
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let start = Instant::now();
+        for _ in 0..reps {
+            let mut r = rows.clone();
+            let mut v = vel.to_vec();
+            batches = black_box(solver::solve(&mut r, &mut v, ITERATIONS, mode)).batches;
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / reps as f64);
+    }
+    println!(
+        "bench: solver_projection/{label}/{} ({} bodies, {} rows, {batches} batches) \
+         {:6.2} ns per row-iteration",
+        mode.name(),
+        vel.len(),
+        rows.len(),
+        best / (rows.len() * ITERATIONS) as f64,
+    );
 }
 
 fn bench_solver(c: &mut Criterion) {
@@ -116,6 +216,13 @@ fn bench_solver(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    let pile = build_pile(&[(4, 4), (3, 3), (2, 2), (1, 1)]);
+    let resting = build_pile(&[(1, 1)]);
+    for mode in [SimdMode::Scalar, SimdMode::Sse2] {
+        report_row_iteration("pile", &pile.0, &pile.1, mode);
+        report_row_iteration("resting_box", &resting.0, &resting.1, mode);
+    }
 }
 
 fn bench_cloth(c: &mut Criterion) {

@@ -208,7 +208,7 @@ impl Digest {
     }
 }
 
-/// One-shot digest of an `f32` slice (used for per-island `RowSoA`
+/// One-shot digest of an `f32` slice (used for per-island `RowSet`
 /// lambda fingerprints).
 pub fn hash_f32s(seed: u64, values: &[f32]) -> u64 {
     let mut d = Digest::new(seed);
@@ -420,7 +420,7 @@ pub fn island_creation_digest(world: &World) -> u64 {
 }
 
 /// Digest after island processing: post-solve body state, the per-island
-/// solver impulse fingerprints (`RowSoA::lambda`, hashed inside the
+/// solver impulse fingerprints (`RowSet::lambda`, hashed inside the
 /// solve) and joint mutable state.
 pub fn island_processing_digest(world: &World, islands: &[IslandWork]) -> u64 {
     let mut d = Digest::new(PhaseKind::IslandProcessing as u64);

@@ -28,7 +28,7 @@ use crate::narrowphase;
 use crate::parallel::Executor;
 use crate::probe::{ClothWork, IslandWork, PairWork, PhaseKind, StepEvents, StepProfile};
 use crate::shape::{GeomId, Shape};
-use crate::solver::{self, RowParams, RowSoA, VelState, STATIC_BODY};
+use crate::solver::{self, RowParams, RowSet, VelState, STATIC_BODY};
 use crate::world::{BroadphaseKind, World};
 
 /// A pipeline stage: one per paper phase.
@@ -243,7 +243,35 @@ struct IslandResult {
     contact_updates: Vec<(u32, [[f32; 3]; ContactManifold::MAX_POINTS])>,
     /// Warm-start hit/miss counts for this island.
     warm: WarmStats,
+    /// Batches in the island's solve schedule, and the rows of them each
+    /// sweep projected four at a time.
+    batches: usize,
+    packed_rows: usize,
     work: IslandWork,
+}
+
+/// What one island solve builds and drops again: rows, gathered
+/// velocities and the row spans that map impulses back to joints and
+/// manifolds. One per thread, so the buffers grow to the largest island
+/// that thread has solved and a fleet of worlds shares them instead of
+/// each pipeline holding its own.
+#[derive(Default)]
+struct IslandScratch {
+    rows: RowSet,
+    vel: Vec<VelState>,
+    joint_ends: Vec<(u32, u32)>,
+    contact_spans: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    static ISLAND_SCRATCH: std::cell::RefCell<IslandScratch> = std::cell::RefCell::default();
+}
+
+/// Per-step totals of the solve schedules (telemetry).
+#[derive(Default, Clone, Copy)]
+struct ScheduleTotals {
+    batches: u64,
+    packed_rows: u64,
 }
 
 /// Step-scoped knobs threaded into the island solve.
@@ -267,8 +295,8 @@ impl IslandProcessingStage {
     /// Solves every island — big ones on the executor, small ones on the
     /// calling thread (the paper's DOF > threshold work-queue filter) —
     /// then applies the velocities. Returns the profile work records, the
-    /// per-joint impulses for breakables and the warm-start hit/miss
-    /// totals.
+    /// per-joint impulses for breakables, the warm-start hit/miss totals
+    /// and the schedule totals.
     ///
     /// The contact cache is read-only inside the (possibly parallel)
     /// island solves and written back here, serially, in island-result
@@ -282,7 +310,7 @@ impl IslandProcessingStage {
         manifolds: &[ContactManifold],
         cache: &mut ContactCache,
         opts: SolveOpts,
-    ) -> (Vec<IslandWork>, Vec<(u32, f32)>, WarmStats) {
+    ) -> (Vec<IslandWork>, Vec<(u32, f32)>, WarmStats, ScheduleTotals) {
         let SolveOpts {
             warm_starting,
             digests,
@@ -313,150 +341,168 @@ impl IslandProcessingStage {
         let world_ref: &World = world;
         // Shared-immutable snapshot of the cache for the parallel solves.
         let cache_ref: &ContactCache = cache;
+        // Dense body -> (island, island-local index) table, shared
+        // read-only by every island job. Bodies outside every island
+        // (static, sleeping, disabled) keep the `u32::MAX` island.
+        let mut slot_of = vec![(u32::MAX, 0u32); world_ref.bodies.len()];
+        for (ii, island) in islands.iter().enumerate() {
+            for (li, &bi) in island.bodies.iter().enumerate() {
+                slot_of[bi as usize] = (ii as u32, li as u32);
+            }
+        }
+        let slot_of = &slot_of[..];
         let solve_island = |&ii: &u32| -> IslandResult {
             let island = &islands[ii as usize];
-            // Local index map.
-            let mut local_of = std::collections::HashMap::with_capacity(island.bodies.len());
-            let mut vel: Vec<VelState> = Vec::with_capacity(island.bodies.len());
-            for (li, &bi) in island.bodies.iter().enumerate() {
-                local_of.insert(bi, li as u32);
-                vel.push(world_ref.bodies.vel_state(bi as usize));
-            }
+            // Static or foreign body: anchor.
             let local = |body: u32| -> u32 {
-                if body == u32::MAX {
-                    return STATIC_BODY;
-                }
-                match local_of.get(&body) {
-                    Some(&l) => l,
-                    None => STATIC_BODY, // Static or foreign body: anchor.
+                match slot_of.get(body as usize) {
+                    Some(&(isl, l)) if isl == ii => l,
+                    _ => STATIC_BODY,
                 }
             };
-
-            let mut rows = RowSoA::new();
-            for &ji in &island.joints {
-                let j = &world_ref.joints[ji as usize];
-                solver::build_joint_rows(
-                    j,
-                    ji,
-                    local(j.body_a.0),
-                    local(j.body_b.0),
-                    world_ref.bodies.transform(j.body_a.index()),
-                    world_ref.bodies.transform(j.body_b.index()),
-                    &params,
-                    &mut rows,
+            ISLAND_SCRATCH.with_borrow_mut(|scratch| {
+                let IslandScratch {
+                    rows,
+                    vel,
+                    joint_ends,
+                    contact_spans,
+                } = scratch;
+                vel.clear();
+                vel.extend(
+                    island
+                        .bodies
+                        .iter()
+                        .map(|&bi| world_ref.bodies.vel_state(bi as usize)),
                 );
-            }
-            let mut warm = WarmStats::default();
-            // (manifold index, first row of its contact block): rows are
-            // emitted 3 per point, in point order, so the block maps the
-            // solved lambdas back to cache entries after the solve.
-            let mut contact_spans: Vec<(u32, u32)> = Vec::with_capacity(island.manifolds.len());
-            for &mi in &island.manifolds {
-                let m = &manifolds[mi as usize];
-                let ba = world_ref.geoms[m.geom_a.index()].body;
-                let bb = world_ref.geoms[m.geom_b.index()].body;
-                let pa = ba.map_or(Vec3::ZERO, |b| world_ref.bodies.position(b.index()));
-                let pb = bb.map_or(Vec3::ZERO, |b| world_ref.bodies.position(b.index()));
-                let la = ba.map_or(STATIC_BODY, |b| {
-                    if world_ref.bodies.is_static(b.index()) {
-                        STATIC_BODY
+                // One row per degree of freedom removed.
+                rows.clear();
+                rows.reserve(island.dof_removed);
+
+                // (joint index, end of its rows): a joint's rows are
+                // contiguous and joints come first, so the ends delimit
+                // the per-joint impulse sums after the solve.
+                joint_ends.clear();
+                for &ji in &island.joints {
+                    let j = &world_ref.joints[ji as usize];
+                    solver::build_joint_rows(
+                        j,
+                        local(j.body_a.0),
+                        local(j.body_b.0),
+                        world_ref.bodies.transform(j.body_a.index()),
+                        world_ref.bodies.transform(j.body_b.index()),
+                        &params,
+                        rows,
+                    );
+                    joint_ends.push((ji, rows.len() as u32));
+                }
+                let mut warm = WarmStats::default();
+                // (manifold index, first row of its contact block): rows are
+                // emitted 3 per point, in point order, so the block maps the
+                // solved lambdas back to cache entries after the solve.
+                contact_spans.clear();
+                for &mi in &island.manifolds {
+                    let m = &manifolds[mi as usize];
+                    let ba = world_ref.geoms[m.geom_a.index()].body;
+                    let bb = world_ref.geoms[m.geom_b.index()].body;
+                    let pa = ba.map_or(Vec3::ZERO, |b| world_ref.bodies.position(b.index()));
+                    let pb = bb.map_or(Vec3::ZERO, |b| world_ref.bodies.position(b.index()));
+                    let la = ba.map_or(STATIC_BODY, |b| local(b.0));
+                    let lb = bb.map_or(STATIC_BODY, |b| local(b.0));
+                    let seeds = if warm_starting {
+                        let key = contact_cache::pair_key(m);
+                        let (s, w) = contact_cache::seed_lambdas(cache_ref.pair(key), m);
+                        warm.merge(w);
+                        Some(s)
                     } else {
-                        local(b.0)
-                    }
-                });
-                let lb = bb.map_or(STATIC_BODY, |b| {
-                    if world_ref.bodies.is_static(b.index()) {
-                        STATIC_BODY
-                    } else {
-                        local(b.0)
-                    }
-                });
-                let seeds = if warm_starting {
-                    let key = contact_cache::pair_key(m);
-                    let (s, w) = contact_cache::seed_lambdas(cache_ref.pair(key), m);
-                    warm.merge(w);
-                    Some(s)
+                        None
+                    };
+                    contact_spans.push((mi, rows.len() as u32));
+                    solver::build_contact_rows(
+                        m,
+                        la,
+                        lb,
+                        pa,
+                        pb,
+                        vel,
+                        &params,
+                        seeds.as_ref().map(|s| &s[..]),
+                        rows,
+                    );
+                }
+                debug_assert_eq!(rows.len(), island.dof_removed);
+
+                let stats = solver::solve(rows, vel, iterations, mode);
+
+                let contact_updates = if warm_starting {
+                    contact_spans
+                        .iter()
+                        .map(|&(mi, start)| {
+                            let m = &manifolds[mi as usize];
+                            let mut lam = [[0.0f32; 3]; ContactManifold::MAX_POINTS];
+                            for (p, l) in lam.iter_mut().take(m.len()).enumerate() {
+                                let base = start as usize + p * 3;
+                                *l = [
+                                    rows.lambda[base],
+                                    rows.lambda[base + 1],
+                                    rows.lambda[base + 2],
+                                ];
+                            }
+                            (mi, lam)
+                        })
+                        .collect()
                 } else {
-                    None
+                    Vec::new()
                 };
-                contact_spans.push((mi, rows.len() as u32));
-                solver::build_contact_rows(
-                    m,
-                    la,
-                    lb,
-                    pa,
-                    pb,
-                    &vel,
-                    &params,
-                    seeds.as_ref().map(|s| &s[..]),
-                    &mut rows,
-                );
-            }
 
-            let stats = solver::solve(&mut rows, &mut vel, iterations, mode);
-
-            let contact_updates = if warm_starting {
-                contact_spans
+                // Per-joint impulse accounting for breakables: each
+                // joint's |λ| summed in row order. `island.joints` is
+                // ascending, so downstream accumulation order is
+                // reproducible.
+                debug_assert!(island.joints.windows(2).all(|w| w[0] < w[1]));
+                let mut start = 0usize;
+                let joint_impulses = joint_ends
                     .iter()
-                    .map(|&(mi, start)| {
-                        let m = &manifolds[mi as usize];
-                        let mut lam = [[0.0f32; 3]; ContactManifold::MAX_POINTS];
-                        for (p, l) in lam.iter_mut().take(m.len()).enumerate() {
-                            let base = start as usize + p * 3;
-                            *l = [
-                                rows.lambda[base],
-                                rows.lambda[base + 1],
-                                rows.lambda[base + 2],
-                            ];
+                    .map(|&(ji, end)| {
+                        let mut sum = 0.0f32;
+                        for l in &rows.lambda[start..end as usize] {
+                            sum += l.abs();
                         }
-                        (mi, lam)
+                        start = end as usize;
+                        (ji, sum)
                     })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+                    .collect();
 
-            // Per-joint impulse accounting for breakables. Sorted by joint
-            // so downstream accumulation order is reproducible.
-            let mut joint_impulses: std::collections::HashMap<u32, f32> =
-                std::collections::HashMap::new();
-            for i in 0..rows.len() {
-                if rows.source_joint[i] != u32::MAX {
-                    *joint_impulses.entry(rows.source_joint[i]).or_insert(0.0) +=
-                        rows.lambda[i].abs();
-                }
-            }
-            let mut joint_impulses: Vec<(u32, f32)> = joint_impulses.into_iter().collect();
-            joint_impulses.sort_unstable_by_key(|&(j, _)| j);
-
-            IslandResult {
-                velocities: island
-                    .bodies
-                    .iter()
-                    .zip(vel.iter())
-                    .map(|(&bi, v)| (bi, v.lin, v.ang))
-                    .collect(),
-                joint_impulses,
-                contact_updates,
-                warm,
-                work: IslandWork {
-                    bodies: island.bodies.clone(),
-                    joints: island.joints.clone(),
-                    manifolds: island.manifolds.len(),
-                    rows: stats.rows,
-                    dof_removed: island.dof_removed,
-                    iterations: stats.iterations,
-                    residual: stats.total_delta,
-                    queued: island.dof_removed > threshold,
-                    // Seeded by the island index so identical impulse
-                    // vectors in different islands still hash apart.
-                    lambda_digest: if digests {
-                        digest::hash_f32s(ii as u64, &rows.lambda)
-                    } else {
-                        0
+                IslandResult {
+                    velocities: island
+                        .bodies
+                        .iter()
+                        .zip(vel.iter())
+                        .map(|(&bi, v)| (bi, v.lin, v.ang))
+                        .collect(),
+                    joint_impulses,
+                    contact_updates,
+                    warm,
+                    batches: stats.batches,
+                    packed_rows: stats.packed_rows,
+                    work: IslandWork {
+                        bodies: island.bodies.clone(),
+                        joints: island.joints.clone(),
+                        manifolds: island.manifolds.len(),
+                        rows: stats.rows,
+                        dof_removed: island.dof_removed,
+                        iterations: stats.iterations,
+                        residual: stats.total_delta,
+                        queued: island.dof_removed > threshold,
+                        // Seeded by the island index so identical impulse
+                        // vectors in different islands still hash apart.
+                        lambda_digest: if digests {
+                            digest::hash_f32s(ii as u64, &rows.lambda)
+                        } else {
+                            0
+                        },
                     },
-                },
-            }
+                }
+            })
         };
 
         executor.map_into_labeled(
@@ -472,6 +518,7 @@ impl IslandProcessingStage {
         let mut work = Vec::with_capacity(self.results.len());
         let mut joint_impulses = Vec::new();
         let mut warm_total = WarmStats::default();
+        let mut schedule = ScheduleTotals::default();
         for r in self.results.drain(..) {
             for (bi, lin, ang) in r.velocities {
                 world.bodies.set_velocity(bi as usize, lin, ang);
@@ -489,9 +536,11 @@ impl IslandProcessingStage {
                 );
             }
             warm_total.merge(r.warm);
+            schedule.batches += r.batches as u64;
+            schedule.packed_rows += r.packed_rows as u64;
             work.push(r.work);
         }
-        (work, joint_impulses, warm_total)
+        (work, joint_impulses, warm_total, schedule)
     }
 }
 
@@ -563,6 +612,12 @@ struct PipelineTelemetry {
     island_size: telemetry::Histogram,
     manifolds_per_step: telemetry::Histogram,
     solver_rows: telemetry::Histogram,
+    /// Conflict-free batches over all island schedules, accumulated per
+    /// step; with the row histogram's sum this gives rows per batch.
+    solver_batches: telemetry::Counter,
+    /// Rows per sweep that went through the packed four-row kernel,
+    /// accumulated per step (0 in scalar mode).
+    solver_packed_rows: telemetry::Counter,
     max_penetration_um: telemetry::Histogram,
     solver_residual_milli: telemetry::Histogram,
     warm_hits: telemetry::Counter,
@@ -596,6 +651,8 @@ impl PipelineTelemetry {
             island_size: telemetry::histogram("physics.island_size_bodies"),
             manifolds_per_step: telemetry::histogram("physics.manifolds_per_step"),
             solver_rows: telemetry::histogram("physics.solver_rows_per_island"),
+            solver_batches: telemetry::counter("physics.solver.batches"),
+            solver_packed_rows: telemetry::counter("physics.solver.packed_rows"),
             max_penetration_um: telemetry::histogram("physics.max_penetration_um"),
             solver_residual_milli: telemetry::histogram("physics.solver_residual_milli"),
             warm_hits: telemetry::counter("physics.solver.warm_hits"),
@@ -970,11 +1027,12 @@ impl StepPipeline {
         let contact_cache = &mut self.contact_cache;
         let warm_starting = world.config.warm_starting;
         let mut warm = WarmStats::default();
+        let mut schedule = ScheduleTotals::default();
         let (broken, wall) = timed(spans[3], || {
             let (island_work, joint_impulses) = if islands.is_empty() {
                 (Vec::new(), Vec::new())
             } else {
-                let (island_work, joint_impulses, w) = island_processing.run(
+                let (island_work, joint_impulses, w, s) = island_processing.run(
                     world,
                     executor,
                     islands,
@@ -986,6 +1044,7 @@ impl StepPipeline {
                     },
                 );
                 warm = w;
+                schedule = s;
                 (island_work, joint_impulses)
             };
             profile.islands = island_work;
@@ -1096,6 +1155,8 @@ impl StepPipeline {
                     .solver_residual_milli
                     .record((w.residual.max(0.0) * 1e3) as u64);
             }
+            self.telemetry.solver_batches.add(schedule.batches);
+            self.telemetry.solver_packed_rows.add(schedule.packed_rows);
             self.telemetry.warm_hits.add(warm.hits as u64);
             self.telemetry.warm_misses.add(warm.misses as u64);
             self.telemetry

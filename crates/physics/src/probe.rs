@@ -122,7 +122,7 @@ pub struct IslandWork {
     /// DOF removed) or ran on the main thread.
     pub queued: bool,
     /// Digest of the island's post-solve accumulated impulses
-    /// (`RowSoA::lambda` bit patterns, seeded by island index). Only
+    /// (`RowSet::lambda` bit patterns, seeded by island index). Only
     /// computed when [`crate::WorldConfig::digests`] is on; 0 otherwise.
     pub lambda_digest: u64,
 }

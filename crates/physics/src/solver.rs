@@ -7,21 +7,34 @@
 //! island is the fine-grain parallel unit the FG cores execute ("degrees of
 //! freedom removed in the LCP solver").
 //!
-//! Rows are stored as structure-of-arrays ([`RowSoA`]), one lane vector per
-//! quantity. PGS is sequentially dependent row to row *only between rows
-//! that share a body*, so before iterating, the rows are greedily colored
+//! **Data path.** The row builders append one [`Row`] per constraint to a
+//! [`RowSet`], in *row order* (an island's joints, then three rows per
+//! contact point), with the warm-start impulse beside it in
+//! [`RowSet::lambda`]. PGS is sequentially dependent row to row *only
+//! between rows that share a body*, so [`solve`] greedily colours the rows
 //! into conflict-free batches (no dynamic body appears twice in a batch;
-//! the same level-based coloring the cloth relaxation uses). Every SIMD
-//! mode — including scalar — projects the rows in this batch order, and
-//! within a batch the rows are independent, so projecting them one at a
-//! time (scalar, and every batch remainder) and four at a time (the
-//! packed SSE kernel under any wide mode) produce identical bits: each
-//! lane performs the same IEEE operations in the same order, garbage
-//! lanes are masked off bitwise, and the per-row reductions keep the
-//! fixed `(p0 + p1) + p2` association of `Vec3::dot`. Friction rows
-//! read their governing normal row's accumulated impulse; the coloring
-//! orders them into a later batch automatically because they share the
-//! normal row's body pair.
+//! the same level-based colouring the cloth relaxation uses) and then lays
+//! them out **once**, contiguously, in that *schedule order*. A packed row
+//! carries everything an iteration reads: both Jacobian halves, the
+//! products `I⁻¹·j_ang` of both sides (iteration-invariant, so computed
+//! once instead of on every impulse application), `rhs`, `cfm`, the inverse
+//! effective mass, the limit with the friction row's normal row as a
+//! *position* in the packed array, and the accumulated impulse. The
+//! iterations stream through that one array front to back; the impulses
+//! are scattered back to row order at the end, so callers read
+//! `RowSet::lambda` exactly as the builders indexed it.
+//!
+//! **Bit-identity.** Every SIMD mode — including scalar — projects the
+//! rows in schedule order, and within a batch the rows are independent, so
+//! projecting them one at a time (scalar, and every batch remainder) and
+//! four at a time (the packed SSE kernel under any wide mode) produce
+//! identical bits: each lane performs the same IEEE operations in the same
+//! order, static lanes are masked off bitwise, and the per-row reductions
+//! keep the fixed `(p0 + p1) + p2` association of `Vec3::dot`. Friction
+//! rows read their governing normal row's accumulated impulse; the
+//! colouring orders them into a later batch automatically because they
+//! share the normal row's body pair. The hoisted `I⁻¹·j_ang` is the very
+//! expression the projection used to evaluate in place, evaluated once.
 
 use parallax_math::simd::{ScalarX4, SimdMode, Wide4};
 use parallax_math::{Mat3, Transform, Vec3};
@@ -35,7 +48,7 @@ use crate::joint::{Joint, JointKind};
 /// `BodyStore::vel_state` and scattered back with
 /// `BodyStore::set_velocity`.
 /// `repr(C)` so the packed row kernel may load `lin.x..=ang.x` and
-/// `ang.y..inv_inertia` as two contiguous 4-float vectors.
+/// `ang.x..=inv_mass` as two contiguous 4-float vectors.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 pub struct VelState {
@@ -61,154 +74,263 @@ pub enum RowLimit {
     Unilateral,
     /// Friction: |impulse| <= mu * lambda(normal row).
     Friction {
-        /// Index of the governing normal row within the row array.
+        /// Index of the governing normal row within the row set.
         normal_row: u32,
         /// Friction coefficient.
         mu: f32,
     },
 }
 
+/// [`Row::limit`] codes; any smaller value is a friction row's normal row.
+const LIMIT_BILATERAL: u32 = u32::MAX;
+const LIMIT_UNILATERAL: u32 = u32::MAX - 1;
+
 /// One scalar constraint row `J · v = rhs` with impulse limits.
 ///
-/// This is the *builder* representation: row construction assembles a
-/// `ConstraintRow` and pushes it into a [`RowSoA`], which scatters the
-/// fields into its lanes.
-#[derive(Debug, Clone)]
-pub struct ConstraintRow {
-    /// Island-local index of body A, or [`STATIC_BODY`].
-    pub body_a: u32,
-    /// Island-local index of body B, or [`STATIC_BODY`].
-    pub body_b: u32,
+/// The one row layout: the builders fill the public fields, [`solve`]
+/// fills the rest and copies the row to its place in the schedule. Two
+/// cache lines, ordered so that applying an impulse touches only the
+/// first (`j_lin` and `I⁻¹·j_ang` of both sides) and the four scalars of
+/// the projection load as one vector. Jacobian 3-vectors are zero-padded
+/// to `[x, y, z, 0]` so they load straight into a 128-bit register.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(16))]
+pub struct Row {
     /// Jacobian, linear part for A.
-    pub j_lin_a: Vec3,
-    /// Jacobian, angular part for A.
-    pub j_ang_a: Vec3,
+    pub j_lin_a: [f32; 4],
+    /// `I_a⁻¹ · j_ang_a`, hoisted out of the iterations by [`solve`].
+    inv_i_j_a: [f32; 4],
     /// Jacobian, linear part for B.
-    pub j_lin_b: Vec3,
+    pub j_lin_b: [f32; 4],
+    /// `I_b⁻¹ · j_ang_b`.
+    inv_i_j_b: [f32; 4],
+    /// Jacobian, angular part for A.
+    pub j_ang_a: [f32; 4],
     /// Jacobian, angular part for B.
-    pub j_ang_b: Vec3,
+    pub j_ang_b: [f32; 4],
     /// Target velocity along the constraint (bias + restitution).
     pub rhs: f32,
     /// Constraint-force mixing (softness).
     pub cfm: f32,
-    /// Impulse limit policy.
-    pub limit: RowLimit,
-    /// Accumulated impulse (warm-startable).
-    pub lambda: f32,
-    /// Which joint (index into the world's joint array) produced this row;
-    /// `u32::MAX` for contact rows. Used for breakable-joint accounting.
-    pub source_joint: u32,
+    /// Inverse effective mass; computed by [`solve`].
+    inv_k: f32,
+    /// Accumulated impulse while packed (row order lives in
+    /// [`RowSet::lambda`]).
+    lambda: f32,
+    /// Island-local index of body A, or [`STATIC_BODY`].
+    pub body_a: u32,
+    /// Island-local index of body B, or [`STATIC_BODY`].
+    pub body_b: u32,
+    /// [`LIMIT_BILATERAL`], [`LIMIT_UNILATERAL`], or a friction row's
+    /// normal row: its row index as built, its position once packed.
+    limit: u32,
+    /// Friction coefficient (friction rows only).
+    mu: f32,
 }
 
-impl ConstraintRow {
-    fn new(a: u32, b: u32) -> Self {
-        ConstraintRow {
-            body_a: a,
-            body_b: b,
-            j_lin_a: Vec3::ZERO,
-            j_ang_a: Vec3::ZERO,
-            j_lin_b: Vec3::ZERO,
-            j_ang_b: Vec3::ZERO,
-            rhs: 0.0,
-            cfm: 0.0,
-            limit: RowLimit::Bilateral,
-            lambda: 0.0,
-            source_joint: u32::MAX,
-        }
-    }
-}
+/// Float offset of `rhs, cfm, inv_k, lambda` inside a [`Row`].
+#[cfg(target_arch = "x86_64")]
+const ROW_SCALARS: usize = 24;
 
-/// Structure-of-arrays storage for the constraint rows of one island, in
-/// solve order.
-///
-/// Jacobian 3-vectors are stored zero-padded to `[f32; 4]` so they load
-/// straight into a 128-bit register.
-#[derive(Debug, Default, Clone)]
-pub struct RowSoA {
-    /// Island-local index of body A per row, or [`STATIC_BODY`].
-    pub body_a: Vec<u32>,
-    /// Island-local index of body B per row, or [`STATIC_BODY`].
-    pub body_b: Vec<u32>,
-    /// Jacobian, linear part for A (`[x, y, z, 0]`).
-    pub j_lin_a: Vec<[f32; 4]>,
-    /// Jacobian, angular part for A.
-    pub j_ang_a: Vec<[f32; 4]>,
-    /// Jacobian, linear part for B.
-    pub j_lin_b: Vec<[f32; 4]>,
-    /// Jacobian, angular part for B.
-    pub j_ang_b: Vec<[f32; 4]>,
-    /// Target velocity along the constraint (bias + restitution).
-    pub rhs: Vec<f32>,
-    /// Constraint-force mixing (softness).
-    pub cfm: Vec<f32>,
-    /// Impulse limit policy per row.
-    pub limit: Vec<RowLimit>,
-    /// Accumulated impulse per row (warm-startable; read back for caching).
-    pub lambda: Vec<f32>,
-    /// Producing joint index per row (`u32::MAX` for contacts).
-    pub source_joint: Vec<u32>,
-    /// Inverse effective mass per row; scratch recomputed by [`solve`].
-    inv_k: Vec<f32>,
-}
+// The packed kernel loads these spans as vectors.
+#[cfg(target_arch = "x86_64")]
+const _: () = {
+    use std::mem::{offset_of, size_of};
+    assert!(offset_of!(Row, rhs) == ROW_SCALARS * 4 && offset_of!(Row, lambda) == 108);
+    assert!(offset_of!(VelState, ang) == 12 && offset_of!(VelState, inv_mass) == 24);
+    assert!(size_of::<Row>() == 128);
+};
 
 #[inline]
 fn pad(v: Vec3) -> [f32; 4] {
     [v.x, v.y, v.z, 0.0]
 }
 
-impl RowSoA {
+impl Row {
+    /// A bilateral row between two bodies with a zero Jacobian.
+    pub fn new(body_a: u32, body_b: u32) -> Self {
+        Row {
+            j_lin_a: [0.0; 4],
+            inv_i_j_a: [0.0; 4],
+            j_lin_b: [0.0; 4],
+            inv_i_j_b: [0.0; 4],
+            j_ang_a: [0.0; 4],
+            j_ang_b: [0.0; 4],
+            rhs: 0.0,
+            cfm: 0.0,
+            inv_k: 0.0,
+            lambda: 0.0,
+            body_a,
+            body_b,
+            limit: LIMIT_BILATERAL,
+            mu: 0.0,
+        }
+    }
+
+    /// The impulse limit policy.
+    pub fn limit(&self) -> RowLimit {
+        match self.limit {
+            LIMIT_BILATERAL => RowLimit::Bilateral,
+            LIMIT_UNILATERAL => RowLimit::Unilateral,
+            normal_row => RowLimit::Friction {
+                normal_row,
+                mu: self.mu,
+            },
+        }
+    }
+
+    /// Fills the iteration-invariant fields: `I⁻¹·j_ang` of both sides and
+    /// the inverse of the effective mass `J M⁻¹ Jᵀ + cfm`.
+    #[inline(always)]
+    fn hoist<V: Wide4>(&mut self, vel: &[VelState]) {
+        let mut k = 0.0;
+        if self.body_a != STATIC_BODY {
+            let v = &vel[self.body_a as usize];
+            let jl = V::from_array(self.j_lin_a);
+            let ja = V::from_array(self.j_ang_a);
+            self.inv_i_j_a = pad(inertia_mul(&v.inv_inertia, ja));
+            k += v.inv_mass * jl.dot3(jl);
+            k += ja.dot3(V::from_array(self.inv_i_j_a));
+        }
+        if self.body_b != STATIC_BODY {
+            let v = &vel[self.body_b as usize];
+            let jl = V::from_array(self.j_lin_b);
+            let ja = V::from_array(self.j_ang_b);
+            self.inv_i_j_b = pad(inertia_mul(&v.inv_inertia, ja));
+            k += v.inv_mass * jl.dot3(jl);
+            k += ja.dot3(V::from_array(self.inv_i_j_b));
+        }
+        let k = k + self.cfm;
+        self.inv_k = if k > 1e-10 { 1.0 / k } else { 0.0 };
+    }
+}
+
+/// The constraint rows of one island: [`Row`]s in row order as the
+/// builders emitted them, the accumulated impulse of each beside them, and
+/// the scratch of the last [`solve`] (kept so a reused set stops
+/// allocating once it has seen its largest island).
+#[derive(Debug, Default, Clone)]
+pub struct RowSet {
+    rows: Vec<Row>,
+    /// Accumulated impulse per row, in row order: the warm-start seeds
+    /// going into [`solve`], the solved impulses coming out.
+    pub lambda: Vec<f32>,
+    /// The rows in schedule order — what the iterations stream through.
+    packed: Vec<Row>,
+    /// Row index at each schedule position.
+    order: Vec<u32>,
+    /// End position of each batch in `order`.
+    batch_ends: Vec<u32>,
+    /// Schedule position of each row (its batch while colouring).
+    pos_of: Vec<u32>,
+    /// First free batch per body while colouring.
+    level: Vec<u32>,
+}
+
+impl RowSet {
     /// An empty row set.
     pub fn new() -> Self {
-        RowSoA::default()
+        RowSet::default()
     }
 
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
-        self.rhs.len()
+        self.rows.len()
     }
 
     /// Returns `true` when there are no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rhs.is_empty()
+        self.rows.is_empty()
+    }
+
+    /// The rows as built, in row order.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
     }
 
     /// Removes all rows, keeping allocations for reuse.
     pub fn clear(&mut self) {
-        self.body_a.clear();
-        self.body_b.clear();
-        self.j_lin_a.clear();
-        self.j_ang_a.clear();
-        self.j_lin_b.clear();
-        self.j_ang_b.clear();
-        self.rhs.clear();
-        self.cfm.clear();
-        self.limit.clear();
+        self.rows.clear();
         self.lambda.clear();
-        self.source_joint.clear();
-        self.inv_k.clear();
     }
 
-    /// Scatters a built row into the lanes.
-    pub fn push(&mut self, row: ConstraintRow) {
-        self.body_a.push(row.body_a);
-        self.body_b.push(row.body_b);
-        self.j_lin_a.push(pad(row.j_lin_a));
-        self.j_ang_a.push(pad(row.j_ang_a));
-        self.j_lin_b.push(pad(row.j_lin_b));
-        self.j_ang_b.push(pad(row.j_ang_b));
-        self.rhs.push(row.rhs);
-        self.cfm.push(row.cfm);
-        self.limit.push(row.limit);
-        self.lambda.push(row.lambda);
-        self.source_joint.push(row.source_joint);
+    /// Makes room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
+        self.lambda.reserve(additional);
+    }
+
+    /// Appends a row with its warm-start impulse.
+    pub fn push(&mut self, row: Row, lambda: f32) {
+        self.rows.push(row);
+        self.lambda.push(lambda);
+    }
+
+    /// Greedy level colouring of the rows into conflict-free batches: a
+    /// row lands in the first batch after the last batch that used either
+    /// of its dynamic bodies. Fills `order` (row indices sorted by batch,
+    /// index order kept within one), `batch_ends` and `pos_of` (the
+    /// inverse of `order`). Within a batch no dynamic body repeats, so
+    /// batch rows can be projected in any order — or four at a time —
+    /// with results identical to sequential projection. The schedule is a
+    /// pure function of the row topology, so every SIMD mode and thread
+    /// count computes the same one.
+    fn build_schedule(&mut self, n_bodies: usize) {
+        let RowSet {
+            rows,
+            order,
+            batch_ends,
+            pos_of,
+            level,
+            ..
+        } = self;
+        level.clear();
+        level.resize(n_bodies, 0);
+        batch_ends.clear();
+        pos_of.clear();
+        pos_of.extend(rows.iter().map(|row| {
+            let (a, b) = (row.body_a, row.body_b);
+            let mut batch = 0;
+            if a != STATIC_BODY {
+                batch = batch.max(level[a as usize]);
+            }
+            if b != STATIC_BODY {
+                batch = batch.max(level[b as usize]);
+            }
+            if a != STATIC_BODY {
+                level[a as usize] = batch + 1;
+            }
+            if b != STATIC_BODY {
+                level[b as usize] = batch + 1;
+            }
+            if batch as usize == batch_ends.len() {
+                batch_ends.push(0);
+            }
+            batch_ends[batch as usize] += 1;
+            batch
+        }));
+        // Batch sizes -> batch starts; placing the rows then advances each
+        // start to its batch's end.
+        let mut start = 0;
+        for e in batch_ends.iter_mut() {
+            start += std::mem::replace(e, start);
+        }
+        order.clear();
+        order.resize(rows.len(), 0);
+        for (i, slot) in pos_of.iter_mut().enumerate() {
+            let cursor = &mut batch_ends[*slot as usize];
+            order[*cursor as usize] = i as u32;
+            *slot = *cursor;
+            *cursor += 1;
+        }
     }
 }
 
-/// `J · v` of row `i` for the current velocities.
+/// `J · v` of a row for the current velocities.
 #[inline(always)]
-fn jv<V: Wide4>(rows: &RowSoA, i: usize, vel: &[VelState]) -> f32 {
+fn jv<V: Wide4>(row: &Row, vel: &[VelState]) -> f32 {
     // Written as `masked_a + masked_b` (not skip-and-accumulate) so the
     // packed kernel's bitwise-masked lanes reproduce it exactly.
     let side = |body: u32, jl: &[f32; 4], ja: &[f32; 4]| {
@@ -224,8 +346,7 @@ fn jv<V: Wide4>(rows: &RowSoA, i: usize, vel: &[VelState]) -> f32 {
             )
         }
     };
-    side(rows.body_a[i], &rows.j_lin_a[i], &rows.j_ang_a[i])
-        + side(rows.body_b[i], &rows.j_lin_b[i], &rows.j_ang_b[i])
+    side(row.body_a, &row.j_lin_a, &row.j_ang_a) + side(row.body_b, &row.j_lin_b, &row.j_ang_b)
 }
 
 /// `I⁻¹ · j` with the row-dot association of `Mat3 * Vec3`.
@@ -238,46 +359,20 @@ fn inertia_mul<V: Wide4>(inertia: &Mat3, j: V) -> Vec3 {
     )
 }
 
-/// Effective mass `J M⁻¹ Jᵀ` of row `i`.
+/// Applies impulse `dlambda` along a hoisted row to the velocities.
 #[inline(always)]
-fn effective_mass<V: Wide4>(rows: &RowSoA, i: usize, vel: &[VelState]) -> f32 {
-    let mut k = 0.0;
-    if rows.body_a[i] != STATIC_BODY {
-        let v = &vel[rows.body_a[i] as usize];
-        let jl = V::from_array(rows.j_lin_a[i]);
-        let ja = V::from_array(rows.j_ang_a[i]);
-        k += v.inv_mass * jl.dot3(jl);
-        k += ja.dot3(V::from_vec3(inertia_mul(&v.inv_inertia, ja)));
-    }
-    if rows.body_b[i] != STATIC_BODY {
-        let v = &vel[rows.body_b[i] as usize];
-        let jl = V::from_array(rows.j_lin_b[i]);
-        let ja = V::from_array(rows.j_ang_b[i]);
-        k += v.inv_mass * jl.dot3(jl);
-        k += ja.dot3(V::from_vec3(inertia_mul(&v.inv_inertia, ja)));
-    }
-    k
-}
-
-/// Applies impulse `dlambda` along row `i` to the velocities.
-#[inline(always)]
-fn apply<V: Wide4>(rows: &RowSoA, i: usize, vel: &mut [VelState], dlambda: f32) {
-    if rows.body_a[i] != STATIC_BODY {
-        let v = &mut vel[rows.body_a[i] as usize];
-        let jl = V::from_array(rows.j_lin_a[i]);
-        v.lin = (V::from_vec3(v.lin) + jl * V::splat(v.inv_mass * dlambda)).to_vec3();
-        let ja = V::from_array(rows.j_ang_a[i]);
-        let d = inertia_mul(&v.inv_inertia, ja);
-        v.ang = (V::from_vec3(v.ang) + V::from_vec3(d) * V::splat(dlambda)).to_vec3();
-    }
-    if rows.body_b[i] != STATIC_BODY {
-        let v = &mut vel[rows.body_b[i] as usize];
-        let jl = V::from_array(rows.j_lin_b[i]);
-        v.lin = (V::from_vec3(v.lin) + jl * V::splat(v.inv_mass * dlambda)).to_vec3();
-        let ja = V::from_array(rows.j_ang_b[i]);
-        let d = inertia_mul(&v.inv_inertia, ja);
-        v.ang = (V::from_vec3(v.ang) + V::from_vec3(d) * V::splat(dlambda)).to_vec3();
-    }
+fn apply<V: Wide4>(row: &Row, vel: &mut [VelState], dlambda: f32) {
+    let mut side = |body: u32, jl: &[f32; 4], inv_i_j: &[f32; 4]| {
+        if body != STATIC_BODY {
+            let v = &mut vel[body as usize];
+            let dl = V::from_array(*jl) * V::splat(v.inv_mass * dlambda);
+            v.lin = (V::from_vec3(v.lin) + dl).to_vec3();
+            let da = V::from_array(*inv_i_j) * V::splat(dlambda);
+            v.ang = (V::from_vec3(v.ang) + da).to_vec3();
+        }
+    };
+    side(row.body_a, &row.j_lin_a, &row.inv_i_j_a);
+    side(row.body_b, &row.j_lin_b, &row.inv_i_j_b);
 }
 
 /// Statistics from one island solve, consumed by the trace layer.
@@ -289,6 +384,10 @@ pub struct SolveStats {
     pub iterations: usize,
     /// Total |Δλ| applied over the solve (convergence indicator).
     pub total_delta: f32,
+    /// Conflict-free batches in the schedule.
+    pub batches: usize,
+    /// Rows each sweep projected four at a time (0 in scalar mode).
+    pub packed_rows: usize,
 }
 
 /// Runs projected Gauss–Seidel over the rows for `iterations` sweeps.
@@ -301,19 +400,19 @@ pub struct SolveStats {
 /// `total_delta` counts iteration corrections only — warm-start application
 /// is excluded so the stat keeps measuring convergence work.
 pub fn solve(
-    rows: &mut RowSoA,
+    rows: &mut RowSet,
     vel: &mut [VelState],
     iterations: usize,
     mode: SimdMode,
 ) -> SolveStats {
-    let (order, batch_ends) = build_schedule(rows, vel.len());
     // Per-row work (the clamp + impulse scatter, and every remainder row)
     // always runs the four-lane scalar kernel: its within-row shape is
     // 3-wide and latency-bound, and LLVM already lowers `ScalarX4` to
-    // minimal vector code — an explicit SSE within-row path measured
-    // *slower* on solver-bound scenes. The wide modes differ only in
-    // front-loading J·v for four independent rows per batch through the
-    // packed kernel.
+    // minimal vector code — an explicit SSE within-row path (`Sse4`)
+    // measured no faster end to end on solver-bound scenes. The wide
+    // modes differ only in front-loading J·v for four independent rows
+    // per batch through the packed kernel.
+    type V = ScalarX4;
     #[cfg(target_arch = "x86_64")]
     let packed = mode != SimdMode::Scalar;
     #[cfg(not(target_arch = "x86_64"))]
@@ -321,103 +420,125 @@ pub fn solve(
         let _ = mode;
         false
     };
-    solve_impl::<ScalarX4>(rows, vel, iterations, &order, &batch_ends, packed)
+
+    // Iteration-invariant row data, then the warm start: push the seeded
+    // impulses into the velocities, in row order, so the accumulated
+    // lambdas and the velocity state agree before iterating.
+    for (row, &lambda) in rows.rows.iter_mut().zip(&rows.lambda) {
+        row.hoist::<V>(vel);
+        if lambda != 0.0 {
+            apply::<V>(row, vel, lambda);
+        }
+    }
+
+    rows.build_schedule(vel.len());
+    let RowSet {
+        rows: built,
+        lambda,
+        packed: sched,
+        order,
+        batch_ends,
+        pos_of,
+        ..
+    } = rows;
+    sched.clear();
+    sched.extend(order.iter().map(|&i| {
+        let mut row = built[i as usize];
+        row.lambda = lambda[i as usize];
+        if row.limit < LIMIT_UNILATERAL {
+            row.limit = pos_of[row.limit as usize];
+        }
+        row
+    }));
+    let sched = &mut sched[..];
+
+    let mut stats = SolveStats {
+        rows: sched.len(),
+        iterations,
+        total_delta: 0.0,
+        batches: batch_ends.len(),
+        packed_rows: 0,
+    };
+    if packed {
+        // Four rows per step through the packed kernel for the leading
+        // 4k rows of each batch, remainders per row. The consumption
+        // order is exactly the scalar sweep's (front to back), so even
+        // the `total_delta` f32 accumulation order is shared.
+        #[cfg(target_arch = "x86_64")]
+        for _ in 0..iterations {
+            let mut pos = 0usize;
+            for &end in batch_ends.iter() {
+                let end = end as usize;
+                while pos + 4 <= end {
+                    project_chunk4::<V>(sched, pos, vel, &mut stats.total_delta);
+                    pos += 4;
+                }
+                while pos < end {
+                    project_row::<V>(sched, pos, vel, &mut stats.total_delta);
+                    pos += 1;
+                }
+            }
+        }
+        let mut start = 0;
+        for &end in batch_ends.iter() {
+            stats.packed_rows += (end - start) as usize / 4 * 4;
+            start = end;
+        }
+    } else {
+        for _ in 0..iterations {
+            for pos in 0..sched.len() {
+                project_row::<V>(sched, pos, vel, &mut stats.total_delta);
+            }
+        }
+    }
+
+    for (row, &i) in sched.iter().zip(order.iter()) {
+        lambda[i as usize] = row.lambda;
+    }
+    stats
 }
 
-/// Greedy level coloring of the rows into conflict-free batches: a row
-/// lands in the first batch after the last batch that used either of its
-/// dynamic bodies. Returns the row indices sorted by batch (`order`) and
-/// the end offset of each batch in that array. Within a batch no dynamic
-/// body repeats, so batch rows can be projected in any order — or four
-/// at a time — with results identical to sequential projection. The
-/// schedule is a pure function of the row topology, so every SIMD mode
-/// and thread count computes the same one.
-fn build_schedule(rows: &RowSoA, n_bodies: usize) -> (Vec<u32>, Vec<u32>) {
-    let n = rows.len();
-    let mut level = vec![0u32; n_bodies];
-    let mut batch_of = vec![0u32; n];
-    let mut n_batches = 0u32;
-    for (i, slot) in batch_of.iter_mut().enumerate() {
-        let (a, b) = (rows.body_a[i], rows.body_b[i]);
-        let mut batch = 0;
-        if a != STATIC_BODY {
-            batch = batch.max(level[a as usize]);
-        }
-        if b != STATIC_BODY {
-            batch = batch.max(level[b as usize]);
-        }
-        *slot = batch;
-        if a != STATIC_BODY {
-            level[a as usize] = batch + 1;
-        }
-        if b != STATIC_BODY {
-            level[b as usize] = batch + 1;
-        }
-        n_batches = n_batches.max(batch + 1);
-    }
-    // Bucket the row indices by batch, preserving index order within one.
-    let mut ends = vec![0u32; n_batches as usize];
-    for &b in &batch_of {
-        ends[b as usize] += 1;
-    }
-    let mut acc = 0;
-    for e in ends.iter_mut() {
-        acc += *e;
-        *e = acc;
-    }
-    let mut cursor: Vec<u32> = std::iter::once(0)
-        .chain(ends.iter().copied())
-        .take(n_batches as usize)
-        .collect();
-    let mut order = vec![0u32; n];
-    for (i, &b) in batch_of.iter().enumerate() {
-        order[cursor[b as usize] as usize] = i as u32;
-        cursor[b as usize] += 1;
-    }
-    (order, ends)
-}
-
-/// Projects row `i` once: compute `J·v`, clamp the accumulated impulse,
-/// apply the correction. The clamps are written as explicit compares
-/// (not `f32::max`/`clamp`, whose −0.0 behaviour is
-/// implementation-defined) so the packed kernel's compare+select lanes
-/// are exactly this code.
+/// Projects the row at `pos` once: compute `J·v`, clamp the accumulated
+/// impulse, apply the correction.
 #[inline(always)]
 fn project_row<V: Wide4>(
-    rows: &mut RowSoA,
-    i: usize,
+    rows: &mut [Row],
+    pos: usize,
     vel: &mut [VelState],
-    stats: &mut SolveStats,
+    total_delta: &mut f32,
 ) {
-    let jv = jv::<V>(rows, i, vel);
-    let lambda_old = rows.lambda[i];
-    let unclamped = lambda_old + (rows.rhs[i] - jv - rows.cfm[i] * lambda_old) * rows.inv_k[i];
-    clamp_and_apply::<V>(rows, i, unclamped, vel, stats);
+    let row = &rows[pos];
+    let jv = jv::<V>(row, vel);
+    let unclamped = row.lambda + (row.rhs - jv - row.cfm * row.lambda) * row.inv_k;
+    clamp_and_apply::<V>(rows, pos, unclamped, vel, total_delta);
 }
 
 /// The projection tail shared by the scalar and packed paths: clamp the
-/// unclamped impulse by the row's limit and apply the correction.
+/// unclamped impulse by the row's limit and apply the correction. The
+/// clamps are written as explicit compares (not `f32::max`/`clamp`, whose
+/// −0.0 behaviour is implementation-defined), and a zero correction —
+/// of either sign — is skipped rather than applied.
 #[inline(always)]
 fn clamp_and_apply<V: Wide4>(
-    rows: &mut RowSoA,
-    i: usize,
+    rows: &mut [Row],
+    pos: usize,
     unclamped: f32,
     vel: &mut [VelState],
-    stats: &mut SolveStats,
+    total_delta: &mut f32,
 ) {
-    let lambda_old = rows.lambda[i];
-    let clamped = match rows.limit[i] {
-        RowLimit::Bilateral => unclamped,
-        RowLimit::Unilateral => {
+    let row = &rows[pos];
+    let clamped = match row.limit {
+        LIMIT_BILATERAL => unclamped,
+        LIMIT_UNILATERAL => {
             if unclamped > 0.0 {
                 unclamped
             } else {
                 0.0
             }
         }
-        RowLimit::Friction { normal_row, mu } => {
-            let ln = rows.lambda[normal_row as usize];
-            let bound = mu * if ln > 0.0 { ln } else { 0.0 };
+        normal_pos => {
+            let ln = rows[normal_pos as usize].lambda;
+            let bound = row.mu * if ln > 0.0 { ln } else { 0.0 };
             let hi = if unclamped > bound { bound } else { unclamped };
             if hi < -bound {
                 -bound
@@ -426,282 +547,118 @@ fn clamp_and_apply<V: Wide4>(
             }
         }
     };
-    let dlambda = clamped - lambda_old;
+    let dlambda = clamped - row.lambda;
     if dlambda != 0.0 {
-        rows.lambda[i] = clamped;
-        apply::<V>(rows, i, vel, dlambda);
-        stats.total_delta += dlambda.abs();
+        apply::<V>(row, vel, dlambda);
+        rows[pos].lambda = clamped;
+        *total_delta += dlambda.abs();
     }
 }
 
-/// Four conflict-free rows with their iteration-invariant data already
-/// transposed into lane form. Built once per solve by [`build_chunks`];
-/// every iteration then only has to gather what actually changes
-/// between iterations — velocities and accumulated impulses.
-#[cfg(target_arch = "x86_64")]
-struct Chunk4 {
-    /// Row indices, in schedule order (lane l = `order` position l).
-    idx: [u32; 4],
-    body_a: [u32; 4],
-    body_b: [u32; 4],
-    /// Component k (x/y/z) of `j_lin_a` across the four lanes.
-    jl_a: [[f32; 4]; 3],
-    ja_a: [[f32; 4]; 3],
-    jl_b: [[f32; 4]; 3],
-    ja_b: [[f32; 4]; 3],
-    rhs: [f32; 4],
-    cfm: [f32; 4],
-    inv_k: [f32; 4],
-    /// All four lanes static on that side: skip it entirely.
-    a_static: bool,
-    b_static: bool,
-}
-
-/// Per-batch ranges of the packed schedule: chunks `..chunks_end` in the
-/// chunk array, then remainder rows `rem_start..rem_end` in `order`.
-#[cfg(target_arch = "x86_64")]
-struct PackedBatch {
-    chunks_end: u32,
-    rem_start: u32,
-    rem_end: u32,
-}
-
-/// Packs each batch's rows into [`Chunk4`]s (leftover rows stay in
-/// `order` as the batch remainder). Pure data movement — the f32
-/// constants are copied bit-exactly — so the packed iteration consumes
-/// the very same values the scalar path reads from [`RowSoA`].
-#[cfg(target_arch = "x86_64")]
-fn build_chunks(
-    rows: &RowSoA,
-    order: &[u32],
-    batch_ends: &[u32],
-) -> (Vec<Chunk4>, Vec<PackedBatch>) {
-    let mut chunks = Vec::with_capacity(order.len() / 4);
-    let mut batches = Vec::with_capacity(batch_ends.len());
-    let mut start = 0usize;
-    for &end in batch_ends {
-        let batch = &order[start..end as usize];
-        for lanes in batch.chunks_exact(4) {
-            let mut c = Chunk4 {
-                idx: [lanes[0], lanes[1], lanes[2], lanes[3]],
-                body_a: [0; 4],
-                body_b: [0; 4],
-                jl_a: [[0.0; 4]; 3],
-                ja_a: [[0.0; 4]; 3],
-                jl_b: [[0.0; 4]; 3],
-                ja_b: [[0.0; 4]; 3],
-                rhs: [0.0; 4],
-                cfm: [0.0; 4],
-                inv_k: [0.0; 4],
-                a_static: false,
-                b_static: false,
-            };
-            for l in 0..4 {
-                let i = c.idx[l] as usize;
-                c.body_a[l] = rows.body_a[i];
-                c.body_b[l] = rows.body_b[i];
-                for k in 0..3 {
-                    c.jl_a[k][l] = rows.j_lin_a[i][k];
-                    c.ja_a[k][l] = rows.j_ang_a[i][k];
-                    c.jl_b[k][l] = rows.j_lin_b[i][k];
-                    c.ja_b[k][l] = rows.j_ang_b[i][k];
-                }
-                c.rhs[l] = rows.rhs[i];
-                c.cfm[l] = rows.cfm[i];
-                c.inv_k[l] = rows.inv_k[i];
-            }
-            c.a_static = c.body_a == [STATIC_BODY; 4];
-            c.b_static = c.body_b == [STATIC_BODY; 4];
-            chunks.push(c);
-        }
-        batches.push(PackedBatch {
-            chunks_end: chunks.len() as u32,
-            rem_start: (start + batch.len() / 4 * 4) as u32,
-            rem_end: end,
-        });
-        start = end as usize;
-    }
-    (chunks, batches)
-}
-
-/// Projects four conflict-free rows at once: the `J·v` and the unclamped
-/// impulse run 4-wide (one row per lane, the dot-product reduction
-/// vertical across lanes), then the clamp/apply tail runs per lane
-/// through [`clamp_and_apply`] — literally the scalar code.
+/// Projects the four conflict-free rows at `base..base + 4` at once: the
+/// `J·v` and the unclamped impulse run 4-wide (one row per lane, the
+/// dot-product reduction vertical across lanes), then the clamp/apply
+/// tail runs per lane through [`clamp_and_apply`] — literally the scalar
+/// code.
 ///
 /// Bit-identity with four sequential [`project_row`] calls: the rows
 /// share no dynamic body, so neither the velocity reads nor the lambda
 /// reads observe another lane's writes; each lane's arithmetic is the
-/// same IEEE f32 operation sequence as the scalar path (the `(tx + ty) +
-/// tz` reduction matches `dot3_pair`, static sides are masked to +0.0
-/// bitwise exactly like the scalar `0.0` arm); and the tail is shared
-/// code executed in lane order.
-///
-/// # Safety
-///
-/// Caller guarantees x86-64 (SSE2 baseline), the chunk's row and body
-/// indices in bounds, and the four rows pairwise disjoint in their
-/// dynamic bodies.
+/// same IEEE f32 operation sequence as the scalar path (per row the
+/// elementwise `j_lin·v_lin + j_ang·v_ang`, then the `(tx + ty) + tz`
+/// reduction of `dot3_pair`; static sides are masked to +0.0 bitwise
+/// exactly like the scalar `0.0` arm); and the tail is shared code
+/// executed in lane order. The four rows must sit in one batch of the
+/// schedule (pairwise disjoint in their dynamic bodies) for that to hold.
 #[cfg(target_arch = "x86_64")]
-unsafe fn project_chunk4<V: Wide4>(
-    rows: &mut RowSoA,
-    c: &Chunk4,
+#[inline(always)]
+fn project_chunk4<V: Wide4>(
+    rows: &mut [Row],
+    base: usize,
     vel: &mut [VelState],
-    stats: &mut SolveStats,
+    total_delta: &mut f32,
 ) {
     use std::arch::x86_64::*;
-    // SAFETY: SSE2 is part of the x86-64 baseline (caller contract);
-    // all lane loads are in bounds per the caller contract.
-    let unclamped = unsafe {
-        let ld = |a: &[f32; 4]| _mm_loadu_ps(a.as_ptr());
+    let chunk: &[Row; 4] = rows[base..base + 4]
+        .try_into()
+        .expect("a four-row slice is a four-row array");
 
-        // One body side: masked `Σ_xyz (j_lin·v_lin + j_ang·v_ang)` per
-        // lane; static lanes read body 0 (any valid slot, selected
-        // branchlessly) and are then zeroed bitwise, matching the scalar
-        // `0.0` arm exactly. A side that is static in all four lanes
-        // (debris resting on the ground dominates some scenes) skips
-        // everything — `+0.0` bitwise, the same lanes the mask would
-        // produce.
-        let side = |all_static: bool, bodies: &[u32; 4], jl: &[[f32; 4]; 3], ja: &[[f32; 4]; 3]| {
-            if all_static {
-                return _mm_setzero_ps();
-            }
-            let lane = |l: usize| {
-                let b = bodies[l];
-                let m = -((b != STATIC_BODY) as i32); // -1 dynamic, 0 static
-                (m, &vel[(b as usize) & (m as isize as usize)])
+    // One body side: masked `Σ_xyz (j_lin·v_lin + j_ang·v_ang)` per lane;
+    // static lanes read body 0 (any valid slot, selected branchlessly)
+    // and are then zeroed bitwise, matching the scalar `0.0` arm exactly.
+    // A side that is static in all four lanes (debris resting on the
+    // ground dominates some scenes) skips everything — `+0.0` bitwise,
+    // the same lanes the mask would produce.
+    let side = |bodies: [u32; 4], jl: [&[f32; 4]; 4], ja: [&[f32; 4]; 4]| {
+        if bodies == [STATIC_BODY; 4] {
+            // SAFETY: SSE2 is part of the x86-64 baseline.
+            return unsafe { _mm_setzero_ps() };
+        }
+        let lane = |l: usize| {
+            let b = bodies[l];
+            let m = -((b != STATIC_BODY) as i32); // -1 dynamic, 0 static
+            let v: *const f32 = (&raw const vel[(b as usize) & (m as isize as usize)]).cast();
+            // SAFETY: SSE2 is part of the x86-64 baseline. `VelState` is
+            // `repr(C)` with `lin` at float 0, `ang` at float 3 and
+            // `inv_mass` at float 6 (asserted above), so floats 0..4 and
+            // 3..7 of the bounds-checked element are `[lin, ang.x]` and
+            // `[ang, inv_mass]`; a `Row`'s Jacobian arrays are 16-byte
+            // aligned by its `repr`. Lane 3 of the products is dropped
+            // by the transpose below.
+            let t = unsafe {
+                _mm_add_ps(
+                    _mm_mul_ps(_mm_load_ps(jl[l].as_ptr()), _mm_loadu_ps(v)),
+                    _mm_mul_ps(_mm_load_ps(ja[l].as_ptr()), _mm_loadu_ps(v.add(3))),
+                )
             };
-            let (m0, v0) = lane(0);
-            let (m1, v1) = lane(1);
-            let (m2, v2) = lane(2);
-            let (m3, v3) = lane(3);
-            let mask = _mm_castsi128_ps(_mm_set_epi32(m3, m2, m1, m0));
-            // `VelState` is `repr(C)`: `lin.x..=ang.x` and `ang.y..` are
-            // contiguous f32 runs, so each body's six velocity components
-            // arrive in two vector loads (both end before the struct
-            // does) and transpose into lanes.
-            let (mut l0, mut l1, mut l2, mut l3) = (
-                _mm_loadu_ps(&raw const v0.lin.x),
-                _mm_loadu_ps(&raw const v1.lin.x),
-                _mm_loadu_ps(&raw const v2.lin.x),
-                _mm_loadu_ps(&raw const v3.lin.x),
-            );
-            _MM_TRANSPOSE4_PS(&mut l0, &mut l1, &mut l2, &mut l3);
-            let (vlx, vly, vlz, vax) = (l0, l1, l2, l3);
-            let (mut h0, mut h1, mut h2, mut h3) = (
-                _mm_loadu_ps(&raw const v0.ang.y),
-                _mm_loadu_ps(&raw const v1.ang.y),
-                _mm_loadu_ps(&raw const v2.ang.y),
-                _mm_loadu_ps(&raw const v3.ang.y),
-            );
-            _MM_TRANSPOSE4_PS(&mut h0, &mut h1, &mut h2, &mut h3);
-            let (vay, vaz) = (h0, h1);
-            let tx = _mm_add_ps(_mm_mul_ps(ld(&jl[0]), vlx), _mm_mul_ps(ld(&ja[0]), vax));
-            let ty = _mm_add_ps(_mm_mul_ps(ld(&jl[1]), vly), _mm_mul_ps(ld(&ja[1]), vay));
-            let tz = _mm_add_ps(_mm_mul_ps(ld(&jl[2]), vlz), _mm_mul_ps(ld(&ja[2]), vaz));
-            _mm_and_ps(_mm_add_ps(_mm_add_ps(tx, ty), tz), mask)
+            (m, t)
         };
-
-        let s = _mm_add_ps(
-            side(c.a_static, &c.body_a, &c.jl_a, &c.ja_a),
-            side(c.b_static, &c.body_b, &c.jl_b, &c.ja_b),
-        );
-
-        // Lambda is the one row quantity the iterations rewrite, so it
-        // is gathered fresh from the SoA each time.
-        let lam = _mm_set_ps(
-            rows.lambda[c.idx[3] as usize],
-            rows.lambda[c.idx[2] as usize],
-            rows.lambda[c.idx[1] as usize],
-            rows.lambda[c.idx[0] as usize],
-        );
+        let (m0, mut t0) = lane(0);
+        let (m1, mut t1) = lane(1);
+        let (m2, mut t2) = lane(2);
+        let (m3, mut t3) = lane(3);
+        // SAFETY: SSE2 is part of the x86-64 baseline; register-only.
+        unsafe {
+            _MM_TRANSPOSE4_PS(&mut t0, &mut t1, &mut t2, &mut t3);
+            let mask = _mm_castsi128_ps(_mm_set_epi32(m3, m2, m1, m0));
+            _mm_and_ps(_mm_add_ps(_mm_add_ps(t0, t1), t2), mask)
+        }
+    };
+    let [r0, r1, r2, r3] = chunk;
+    let s_a = side(
+        [r0.body_a, r1.body_a, r2.body_a, r3.body_a],
+        [&r0.j_lin_a, &r1.j_lin_a, &r2.j_lin_a, &r3.j_lin_a],
+        [&r0.j_ang_a, &r1.j_ang_a, &r2.j_ang_a, &r3.j_ang_a],
+    );
+    let s_b = side(
+        [r0.body_b, r1.body_b, r2.body_b, r3.body_b],
+        [&r0.j_lin_b, &r1.j_lin_b, &r2.j_lin_b, &r3.j_lin_b],
+        [&r0.j_ang_b, &r1.j_ang_b, &r2.j_ang_b, &r3.j_ang_b],
+    );
+    // SAFETY: SSE2 is part of the x86-64 baseline; floats
+    // `ROW_SCALARS..+4` of a `Row` are its `rhs, cfm, inv_k, lambda`
+    // (asserted above), 16-byte aligned by its `repr`.
+    let unclamped = unsafe {
+        let scalars = |r: &Row| _mm_load_ps((&raw const *r).cast::<f32>().add(ROW_SCALARS));
+        let (mut rhs, mut cfm, mut inv_k, mut lam) =
+            (scalars(r0), scalars(r1), scalars(r2), scalars(r3));
+        _MM_TRANSPOSE4_PS(&mut rhs, &mut cfm, &mut inv_k, &mut lam);
         // lambda_old + (rhs - jv - cfm*lambda_old) * inv_k, same
         // association as the scalar expression.
         let u = _mm_add_ps(
             lam,
             _mm_mul_ps(
-                _mm_sub_ps(_mm_sub_ps(ld(&c.rhs), s), _mm_mul_ps(ld(&c.cfm), lam)),
-                ld(&c.inv_k),
+                _mm_sub_ps(_mm_sub_ps(rhs, _mm_add_ps(s_a, s_b)), _mm_mul_ps(cfm, lam)),
+                inv_k,
             ),
         );
         let mut out = [0.0f32; 4];
         _mm_storeu_ps(out.as_mut_ptr(), u);
         out
     };
-    for (&i, &u) in c.idx.iter().zip(&unclamped) {
-        clamp_and_apply::<V>(rows, i as usize, u, vel, stats);
+    for (l, &u) in unclamped.iter().enumerate() {
+        clamp_and_apply::<V>(rows, base + l, u, vel, total_delta);
     }
-}
-
-fn solve_impl<V: Wide4>(
-    rows: &mut RowSoA,
-    vel: &mut [VelState],
-    iterations: usize,
-    order: &[u32],
-    batch_ends: &[u32],
-    packed: bool,
-) -> SolveStats {
-    // Precompute effective masses.
-    rows.inv_k.clear();
-    for i in 0..rows.len() {
-        let k = effective_mass::<V>(rows, i, vel) + rows.cfm[i];
-        rows.inv_k.push(if k > 1e-10 { 1.0 / k } else { 0.0 });
-    }
-
-    let mut stats = SolveStats {
-        rows: rows.len(),
-        iterations,
-        total_delta: 0.0,
-    };
-
-    // Warm start: push the seeded impulses into the velocities so the
-    // accumulated lambdas and the velocity state agree before iterating.
-    for i in 0..rows.len() {
-        if rows.lambda[i] != 0.0 {
-            apply::<V>(rows, i, vel, rows.lambda[i]);
-        }
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = packed;
-
-    // Packed iteration: four rows per step through the pre-transposed
-    // chunks, remainders per row. The consumption order is exactly the
-    // scalar loop's `order[start..end]` (chunks take the leading 4k rows
-    // of each batch in sequence), so even the `total_delta` f32
-    // accumulation order is shared.
-    #[cfg(target_arch = "x86_64")]
-    if packed && !vel.is_empty() {
-        let (chunks, batches) = build_chunks(rows, order, batch_ends);
-        for _ in 0..iterations {
-            let mut cstart = 0usize;
-            for b in &batches {
-                for c in &chunks[cstart..b.chunks_end as usize] {
-                    // SAFETY: SSE2 is part of the x86-64 baseline; the
-                    // chunk indices come from the schedule, so they are
-                    // in bounds and reference four distinct rows with
-                    // disjoint dynamic bodies.
-                    unsafe { project_chunk4::<V>(rows, c, vel, &mut stats) };
-                }
-                cstart = b.chunks_end as usize;
-                for &i in &order[b.rem_start as usize..b.rem_end as usize] {
-                    project_row::<V>(rows, i as usize, vel, &mut stats);
-                }
-            }
-        }
-        return stats;
-    }
-
-    for _ in 0..iterations {
-        let mut start = 0usize;
-        for &end in batch_ends {
-            for &i in &order[start..end as usize] {
-                project_row::<V>(rows, i as usize, vel, &mut stats);
-            }
-            start = end as usize;
-        }
-    }
-    stats
 }
 
 /// Parameters controlling row construction.
@@ -752,7 +709,7 @@ pub fn build_contact_rows(
     vel: &[VelState],
     params: &RowParams,
     seeds: Option<&[[f32; 3]]>,
-    out: &mut RowSoA,
+    out: &mut RowSet,
 ) -> usize {
     let start = out.len();
     for (pi, cp) in manifold.points.iter().enumerate() {
@@ -761,12 +718,12 @@ pub fn build_contact_rows(
         let ra = cp.position - pa;
         let rb = cp.position - pb;
 
-        let mut row = ConstraintRow::new(la, lb);
-        row.j_lin_a = n;
-        row.j_ang_a = ra.cross(n);
-        row.j_lin_b = -n;
-        row.j_ang_b = -(rb.cross(n));
-        row.limit = RowLimit::Unilateral;
+        let mut row = Row::new(la, lb);
+        row.j_lin_a = pad(n);
+        row.j_ang_a = pad(ra.cross(n));
+        row.j_lin_b = pad(-n);
+        row.j_ang_b = pad(-(rb.cross(n)));
+        row.limit = LIMIT_UNILATERAL;
         row.cfm = params.contact_cfm;
 
         // Baumgarte positional bias plus restitution.
@@ -786,28 +743,24 @@ pub fn build_contact_rows(
             0.0
         };
         row.rhs = bias.max(restitution);
-        row.lambda = seed[0].max(0.0);
-        let normal_idx = out.len() as u32;
-        out.push(row);
+        let normal_row = out.len() as u32;
+        out.push(row, seed[0].max(0.0));
 
         // Two friction rows along tangents.
         let t1 = n.any_orthogonal();
         let t2 = n.cross(t1);
         for (ti, t) in [t1, t2].into_iter().enumerate() {
-            let mut fr = ConstraintRow::new(la, lb);
-            fr.j_lin_a = t;
-            fr.j_ang_a = ra.cross(t);
-            fr.j_lin_b = -t;
-            fr.j_ang_b = -(rb.cross(t));
-            fr.limit = RowLimit::Friction {
-                normal_row: normal_idx,
-                mu: manifold.friction,
-            };
+            let mut fr = Row::new(la, lb);
+            fr.j_lin_a = pad(t);
+            fr.j_ang_a = pad(ra.cross(t));
+            fr.j_lin_b = pad(-t);
+            fr.j_ang_b = pad(-(rb.cross(t)));
+            fr.limit = normal_row;
+            fr.mu = manifold.friction;
             // Keep the seeded friction impulse inside the cone of the
             // seeded normal impulse.
             let bound = manifold.friction * seed[0].max(0.0);
-            fr.lambda = seed[1 + ti].clamp(-bound, bound);
-            out.push(fr);
+            out.push(fr, seed[1 + ti].clamp(-bound, bound));
         }
     }
     out.len() - start
@@ -815,23 +768,22 @@ pub fn build_contact_rows(
 
 /// Builds the constraint rows for a permanent joint.
 ///
-/// `joint_index` is recorded on each row for break accounting; `ta`/`tb`
-/// are the current body poses. Returns the number of rows added.
-#[allow(clippy::too_many_arguments)]
+/// `ta`/`tb` are the current body poses. A joint's rows are contiguous,
+/// which is what per-joint impulse accounting relies on. Returns the
+/// number of rows added.
 pub fn build_joint_rows(
     joint: &Joint,
-    joint_index: u32,
     la: u32,
     lb: u32,
     ta: Transform,
     tb: Transform,
     params: &RowParams,
-    out: &mut RowSoA,
+    out: &mut RowSet,
 ) -> usize {
     let start = out.len();
     let bias_k = params.erp / params.dt;
 
-    let point_rows = |anchor_a: Vec3, anchor_b: Vec3, out: &mut RowSoA| {
+    let point_rows = |anchor_a: Vec3, anchor_b: Vec3, out: &mut RowSet| {
         let wa = ta.apply(anchor_a);
         let wb = tb.apply(anchor_b);
         let ra = wa - ta.position;
@@ -839,25 +791,23 @@ pub fn build_joint_rows(
         let err = wa - wb;
         for k in 0..3 {
             let e = [Vec3::UNIT_X, Vec3::UNIT_Y, Vec3::UNIT_Z][k];
-            let mut row = ConstraintRow::new(la, lb);
-            row.j_lin_a = e;
-            row.j_ang_a = ra.cross(e);
-            row.j_lin_b = -e;
-            row.j_ang_b = -(rb.cross(e));
+            let mut row = Row::new(la, lb);
+            row.j_lin_a = pad(e);
+            row.j_ang_a = pad(ra.cross(e));
+            row.j_lin_b = pad(-e);
+            row.j_ang_b = pad(-(rb.cross(e)));
             row.rhs = -bias_k * err.dot(e);
-            row.source_joint = joint_index;
-            out.push(row);
+            out.push(row, 0.0);
         }
     };
 
-    let angular_rows = |dirs: &[Vec3], err: Vec3, out: &mut RowSoA| {
+    let angular_rows = |dirs: &[Vec3], err: Vec3, out: &mut RowSet| {
         for &d in dirs {
-            let mut row = ConstraintRow::new(la, lb);
-            row.j_ang_a = d;
-            row.j_ang_b = -d;
+            let mut row = Row::new(la, lb);
+            row.j_ang_a = pad(d);
+            row.j_ang_b = pad(-d);
             row.rhs = -bias_k * err.dot(d);
-            row.source_joint = joint_index;
-            out.push(row);
+            out.push(row, 0.0);
         }
     };
 
@@ -901,13 +851,12 @@ pub fn build_joint_rows(
             let err = tb.position - anchor_world;
             let off = err - w_axis * err.dot(w_axis);
             for t in [p, q] {
-                let mut row = ConstraintRow::new(la, lb);
-                row.j_lin_a = t;
-                row.j_ang_a = d.cross(t);
-                row.j_lin_b = -t;
+                let mut row = Row::new(la, lb);
+                row.j_lin_a = pad(t);
+                row.j_ang_a = pad(d.cross(t));
+                row.j_lin_b = pad(-t);
                 row.rhs = bias_k * off.dot(t);
-                row.source_joint = joint_index;
-                out.push(row);
+                out.push(row, 0.0);
             }
         }
         JointKind::Fixed { anchor_a, anchor_b } => {
@@ -950,7 +899,7 @@ mod tests {
             depth: 0.0,
             feature: 0,
         });
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         let params = RowParams::default();
         build_contact_rows(
             &m,
@@ -980,7 +929,7 @@ mod tests {
             depth: 0.0,
             feature: 0,
         });
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(
             &m,
             0,
@@ -1011,7 +960,7 @@ mod tests {
             depth: 0.0,
             feature: 0,
         });
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(
             &m,
             0,
@@ -1044,7 +993,7 @@ mod tests {
             depth: 0.0,
             feature: 0,
         });
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(
             &m,
             0,
@@ -1071,11 +1020,11 @@ mod tests {
         let mut vel = vec![free_unit_body(), free_unit_body()];
         vel[0].lin = Vec3::new(1.0, 0.0, 0.0);
         vel[1].lin = Vec3::new(-1.0, 0.0, 0.0);
-        let mut row = ConstraintRow::new(0, 1);
-        row.j_lin_a = Vec3::UNIT_X;
-        row.j_lin_b = -Vec3::UNIT_X;
-        let mut rows = RowSoA::new();
-        rows.push(row);
+        let mut row = Row::new(0, 1);
+        row.j_lin_a = pad(Vec3::UNIT_X);
+        row.j_lin_b = pad(-Vec3::UNIT_X);
+        let mut rows = RowSet::new();
+        rows.push(row, 0.0);
         solve(&mut rows, &mut vel, 30, SimdMode::Scalar);
         let rel = vel[0].lin.x - vel[1].lin.x;
         assert!(rel.abs() < 1e-4, "rel = {rel}");
@@ -1105,7 +1054,7 @@ mod tests {
         let params = RowParams::default();
 
         let mut vel = make_vel();
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(
             &m,
             0,
@@ -1122,7 +1071,7 @@ mod tests {
         assert!(learned[0] > 0.0);
 
         let mut vel = make_vel();
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(
             &m,
             0,
@@ -1162,7 +1111,7 @@ mod tests {
             depth: 0.0,
             feature: 0,
         });
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(
             &m,
             0,
@@ -1178,7 +1127,7 @@ mod tests {
         assert_eq!(rows.lambda[1], 1.0, "t1 clamped to mu * normal");
         assert_eq!(rows.lambda[2], -1.0, "t2 clamped to -mu * normal");
         // A negative normal seed (separating last step) must not pull.
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(
             &m,
             0,
@@ -1205,7 +1154,7 @@ mod tests {
             depth: 0.0,
             feature: 0,
         });
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(
             &m,
             0,
@@ -1246,7 +1195,7 @@ mod tests {
                 depth: 0.01,
                 feature: 0,
             });
-            let mut rows = RowSoA::new();
+            let mut rows = RowSet::new();
             build_contact_rows(
                 &m,
                 0,
@@ -1258,11 +1207,11 @@ mod tests {
                 Some(&[[0.5, 0.1, -0.05]]),
                 &mut rows,
             );
-            let mut bi = ConstraintRow::new(0, 1);
-            bi.j_lin_a = Vec3::new(0.6, 0.8, 0.0);
-            bi.j_lin_b = Vec3::new(-0.6, -0.8, 0.0);
-            bi.j_ang_a = Vec3::new(0.0, 0.3, -0.4);
-            rows.push(bi);
+            let mut bi = Row::new(0, 1);
+            bi.j_lin_a = pad(Vec3::new(0.6, 0.8, 0.0));
+            bi.j_lin_b = pad(Vec3::new(-0.6, -0.8, 0.0));
+            bi.j_ang_a = pad(Vec3::new(0.0, 0.3, -0.4));
+            rows.push(bi, 0.0);
             (rows, vel)
         };
         let (mut rows_s, mut vel_s) = build();

@@ -4,7 +4,7 @@ use parallax_math::{Mat3, SimdMode, Vec3};
 use parallax_physics::contact::{ContactManifold, ContactPoint};
 use parallax_physics::shape::GeomId;
 use parallax_physics::solver::{
-    build_contact_rows, solve, RowLimit, RowParams, RowSoA, VelState, STATIC_BODY,
+    build_contact_rows, solve, RowLimit, RowParams, RowSet, VelState, STATIC_BODY,
 };
 use proptest::prelude::*;
 
@@ -36,11 +36,11 @@ proptest! {
             depth,
             feature: 0,
         });
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(&m, 0, STATIC_BODY, Vec3::ZERO, Vec3::ZERO, &vel, &RowParams::default(), None, &mut rows);
         solve(&mut rows, &mut vel, 20, SimdMode::Scalar);
         for i in 0..rows.len() {
-            if matches!(rows.limit[i], RowLimit::Unilateral) {
+            if matches!(rows.rows()[i].limit(), RowLimit::Unilateral) {
                 prop_assert!(rows.lambda[i] >= 0.0, "contact pulled: λ = {}", rows.lambda[i]);
             }
         }
@@ -63,15 +63,15 @@ proptest! {
             depth: 0.0,
             feature: 0,
         });
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(&m, 0, STATIC_BODY, Vec3::ZERO, Vec3::ZERO, &vel, &RowParams::default(), None, &mut rows);
         solve(&mut rows, &mut vel, 40, SimdMode::Scalar);
         let normal_lambda = (0..rows.len())
-            .find(|&i| matches!(rows.limit[i], RowLimit::Unilateral))
+            .find(|&i| matches!(rows.rows()[i].limit(), RowLimit::Unilateral))
             .map(|i| rows.lambda[i])
             .unwrap_or(0.0);
         let friction_mag: f32 = (0..rows.len())
-            .filter(|&i| matches!(rows.limit[i], RowLimit::Friction { .. }))
+            .filter(|&i| matches!(rows.rows()[i].limit(), RowLimit::Friction { .. }))
             .map(|i| rows.lambda[i] * rows.lambda[i])
             .sum::<f32>()
             .sqrt();
@@ -105,7 +105,7 @@ proptest! {
             feature: 0,
         });
         let before = vel[0].lin.y + vel[1].lin.y;
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(&m, 0, 1, Vec3::new(0.0, 0.5, 0.0), Vec3::new(0.0, -0.5, 0.0), &vel, &RowParams { erp: 0.0, ..Default::default() }, None, &mut rows);
         solve(&mut rows, &mut vel, 30, SimdMode::Scalar);
         let after = vel[0].lin.y + vel[1].lin.y;
@@ -127,7 +127,7 @@ proptest! {
         let mut m = ContactManifold::new(GeomId(0), GeomId(1));
         m.restitution = 0.0;
         m.push(ContactPoint { position: Vec3::ZERO, normal: Vec3::UNIT_Y, depth: 0.0, feature: 0 });
-        let mut rows = RowSoA::new();
+        let mut rows = RowSet::new();
         build_contact_rows(&m, 0, STATIC_BODY, Vec3::ZERO, Vec3::ZERO, &vel, &RowParams::default(), None, &mut rows);
         solve(&mut rows, &mut vel, iters, SimdMode::Scalar);
         prop_assert!(vel[0].lin.y.abs() <= vy.abs() + 1e-3, "solver added energy");

@@ -136,6 +136,16 @@ pub const BROADPHASE_FAT_PAIRS_GAUGE: &str = "physics.broadphase.fat_pairs";
 /// persistent grid pays for; a settled scene adds none).
 pub const BROADPHASE_REINSERTS_COUNTER: &str = "physics.broadphase.reinserts";
 
+/// Histogram: constraint rows per solved island (its sum is the rows
+/// the solver scheduled).
+pub const SOLVER_ROWS_HISTOGRAM: &str = "physics.solver_rows_per_island";
+
+/// Counter: conflict-free batches over all island solve schedules.
+pub const SOLVER_BATCHES_COUNTER: &str = "physics.solver.batches";
+
+/// Counter: rows per sweep the packed four-row kernel projected.
+pub const SOLVER_PACKED_ROWS_COUNTER: &str = "physics.solver.packed_rows";
+
 /// Largest `telemetry.spans_dropped` gauge value across records: the
 /// cumulative number of spans the recording process lost to full ring
 /// buffers (0 when the gauge was never set — nothing was dropped).
@@ -292,6 +302,21 @@ pub fn render(records: &[StepRecord]) -> String {
             out,
             "  {:<20} {reinserts} proxy(ies) over all steps",
             "re-inserts"
+        );
+    }
+
+    // Solver schedule quality: how short the conflict-free batches are,
+    // and how many rows filled whole four-row chunks of them.
+    let batches = merged.counter(SOLVER_BATCHES_COUNTER);
+    if batches > 0 {
+        let rows = merged.histogram(SOLVER_ROWS_HISTOGRAM).map_or(0, |h| h.sum);
+        let packed = merged.counter(SOLVER_PACKED_ROWS_COUNTER);
+        let _ = writeln!(
+            out,
+            "\nSolver schedule: {rows} row(s) in {batches} batch(es), {:.2} rows/batch, \
+             {:.1}% packed four-wide",
+            rows as f64 / batches as f64,
+            100.0 * packed as f64 / rows.max(1) as f64
         );
     }
 
@@ -463,6 +488,30 @@ mod tests {
         assert!(text.contains("final      880, peak      900"), "{text}");
         assert!(text.contains("654 proxy(ies)"), "{text}");
         assert!(!render(&[rec(0, 1, 1)]).contains("Persistent broad phase"));
+    }
+
+    #[test]
+    fn solver_schedule_line_reports_rows_per_batch_and_packed_share() {
+        let mut a = rec(0, 1, 1);
+        a.metrics.counters = vec![
+            (SOLVER_BATCHES_COUNTER.into(), 200),
+            (SOLVER_PACKED_ROWS_COUNTER.into(), 385),
+        ];
+        a.metrics.histograms = vec![(
+            SOLVER_ROWS_HISTOGRAM.into(),
+            crate::HistogramSnapshot {
+                buckets: vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+                sum: 700,
+            },
+        )];
+        let text = render(&[a]);
+        assert!(
+            text.contains(
+                "Solver schedule: 700 row(s) in 200 batch(es), 3.50 rows/batch, 55.0% packed"
+            ),
+            "{text}"
+        );
+        assert!(!render(&[rec(0, 1, 1)]).contains("Solver schedule"));
     }
 
     #[test]

@@ -132,6 +132,16 @@ for scene in Mix Explosions; do
         --a broadphase=sap --b broadphase=grid >/dev/null 2>&1
 done
 
+# Island-processing data path: trajectories are pinned across commits by
+# golden world digests (recorded before the solver's rows were packed),
+# and one bisection holds the scalar single-thread solve to the packed
+# two-thread one over the whole Explosions horizon (exit 0: no
+# divergence).
+cargo test -q --offline --test golden_digests
+cargo run --release --offline -q -p parallax-bench --bin bisect -- \
+    --scene Explosions --steps 200 --scale 0.2 \
+    --a threads=1,simd=scalar --b threads=2,simd=avx2 >/dev/null 2>&1
+
 # Digest overhead gate: per-phase state digests must cost <=3% of the
 # step total on Mix (interleaved A/B, whole bootstrap CI must clear the
 # budget). Unlike bench_gate --quick, the threshold does not widen.

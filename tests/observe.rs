@@ -179,11 +179,13 @@ fn every_registered_metric_name_lints_after_a_real_run() {
 
     // And the full exposition lints line by line.
     let text = telemetry::prometheus_text(&snap);
-    for churn in [
+    for expected in [
         "physics_broadphase_reinserts",
         "physics_broadphase_fat_pairs",
+        "physics_solver_batches",
+        "physics_solver_packed_rows",
     ] {
-        assert!(text.contains(churn), "/metrics lacks {churn}");
+        assert!(text.contains(expected), "/metrics lacks {expected}");
     }
     for line in text
         .lines()

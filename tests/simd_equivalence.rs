@@ -7,16 +7,25 @@
 //! interesting cases are element counts straddling the lane boundaries
 //! (1..=7 remainders), mixed static/dynamic populations, and zero
 //! inverse masses. The strategies below generate exactly those.
+//!
+//! The island solve is additionally held to a reference written here:
+//! the solve as it stood before its data path was packed — rows addressed
+//! by index in row order, the level schedule walked through a permutation,
+//! `I⁻¹·j_ang` re-multiplied at every impulse application — the role
+//! `BruteForce` plays for the broad phase.
 
-use parallax_math::Transform;
-use parallax_math::{SimdMode, Vec3};
+use parallax_math::simd::{ScalarX4, Wide4};
+use parallax_math::{Mat3, Quat, SimdMode, Transform, Vec3};
 use parallax_physics::cloth::Cloth;
 use parallax_physics::contact::{ContactManifold, ContactPoint};
 use parallax_physics::integrator;
+use parallax_physics::joint::{Joint, JointKind};
 use parallax_physics::shape::GeomId;
-use parallax_physics::solver::{self, RowParams, RowSoA, STATIC_BODY};
-use parallax_physics::{BodyDesc, BodyStore, Shape};
+use parallax_physics::solver::{self, Row, RowLimit, RowParams, RowSet, VelState, STATIC_BODY};
+use parallax_physics::{BodyDesc, BodyId, BodyStore, Shape};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// The wide modes this host can actually execute.
 fn wide_modes() -> Vec<SimdMode> {
@@ -77,8 +86,299 @@ fn store_bits(s: &BodyStore) -> Vec<u32> {
     out
 }
 
+/// The reference island solve: sequential `project_row` over the rows in
+/// schedule order, every quantity read from row-order storage by index.
+/// Returns the solved impulses (row order) and `total_delta`.
+fn reference_solve(set: &RowSet, vel: &mut [VelState], iterations: usize) -> (Vec<f32>, f32) {
+    type V = ScalarX4;
+    let rows = set.rows();
+    let mut lambda = set.lambda.clone();
+
+    let inertia_mul = |m: &Mat3, j: V| {
+        Vec3::new(
+            V::from_vec3(m.rows[0]).dot3(j),
+            V::from_vec3(m.rows[1]).dot3(j),
+            V::from_vec3(m.rows[2]).dot3(j),
+        )
+    };
+    let apply = |r: &Row, vel: &mut [VelState], dlambda: f32| {
+        for (body, jl, ja) in [
+            (r.body_a, r.j_lin_a, r.j_ang_a),
+            (r.body_b, r.j_lin_b, r.j_ang_b),
+        ] {
+            if body != STATIC_BODY {
+                let v = &mut vel[body as usize];
+                let jl = V::from_array(jl);
+                v.lin = (V::from_vec3(v.lin) + jl * V::splat(v.inv_mass * dlambda)).to_vec3();
+                let d = inertia_mul(&v.inv_inertia, V::from_array(ja));
+                v.ang = (V::from_vec3(v.ang) + V::from_vec3(d) * V::splat(dlambda)).to_vec3();
+            }
+        }
+    };
+
+    // Level colouring, then a stable sort by batch: index order survives
+    // within a batch.
+    let mut level = vec![0u32; vel.len()];
+    let batch_of: Vec<u32> = rows
+        .iter()
+        .map(|r| {
+            let dynamic = [r.body_a, r.body_b]
+                .into_iter()
+                .filter(|&b| b != STATIC_BODY);
+            let batch = dynamic
+                .clone()
+                .map(|b| level[b as usize])
+                .max()
+                .unwrap_or(0);
+            for b in dynamic {
+                level[b as usize] = batch + 1;
+            }
+            batch
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by_key(|&i| batch_of[i]);
+
+    let inv_k: Vec<f32> = rows
+        .iter()
+        .map(|r| {
+            let mut k = 0.0;
+            for (body, jl, ja) in [
+                (r.body_a, r.j_lin_a, r.j_ang_a),
+                (r.body_b, r.j_lin_b, r.j_ang_b),
+            ] {
+                if body != STATIC_BODY {
+                    let v = &vel[body as usize];
+                    let (jl, ja) = (V::from_array(jl), V::from_array(ja));
+                    k += v.inv_mass * jl.dot3(jl);
+                    k += ja.dot3(V::from_vec3(inertia_mul(&v.inv_inertia, ja)));
+                }
+            }
+            let k = k + r.cfm;
+            if k > 1e-10 {
+                1.0 / k
+            } else {
+                0.0
+            }
+        })
+        .collect();
+
+    for (r, &l) in rows.iter().zip(&lambda) {
+        if l != 0.0 {
+            apply(r, vel, l);
+        }
+    }
+
+    let mut total_delta = 0.0f32;
+    for _ in 0..iterations {
+        for &i in &order {
+            let r = &rows[i];
+            let side = |body: u32, jl: [f32; 4], ja: [f32; 4]| {
+                if body == STATIC_BODY {
+                    0.0
+                } else {
+                    let v = &vel[body as usize];
+                    V::dot3_pair(
+                        V::from_array(jl),
+                        V::from_vec3(v.lin),
+                        V::from_array(ja),
+                        V::from_vec3(v.ang),
+                    )
+                }
+            };
+            let jv = side(r.body_a, r.j_lin_a, r.j_ang_a) + side(r.body_b, r.j_lin_b, r.j_ang_b);
+            let lambda_old = lambda[i];
+            let unclamped = lambda_old + (r.rhs - jv - r.cfm * lambda_old) * inv_k[i];
+            let clamped = match r.limit() {
+                RowLimit::Bilateral => unclamped,
+                RowLimit::Unilateral => {
+                    if unclamped > 0.0 {
+                        unclamped
+                    } else {
+                        0.0
+                    }
+                }
+                RowLimit::Friction { normal_row, mu } => {
+                    let ln = lambda[normal_row as usize];
+                    let bound = mu * if ln > 0.0 { ln } else { 0.0 };
+                    let hi = if unclamped > bound { bound } else { unclamped };
+                    if hi < -bound {
+                        -bound
+                    } else {
+                        hi
+                    }
+                }
+            };
+            let dlambda = clamped - lambda_old;
+            if dlambda != 0.0 {
+                lambda[i] = clamped;
+                apply(r, vel, dlambda);
+                total_delta += dlambda.abs();
+            }
+        }
+    }
+    (lambda, total_delta)
+}
+
+/// A random island: up to 12 bodies (some with zero inverse mass), joints
+/// of every kind and contact manifolds between random pairs — either side
+/// possibly the static environment, both included — cold, or warm with
+/// seeds that are zero, in the cone, or stale enough for the builder to
+/// clamp. The first `n_ground` bodies each rest on the static environment
+/// first, which makes batches `n_ground` rows wide (every remainder of
+/// the four-row packing, friction rows a batch behind their normal row);
+/// few bodies under many random manifolds make deep schedules of short
+/// batches.
+fn random_island(
+    seed: u64,
+    n_bodies: usize,
+    n_ground: usize,
+    n_joints: usize,
+    n_contacts: usize,
+) -> (RowSet, Vec<VelState>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let vec3 = |rng: &mut SmallRng, r: f32| {
+        Vec3::new(
+            rng.gen_range(-r..r),
+            rng.gen_range(-r..r),
+            rng.gen_range(-r..r),
+        )
+    };
+    let positions: Vec<Vec3> = (0..n_bodies).map(|_| vec3(&mut rng, 3.0)).collect();
+    let vel: Vec<VelState> = (0..n_bodies)
+        .map(|_| {
+            let inv_mass = if rng.gen_bool(0.15) {
+                0.0
+            } else {
+                rng.gen_range(0.1f32..4.0)
+            };
+            let d = vec3(&mut rng, 1.0);
+            let o = vec3(&mut rng, 0.2);
+            VelState {
+                lin: vec3(&mut rng, 5.0),
+                ang: vec3(&mut rng, 2.0),
+                inv_mass,
+                inv_inertia: Mat3::from_rows(
+                    Vec3::new(inv_mass * (1.5 + d.x), o.x, o.y),
+                    Vec3::new(o.x, inv_mass * (1.5 + d.y), o.z),
+                    Vec3::new(o.y, o.z, inv_mass * (1.5 + d.z)),
+                ),
+            }
+        })
+        .collect();
+    // A body index, or the static environment one time in four.
+    let pick = |rng: &mut SmallRng| {
+        if rng.gen_bool(0.25) {
+            STATIC_BODY
+        } else {
+            rng.gen_range(0..n_bodies) as u32
+        }
+    };
+    let pose = |b: u32| {
+        positions
+            .get(b as usize)
+            .map_or(Transform::IDENTITY, |&p| Transform::from_position(p))
+    };
+    let params = RowParams::default();
+    let mut rows = RowSet::new();
+    for _ in 0..n_joints {
+        let (la, lb) = (pick(&mut rng), pick(&mut rng));
+        let (anchor_a, anchor_b) = (vec3(&mut rng, 0.5), vec3(&mut rng, 0.5));
+        let kind = match rng.gen_range(0..4) {
+            0 => JointKind::Ball { anchor_a, anchor_b },
+            1 => JointKind::Hinge {
+                anchor_a,
+                anchor_b,
+                axis_a: Vec3::UNIT_Y,
+                axis_b: Vec3::new(0.6, 0.8, 0.0),
+            },
+            2 => JointKind::Slider {
+                axis_a: Vec3::UNIT_X,
+                anchor_a,
+            },
+            _ => JointKind::Fixed { anchor_a, anchor_b },
+        };
+        let mut tb = pose(lb);
+        tb.rotation = Quat::from_axis_angle(Vec3::UNIT_Z, rng.gen_range(-0.5f32..0.5));
+        let joint = Joint::new(kind, BodyId(0), BodyId(0));
+        solver::build_joint_rows(&joint, la, lb, pose(la), tb, &params, &mut rows);
+    }
+    for c in 0..n_ground.min(n_bodies) + n_contacts {
+        let (la, lb) = if c < n_ground.min(n_bodies) {
+            (c as u32, STATIC_BODY)
+        } else {
+            (pick(&mut rng), pick(&mut rng))
+        };
+        let mut m = ContactManifold::new(GeomId(2 * c as u32), GeomId(2 * c as u32 + 1));
+        m.friction = rng.gen_range(0.0f32..1.5);
+        m.restitution = rng.gen_range(0.0f32..0.6);
+        let normal = vec3(&mut rng, 1.0).normalized();
+        let n_points = rng.gen_range(1..ContactManifold::MAX_POINTS + 1);
+        for p in 0..n_points {
+            m.push(ContactPoint {
+                position: vec3(&mut rng, 3.0),
+                normal,
+                depth: rng.gen_range(0.0f32..0.2),
+                feature: p as u32,
+            });
+        }
+        let seeds: Option<Vec<[f32; 3]>> = rng.gen_bool(0.6).then(|| {
+            (0..n_points)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => [0.0; 3],
+                    1 => [rng.gen_range(0.0f32..2.0), rng.gen_range(-0.1f32..0.1), 0.0],
+                    _ => [rng.gen_range(-1.0f32..1.0), 9.0, -9.0],
+                })
+                .collect()
+        });
+        let centre = |b: u32| positions.get(b as usize).copied().unwrap_or(Vec3::ZERO);
+        solver::build_contact_rows(
+            &m,
+            la,
+            lb,
+            centre(la),
+            centre(lb),
+            &vel,
+            &params,
+            seeds.as_deref(),
+            &mut rows,
+        );
+    }
+    (rows, vel)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Production solve against the reference, in every SIMD mode:
+    /// velocities, impulses and `total_delta` bit for bit, over random
+    /// islands and 0, 1 and many iterations.
+    #[test]
+    fn island_solve_matches_the_reference(
+        seed in any::<u64>(),
+        n_bodies in 1usize..13,
+        n_ground in 0usize..13,
+        n_joints in 0usize..4,
+        n_contacts in 0usize..15,
+        iterations in prop_oneof![0usize..2, 2usize..24],
+    ) {
+        let (rows, vel) = random_island(seed, n_bodies, n_ground, n_joints, n_contacts);
+        let vel_bits = |vel: &[VelState]| -> Vec<u32> {
+            vel.iter().flat_map(|v| bits(v.lin).into_iter().chain(bits(v.ang))).collect()
+        };
+        let f32_bits = |l: &[f32]| -> Vec<u32> { l.iter().map(|x| x.to_bits()).collect() };
+
+        let mut ref_vel = vel.clone();
+        let (ref_lambda, ref_delta) = reference_solve(&rows, &mut ref_vel, iterations);
+        for mode in [SimdMode::Scalar].into_iter().chain(wide_modes()) {
+            let (mut r, mut v) = (rows.clone(), vel.clone());
+            let stats = solver::solve(&mut r, &mut v, iterations, mode);
+            prop_assert_eq!(vel_bits(&v), vel_bits(&ref_vel), "{} velocities", mode.name());
+            prop_assert_eq!(f32_bits(&r.lambda), f32_bits(&ref_lambda), "{} lambda", mode.name());
+            prop_assert_eq!(stats.total_delta.to_bits(), ref_delta.to_bits(), "{} total_delta", mode.name());
+            prop_assert_eq!(stats.rows, rows.len());
+        }
+    }
 
     /// The three integrator sweeps (apply-forces, clamp, integrate) at
     /// every width, over body counts 1..=19 so every remainder 1..=7
@@ -140,7 +440,7 @@ proptest! {
                     feature: p as u32,
                 });
             }
-            let mut rows = RowSoA::new();
+            let mut rows = RowSet::new();
             solver::build_contact_rows(
                 &m,
                 0,
