@@ -9,6 +9,9 @@
 //! solver's branches are loop branches (highly predictable), and cloth is
 //! in between.
 
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
+
 use parallax_trace::Kernel;
 
 use crate::yags::Yags;
@@ -85,12 +88,26 @@ impl XorShift {
     }
 }
 
-/// Measures the misprediction rate of `predictor_bytes` of YAGS on
-/// `kernel`'s synthetic branch stream.
+/// The misprediction rate of `predictor_bytes` of YAGS on `kernel`'s
+/// synthetic branch stream.
 ///
-/// The result is deterministic for a given (kernel, budget) pair; call
-/// sites should cache it (see [`MispredictTable`]).
+/// A pure function of its arguments, memoised for the life of the process:
+/// the first call per (kernel, budget) runs the predictor over 120 000
+/// branches; later calls are table lookups.
 pub fn mispredict_rate(kernel: Kernel, predictor_bytes: usize) -> f64 {
+    static CACHE: OnceLock<Mutex<HashMap<(Kernel, usize), f64>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    let key = (kernel, predictor_bytes);
+    if let Some(&rate) = cache.lock().expect("rate cache").get(&key) {
+        return rate;
+    }
+    let rate = simulate(kernel, predictor_bytes);
+    cache.lock().expect("rate cache").insert(key, rate);
+    rate
+}
+
+/// Runs the predictor over the kernel's branch stream.
+fn simulate(kernel: Kernel, predictor_bytes: usize) -> f64 {
     let sites = sites(kernel);
     let mut predictor = Yags::with_budget(predictor_bytes);
     let mut rng = XorShift(0x9E37_79B9_7F4A_7C15 ^ kernel as u64);
@@ -114,27 +131,6 @@ pub fn mispredict_rate(kernel: Kernel, predictor_bytes: usize) -> f64 {
         }
     }
     wrong as f64 / MEASURE as f64
-}
-
-/// A memoized table of misprediction rates.
-#[derive(Debug, Default)]
-pub struct MispredictTable {
-    cache: std::collections::HashMap<(Kernel, usize), f64>,
-}
-
-impl MispredictTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks up (computing on first use) the misprediction rate.
-    pub fn rate(&mut self, kernel: Kernel, predictor_bytes: usize) -> f64 {
-        *self
-            .cache
-            .entry((kernel, predictor_bytes))
-            .or_insert_with(|| mispredict_rate(kernel, predictor_bytes))
-    }
 }
 
 #[cfg(test)]
@@ -166,17 +162,13 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(
-            mispredict_rate(Kernel::Cloth, 4096),
-            mispredict_rate(Kernel::Cloth, 4096)
-        );
+        assert_eq!(simulate(Kernel::Cloth, 4096), simulate(Kernel::Cloth, 4096));
     }
 
     #[test]
     fn table_memoizes() {
-        let mut t = MispredictTable::new();
-        let a = t.rate(Kernel::Broadphase, 17 * 1024);
-        let b = t.rate(Kernel::Broadphase, 17 * 1024);
-        assert_eq!(a, b);
+        let simulated = simulate(Kernel::Broadphase, 17 * 1024);
+        assert_eq!(mispredict_rate(Kernel::Broadphase, 17 * 1024), simulated);
+        assert_eq!(mispredict_rate(Kernel::Broadphase, 17 * 1024), simulated);
     }
 }

@@ -10,6 +10,66 @@ pub enum AccessResult {
     Miss,
 }
 
+/// Division of line ids by a count fixed at construction, without a
+/// hardware divide: shift and mask when the count is a power of two,
+/// otherwise a multiply by `⌈2⁶⁴ / d⌉` (Lemire, Kaser & Kurz 2019: the high
+/// word of the 128-bit product is `⌊n / d⌋` for every `n`, `d` < 2³²).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Divisor {
+    Pow2 { shift: u32, mask: u64 },
+    Reciprocal { d: u64, magic: u64 },
+}
+
+impl Divisor {
+    /// # Panics
+    ///
+    /// Panics if `d` is zero or does not fit 32 bits.
+    pub(crate) fn new(d: usize) -> Divisor {
+        let d = d as u64;
+        assert!(d > 0 && d >> 32 == 0, "divisor {d} out of range");
+        if d.is_power_of_two() {
+            Divisor::Pow2 {
+                shift: d.trailing_zeros(),
+                mask: d - 1,
+            }
+        } else {
+            Divisor::Reciprocal {
+                d,
+                magic: u64::MAX / d + 1,
+            }
+        }
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    pub(crate) fn div_rem(self, n: u64) -> (u64, u64) {
+        match self {
+            Divisor::Pow2 { shift, mask } => (n >> shift, n & mask),
+            Divisor::Reciprocal { d, magic } if n >> 32 == 0 => {
+                let q = ((u128::from(n) * u128::from(magic)) >> 64) as u64;
+                (q, n - q * d)
+            }
+            // Beyond the reciprocal's exact range (addresses ≥ 256 GB).
+            Divisor::Reciprocal { d, .. } => (n / d, n % d),
+        }
+    }
+}
+
+/// One way of a set: the resident line's tag next to its LRU stamp, so a
+/// 4-way set is 64 contiguous bytes of host memory.
+#[derive(Debug, Clone, Copy)]
+struct Way {
+    /// `u64::MAX` = invalid.
+    tag: u64,
+    /// Larger = more recent.
+    stamp: u64,
+}
+
+const INVALID: Way = Way {
+    tag: u64::MAX,
+    stamp: 0,
+};
+
 /// One set-associative cache (or one bank of a banked cache).
 ///
 /// # Examples
@@ -23,20 +83,15 @@ pub enum AccessResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: usize,
+    sets: Divisor,
     assoc: usize,
-    line: u64,
-    /// tags[set * assoc + way]; `u64::MAX` = invalid.
-    tags: Vec<u64>,
-    /// LRU stamps, larger = more recent.
-    stamps: Vec<u64>,
-    /// Partition owning each way-slot's line (for partition-aware
-    /// replacement); `u8::MAX` = unowned.
-    owners: Vec<u8>,
+    line_shift: u32,
+    /// `ways[set * assoc + way]`.
+    ways: Vec<Way>,
     clock: u64,
-    /// When set, partition p may replace only in ways
-    /// `[way_start[p], way_start[p] + way_count[p])`.
-    partition_ranges: Option<Vec<(usize, usize)>>,
+    /// Partition `p` may replace only in ways `[start, start + count)` of
+    /// `replace_in[min(p, len - 1)]`; the whole set when unpartitioned.
+    replace_in: Vec<(usize, usize)>,
     hits: u64,
     misses: u64,
 }
@@ -47,21 +102,20 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets).
+    /// Panics if the geometry is degenerate (zero sets) or `line` is not a
+    /// power of two.
     pub fn new(bytes: usize, assoc: usize, line: u64) -> Cache {
+        assert!(line.is_power_of_two(), "line size must be a power of two");
         let sets = bytes / (assoc * line as usize);
         assert!(sets > 0, "cache too small for its associativity");
-        // Sets need not be a power of two (e.g. 12 MB L2); we use modulo
-        // indexing.
+        // Sets need not be a power of two (e.g. a 12 KB cache).
         Cache {
-            sets,
+            sets: Divisor::new(sets),
             assoc,
-            line,
-            tags: vec![u64::MAX; sets * assoc],
-            stamps: vec![0; sets * assoc],
-            owners: vec![u8::MAX; sets * assoc],
+            line_shift: line.trailing_zeros(),
+            ways: vec![INVALID; sets * assoc],
             clock: 0,
-            partition_ranges: None,
+            replace_in: vec![(0, assoc)],
             hits: 0,
             misses: 0,
         }
@@ -96,83 +150,102 @@ impl Cache {
         } else {
             ranges.push((0, self.assoc));
         }
-        self.partition_ranges = Some(ranges);
+        self.replace_in = ranges;
     }
 
+    /// `(set, tag)` of line id `line` (a byte address over the line size).
     #[inline]
-    fn set_of(&self, addr: u64) -> usize {
-        ((addr / self.line) % self.sets as u64) as usize
-    }
-
-    #[inline]
-    fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.line / self.sets as u64
+    pub(crate) fn locate(&self, line: u64) -> (usize, u64) {
+        let (tag, set) = self.sets.div_rem(line);
+        (set as usize, tag)
     }
 
     /// Accesses `addr` on behalf of `partition`. Lookup checks all ways;
     /// on a miss, the victim is chosen within the partition's ways when
     /// partitioning is enabled.
     pub fn access(&mut self, addr: u64, partition: u8) -> AccessResult {
+        self.access_line(addr >> self.line_shift, partition)
+    }
+
+    /// [`Cache::access`] by line id.
+    #[inline]
+    fn access_line(&mut self, line: u64, partition: u8) -> AccessResult {
+        let (set, tag) = self.locate(line);
+        self.access_at(set, tag, partition)
+    }
+
+    /// [`Cache::access`] for an already located line.
+    #[inline]
+    pub(crate) fn access_at(&mut self, set: usize, tag: u64, partition: u8) -> AccessResult {
         self.clock += 1;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.assoc;
+        let clock = self.clock;
+        let ways = &mut self.ways[set * self.assoc..][..self.assoc];
 
         // Hit check across every way (partitioning restricts replacement,
-        // not lookup).
-        for w in 0..self.assoc {
-            if self.tags[base + w] == tag {
-                self.stamps[base + w] = self.clock;
-                self.hits += 1;
-                return AccessResult::Hit;
+        // not lookup). A set holds a tag at most once; scanning all ways
+        // without an early exit leaves the host one hit-or-miss branch to
+        // predict instead of one per way.
+        let mut hit = usize::MAX;
+        for (w, way) in ways.iter().enumerate() {
+            if way.tag == tag {
+                hit = w;
             }
+        }
+        if let Some(way) = ways.get_mut(hit) {
+            way.stamp = clock;
+            self.hits += 1;
+            return AccessResult::Hit;
         }
         self.misses += 1;
 
         // Victim selection (zero-way ranges are rejected at construction,
-        // so every range here is non-empty).
-        let (start, count) = match &self.partition_ranges {
-            Some(ranges) => ranges[(partition as usize).min(ranges.len() - 1)],
-            None => (0, self.assoc),
-        };
-        let mut victim = start;
+        // so every range here is non-empty): the first invalid way, else
+        // the least recently used.
+        let (start, count) = self.replace_in[(partition as usize).min(self.replace_in.len() - 1)];
+        let candidates = &mut ways[start..start + count];
+        let mut victim = 0;
         let mut oldest = u64::MAX;
-        for w in start..(start + count).min(self.assoc) {
-            if self.tags[base + w] == u64::MAX {
+        for (w, way) in candidates.iter().enumerate() {
+            if way.tag == u64::MAX {
                 victim = w;
                 break;
             }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
+            if way.stamp < oldest {
+                oldest = way.stamp;
                 victim = w;
             }
         }
-        self.tags[base + victim] = tag;
-        self.stamps[base + victim] = self.clock;
-        self.owners[base + victim] = partition;
+        candidates[victim] = Way { tag, stamp: clock };
         AccessResult::Miss
     }
 
     /// Invalidates the line containing `addr` if resident (coherence).
     pub fn invalidate(&mut self, addr: u64) {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.assoc;
-        for w in 0..self.assoc {
-            if self.tags[base + w] == tag {
-                self.tags[base + w] = u64::MAX;
-                self.stamps[base + w] = 0;
-                self.owners[base + w] = u8::MAX;
+        let (set, tag) = self.locate(addr >> self.line_shift);
+        self.invalidate_at(set, tag);
+    }
+
+    /// [`Cache::invalidate`] for an already located line.
+    #[inline]
+    pub(crate) fn invalidate_at(&mut self, set: usize, tag: u64) {
+        for way in &mut self.ways[set * self.assoc..][..self.assoc] {
+            if way.tag == tag {
+                *way = INVALID;
             }
         }
     }
 
     /// Returns `true` without updating state if `addr` is resident.
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.assoc;
-        (0..self.assoc).any(|w| self.tags[base + w] == tag)
+        self.probe_line(addr >> self.line_shift)
+    }
+
+    /// [`Cache::probe`] by line id.
+    fn probe_line(&self, line: u64) -> bool {
+        let (set, tag) = self.locate(line);
+        self.ways[set * self.assoc..][..self.assoc]
+            .iter()
+            .any(|w| w.tag == tag)
     }
 
     /// (hits, misses) so far.
@@ -188,14 +261,12 @@ impl Cache {
 
     /// Invalidates everything (cold cache).
     pub fn flush(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.owners.fill(u8::MAX);
+        self.ways.fill(INVALID);
     }
 
     /// Capacity in bytes.
     pub fn bytes(&self) -> usize {
-        self.sets * self.assoc * self.line as usize
+        self.ways.len() << self.line_shift
     }
 }
 
@@ -203,17 +274,20 @@ impl Cache {
 #[derive(Debug, Clone)]
 pub struct BankedCache {
     banks: Vec<Cache>,
-    line: u64,
+    interleave: Divisor,
+    line_shift: u32,
 }
 
 impl BankedCache {
     /// Creates `banks` banks of `bank_bytes` each.
     pub fn new(banks: usize, bank_bytes: usize, assoc: usize, line: u64) -> BankedCache {
+        let banks = banks.max(1);
         BankedCache {
-            banks: (0..banks.max(1))
+            banks: (0..banks)
                 .map(|_| Cache::new(bank_bytes, assoc, line))
                 .collect(),
-            line,
+            interleave: Divisor::new(banks),
+            line_shift: line.trailing_zeros(),
         }
     }
 
@@ -226,27 +300,35 @@ impl BankedCache {
 
     /// Which bank serves `addr`.
     pub fn bank_of(&self, addr: u64) -> usize {
-        ((addr / self.line) % self.banks.len() as u64) as usize
+        self.route(addr >> self.line_shift).0
     }
 
-    /// Bank-local address: lines are interleaved across banks, so within a
-    /// bank consecutive resident lines are `banks` lines apart globally.
-    /// Folding by the bank count lets every bank use all of its sets.
-    fn local_addr(&self, addr: u64) -> u64 {
-        let line_id = addr / self.line;
-        (line_id / self.banks.len() as u64) * self.line + (addr % self.line)
+    /// `(bank, bank-local line id)` of line id `line`: lines are
+    /// interleaved across banks, so within a bank consecutive resident
+    /// lines are `banks` lines apart globally. Folding by the bank count
+    /// lets every bank use all of its sets.
+    #[inline]
+    fn route(&self, line: u64) -> (usize, u64) {
+        let (local, bank) = self.interleave.div_rem(line);
+        (bank as usize, local)
     }
 
     /// Accesses the line through its bank.
     pub fn access(&mut self, addr: u64, partition: u8) -> AccessResult {
-        let b = self.bank_of(addr);
-        let local = self.local_addr(addr);
-        self.banks[b].access(local, partition)
+        self.access_line(addr >> self.line_shift, partition)
+    }
+
+    /// [`BankedCache::access`] by line id.
+    #[inline]
+    pub(crate) fn access_line(&mut self, line: u64, partition: u8) -> AccessResult {
+        let (bank, local) = self.route(line);
+        self.banks[bank].access_line(local, partition)
     }
 
     /// Probes without side effects.
     pub fn probe(&self, addr: u64) -> bool {
-        self.banks[self.bank_of(addr)].probe(self.local_addr(addr))
+        let (bank, local) = self.route(addr >> self.line_shift);
+        self.banks[bank].probe_line(local)
     }
 
     /// Aggregate (hits, misses).
@@ -285,6 +367,26 @@ impl BankedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn divisor_is_exact() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for d in 1..=64usize {
+            let div = Divisor::new(d);
+            let d = d as u64;
+            let mut ids = vec![0, d - 1, d, d + 1, (1 << 32) - 1, 1 << 32, u64::MAX];
+            for _ in 0..1000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ids.push(x >> 32);
+                ids.push(x >> 38);
+            }
+            for n in ids {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} by {d}");
+            }
+        }
+    }
 
     #[test]
     fn hit_after_fill() {

@@ -11,9 +11,12 @@
 //! 3. **Memory**: stall cycles from the cache hierarchy, discounted by a
 //!    window-dependent memory-level-parallelism factor.
 
+use std::sync::OnceLock;
+
+use parallax_physics::PhaseKind;
 use parallax_trace::{Kernel, OpCounts, TaskTrace};
 
-use crate::branchgen::MispredictTable;
+use crate::branchgen::mispredict_rate;
 use crate::config::CoreConfig;
 
 /// Per-kernel ILP curve parameters: `ipc(window) = floor + inf·(1 −
@@ -33,10 +36,23 @@ fn ilp_params(kernel: Kernel) -> (f64, f64, f64) {
 const DIV_SQRT_LATENCY: f64 = 12.0;
 
 /// The interval core model.
+///
+/// Everything that depends only on the configuration and the kernel — the
+/// ILP curve's `exp`, the flush penalty's `sqrt`, the stall exposure, the
+/// YAGS misprediction rate — is evaluated once and reused per task; the
+/// expressions, and so the cycle counts, are those of evaluating them per
+/// task.
 #[derive(Debug)]
 pub struct CoreModel {
     cfg: CoreConfig,
-    mispredicts: MispredictTable,
+    /// [`CoreModel::ipc_base`] per kernel, indexed by `Kernel as usize`.
+    ipc_base: [f64; 5],
+    /// Misprediction rate per kernel, looked up on the kernel's first task.
+    mispredict_rate: [OnceLock<f64>; 5],
+    flush_penalty: f64,
+    /// Fraction of a divide/sqrt's latency the window cannot hide.
+    div_exposure: f64,
+    stall_exposure: f64,
     /// When `true`, branches never mispredict (the paper's "ideal branch
     /// prediction" experiment, §8.2).
     pub ideal_branch_prediction: bool,
@@ -45,9 +61,22 @@ pub struct CoreModel {
 impl CoreModel {
     /// Creates a model for `cfg`.
     pub fn new(cfg: CoreConfig) -> CoreModel {
+        let window = cfg.window as f64;
+        // Long-latency FP ops partially hidden by the window.
+        let hide = (window / 16.0).min(0.75);
+        // Memory-level-parallelism discount.
+        let mlp = window.sqrt() / 2.0;
         CoreModel {
             cfg,
-            mispredicts: MispredictTable::new(),
+            ipc_base: PhaseKind::ALL.map(|phase| {
+                let (floor, inf, tau) = ilp_params(Kernel::of_phase(phase));
+                let ilp = floor + inf * (1.0 - (-window / tau).exp());
+                ilp.min(cfg.width as f64)
+            }),
+            mispredict_rate: Default::default(),
+            flush_penalty: cfg.pipeline_depth as f64 + ((cfg.rob * cfg.window) as f64).sqrt(),
+            div_exposure: 1.0 - hide,
+            stall_exposure: 1.0 / (1.0 + mlp),
             ideal_branch_prediction: false,
         }
     }
@@ -59,9 +88,7 @@ impl CoreModel {
 
     /// Window-limited base IPC for `kernel` on this core.
     pub fn ipc_base(&self, kernel: Kernel) -> f64 {
-        let (floor, inf, tau) = ilp_params(kernel);
-        let ilp = floor + inf * (1.0 - (-(self.cfg.window as f64) / tau).exp());
-        ilp.min(self.cfg.width as f64)
+        self.ipc_base[kernel as usize]
     }
 
     /// Misprediction flush penalty: pipeline refill plus the speculative
@@ -70,11 +97,11 @@ impl CoreModel {
     /// the paper\'s observation that Narrowphase *degrades* on bigger
     /// cores.
     pub fn flush_penalty(&self) -> f64 {
-        self.cfg.pipeline_depth as f64 + ((self.cfg.rob * self.cfg.window) as f64).sqrt()
+        self.flush_penalty
     }
 
     /// Cycles for the compute portion of `ops` (no cache misses).
-    pub fn compute_cycles(&mut self, ops: &OpCounts, kernel: Kernel) -> u64 {
+    pub fn compute_cycles(&self, ops: &OpCounts, kernel: Kernel) -> u64 {
         let instr = ops.total() as f64;
         if instr == 0.0 {
             return 0;
@@ -83,38 +110,31 @@ impl CoreModel {
         let mispred_rate = if self.ideal_branch_prediction {
             0.0
         } else {
-            self.mispredicts.rate(kernel, self.cfg.predictor_bytes)
+            *self.mispredict_rate[kernel as usize]
+                .get_or_init(|| mispredict_rate(kernel, self.cfg.predictor_bytes))
         };
-        let branch_cycles = ops.branch as f64 * mispred_rate * self.flush_penalty();
-        // Long-latency FP ops partially hidden by the window.
-        let hide = (self.cfg.window as f64 / 16.0).min(0.75);
-        let div_cycles = ops.fp_div_sqrt as f64 * DIV_SQRT_LATENCY * (1.0 - hide);
+        let branch_cycles = ops.branch as f64 * mispred_rate * self.flush_penalty;
+        let div_cycles = ops.fp_div_sqrt as f64 * DIV_SQRT_LATENCY * self.div_exposure;
         (base + branch_cycles + div_cycles).ceil() as u64
     }
 
     /// Fraction of beyond-L1 memory latency that the window cannot hide
     /// (memory-level-parallelism discount).
     pub fn stall_exposure(&self) -> f64 {
-        let mlp = (self.cfg.window as f64).sqrt() / 2.0;
-        1.0 / (1.0 + mlp)
+        self.stall_exposure
     }
 
     /// Full task cycles: compute plus exposed memory stalls.
     ///
     /// `mem_stall_cycles` is the sum of beyond-L1 latencies the hierarchy
     /// reported for this task's accesses.
-    pub fn task_cycles(&mut self, task: &TaskTrace, kernel: Kernel, mem_stall_cycles: u64) -> u64 {
+    pub fn task_cycles(&self, task: &TaskTrace, kernel: Kernel, mem_stall_cycles: u64) -> u64 {
         let compute = self.compute_cycles(&task.ops, kernel);
-        compute + (mem_stall_cycles as f64 * self.stall_exposure()).round() as u64
+        compute + (mem_stall_cycles as f64 * self.stall_exposure).round() as u64
     }
 
     /// Effective IPC of a finished task (diagnostic, Figure 10a).
-    pub fn effective_ipc(
-        &mut self,
-        task: &TaskTrace,
-        kernel: Kernel,
-        mem_stall_cycles: u64,
-    ) -> f64 {
+    pub fn effective_ipc(&self, task: &TaskTrace, kernel: Kernel, mem_stall_cycles: u64) -> f64 {
         let cycles = self.task_cycles(task, kernel, mem_stall_cycles).max(1);
         task.ops.total() as f64 / cycles as f64
     }
@@ -135,19 +155,14 @@ mod tests {
             Kernel::IslandCreation => KernelModel::island_creation(1000, 500, 1500),
         };
         let k = (instr / ops.total().max(1)).max(1);
-        TaskTrace {
-            ops: ops.scaled(k),
-            reads: vec![],
-            writes: vec![],
-            fg_subtasks: 1,
-        }
+        TaskTrace::compute_only(ops.scaled(k))
     }
 
     #[test]
     fn island_solver_ipc_ordering_matches_fig10a() {
         // Island kernel: desktop ≫ console > shader; limit study > 4.
         let ipc = |cfg: CoreConfig| {
-            let mut m = CoreModel::new(cfg);
+            let m = CoreModel::new(cfg);
             let t = kernel_task(Kernel::IslandSolver, 1_000_000);
             m.effective_ipc(&t, Kernel::IslandSolver, 0)
         };
@@ -165,7 +180,7 @@ mod tests {
         // Paper: "Narrowphase degrades with more resources due to
         // mispredicted branch instructions."
         let ipc = |cfg: CoreConfig| {
-            let mut m = CoreModel::new(cfg);
+            let m = CoreModel::new(cfg);
             let t = kernel_task(Kernel::Narrowphase, 1_000_000);
             m.effective_ipc(&t, Kernel::Narrowphase, 0)
         };
@@ -196,7 +211,7 @@ mod tests {
 
     #[test]
     fn cloth_ipc_below_island_on_limit_core() {
-        let mut m = CoreModel::new(CoreConfig::limit_study());
+        let m = CoreModel::new(CoreConfig::limit_study());
         let cloth = kernel_task(Kernel::Cloth, 1_000_000);
         let island = kernel_task(Kernel::IslandSolver, 1_000_000);
         let ci = m.effective_ipc(&cloth, Kernel::Cloth, 0);
@@ -211,8 +226,8 @@ mod tests {
     #[test]
     fn memory_stalls_add_cycles_with_window_discount() {
         let t = kernel_task(Kernel::IslandSolver, 10_000);
-        let mut desk = CoreModel::new(CoreConfig::desktop());
-        let mut shad = CoreModel::new(CoreConfig::shader());
+        let desk = CoreModel::new(CoreConfig::desktop());
+        let shad = CoreModel::new(CoreConfig::shader());
         let base_d = desk.task_cycles(&t, Kernel::IslandSolver, 0);
         let stall_d = desk.task_cycles(&t, Kernel::IslandSolver, 10_000);
         let base_s = shad.task_cycles(&t, Kernel::IslandSolver, 0);
@@ -227,8 +242,32 @@ mod tests {
     }
 
     #[test]
+    fn cached_terms_are_the_per_task_expressions() {
+        for cfg in [
+            CoreConfig::desktop(),
+            CoreConfig::console(),
+            CoreConfig::shader(),
+            CoreConfig::limit_study(),
+        ] {
+            let m = CoreModel::new(cfg);
+            let window = cfg.window as f64;
+            for (i, kernel) in PhaseKind::ALL.map(Kernel::of_phase).into_iter().enumerate() {
+                assert_eq!(kernel as usize, i);
+                let (floor, inf, tau) = ilp_params(kernel);
+                let ilp = floor + inf * (1.0 - (-window / tau).exp());
+                assert_eq!(m.ipc_base(kernel), ilp.min(cfg.width as f64));
+            }
+            assert_eq!(
+                m.flush_penalty(),
+                cfg.pipeline_depth as f64 + ((cfg.rob * cfg.window) as f64).sqrt()
+            );
+            assert_eq!(m.stall_exposure(), 1.0 / (1.0 + window.sqrt() / 2.0));
+        }
+    }
+
+    #[test]
     fn empty_task_is_free() {
-        let mut m = CoreModel::new(CoreConfig::desktop());
+        let m = CoreModel::new(CoreConfig::desktop());
         let t = TaskTrace::default();
         assert_eq!(m.task_cycles(&t, Kernel::Cloth, 0), 0);
     }

@@ -77,6 +77,12 @@ impl Dram {
         (self.row_hits, self.row_misses)
     }
 
+    /// Resets the hit/miss counters; open rows stay open.
+    pub fn reset_stats(&mut self) {
+        self.row_hits = 0;
+        self.row_misses = 0;
+    }
+
     /// Row-buffer hit rate.
     pub fn hit_rate(&self) -> f64 {
         let total = self.row_hits + self.row_misses;

@@ -3,11 +3,13 @@
 //! MOESI-style sharing model (writes by one core force a coherence
 //! transfer on the next access by a different core).
 
-use std::collections::HashMap;
+use parallax_trace::memmap::LINE;
 
 use crate::cache::{AccessResult, BankedCache, Cache};
 use crate::config::MachineConfig;
 use crate::dram::Dram;
+
+const LINE_SHIFT: u32 = LINE.trailing_zeros();
 
 /// Aggregate memory statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -38,17 +40,64 @@ impl MemStats {
     }
 }
 
+/// Line ids the hierarchy accepts: a 256 GB physical address space, which
+/// bounds the writer table's directory and keeps every geometry division
+/// inside its exact range.
+const MAX_LINES: u64 = 1 << 32;
+
+/// Lines per page of the writer table (256 KB of simulated memory).
+const PAGE_LINES: usize = 4096;
+
+/// "No core wrote this line."
+const NO_WRITER: u8 = u8::MAX;
+
+/// Last core to write each line (for the sharing model): a direct table
+/// over line ids, allocated a page at a time on first write. Costs one
+/// byte per line of every page ever written, plus eight bytes of directory
+/// per page below the highest one.
+#[derive(Debug, Default)]
+struct LastWriters {
+    pages: Vec<Option<Box<[u8; PAGE_LINES]>>>,
+}
+
+impl LastWriters {
+    fn get(&self, line: u64) -> Option<u8> {
+        let page = self.pages.get(line as usize / PAGE_LINES)?.as_ref()?;
+        Some(page[line as usize % PAGE_LINES]).filter(|&w| w != NO_WRITER)
+    }
+
+    fn insert(&mut self, line: u64, core: u8) {
+        let index = line as usize / PAGE_LINES;
+        if index >= self.pages.len() {
+            self.pages.resize_with(index + 1, || None);
+        }
+        let page = self.pages[index].get_or_insert_with(|| Box::new([NO_WRITER; PAGE_LINES]));
+        page[line as usize % PAGE_LINES] = core;
+    }
+
+    fn remove(&mut self, line: u64) {
+        if let Some(Some(page)) = self.pages.get_mut(line as usize / PAGE_LINES) {
+            page[line as usize % PAGE_LINES] = NO_WRITER;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.pages.clear();
+    }
+}
+
 /// The simulated hierarchy.
 #[derive(Debug)]
 pub struct Hierarchy {
     l1: Vec<Cache>,
     l2: BankedCache,
     l1_latency: u64,
-    l2_latency: u64,
+    /// Hops to the bank and back plus the bank's latency.
+    l2_path_latency: u64,
     mem_latency: u64,
-    hop_latency: u64,
-    /// Last core to write each line (for the sharing model).
-    writers: HashMap<u64, u8>,
+    /// Owner's cache → requester.
+    transfer_latency: u64,
+    writers: LastWriters,
     /// Next-line prefetch on L2 miss (paper future work).
     prefetch: bool,
     /// Optional open-page DRAM model (None = flat `mem_latency`).
@@ -62,21 +111,29 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Builds the hierarchy for `machine`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `machine` has more than 255 cores.
     pub fn new(machine: &MachineConfig) -> Hierarchy {
-        let mut l2 = BankedCache::new(machine.l2.banks, 1024 * 1024, machine.l2.assoc, 64);
+        assert!(
+            machine.cores <= usize::from(NO_WRITER),
+            "core ids must fit the writer table"
+        );
+        let mut l2 = BankedCache::new(machine.l2.banks, 1024 * 1024, machine.l2.assoc, LINE);
         if let Some(ways) = &machine.l2.partition_ways {
             l2.set_partitions(ways);
         }
         Hierarchy {
             l1: (0..machine.cores)
-                .map(|_| Cache::new(machine.l1_bytes, machine.l1_assoc, 64))
+                .map(|_| Cache::new(machine.l1_bytes, machine.l1_assoc, LINE))
                 .collect(),
             l2,
             l1_latency: machine.l1_latency,
-            l2_latency: machine.l2.latency,
+            l2_path_latency: machine.hop_latency * 2 + machine.l2.latency,
             mem_latency: machine.mem_latency,
-            hop_latency: machine.hop_latency,
-            writers: HashMap::new(),
+            transfer_latency: machine.hop_latency * 2 + machine.l1_latency,
+            writers: LastWriters::default(),
             prefetch: machine.l2.latency > 0 && machine.l2_prefetch,
             dram: machine.dram_model.then(Dram::new),
             prefetches: 0,
@@ -85,26 +142,33 @@ impl Hierarchy {
         }
     }
 
-    /// Performs one access by `core` to line `addr` under L2 `partition`.
-    /// Returns the latency in cycles.
+    /// Performs one access by `core` to the line containing `addr` under
+    /// L2 `partition`. Returns the latency in cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is beyond the 256 GB the hierarchy models.
     pub fn access(&mut self, core: usize, addr: u64, write: bool, partition: u8) -> u64 {
+        let line = addr >> LINE_SHIFT;
+        assert!(line < MAX_LINES, "address {addr:#x} beyond 256 GB");
         let mut latency = self.l1_latency;
+        // Every L1 has the same geometry: locate the line once.
+        let (set, tag) = self.l1[core].locate(line);
         // A write invalidates every other core's L1 copy (MOESI
         // ownership): later readers must fetch through the L2 and pay the
         // coherence transfer.
         if write {
             for (c, l1) in self.l1.iter_mut().enumerate() {
                 if c != core {
-                    l1.invalidate(addr);
+                    l1.invalidate_at(set, tag);
                 }
             }
         }
-        let l1 = &mut self.l1[core];
-        match l1.access(addr, 0) {
+        match self.l1[core].access_at(set, tag, 0) {
             AccessResult::Hit => {
                 self.stats.l1_hits += 1;
                 if write {
-                    self.writers.insert(addr, core as u8);
+                    self.writers.insert(line, core as u8);
                 }
                 self.stats.total_latency += latency;
                 return latency;
@@ -116,18 +180,18 @@ impl Hierarchy {
 
         // L2 access: a couple of network hops to the bank plus bank
         // latency.
-        latency += self.hop_latency * 2 + self.l2_latency;
-        match self.l2.access(addr, partition) {
+        latency += self.l2_path_latency;
+        match self.l2.access_line(line, partition) {
             AccessResult::Hit => {
                 self.stats.l2_hits += 1;
                 // Sharing: if another core wrote this line since, pay a
                 // coherence transfer (owner's cache → requester). The
                 // transfer downgrades the line to shared, so it is paid
                 // once per write, not forever.
-                if self.writers.get(&addr).is_some_and(|&w| w != core as u8) {
-                    latency += self.hop_latency * 2 + self.l1_latency;
+                if self.writers.get(line).is_some_and(|w| w != core as u8) {
+                    latency += self.transfer_latency;
                     self.stats.coherence_transfers += 1;
-                    self.writers.remove(&addr);
+                    self.writers.remove(line);
                 }
             }
             AccessResult::Miss => {
@@ -142,13 +206,13 @@ impl Hierarchy {
                 // without charging the requester (the memory controller
                 // overlaps it with the demand fill).
                 if self.prefetch {
-                    self.l2.access(addr + 64, partition);
+                    self.l2.access_line(line + 1, partition);
                     self.prefetches += 1;
                 }
             }
         }
         if write {
-            self.writers.insert(addr, core as u8);
+            self.writers.insert(line, core as u8);
         }
         self.stats.total_latency += latency;
         latency
@@ -164,11 +228,15 @@ impl Hierarchy {
         &self.partition_misses
     }
 
-    /// Resets statistics (cache contents are preserved — used between the
-    /// warm-up and measurement windows).
+    /// Resets every statistic (cache contents and open DRAM rows are
+    /// preserved — used between the warm-up and measurement windows).
     pub fn reset_stats(&mut self) {
         self.stats = MemStats::default();
         self.partition_misses.fill(0);
+        self.prefetches = 0;
+        if let Some(d) = &mut self.dram {
+            d.reset_stats();
+        }
         for c in &mut self.l1 {
             c.reset_stats();
         }
@@ -249,6 +317,61 @@ mod tests {
         let lat = h.access(1, 0x2000, false, 0);
         assert!(lat > 2 + 4 + 15, "dirty transfer costs extra: {lat}");
         assert_eq!(h.stats().coherence_transfers, 1);
+    }
+
+    #[test]
+    fn sharing_is_tracked_per_line_not_per_byte() {
+        let mut h = Hierarchy::new(&machine(2, 1));
+        h.access(0, 0x2000, true, 0);
+        let lat = h.access(1, 0x2008, false, 0);
+        assert_eq!(lat, 2 + 4 + 15 + 4 + 2, "same line, other offset");
+        assert_eq!(h.stats().coherence_transfers, 1);
+        // Paid once per write.
+        h.access(0, 0x2010, false, 0);
+        assert_eq!(h.stats().coherence_transfers, 1);
+    }
+
+    #[test]
+    fn writer_table_matches_a_map() {
+        let mut t = LastWriters::default();
+        assert_eq!(t.get(7), None);
+        t.remove(7);
+        t.insert(7, 3);
+        t.insert(MAX_LINES - 1, 0);
+        assert_eq!(t.get(7), Some(3));
+        assert_eq!(t.get(8), None);
+        assert_eq!(t.get(MAX_LINES - 1), Some(0));
+        t.insert(7, 1);
+        assert_eq!(t.get(7), Some(1));
+        t.remove(7);
+        assert_eq!(t.get(7), None);
+        t.clear();
+        assert_eq!(t.get(MAX_LINES - 1), None);
+    }
+
+    #[test]
+    fn reset_stats_clears_prefetch_and_dram_counters() {
+        let mut m = machine(1, 1);
+        m.l2_prefetch = true;
+        m.dram_model = true;
+        let mut h = Hierarchy::new(&m);
+        // Half of one 8 KB DRAM row, every other line (the rest is
+        // prefetched).
+        for i in 0..32u64 {
+            h.access(0, 0x1000_0000 + i * 128, false, 0);
+        }
+        assert!(h.prefetches() > 0);
+        assert_ne!(h.dram_stats(), (0, 0));
+        h.reset_stats();
+        assert_eq!(h.prefetches(), 0);
+        assert_eq!(h.dram_stats(), (0, 0));
+        // Contents and the open row survive: a warmed line still hits, and
+        // the row's next unfetched line is a row hit.
+        h.access(0, 0x1000_0000, false, 0);
+        assert_eq!(h.stats().l1_misses, 0);
+        h.access(0, 0x1000_0000 + 32 * 128, false, 0);
+        assert_eq!(h.dram_stats(), (1, 0));
+        assert_eq!(h.prefetches(), 1);
     }
 
     #[test]

@@ -25,15 +25,11 @@
 //! use parallax_archsim::core::CoreModel;
 //! use parallax_trace::{OpCounts, TaskTrace};
 //!
-//! let mut core = CoreModel::new(CoreConfig::desktop());
-//! let task = TaskTrace {
-//!     ops: OpCounts { int_alu: 4000, branch: 800, load: 3000,
-//!                     store: 800, fp_add: 700, fp_mul: 500,
-//!                     fp_div_sqrt: 0, other: 200 },
-//!     reads: vec![],
-//!     writes: vec![],
-//!     fg_subtasks: 1,
-//! };
+//! let core = CoreModel::new(CoreConfig::desktop());
+//! let task = TaskTrace::compute_only(OpCounts {
+//!     int_alu: 4000, branch: 800, load: 3000, store: 800,
+//!     fp_add: 700, fp_mul: 500, fp_div_sqrt: 0, other: 200,
+//! });
 //! // With no memory stalls the task runs at the core's compute-bound IPC.
 //! let cycles = core.task_cycles(&task, parallax_trace::Kernel::Narrowphase, 0);
 //! assert!(cycles > 0);

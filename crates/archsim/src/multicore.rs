@@ -96,11 +96,7 @@ pub struct PhaseTime {
 impl PhaseTime {
     /// Cycles of one phase.
     pub fn of(&self, phase: PhaseKind) -> u64 {
-        let i = PhaseKind::ALL
-            .iter()
-            .position(|p| *p == phase)
-            .expect("phase");
-        self.cycles[i]
+        self.cycles[phase as usize]
     }
 
     /// Total cycles.
@@ -146,6 +142,8 @@ pub struct MulticoreSim {
     /// One hierarchy normally; five (one per phase) in dedicated mode.
     hierarchies: Vec<Hierarchy>,
     cores: Vec<CoreModel>,
+    /// Per-core cycles of the parallel phase being scheduled.
+    load: Vec<u64>,
     kernel_l2_misses: u64,
     user_l2_misses: u64,
     /// Totals already flushed to the telemetry registry.
@@ -170,6 +168,7 @@ impl MulticoreSim {
             cores: (0..machine.cores)
                 .map(|_| CoreModel::new(machine.core))
                 .collect(),
+            load: Vec::with_capacity(machine.cores),
             machine,
             options,
             kernel_l2_misses: 0,
@@ -183,25 +182,14 @@ impl MulticoreSim {
         &self.machine
     }
 
-    fn partition(&self, phase: PhaseKind) -> u8 {
-        match &self.options.partition_of_phase {
-            Some(map) => {
-                let i = PhaseKind::ALL
-                    .iter()
-                    .position(|p| *p == phase)
-                    .expect("phase");
-                map[i]
-            }
-            None => 0,
-        }
+    /// L2 partition of phase `pi` (an index into [`PhaseKind::ALL`]).
+    fn partition(&self, pi: usize) -> u8 {
+        self.options.partition_of_phase.map_or(0, |map| map[pi])
     }
 
-    fn hierarchy_index(&self, phase: PhaseKind) -> usize {
+    fn hierarchy_index(&self, pi: usize) -> usize {
         if self.options.dedicated_per_phase {
-            PhaseKind::ALL
-                .iter()
-                .position(|p| *p == phase)
-                .expect("phase")
+            pi
         } else {
             0
         }
@@ -209,50 +197,53 @@ impl MulticoreSim {
 
     /// Feeds one task's memory references through the hierarchy on behalf
     /// of `core`, returning the beyond-L1 stall cycles.
-    fn task_mem_stalls(&mut self, phase: PhaseKind, core: usize, task: &TaskTrace) -> u64 {
-        let part = self.partition(phase);
-        let hi = self.hierarchy_index(phase);
+    fn task_mem_stalls(
+        &mut self,
+        pi: usize,
+        core: usize,
+        trace: &StepTrace,
+        task: &TaskTrace,
+    ) -> u64 {
+        let part = self.partition(pi);
         let l1_lat = self.machine.l1_latency;
+        let hi = self.hierarchy_index(pi);
         let h = &mut self.hierarchies[hi];
         let mut stall = 0;
         let before = h.stats().l2_misses;
-        for &r in &task.reads {
+        for &r in trace.reads(task) {
             stall += h.access(core, r, false, part).saturating_sub(l1_lat);
         }
-        for &w in &task.writes {
+        for &w in trace.writes(task) {
             stall += h.access(core, w, true, part).saturating_sub(l1_lat);
         }
-        let new_misses = self.hierarchies[hi].stats().l2_misses - before;
         // Attribute the L2 misses of this task to user space (kernel lines
         // are injected separately).
-        self.user_l2_misses += new_misses;
+        self.user_l2_misses += h.stats().l2_misses - before;
         stall
     }
 
     /// Injects the OS kernel working set for `threads` workers during a
     /// parallel phase; returns added cycles on the busiest core.
-    fn os_kernel_traffic(&mut self, phase: PhaseKind, threads: usize, tasks: usize) -> u64 {
+    fn os_kernel_traffic(&mut self, pi: usize, threads: usize, tasks: usize) -> u64 {
         if !self.options.os_overhead || threads <= 1 || tasks == 0 {
             return 0;
         }
-        let part = self.partition(phase);
-        let hi = self.hierarchy_index(phase);
+        let part = self.partition(pi);
         let l1_lat = self.machine.l1_latency;
+        let cores = self.machine.cores;
+        let hi = self.hierarchy_index(pi);
+        let h = &mut self.hierarchies[hi];
         // Each thread touches a fraction of its kernel footprint per
         // phase, proportional to how much queue work it does.
         let fraction = (tasks as f64 / 4_000.0).clamp(0.02, 0.2);
         let mut worst = 0u64;
         for t in 0..threads {
-            let lines = os::kernel_lines(t, threads, fraction);
-            let before = self.hierarchies[hi].stats().l2_misses;
+            let before = h.stats().l2_misses;
             let mut stall = 0;
-            for l in lines {
-                stall += self.hierarchies[hi]
-                    .access(t % self.machine.cores, l, true, part)
-                    .saturating_sub(l1_lat);
+            for l in os::kernel_lines(t, threads, fraction) {
+                stall += h.access(t % cores, l, true, part).saturating_sub(l1_lat);
             }
-            let misses = self.hierarchies[hi].stats().l2_misses - before;
-            self.kernel_l2_misses += misses;
+            self.kernel_l2_misses += h.stats().l2_misses - before;
             worst = worst.max(stall);
         }
         worst
@@ -261,14 +252,13 @@ impl MulticoreSim {
     /// Simulates one step trace; returns per-phase cycles.
     pub fn run_step(&mut self, trace: &StepTrace) -> PhaseTime {
         let mut time = PhaseTime::default();
-        for (pi, phase) in PhaseKind::ALL.iter().enumerate() {
-            let kernel = kernel_of(*phase);
-            let ptrace = trace.phase(*phase);
-            if phase.is_serial() {
+        for (pi, ptrace) in trace.phases.iter().enumerate() {
+            let kernel = kernel_of(ptrace.phase);
+            if ptrace.phase.is_serial() {
                 // Serial phases run on core 0.
                 let mut cycles = 0;
                 for task in &ptrace.tasks {
-                    let stalls = self.task_mem_stalls(*phase, 0, task);
+                    let stalls = self.task_mem_stalls(pi, 0, trace, task);
                     cycles += self.cores[0].task_cycles(task, kernel, stalls);
                 }
                 time.cycles[pi] = cycles;
@@ -276,18 +266,19 @@ impl MulticoreSim {
                 // Parallel phases: dynamic work queue — each task goes to
                 // the currently least-loaded core.
                 let threads = self.machine.cores;
-                let mut load = vec![0u64; threads];
+                self.load.clear();
+                self.load.resize(threads, 0);
                 for task in &ptrace.tasks {
-                    let core = (0..threads).min_by_key(|&c| load[c]).expect("cores");
-                    let stalls = self.task_mem_stalls(*phase, core, task);
+                    let core = (0..threads).min_by_key(|&c| self.load[c]).expect("cores");
+                    let stalls = self.task_mem_stalls(pi, core, trace, task);
                     let mut cycles = self.cores[core].task_cycles(task, kernel, stalls);
                     if self.options.os_overhead && threads > 1 {
                         cycles += os::KERNEL_INSTR_PER_TASK / self.machine.core.width as u64;
                     }
-                    load[core] += cycles;
+                    self.load[core] += cycles;
                 }
-                let os_cycles = self.os_kernel_traffic(*phase, threads, ptrace.tasks.len());
-                time.cycles[pi] = load.into_iter().max().unwrap_or(0) + os_cycles;
+                let os_cycles = self.os_kernel_traffic(pi, threads, ptrace.tasks.len());
+                time.cycles[pi] = self.load.iter().copied().max().unwrap_or(0) + os_cycles;
             }
         }
         self.flush_telemetry(&time);

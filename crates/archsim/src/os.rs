@@ -27,11 +27,11 @@ pub fn kernel_bytes_per_thread(threads: usize) -> u64 {
 ///
 /// `fraction` scales how much of the per-thread footprint one phase
 /// touches (work-queue management, malloc arenas, scheduling).
-pub fn kernel_lines(thread: usize, threads: usize, fraction: f64) -> Vec<u64> {
+pub fn kernel_lines(thread: usize, threads: usize, fraction: f64) -> impl Iterator<Item = u64> {
     let per_thread = kernel_bytes_per_thread(threads);
     let touch = (per_thread as f64 * fraction.clamp(0.0, 1.0)) as u64;
     let base = Region::Kernel.base() + thread as u64 * 8 * 1024 * 1024;
-    (0..touch / LINE).map(|i| base + i * LINE).collect()
+    (0..touch / LINE).map(move |i| base + i * LINE)
 }
 
 /// Extra kernel instructions per FG task dispatched through the work
@@ -53,8 +53,8 @@ mod tests {
 
     #[test]
     fn eight_threads_touch_far_more_kernel_memory() {
-        let four: usize = (0..4).map(|t| kernel_lines(t, 4, 0.25).len()).sum();
-        let eight: usize = (0..8).map(|t| kernel_lines(t, 8, 0.25).len()).sum();
+        let four: usize = (0..4).map(|t| kernel_lines(t, 4, 0.25).count()).sum();
+        let eight: usize = (0..8).map(|t| kernel_lines(t, 8, 0.25).count()).sum();
         assert!(
             eight as f64 / four as f64 > 4.0,
             "4T {four} lines vs 8T {eight} lines"
@@ -63,10 +63,8 @@ mod tests {
 
     #[test]
     fn threads_use_disjoint_kernel_regions() {
-        let a = kernel_lines(0, 8, 1.0);
-        let b = kernel_lines(1, 8, 1.0);
-        let bset: std::collections::HashSet<_> = b.into_iter().collect();
-        assert!(a.iter().all(|l| !bset.contains(l)));
+        let b: std::collections::HashSet<_> = kernel_lines(1, 8, 1.0).collect();
+        assert!(kernel_lines(0, 8, 1.0).all(|l| !b.contains(&l)));
     }
 
     #[test]

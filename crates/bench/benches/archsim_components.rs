@@ -1,12 +1,57 @@
-//! Criterion benchmarks for the architecture simulator's components.
+//! Criterion benchmarks for the architecture simulator's components, plus
+//! three host-speed entries that follow the `arch_sweep` workload: captured
+//! scene steps replayed through a warmed hierarchy (ns per simulated
+//! reference), trace generation (ns per reference), and the cost of a
+//! design point's construction plus first step.
+//!
+//! `PARALLAX_BENCH_QUICK=1` cuts the repeat counts to a smoke-test shape
+//! (used by `scripts/verify.sh`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
+use std::time::Instant;
+
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
 use parallax_archsim::cache::{BankedCache, Cache};
-use parallax_archsim::config::{CoreConfig, MachineConfig};
+use parallax_archsim::config::{CoreConfig, L2Config, MachineConfig};
 use parallax_archsim::core::CoreModel;
 use parallax_archsim::hierarchy::Hierarchy;
+use parallax_archsim::multicore::{MulticoreSim, SimOptions};
 use parallax_archsim::yags::Yags;
-use parallax_trace::{Kernel, TaskTrace};
+use parallax_physics::StepProfile;
+use parallax_trace::{Kernel, StepTrace, TaskTrace};
+use parallax_workloads::{BenchmarkId, SceneParams};
+
+fn quick() -> bool {
+    matches!(std::env::var("PARALLAX_BENCH_QUICK").as_deref(), Ok("1"))
+}
+
+/// The paper's per-phase L2 way-partition assignment.
+const PARTITION_OF_PHASE: [u8; 5] = [0, 2, 1, 2, 2];
+
+fn partitioned_machine() -> MachineConfig {
+    let mut machine = MachineConfig::baseline(4, 12);
+    machine.l2 = L2Config::partitioned(12, vec![1, 1, 2]);
+    machine
+}
+
+/// One measured step of `id` at scale 0.2, after two warm frames.
+fn captured_step(id: BenchmarkId) -> StepProfile {
+    let mut scene = id.build(&SceneParams {
+        scale: 0.2,
+        ..SceneParams::default()
+    });
+    scene.run_measured(2, 1).pop().expect("a measured step")
+}
+
+/// Least wall of `repeats` runs of `f`, in seconds.
+fn least_wall(repeats: usize, mut f: impl FnMut()) -> f64 {
+    (0..repeats)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
 
 fn bench_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
@@ -49,15 +94,12 @@ fn bench_yags(c: &mut Criterion) {
 
 fn bench_core_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("core_model");
-    let task = TaskTrace {
-        ops: parallax_trace::kernels::KernelModel::island_solver(100, 20, 10),
-        reads: vec![],
-        writes: vec![],
-        fg_subtasks: 1,
-    };
+    let task = TaskTrace::compute_only(parallax_trace::kernels::KernelModel::island_solver(
+        100, 20, 10,
+    ));
     for cfg in [CoreConfig::desktop(), CoreConfig::shader()] {
-        let mut model = CoreModel::new(cfg);
-        // Prime the mispredict table outside the timing loop.
+        let model = CoreModel::new(cfg);
+        // Prime the misprediction rate outside the timing loop.
         let _ = model.task_cycles(&task, Kernel::IslandSolver, 0);
         group.bench_function(cfg.name, |b| {
             b.iter(|| model.task_cycles(&task, Kernel::IslandSolver, 100))
@@ -77,11 +119,93 @@ fn bench_hierarchy(c: &mut Criterion) {
     });
 }
 
+/// Replays captured steps, reference by reference, through a warmed
+/// 4-core partitioned hierarchy: parallel-phase tasks round-robin over the
+/// cores, each phase under its partition.
+fn bench_replay(_: &mut Criterion) {
+    let repeats = if quick() { 2 } else { 20 };
+    for id in [BenchmarkId::Explosions, BenchmarkId::Mix] {
+        let trace = StepTrace::from_profile(&captured_step(id));
+        let mut refs: Vec<(usize, u64, bool, u8)> = Vec::with_capacity(trace.total_mem_refs());
+        for (pi, phase) in trace.phases.iter().enumerate() {
+            for (k, task) in phase.tasks.iter().enumerate() {
+                let core = if phase.phase.is_serial() { 0 } else { k % 4 };
+                let part = PARTITION_OF_PHASE[pi];
+                refs.extend(trace.reads(task).iter().map(|&a| (core, a, false, part)));
+                refs.extend(trace.writes(task).iter().map(|&a| (core, a, true, part)));
+            }
+        }
+        let mut h = Hierarchy::new(&partitioned_machine());
+        let mut replay = || {
+            for &(core, addr, write, part) in &refs {
+                black_box(h.access(core, addr, write, part));
+            }
+        };
+        replay();
+        let ns = least_wall(repeats, replay) * 1e9 / refs.len() as f64;
+        println!(
+            "bench: {:<50} {ns:9.1} ns/ref  {:7.1} Mref/s  ({} refs)",
+            format!("hierarchy/replay/{}", id.name()),
+            1e3 / ns,
+            refs.len()
+        );
+    }
+}
+
+fn bench_trace_build(_: &mut Criterion) {
+    let profile = captured_step(BenchmarkId::Mix);
+    let refs = StepTrace::from_profile(&profile).total_mem_refs();
+    let wall = least_wall(if quick() { 2 } else { 30 }, || {
+        black_box(StepTrace::from_profile(black_box(&profile)));
+    });
+    println!(
+        "bench: {:<50} {:9.1} ns/ref  {:9.3} ms/step  ({refs} refs)",
+        "trace/from_profile/Mix",
+        wall * 1e9 / refs as f64,
+        wall * 1e3
+    );
+}
+
+/// A design point's construction plus its first step against a later step
+/// of the same simulator; the difference is one-off work (cold modelled
+/// caches, and whatever the core models still compute on first use).
+fn bench_first_step(_: &mut Criterion) {
+    let trace = StepTrace::from_profile(&captured_step(BenchmarkId::Explosions));
+    let mut first = f64::INFINITY;
+    let mut later = f64::INFINITY;
+    for _ in 0..if quick() { 2 } else { 10 } {
+        let start = Instant::now();
+        let mut sim = MulticoreSim::new(
+            partitioned_machine(),
+            SimOptions {
+                os_overhead: true,
+                partition_of_phase: Some(PARTITION_OF_PHASE),
+                ..SimOptions::default()
+            },
+        );
+        black_box(sim.run_step(&trace));
+        first = first.min(start.elapsed().as_secs_f64());
+        sim.run_step(&trace);
+        later = later.min(least_wall(1, || {
+            black_box(sim.run_step(&trace));
+        }));
+    }
+    println!(
+        "bench: {:<50} {:9.3} ms  (a later step: {:.3} ms)",
+        "multicore/new+first_step",
+        first * 1e3,
+        later * 1e3
+    );
+}
+
 criterion_group!(
     benches,
     bench_cache,
     bench_yags,
     bench_core_model,
-    bench_hierarchy
+    bench_hierarchy,
+    bench_replay,
+    bench_trace_build,
+    bench_first_step
 );
 criterion_main!(benches);

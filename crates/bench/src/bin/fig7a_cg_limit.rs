@@ -16,7 +16,7 @@ fn main() {
     for id in BenchmarkId::ALL {
         let d = bench_data(id, &ctx);
         let traces = traces_of(&d.profiles);
-        let mut core = CoreModel::new(CoreConfig::desktop());
+        let core = CoreModel::new(CoreConfig::desktop());
         // With unlimited cores and per-work-unit (island/cloth) CG
         // threading, each phase's time is its largest single task.
         let mut island_cycles = 0u64;

@@ -59,8 +59,8 @@ fn main() {
         let serial = r.time.serial() as f64 / 2.0e9 / frames;
 
         // Convert FG/CG instruction pools to time on this many CG cores.
-        let mut core = CoreModel::new(machine_core());
-        let mut ipc = |kernel: Kernel, instr: u64| -> f64 {
+        let core = CoreModel::new(machine_core());
+        let ipc = |kernel: Kernel, instr: u64| -> f64 {
             let ops = parallax::fgcore::representative_ops(kernel);
             let cycles = core.compute_cycles(&ops, kernel) as f64;
             instr as f64 * (cycles / ops.total() as f64)

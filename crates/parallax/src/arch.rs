@@ -9,7 +9,7 @@ use parallax_archsim::offchip::Link;
 use parallax_physics::{PhaseKind, StepProfile};
 use parallax_telemetry as telemetry;
 use parallax_trace::kernels::KernelModel;
-use parallax_trace::{OpCounts, StepTrace};
+use parallax_trace::{OpCounts, ParallelWork, StepTrace};
 use serde::{Deserialize, Serialize};
 
 /// Telemetry for the full-system model: FG-pool utilization (via the
@@ -135,8 +135,7 @@ impl ParallaxSystem {
         // CG-side trace: serial phases unchanged; parallel-phase tasks
         // keep their memory references (the CG cores read the data to
         // pack/send it) but execute only setup + dispatch instructions.
-        let mut trace = StepTrace::from_profile(profile);
-        replace_parallel_ops_with_cg_side(&mut trace, profile);
+        let trace = StepTrace::from_profile_with(profile, cg_side_ops);
         let cg_time = self.cg_sim.run_step(&trace);
 
         // FG side, per parallel phase.
@@ -218,33 +217,19 @@ impl ParallaxSystem {
     }
 }
 
-/// Replaces parallel-phase task ops with their CG-side portions: per-unit
-/// setup plus dispatch overhead. Memory references are preserved (the CG
-/// core touches the data to pack it).
-fn replace_parallel_ops_with_cg_side(trace: &mut StepTrace, profile: &StepProfile) {
-    for pt in &mut trace.phases {
-        match pt.phase {
-            PhaseKind::Narrowphase => {
-                for task in &mut pt.tasks {
-                    task.ops = dispatch_ops(CG_DISPATCH_INSTR + 8);
-                }
-            }
-            PhaseKind::IslandProcessing => {
-                for (task, island) in pt.tasks.iter_mut().zip(&profile.islands) {
-                    // Per-island setup/integration stays on CG; solver
-                    // sweeps go to FG.
-                    let setup = KernelModel::island_solver(0, 0, island.bodies.len());
-                    task.ops = setup
-                        + dispatch_ops(CG_DISPATCH_INSTR + 8 * island.dof_removed.max(1) as u64);
-                }
-            }
-            PhaseKind::Cloth => {
-                for (task, cw) in pt.tasks.iter_mut().zip(&profile.cloths) {
-                    task.ops =
-                        dispatch_ops(CG_DISPATCH_INSTR + 8 * cw.stats.vertices.max(1) as u64);
-                }
-            }
-            _ => {}
+/// The CG-side portion of a parallel-phase task: per-unit setup plus
+/// dispatch overhead (the kernel itself runs on the FG pool).
+fn cg_side_ops(work: ParallelWork<'_>) -> OpCounts {
+    match work {
+        ParallelWork::Pair(_) => dispatch_ops(CG_DISPATCH_INSTR + 8),
+        // Per-island setup/integration stays on CG; solver sweeps go to
+        // FG.
+        ParallelWork::Island(island) => {
+            KernelModel::island_solver(0, 0, island.bodies.len())
+                + dispatch_ops(CG_DISPATCH_INSTR + 8 * island.dof_removed.max(1) as u64)
+        }
+        ParallelWork::Cloth(cw) => {
+            dispatch_ops(CG_DISPATCH_INSTR + 8 * cw.stats.vertices.max(1) as u64)
         }
     }
 }

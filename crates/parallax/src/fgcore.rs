@@ -60,14 +60,8 @@ impl FgCoreType {
         if let Some(&ipc) = cache.lock().expect("ipc cache").get(&(self, kernel)) {
             return ipc;
         }
-        let mut model = CoreModel::new(self.config());
-        let task = TaskTrace {
-            ops: representative_ops(kernel),
-            reads: vec![],
-            writes: vec![],
-            fg_subtasks: 1,
-        };
-        let ipc = model.effective_ipc(&task, kernel, 0);
+        let task = TaskTrace::compute_only(representative_ops(kernel));
+        let ipc = CoreModel::new(self.config()).effective_ipc(&task, kernel, 0);
         cache.lock().expect("ipc cache").insert((self, kernel), ipc);
         ipc
     }

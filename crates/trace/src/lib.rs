@@ -38,4 +38,4 @@ pub mod steptrace;
 
 pub use kernels::{Kernel, KernelModel};
 pub use opmix::OpCounts;
-pub use steptrace::{phase_trace, PhaseTrace, StepTrace, TaskTrace};
+pub use steptrace::{ParallelWork, PhaseTrace, StepTrace, TaskTrace};

@@ -34,6 +34,9 @@ cargo test -q --offline --test sleeping
 # relaxation at each SIMD width) — quick shapes, just proves the bench
 # harness and every dispatch path still run.
 PARALLAX_BENCH_QUICK=1 cargo bench --offline -p parallax-bench --bench kernels
+# ... and the simulator's: cache, predictor, core model, captured steps
+# replayed through a warmed hierarchy, trace generation.
+PARALLAX_BENCH_QUICK=1 cargo bench --offline -p parallax-bench --bench archsim_components
 
 # Telemetry smoke: record 10 Mix steps through the JSONL sink, then
 # validate the stream (parses, all five phases present, nonzero walls)
@@ -136,8 +139,13 @@ done
 # golden world digests (recorded before the solver's rows were packed),
 # and one bisection holds the scalar single-thread solve to the packed
 # two-thread one over the whole Explosions horizon (exit 0: no
-# divergence).
+# divergence). The same test file pins the architecture model: every
+# simulated statistic and the trace's reference streams of Mix and
+# Explosions, recorded before the simulator's host path was rebuilt; the
+# archsim property suite holds the division-free, hash-free hierarchy to
+# a naive reference access for access.
 cargo test -q --offline --test golden_digests
+cargo test -q --offline -p parallax-archsim --test properties
 cargo run --release --offline -q -p parallax-bench --bin bisect -- \
     --scene Explosions --steps 200 --scale 0.2 \
     --a threads=1,simd=scalar --b threads=2,simd=avx2 >/dev/null 2>&1

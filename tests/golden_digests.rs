@@ -8,8 +8,13 @@
 //! floating-point operation has to reproduce them bit for bit. A PR that
 //! changes trajectories on purpose re-records them and says so.
 
+use parallax::{FgCoreType, ParallaxSystem};
+use parallax_archsim::config::{L2Config, MachineConfig};
+use parallax_archsim::multicore::{MulticoreSim, SimOptions};
+use parallax_archsim::offchip::Link;
 use parallax_math::SimdMode;
-use parallax_physics::world_digest;
+use parallax_physics::{world_digest, StepProfile};
+use parallax_trace::StepTrace;
 use parallax_workloads::{BenchmarkId, SceneParams};
 
 const STEPS: usize = 60;
@@ -61,4 +66,156 @@ fn mix_matches_the_pinned_trajectory() {
 #[test]
 fn breakable_matches_the_pinned_trajectory() {
     assert_golden(BenchmarkId::Breakable, 0xf65b_6507_8f43_f41b);
+}
+
+// ---------------------------------------------------------------------
+// Architecture-model goldens: the simulated-statistics contract.
+//
+// The constants below were recorded from the commit before the simulator's
+// host path was rebuilt (PR 14), with `trace`, `archsim` and `parallax`
+// untouched. A change that claims to leave every simulated event alone has
+// to reproduce them; one that moves the model on purpose re-records them.
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// One displayed frame (3 steps) after two warm frames, scale 0.2.
+fn model_window(id: BenchmarkId) -> Vec<StepProfile> {
+    let mut scene = id.build(&SceneParams {
+        scale: 0.2,
+        threads: 1,
+        warm_starting: true,
+        sleeping: false,
+        digests: false,
+        simd: SimdMode::Scalar,
+        ..SceneParams::default()
+    });
+    scene.run_measured(2, 1)
+}
+
+/// What the trace layer emitted for a window: instruction and reference
+/// totals, and a hash of every task's read stream then write stream (with
+/// their lengths, so task boundaries are pinned too), in phase and task
+/// order.
+fn trace_golden(traces: &[StepTrace]) -> (u64, u64, u64) {
+    let mut h = Fnv::new();
+    for trace in traces {
+        for phase in &trace.phases {
+            h.word(phase.tasks.len() as u64);
+            for task in &phase.tasks {
+                for stream in [trace.reads(task), trace.writes(task)] {
+                    h.word(stream.len() as u64);
+                    for &line in stream {
+                        h.word(line);
+                    }
+                }
+            }
+        }
+    }
+    (
+        traces.iter().map(StepTrace::total_instructions).sum(),
+        traces.iter().map(|t| t.total_mem_refs() as u64).sum(),
+        h.0,
+    )
+}
+
+/// Every statistic the two simulators report for a window: the 4-core
+/// partitioned CG machine with OS overhead, then the 150-shader HTX system,
+/// each warmed on the window and measured on it again.
+fn model_golden(window: &[StepProfile], traces: &[StepTrace]) -> u64 {
+    let mut h = Fnv::new();
+
+    let mut machine = MachineConfig::baseline(4, 12);
+    machine.l2 = L2Config::partitioned(12, vec![1, 1, 2]);
+    let mut sim = MulticoreSim::new(
+        machine,
+        SimOptions {
+            os_overhead: true,
+            partition_of_phase: Some([0, 2, 1, 2, 2]),
+            ..SimOptions::default()
+        },
+    );
+    for t in traces {
+        sim.run_step(t);
+    }
+    sim.reset_stats();
+    let r = sim.run_steps(traces);
+    for word in r.time.cycles.into_iter().chain([
+        r.mem.l1_hits,
+        r.mem.l1_misses,
+        r.mem.l2_hits,
+        r.mem.l2_misses,
+        r.mem.coherence_transfers,
+        r.mem.total_latency,
+        r.kernel_l2_misses,
+        r.user_l2_misses,
+    ]) {
+        h.word(word);
+    }
+
+    let mut system = ParallaxSystem::new(4, FgCoreType::Shader, 150, Link::Htx);
+    system.simulate_steps(window);
+    let s = system.simulate_steps(window);
+    for word in s.per_phase.into_iter().chain([
+        s.serial_cycles,
+        s.cg_parallel_cycles,
+        s.fg_cycles,
+        s.exposed_comm_cycles,
+    ]) {
+        h.word(word);
+    }
+    h.0
+}
+
+fn assert_model_golden(id: BenchmarkId, trace: (u64, u64, u64), model: u64) {
+    let window = model_window(id);
+    let traces: Vec<StepTrace> = window.iter().map(StepTrace::from_profile).collect();
+    let got = trace_golden(&traces);
+    assert_eq!(
+        got,
+        trace,
+        "{}: (instructions, mem refs, reference-stream hash) is \
+         ({}, {}, {:#018x})",
+        id.name(),
+        got.0,
+        got.1,
+        got.2
+    );
+    let got = model_golden(&window, &traces);
+    assert_eq!(
+        got,
+        model,
+        "{}: simulated statistics hash to {got:#018x}, pinned {model:#018x}",
+        id.name()
+    );
+}
+
+#[test]
+fn mix_matches_the_pinned_simulated_statistics() {
+    assert_model_golden(
+        BenchmarkId::Mix,
+        (204_996_876, 657_418, 0x5cd1_a4f7_138d_5d5d),
+        0x2973_7d26_4490_5fb5,
+    );
+}
+
+#[test]
+fn explosions_matches_the_pinned_simulated_statistics() {
+    assert_model_golden(
+        BenchmarkId::Explosions,
+        (228_102_987, 272_882, 0x8a8b_8a69_c901_7eff),
+        0x8cad_f219_eabd_6e5d,
+    );
 }
