@@ -8,20 +8,13 @@
 //! (default 60), `PARALLAX_EXEC_THREADS` (comma list, default `1,2,4,8`).
 
 use parallax_bench::executor_scaling;
-use parallax_bench::print_table;
+use parallax_bench::{env_or, print_table};
 use parallax_physics::PhaseKind;
 use parallax_workloads::BenchmarkId;
 
 fn main() {
-    let scale: f32 = std::env::var("PARALLAX_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25);
-    let steps: usize = std::env::var("PARALLAX_EXEC_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60)
-        .max(1);
+    let scale: f32 = env_or("PARALLAX_SCALE", 0.25);
+    let steps: usize = env_or("PARALLAX_EXEC_STEPS", 60).max(1);
     let threads: Vec<usize> = std::env::var("PARALLAX_EXEC_THREADS")
         .ok()
         .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())

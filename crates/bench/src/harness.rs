@@ -541,19 +541,20 @@ pub fn compare_baselines(
     rows
 }
 
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
+/// Typed field lookups shared by the BENCH_*.json readers.
+pub(crate) fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing or non-integer field {key:?}"))
 }
 
-fn field_f64(v: &Json, key: &str) -> Result<f64, String> {
+pub(crate) fn field_f64(v: &Json, key: &str) -> Result<f64, String> {
     v.get(key)
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
 }
 
-fn field_str(v: &Json, key: &str) -> Result<String, String> {
+pub(crate) fn field_str(v: &Json, key: &str) -> Result<String, String> {
     v.get(key)
         .and_then(Json::as_str)
         .map(str::to_string)

@@ -1,19 +1,20 @@
 //! Shared experiment infrastructure for the ParallAX reproduction.
 //!
-//! Every figure/table of the paper's evaluation has a binary in
-//! `src/bin/`; run `cargo run --release -p parallax-bench --bin
-//! all_experiments` to regenerate everything. The environment variable
-//! `PARALLAX_SCALE` (default `1.0`) scales the scenes, and
-//! `PARALLAX_FRAMES` (default `3`) sets the measured window — useful for
-//! quick smoke runs (`PARALLAX_SCALE=0.1`).
+//! Every figure/table of the paper's evaluation is one entry of
+//! [`experiments::EXPERIMENTS`], run by the `experiments` binary: `cargo
+//! run --release -p parallax-bench --bin experiments -- all` regenerates
+//! everything in one process (`list` names the entries, `<name>…` runs
+//! some). The environment variable `PARALLAX_SCALE` (default `1.0`)
+//! scales the scenes, and `PARALLAX_FRAMES` (default `3`) sets the
+//! measured window — useful for quick smoke runs (`PARALLAX_SCALE=0.1`).
 
 pub mod bisect;
 pub mod executor_scaling;
+pub mod experiments;
 pub mod harness;
 pub mod server_gate;
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use parallax_archsim::config::{L2Config, MachineConfig};
 use parallax_archsim::multicore::PhaseTime;
@@ -23,7 +24,7 @@ use parallax_trace::StepTrace;
 use parallax_workloads::{BenchmarkId, Scene, SceneMeta, SceneParams};
 
 /// Experiment context: scale and measurement window.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ctx {
     /// Scene scale (1.0 = paper scale).
     pub scale: f32,
@@ -34,67 +35,102 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Reads the context from the environment.
+    /// Reads the context from the environment ([`env_or`]: a malformed
+    /// `PARALLAX_SCALE` / `PARALLAX_FRAMES` exits 2).
     pub fn from_env() -> Ctx {
-        let scale = std::env::var("PARALLAX_SCALE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1.0);
-        let measure_frames = std::env::var("PARALLAX_FRAMES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(3)
-            .max(1);
         Ctx {
-            scale,
+            scale: env_or("PARALLAX_SCALE", 1.0),
             warm_frames: 4,
-            measure_frames,
+            measure_frames: env_or("PARALLAX_FRAMES", 3usize).max(1),
         }
     }
 }
 
-/// Cached measured data for one benchmark: metadata + the measured-window
-/// step profiles.
-#[derive(Debug, Clone)]
+/// Reads a numeric environment variable, `default` when unset. A value
+/// that does not parse is a typo, not a request for the default (which
+/// for `PARALLAX_SCALE` would silently launch a full-scale run): variable
+/// and value are named on stderr and the process exits 2.
+pub fn env_or<T: std::str::FromStr>(var: &str, default: T) -> T {
+    let Some(raw) = std::env::var_os(var) else {
+        return default;
+    };
+    raw.to_str()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or_else(|| {
+            let kind = std::any::type_name::<T>();
+            eprintln!("error: {var}={raw:?} is not a valid {kind}");
+            std::process::exit(2);
+        })
+}
+
+/// Measured data of one benchmark: metadata, the measured-window step
+/// profiles and the architecture traces generated from them.
+#[derive(Debug)]
 pub struct BenchData {
     /// Static scene composition.
     pub meta: SceneMeta,
     /// Step profiles of the measured window.
     pub profiles: Vec<StepProfile>,
+    /// One architecture trace per profile.
+    pub traces: Vec<StepTrace>,
 }
 
-fn profile_cache() -> &'static Mutex<HashMap<(BenchmarkId, u32), BenchData>> {
-    static CACHE: OnceLock<Mutex<HashMap<(BenchmarkId, u32), BenchData>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+/// A per-process memo of per-scene results, keyed on the scene and the
+/// whole [`Ctx`] (two contexts that differ in any field never alias). At
+/// most a few entries per scene exist, so it is a scanned list; the lock
+/// is held while a missing entry is computed, so one key is computed once
+/// however many threads ask for it.
+pub(crate) struct Memo<T>(Mutex<Vec<(BenchmarkId, Ctx, Arc<T>)>>);
 
-/// Builds and measures a benchmark (memoized per scale within the
-/// process). With an active `--telemetry` sink, the measured window is
-/// stepped manually so each step writes one JSONL [`StepRecord`].
-pub fn bench_data(id: BenchmarkId, ctx: &Ctx) -> BenchData {
-    let key = (id, (ctx.scale * 1000.0) as u32);
-    if let Some(d) = profile_cache().lock().expect("cache lock").get(&key) {
-        return d.clone();
+impl<T> Memo<T> {
+    pub(crate) const fn new() -> Self {
+        Memo(Mutex::new(Vec::new()))
     }
-    let params = SceneParams {
-        scale: ctx.scale,
-        ..Default::default()
-    };
-    let mut scene: Scene = id.build(&params);
-    let profiles = if telemetry_sink().is_some() {
-        run_measured_with_telemetry(&mut scene, ctx.warm_frames, ctx.measure_frames)
-    } else {
-        scene.run_measured(ctx.warm_frames, ctx.measure_frames)
-    };
-    let data = BenchData {
-        meta: scene.meta,
-        profiles,
-    };
-    profile_cache()
-        .lock()
-        .expect("cache lock")
-        .insert(key, data.clone());
-    data
+
+    pub(crate) fn get_or(&self, id: BenchmarkId, ctx: &Ctx, make: impl FnOnce() -> T) -> Arc<T> {
+        let mut entries = self.0.lock().expect("memo lock");
+        if let Some((.., hit)) = entries.iter().find(|(i, c, _)| *i == id && c == ctx) {
+            return Arc::clone(hit);
+        }
+        let made = Arc::new(make());
+        entries.push((id, *ctx, Arc::clone(&made)));
+        made
+    }
+
+    /// How many entries were computed under `ctx` — every miss appends
+    /// one, so this is the capture counter the tests read.
+    #[cfg(test)]
+    pub(crate) fn computed(&self, ctx: &Ctx) -> usize {
+        let entries = self.0.lock().expect("memo lock");
+        entries.iter().filter(|(_, c, _)| c == ctx).count()
+    }
+}
+
+pub(crate) static CAPTURES: Memo<BenchData> = Memo::new();
+
+/// Builds, measures and traces a benchmark, once per `(id, ctx)` within
+/// the process: every experiment of one `experiments all` run shares the
+/// same capture. With an active `--telemetry` sink, the measured window is
+/// stepped manually so each step writes one JSONL [`StepRecord`].
+pub fn bench_data(id: BenchmarkId, ctx: &Ctx) -> Arc<BenchData> {
+    CAPTURES.get_or(id, ctx, || {
+        let params = SceneParams {
+            scale: ctx.scale,
+            ..Default::default()
+        };
+        let mut scene: Scene = id.build(&params);
+        let profiles = if telemetry_sink().is_some() {
+            run_measured_with_telemetry(&mut scene, ctx.warm_frames, ctx.measure_frames)
+        } else {
+            scene.run_measured(ctx.warm_frames, ctx.measure_frames)
+        };
+        let traces = profiles.iter().map(StepTrace::from_profile).collect();
+        BenchData {
+            meta: scene.meta,
+            profiles,
+            traces,
+        }
+    })
 }
 
 /// The global telemetry sink, opened on first use from `--telemetry
@@ -234,11 +270,6 @@ fn run_measured_with_telemetry(
     out
 }
 
-/// Converts profiles to architecture traces.
-pub fn traces_of(profiles: &[StepProfile]) -> Vec<StepTrace> {
-    profiles.iter().map(StepTrace::from_profile).collect()
-}
-
 /// Formats seconds in the paper's figure units.
 pub fn fmt_secs(s: f64) -> String {
     format!("{:.2e}", s)
@@ -291,25 +322,10 @@ pub fn partitioned_machine(cores: usize) -> MachineConfig {
     m
 }
 
-/// Header row matching [`breakdown_row`].
+/// Header row of the per-phase breakdown tables (Figures 2a / 6a).
 pub const BREAKDOWN_HEADERS: [&str; 8] = [
     "Bench", "Broad", "Narrow", "IslSer", "IslPar", "Cloth", "Total", "FPS",
 ];
-
-/// Formats one benchmark's per-phase breakdown row (Figures 2a / 6a):
-/// abbreviation, seconds per frame for each phase, total, FPS.
-pub fn breakdown_row(abbrev: &str, time: &PhaseTime, frames: f64) -> Vec<String> {
-    let mut row = vec![abbrev.to_string()];
-    let mut total = 0.0;
-    for cycles in time.cycles {
-        let secs = cycles as f64 / CLOCK_HZ / frames;
-        total += secs;
-        row.push(fmt_secs(secs));
-    }
-    row.push(fmt_secs(total));
-    row.push(format!("{:.1}", 1.0 / total.max(1e-12)));
-    row
-}
 
 /// Looks up a benchmark by name or abbreviation, case-insensitively.
 pub fn benchmark_by_name(s: &str) -> Option<BenchmarkId> {
@@ -354,7 +370,8 @@ pub fn warm_measure(
         for i in 0..5 {
             time.cycles[i] += pt.cycles[i];
         }
-        let wall_ns: Vec<(String, u64)> = PhaseKind::ALL
+        let mut record = build_step_record("archsim", "window", s as u64, None, &mut baseline);
+        record.wall_ns = PhaseKind::ALL
             .iter()
             .enumerate()
             .map(|(i, ph)| {
@@ -362,24 +379,7 @@ pub fn warm_measure(
                 (ph.name().to_string(), ns as u64)
             })
             .collect();
-        publish_spans_dropped();
-        let now = parallax_telemetry::snapshot();
-        let metrics = now.delta_since(&baseline);
-        baseline = now;
-        let record = StepRecord {
-            source: "archsim".to_string(),
-            scene: "window".to_string(),
-            step: s as u64,
-            wall_ns,
-            metrics,
-            spans: Vec::new(),
-        };
-        if let Some(sink) = telemetry_sink() {
-            let mut sink = sink.lock().expect("telemetry sink lock");
-            if let Err(e) = sink.write(&record).and_then(|()| sink.flush()) {
-                eprintln!("warning: telemetry write failed: {e}");
-            }
-        }
+        sink_step_record(&record);
     }
     // `run_steps` over an empty window yields the accumulated memory and
     // OS statistics without re-running the traces.
@@ -401,6 +401,14 @@ pub(crate) fn telemetry_flag_lock() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use super::*;
 
+    fn tiny(measure_frames: usize) -> Ctx {
+        Ctx {
+            scale: 0.05,
+            warm_frames: 0,
+            measure_frames,
+        }
+    }
+
     #[test]
     fn ctx_defaults() {
         let c = Ctx {
@@ -413,26 +421,22 @@ mod tests {
 
     #[test]
     fn bench_data_is_memoized() {
-        let ctx = Ctx {
-            scale: 0.05,
-            warm_frames: 0,
-            measure_frames: 1,
-        };
-        let a = bench_data(BenchmarkId::Ragdoll, &ctx);
-        let b = bench_data(BenchmarkId::Ragdoll, &ctx);
-        assert_eq!(a.profiles.len(), b.profiles.len());
-        assert_eq!(a.meta.dynamic_objs, b.meta.dynamic_objs);
+        let a = bench_data(BenchmarkId::Ragdoll, &tiny(1));
+        let b = bench_data(BenchmarkId::Ragdoll, &tiny(1));
+        assert!(Arc::ptr_eq(&a, &b), "the second call must be a memo hit");
+    }
+
+    #[test]
+    fn contexts_differing_only_in_measure_frames_do_not_alias() {
+        let a = bench_data(BenchmarkId::Ragdoll, &tiny(1));
+        let b = bench_data(BenchmarkId::Ragdoll, &tiny(2));
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(b.profiles.len(), 2 * a.profiles.len());
     }
 
     #[test]
     fn traces_match_profiles() {
-        let ctx = Ctx {
-            scale: 0.05,
-            warm_frames: 0,
-            measure_frames: 1,
-        };
-        let d = bench_data(BenchmarkId::Periodic, &ctx);
-        let t = traces_of(&d.profiles);
-        assert_eq!(t.len(), d.profiles.len());
+        let d = bench_data(BenchmarkId::Periodic, &tiny(1));
+        assert_eq!(d.traces.len(), d.profiles.len());
     }
 }

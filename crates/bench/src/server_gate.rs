@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use parallax_telemetry::json::Json;
 use parallax_telemetry::stats::{compare, BootstrapConfig, Comparison, Verdict};
 
-use crate::harness::{Fingerprint, MIN_REGRESSION_NS};
+use crate::harness::{field_f64, field_str, field_u64, Fingerprint, MIN_REGRESSION_NS};
 
 /// Version of the `BENCH_server.json` layout.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -529,25 +529,6 @@ pub fn compare_server_baselines(
         }
     }
     rows
-}
-
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn field_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-fn field_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@ pub use fracture::FractureConfig;
 pub use joint::{Joint, JointId, JointKind};
 pub use monitor::{InvariantMonitor, MonitorConfig, Violation};
 pub use parallax_math::SimdMode;
-pub use pipeline::{set_injected_phase_delay, Stage, StepPipeline};
+pub use pipeline::{set_injected_phase_delay, StepPipeline};
 pub use probe::{PhaseKind, StepProfile};
 pub use shape::{GeomId, Heightfield, Shape, TriMesh};
 pub use sleep::{sleeping_from_env, SleepSystem, SleepingIsland};

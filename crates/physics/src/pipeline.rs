@@ -3,9 +3,9 @@
 //! Paper §3.1 structures a physics step as five phases — broad-phase,
 //! narrow-phase, island creation, island processing and cloth — two of
 //! which are serial and three parallel. [`StepPipeline`] owns one
-//! [`Stage`] per phase plus the persistent [`Executor`] that serves the
-//! parallel ones, and [`StepPipeline::step`] drives them in order while
-//! filling the [`StepProfile`].
+//! stage struct per phase plus the persistent [`Executor`] that serves
+//! the parallel ones, and [`StepPipeline::step`] drives them in order
+//! while filling the [`StepProfile`].
 //!
 //! Each stage carries its own scratch arenas (candidate-pair, manifold,
 //! edge, island and collider buffers) which are cleared and refilled in
@@ -30,27 +30,6 @@ use crate::probe::{ClothWork, IslandWork, PairWork, PhaseKind, StepEvents, StepP
 use crate::shape::{GeomId, Shape};
 use crate::solver::{self, RowParams, RowSet, VelState, STATIC_BODY};
 use crate::world::{BroadphaseKind, World};
-
-/// A pipeline stage: one per paper phase.
-///
-/// The stage declares which [`PhaseKind`] it implements; its serial /
-/// parallel split follows from the phase ([`PhaseKind::is_serial`]), so
-/// every consumer — the trace layer, the architecture model, the bench
-/// harness — keys off the same enumeration.
-pub trait Stage {
-    /// The phase this stage implements.
-    const PHASE: PhaseKind;
-
-    /// The phase this stage implements (object-safe accessor).
-    fn phase(&self) -> PhaseKind {
-        Self::PHASE
-    }
-
-    /// Whether the stage's inner loop runs on the executor.
-    fn parallel(&self) -> bool {
-        !Self::PHASE.is_serial()
-    }
-}
 
 /// Serial phase 1: refresh world AABBs and produce candidate pairs.
 pub struct BroadphaseStage {
@@ -89,22 +68,6 @@ pub struct IslandProcessingStage {
 pub struct ClothStage {
     collider_sets: Vec<Vec<(Shape, Transform)>>,
     results: Vec<ClothWork>,
-}
-
-impl Stage for BroadphaseStage {
-    const PHASE: PhaseKind = PhaseKind::Broadphase;
-}
-impl Stage for NarrowphaseStage {
-    const PHASE: PhaseKind = PhaseKind::Narrowphase;
-}
-impl Stage for IslandCreationStage {
-    const PHASE: PhaseKind = PhaseKind::IslandCreation;
-}
-impl Stage for IslandProcessingStage {
-    const PHASE: PhaseKind = PhaseKind::IslandProcessing;
-}
-impl Stage for ClothStage {
-    const PHASE: PhaseKind = PhaseKind::Cloth;
 }
 
 enum BroadphaseImpl {
@@ -198,7 +161,7 @@ impl NarrowphaseStage {
             (manifold, work)
         };
         executor.map_into_labeled(
-            Self::PHASE.region_label(),
+            PhaseKind::Narrowphase.region_label(),
             &self.pairs,
             &mut self.results,
             run_pair,
@@ -506,7 +469,7 @@ impl IslandProcessingStage {
         };
 
         executor.map_into_labeled(
-            Self::PHASE.region_label(),
+            PhaseKind::IslandProcessing.region_label(),
             &self.queued_idx,
             &mut self.results,
             solve_island,
@@ -586,7 +549,7 @@ impl ClothStage {
         }
 
         let collider_sets = &self.collider_sets;
-        let label = Self::PHASE.region_label();
+        let label = PhaseKind::Cloth.region_label();
         executor.map_mut_into_labeled(label, &mut world.cloths, &mut self.results, |i, cloth| {
             let colliders = collider_sets[i].as_slice();
             let stats = cloth.step(gravity, dt, colliders, mode);
@@ -718,33 +681,38 @@ pub fn set_injected_phase_delay(phase: PhaseKind, delay: Duration) {
     );
 }
 
-/// Sleeps the injected delay for a phase, if any (one relaxed load on
-/// the common path).
+/// The epilogue of every phase, run inside the phase's [`timed`] block so
+/// its cost is attributed to the phase it belongs to. In order:
+///
+/// 1. the configured single-ULP fault, if this step+phase matches
+///    [`crate::WorldConfig::digest_fault`]: flips the low mantissa bit of
+///    body 0's `pos.x` at the *end* of the phase, before its digest is
+///    taken (the divergence-bisector acceptance tests verify that an
+///    injected divergence is localized to exactly this step+phase);
+/// 2. the phase's state digest (`0` with digests off);
+/// 3. the injected delay, if any (one relaxed load on the common path).
 #[inline]
-fn apply_injected_delay(phase_idx: usize) {
+fn end_phase(
+    world: &mut World,
+    phase_idx: usize,
+    digests_on: bool,
+    digest: impl FnOnce(&World) -> u64,
+) -> u64 {
+    if let Some(fault) = world.config.digest_fault {
+        if fault.step == world.steps
+            && fault.phase == PhaseKind::ALL[phase_idx]
+            && !world.bodies.is_empty()
+        {
+            let bits = world.bodies.pos.x[0].to_bits() ^ 1;
+            world.bodies.pos.x[0] = f32::from_bits(bits);
+        }
+    }
+    let d = if digests_on { digest(world) } else { 0 };
     let ns = injected_delays()[phase_idx].load(std::sync::atomic::Ordering::Relaxed);
     if ns > 0 {
         std::thread::sleep(Duration::from_nanos(ns));
     }
-}
-
-/// Applies the configured single-ULP fault if this step+phase matches
-/// [`crate::WorldConfig::digest_fault`]: flips the low mantissa bit of
-/// body 0's `pos.x` at the *end* of the phase, before its digest is
-/// taken. Used by the divergence-bisector acceptance tests to verify
-/// that an injected divergence is localized to exactly this step+phase.
-#[inline]
-fn maybe_inject_fault(world: &mut World, phase_idx: usize) {
-    let Some(fault) = world.config.digest_fault else {
-        return;
-    };
-    if fault.step != world.steps || fault.phase != PhaseKind::ALL[phase_idx] {
-        return;
-    }
-    if !world.bodies.is_empty() {
-        let bits = world.bodies.pos.x[0].to_bits() ^ 1;
-        world.bodies.pos.x[0] = f32::from_bits(bits);
-    }
+    d
 }
 
 /// Times one pipeline phase: always returns the measured wall time (so
@@ -948,11 +916,9 @@ impl StepPipeline {
             } else {
                 self.broadphase.run(world)
             };
-            maybe_inject_fault(world, 0);
-            if digests_on {
-                phase_digests[0] = digest::broadphase_digest(world, &self.broadphase.candidates);
-            }
-            apply_injected_delay(0);
+            phase_digests[0] = end_phase(world, 0, digests_on, |w| {
+                digest::broadphase_digest(w, &self.broadphase.candidates)
+            });
             s
         });
         profile.broadphase = stats;
@@ -975,11 +941,9 @@ impl StepPipeline {
             }
             let events = world.process_contact_events(&narrowphase.manifolds);
             world.update_cloth_contact_lists();
-            maybe_inject_fault(world, 1);
-            if digests_on {
-                phase_digests[1] = digest::narrowphase_digest(world, &narrowphase.manifolds);
-            }
-            apply_injected_delay(1);
+            phase_digests[1] = end_phase(world, 1, digests_on, |w| {
+                digest::narrowphase_digest(w, &narrowphase.manifolds)
+            });
             events
         });
         profile.wall[1] = wall;
@@ -1010,11 +974,7 @@ impl StepPipeline {
         let manifolds = &self.narrowphase.manifolds;
         let (stats, wall) = timed(spans[2], || {
             let s = island_creation.run(world, manifolds);
-            maybe_inject_fault(world, 2);
-            if digests_on {
-                phase_digests[2] = digest::island_creation_digest(world);
-            }
-            apply_injected_delay(2);
+            phase_digests[2] = end_phase(world, 2, digests_on, digest::island_creation_digest);
             s
         });
         profile.island_creation = stats;
@@ -1064,11 +1024,9 @@ impl StepPipeline {
             // awake body's activity EMA/quiet timer and deactivate
             // islands that are fully at rest (when sleeping is enabled).
             world.update_sleep(islands, manifolds);
-            maybe_inject_fault(world, 3);
-            if digests_on {
-                phase_digests[3] = digest::island_processing_digest(world, &profile.islands);
-            }
-            apply_injected_delay(3);
+            phase_digests[3] = end_phase(world, 3, digests_on, |w| {
+                digest::island_processing_digest(w, &profile.islands)
+            });
             broken
         });
         profile.wall[3] = wall;
@@ -1107,11 +1065,7 @@ impl StepPipeline {
             } else {
                 cloth.run(world, executor)
             };
-            maybe_inject_fault(world, 4);
-            if digests_on {
-                phase_digests[4] = digest::cloth_digest(world);
-            }
-            apply_injected_delay(4);
+            phase_digests[4] = end_phase(world, 4, digests_on, digest::cloth_digest);
             c
         });
         profile.cloths = cloths;
@@ -1220,25 +1174,6 @@ impl StepPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stages_declare_paper_phases() {
-        assert_eq!(BroadphaseStage::PHASE, PhaseKind::Broadphase);
-        assert_eq!(NarrowphaseStage::PHASE, PhaseKind::Narrowphase);
-        assert_eq!(IslandCreationStage::PHASE, PhaseKind::IslandCreation);
-        assert_eq!(IslandProcessingStage::PHASE, PhaseKind::IslandProcessing);
-        assert_eq!(ClothStage::PHASE, PhaseKind::Cloth);
-    }
-
-    #[test]
-    fn serial_parallel_split_follows_phase_kind() {
-        let bp = BroadphaseStage::new(BroadphaseKind::SweepAndPrune);
-        assert!(!bp.parallel());
-        assert!(!IslandCreationStage::new().parallel());
-        assert!(NarrowphaseStage::new().parallel());
-        assert!(IslandProcessingStage::new().parallel());
-        assert!(ClothStage::new().parallel());
-    }
 
     #[test]
     fn empty_world_step_populates_every_phase_wall() {

@@ -80,6 +80,20 @@ impl BenchmarkId {
         BenchmarkId::Resting,
     ];
 
+    /// The paper's eight benchmarks in paper order — [`Self::ALL`] without
+    /// the post-paper Resting scene. Every paper table and figure iterates
+    /// this, and sizes its paper-constant arrays from it.
+    pub const PAPER: [BenchmarkId; 8] = [
+        BenchmarkId::Periodic,
+        BenchmarkId::Ragdoll,
+        BenchmarkId::Continuous,
+        BenchmarkId::Breakable,
+        BenchmarkId::Deformable,
+        BenchmarkId::Explosions,
+        BenchmarkId::Highspeed,
+        BenchmarkId::Mix,
+    ];
+
     /// Full name as used in the paper's tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -417,5 +431,14 @@ mod actor_tests {
             (after - before).x > 0.5,
             "pinned vertex did not follow the body: {before:?} -> {after:?}"
         );
+    }
+
+    #[test]
+    fn paper_suite_is_all_minus_resting_in_paper_order() {
+        let expected: Vec<_> = BenchmarkId::ALL
+            .into_iter()
+            .filter(|b| *b != BenchmarkId::Resting)
+            .collect();
+        assert_eq!(BenchmarkId::PAPER.to_vec(), expected);
     }
 }

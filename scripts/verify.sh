@@ -8,26 +8,27 @@ cargo test -q --offline
 cargo fmt --check
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
-# Cross-thread determinism must hold on both solver paths: warm-started
-# (the default, exercised by the plain `cargo test` above) and cold.
-# The suite honours PARALLAX_WARM_START=0|off.
-PARALLAX_WARM_START=0 cargo test -q --offline --test determinism
-
-# ... and on both kernel paths: forced-scalar and the widest SIMD the
-# host supports. The kernels are bit-identical by construction (one
-# width-generic implementation; see DESIGN.md §10) and the equivalence
-# proptests assert it, but run the full determinism suite under both
-# settings so the end-to-end pipeline is covered too.
-PARALLAX_SIMD=0 cargo test -q --offline --test determinism
-PARALLAX_SIMD=1 cargo test -q --offline --test determinism
+# Cross-thread determinism must hold beyond the defaults the plain
+# `cargo test` above exercises, so the full determinism suite reruns
+# under each of:
+#   PARALLAX_WARM_START=0  the cold solver path (warm-started is the
+#                          default; the suite honours 0|off);
+#   PARALLAX_SIMD=0 / =1   both kernel paths, forced-scalar and the
+#                          widest SIMD the host supports — bit-identical
+#                          by construction (one width-generic
+#                          implementation; see DESIGN.md §10) and asserted
+#                          by the equivalence proptests, but this covers
+#                          the end-to-end pipeline too;
+#   PARALLAX_SLEEP=1       the island-sleeping fast path: sleep/wake
+#                          decisions run serially in body order, so the
+#                          suite must hold with sleeping on
+#                          (WorldConfig::default honours the variable).
+for setting in PARALLAX_WARM_START=0 PARALLAX_SIMD=0 PARALLAX_SIMD=1 PARALLAX_SLEEP=1; do
+    env "$setting" cargo test -q --offline --test determinism
+done
 cargo test -q --offline --test simd_equivalence
-
-# ... and with the island-sleeping fast path enabled: sleep/wake
-# decisions run serially in body order, so the whole determinism suite
-# must hold with sleeping on too (WorldConfig::default honours
-# PARALLAX_SLEEP). The dedicated suite covers prefix equivalence, wake
+# The dedicated sleeping suite covers prefix equivalence, wake
 # reconvergence and monitor cleanliness.
-PARALLAX_SLEEP=1 cargo test -q --offline --test determinism
 cargo test -q --offline --test sleeping
 
 # Hot-kernel microbench smoke (integrator sweep, PGS rows, cloth
