@@ -148,7 +148,11 @@ mod tests {
         // Build a task with the kernel's natural mix.
         use parallax_trace::kernels::KernelModel;
         let ops = match kernel {
-            Kernel::Narrowphase => KernelModel::narrowphase_pair("box", "box", 2),
+            Kernel::Narrowphase => KernelModel::narrowphase_pair(
+                parallax_physics::ShapeKind::Cuboid,
+                parallax_physics::ShapeKind::Cuboid,
+                2,
+            ),
             Kernel::IslandSolver => KernelModel::island_solver(50, 20, 10),
             Kernel::Cloth => KernelModel::cloth(625, 5000, 200),
             Kernel::Broadphase => KernelModel::broadphase(1000, 10_000, 3_000),

@@ -404,8 +404,8 @@ mod tests {
                 geom_b: k + 1,
                 body_a: k,
                 body_b: k + 1,
-                shape_a: "box",
-                shape_b: "box",
+                shape_a: parallax_physics::ShapeKind::Cuboid,
+                shape_b: parallax_physics::ShapeKind::Cuboid,
                 contacts: 2,
                 active: true,
             });

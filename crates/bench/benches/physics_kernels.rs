@@ -1,12 +1,21 @@
 //! Criterion benchmarks for the physics engine's five phase kernels.
+//!
+//! `PARALLAX_BENCH_QUICK=1` shrinks the sample counts to a smoke-test
+//! shape (used by `scripts/verify.sh`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
-use parallax_math::{SimdMode, Transform, Vec3};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
+use parallax_math::{Quat, SimdMode, Transform, Vec3};
 use parallax_physics::broadphase::{Broadphase, SweepAndPrune, UniformGrid};
 use parallax_physics::narrowphase::collide_shapes;
-use parallax_physics::{BodyDesc, Cloth, Shape, World, WorldConfig};
+use parallax_physics::{
+    BodyDesc, Cloth, GeomId, Heightfield, Shape, ShapeKind, World, WorldConfig,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+fn quick() -> bool {
+    matches!(std::env::var("PARALLAX_BENCH_QUICK").as_deref(), Ok("1"))
+}
 
 fn bench_broadphase(c: &mut Criterion) {
     let mut group = c.benchmark_group("broadphase");
@@ -19,7 +28,7 @@ fn bench_broadphase(c: &mut Criterion) {
                     (i / 512) as f32 * 1.1,
                 );
                 (
-                    parallax_physics::GeomId(i as u32),
+                    GeomId(i as u32),
                     parallax_math::Aabb::from_center_half_extents(p, Vec3::splat(0.6)),
                 )
             })
@@ -65,34 +74,232 @@ fn bench_broadphase(c: &mut Criterion) {
     group.finish();
 }
 
+/// Per-pair kernels through the public dispatcher, on the poses the
+/// scenes are made of: brick-shaped boxes stacked in running bond, side
+/// by side, just apart and edge to edge, and the terrain pairs.
 fn bench_narrowphase(c: &mut Criterion) {
     let mut group = c.benchmark_group("narrowphase");
-    let pairs: [(&str, Shape, Shape); 4] = [
-        ("sphere_sphere", Shape::sphere(0.5), Shape::sphere(0.5)),
+    if quick() {
+        group.sample_size(3);
+    }
+    let at = |x: f32, y: f32, z: f32| Transform::from_position(Vec3::new(x, y, z));
+    let unit_box = Shape::cuboid(Vec3::splat(0.5));
+    let brick = Shape::cuboid(Vec3::new(0.4, 0.2, 0.2));
+    let tilted = Transform::new(
+        Vec3::new(0.0, 0.47, 0.0),
+        Quat::from_axis_angle(Vec3::UNIT_X, std::f32::consts::FRAC_PI_4)
+            * Quat::from_axis_angle(Vec3::UNIT_Y, 0.6),
+    );
+    let hills = Heightfield::new(
+        17,
+        17,
+        1.0,
+        (0..17 * 17)
+            .map(|i| 0.3 * ((i % 17) as f32 * 0.7).sin() * ((i / 17) as f32 * 0.5).cos())
+            .collect(),
+    );
+    let lying = Transform::new(
+        Vec3::new(0.3, 0.35, -0.2),
+        Quat::from_axis_angle(Vec3::UNIT_Z, 1.3),
+    );
+    let cases: [(&str, Shape, Transform, Shape, Transform); 10] = [
+        (
+            "sphere_sphere",
+            Shape::sphere(0.5),
+            at(0.0, 0.8, 0.0),
+            Shape::sphere(0.5),
+            at(0.0, 0.0, 0.0),
+        ),
         (
             "sphere_box",
             Shape::sphere(0.5),
-            Shape::cuboid(Vec3::splat(0.5)),
+            at(0.0, 0.8, 0.0),
+            unit_box.clone(),
+            at(0.0, 0.0, 0.0),
         ),
         (
             "box_box",
-            Shape::cuboid(Vec3::splat(0.5)),
-            Shape::cuboid(Vec3::splat(0.5)),
+            unit_box.clone(),
+            at(0.0, 0.8, 0.0),
+            unit_box.clone(),
+            at(0.0, 0.0, 0.0),
         ),
         (
             "capsule_capsule",
             Shape::capsule(0.3, 0.5),
+            at(0.0, 0.8, 0.0),
             Shape::capsule(0.3, 0.5),
+            at(0.0, 0.0, 0.0),
+        ),
+        // Running bond: the upper brick sits half a brick along.
+        (
+            "brick_stacked_half_offset",
+            brick.clone(),
+            at(0.4, 0.395, 0.0),
+            brick.clone(),
+            at(0.0, 0.0, 0.0),
+        ),
+        (
+            "brick_side_by_side",
+            brick.clone(),
+            at(0.795, 0.0, 0.0),
+            brick.clone(),
+            at(0.0, 0.0, 0.0),
+        ),
+        // Fat boxes overlap, shapes do not: the SAT finds a separating
+        // axis.
+        (
+            "brick_near_miss",
+            brick.clone(),
+            at(0.4, 0.43, 0.0),
+            brick.clone(),
+            at(0.0, 0.0, 0.0),
+        ),
+        (
+            "brick_edge_edge",
+            brick.clone(),
+            tilted,
+            brick.clone(),
+            at(0.0, 0.0, 0.0),
+        ),
+        (
+            "box_plane",
+            brick.clone(),
+            at(0.0, 0.19, 0.0),
+            Shape::plane(Vec3::UNIT_Y, 0.0),
+            at(0.0, 0.0, 0.0),
+        ),
+        (
+            "capsule_heightfield",
+            Shape::capsule(0.25, 0.5),
+            lying,
+            Shape::heightfield(hills),
+            at(0.0, 0.0, 0.0),
         ),
     ];
-    for (name, a, b) in pairs {
-        let ta = Transform::from_position(Vec3::new(0.0, 0.8, 0.0));
-        let tb = Transform::IDENTITY;
-        group.bench_function(name, |bench| {
-            bench.iter(|| collide_shapes(std::hint::black_box(&a), &ta, &b, &tb))
+    for (name, a, ta, b, tb) in &cases {
+        group.bench_function(*name, |bench| {
+            bench.iter(|| collide_shapes(black_box(a), black_box(ta), b, tb))
         });
     }
     group.finish();
+}
+
+/// The whole narrow-phase stage — classify, collide, emit — over the
+/// candidate list a real broad phase produces for a scene-shaped world.
+/// The label carries what the list is made of: candidates, the share the
+/// classifier keeps active, box–box among those, and the share that hits.
+fn bench_narrowphase_stage(c: &mut Criterion) {
+    let mut group = c.benchmark_group("narrowphase_stage");
+    if quick() {
+        group.sample_size(3);
+    }
+    type Build = fn(SimdMode) -> World;
+    for (name, build) in [
+        ("mix_shaped", mix_shaped_world as Build),
+        ("explosions_shaped", explosions_shaped_world),
+    ] {
+        for mode in [SimdMode::Scalar, SimdMode::Sse2, SimdMode::Avx2] {
+            if mode.clamp_to_supported() != mode {
+                continue;
+            }
+            let mut world = build(mode);
+            let aabbs: Vec<_> = world
+                .geoms()
+                .iter()
+                .enumerate()
+                .filter(|(_, g)| g.is_enabled())
+                .map(|(i, g)| (GeomId(i as u32), g.aabb()))
+                .collect();
+            let mut candidates = Vec::new();
+            UniformGrid::new(1.2).pairs_into(&aabbs, &mut candidates);
+            let mut pairs = Vec::new();
+            let hits = world.collide_candidates(&candidates, &mut pairs).len();
+            let active: Vec<_> = pairs.iter().filter(|p| p.active).collect();
+            let box_box = active
+                .iter()
+                .filter(|p| p.shape_a == ShapeKind::Cuboid && p.shape_b == ShapeKind::Cuboid)
+                .count();
+            let pct = |part: usize, whole: usize| 100 * part / whole.max(1);
+            let label = format!(
+                "{name}_{}/{}cand_{}%active_{}%boxbox_{}%hit",
+                mode.name(),
+                candidates.len(),
+                pct(active.len(), candidates.len()),
+                pct(box_box, active.len()),
+                pct(hits, active.len()),
+            );
+            group.bench_function(label, |b| {
+                b.iter(|| world.collide_candidates(&candidates, &mut pairs).len())
+            });
+        }
+    }
+    group.finish();
+}
+
+/// Mix-shaped: a dense block of static boxes whose mutual pairs the
+/// classifier keeps but never collides (about nine candidates in ten),
+/// around a plane with a brick wall, spheres and capsules resting on it.
+fn mix_shaped_world(simd: SimdMode) -> World {
+    let mut world = World::new(WorldConfig {
+        simd,
+        ..Default::default()
+    });
+    world.add_static_geom(Shape::plane(Vec3::UNIT_Y, 0.0));
+    for i in 0..12 * 12 * 11 {
+        let (x, y, z) = (i % 12, (i / 12) % 12, i / 144);
+        world.add_body(
+            BodyDesc::fixed(Vec3::new(40.0 + x as f32, 0.6 + y as f32, 40.0 + z as f32))
+                .with_shape(Shape::cuboid(Vec3::splat(0.6)), 1.0),
+        );
+    }
+    add_brick_walls(&mut world, 2, 24, 6);
+    for i in 0..240 {
+        let p = Vec3::new(
+            -20.0 + (i % 20) as f32 * 0.98,
+            0.49,
+            10.0 + (i / 20) as f32 * 0.98,
+        );
+        let shape = if i % 3 == 0 {
+            Shape::capsule(0.3, 0.19)
+        } else {
+            Shape::sphere(0.5)
+        };
+        world.add_body(BodyDesc::dynamic(p).with_shape(shape, 1.0));
+    }
+    world
+}
+
+/// Explosions-shaped: nothing but dynamic bricks on one plane, settled
+/// walls in running bond, so nearly every candidate is active, about two
+/// in three are box–box and most of them touch.
+fn explosions_shaped_world(simd: SimdMode) -> World {
+    let mut world = World::new(WorldConfig {
+        simd,
+        ..Default::default()
+    });
+    world.add_static_geom(Shape::plane(Vec3::UNIT_Y, 0.0));
+    add_brick_walls(&mut world, 40, 30, 3);
+    world
+}
+
+/// `walls` walls of `columns` × `courses` bricks in running bond, each
+/// brick sunk half a centimetre into its neighbours, as a settled pile is.
+fn add_brick_walls(world: &mut World, walls: usize, columns: usize, courses: usize) {
+    let half = Vec3::new(0.4, 0.2, 0.2);
+    for wall in 0..walls {
+        for course in 0..courses {
+            let shift = if course % 2 == 0 { 0.0 } else { half.x };
+            for col in 0..columns {
+                let p = Vec3::new(
+                    shift + col as f32 * (2.0 * half.x - 0.005),
+                    half.y - 0.005 + course as f32 * (2.0 * half.y - 0.005),
+                    wall as f32 * 1.5,
+                );
+                world.add_body(BodyDesc::dynamic(p).with_shape(Shape::cuboid(half), 6.0));
+            }
+        }
+    }
 }
 
 fn bench_island_processing(c: &mut Criterion) {
@@ -154,6 +361,7 @@ criterion_group!(
     benches,
     bench_broadphase,
     bench_narrowphase,
+    bench_narrowphase_stage,
     bench_island_processing,
     bench_cloth,
     bench_full_step

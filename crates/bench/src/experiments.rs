@@ -502,7 +502,8 @@ fn fig9a_cg_fg(ctx: &Ctx) {
     let mut fg_cloth = 0u64;
     for p in &d.profiles {
         for pw in &p.pairs {
-            fg_narrow += KernelModel::narrowphase_pair(pw.shape_a, pw.shape_b, pw.contacts).total();
+            fg_narrow +=
+                KernelModel::narrowphase_pair(pw.shape_a, pw.shape_b, pw.contacts as usize).total();
         }
         for i in &p.islands {
             fg_island += KernelModel::island_solver(i.rows, i.iterations, 0).total();

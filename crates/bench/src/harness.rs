@@ -23,7 +23,9 @@ use std::fmt::Write as _;
 use parallax_math::SimdMode;
 use parallax_physics::PhaseKind;
 use parallax_telemetry::json::{write_str, Json};
-use parallax_telemetry::stats::{compare, BootstrapConfig, Comparison, Verdict};
+use parallax_telemetry::stats::{
+    bootstrap_median_ci, compare, median, BootstrapConfig, Comparison, Verdict,
+};
 use parallax_workloads::{BenchmarkId, SceneParams};
 
 /// Version of the baseline JSON layout. Bump on any incompatible change;
@@ -291,6 +293,9 @@ pub fn record_paired(a: &GateConfig, b: &GateConfig) -> (Baseline, Baseline) {
                 bodies_b = profile.body_count;
             }
         }
+        // Nobody reads the spans of a paired recording; leave the rings
+        // empty for the next scene (or the caller's next recording).
+        parallax_telemetry::drain_spans(&mut Vec::new());
         scenes_a.push(SceneSamples {
             scene: id.name().to_string(),
             bodies: bodies_a,
@@ -524,13 +529,7 @@ pub fn compare_baselines(
         // Whole-step totals: phase rows can individually sit inside the
         // threshold while their sum drifts past it (or, symmetrically, a
         // kernel win can be visible per-step but diluted per-phase).
-        let step_total = |sc: &SceneSamples| -> Vec<f64> {
-            let n = sc.phase_wall_ns.iter().map(Vec::len).min().unwrap_or(0);
-            (0..n)
-                .map(|s| sc.phase_wall_ns.iter().map(|p| p[s]).sum())
-                .collect()
-        };
-        if let Some(cmp) = compare(&step_total(b), &step_total(f), threshold, &cfg) {
+        if let Some(cmp) = compare(&step_totals(b), &step_totals(f), threshold, &cfg) {
             rows.push(PhaseComparison {
                 scene: b.scene.clone(),
                 phase: "step total",
@@ -539,6 +538,42 @@ pub fn compare_baselines(
         }
     }
     rows
+}
+
+/// Whole-step wall time of every recorded step: the five phase walls summed.
+fn step_totals(sc: &SceneSamples) -> Vec<f64> {
+    let n = sc.phase_wall_ns.iter().map(Vec::len).min().unwrap_or(0);
+    (0..n)
+        .map(|s| sc.phase_wall_ns.iter().map(|p| p[s]).sum())
+        .collect()
+}
+
+/// What configuration B costs over configuration A per step, in
+/// nanoseconds, from a [`record_paired`] recording of one scene.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairedCost {
+    /// Median over the steps of `B's step total - A's step total`.
+    pub median_ns: f64,
+    /// Bootstrap confidence interval of that median.
+    pub ci_ns: (f64, f64),
+}
+
+/// The absolute per-step cost of `b` over `a`. Both sides of a paired
+/// recording walk the same trajectory when the configurations differ only
+/// in what they observe (digests on/off), so step `i` does the same
+/// simulation work on both and the per-step difference cancels the step's
+/// own variation, which dwarfs the cost being measured. `None` when the
+/// sides hold no or differently many steps.
+pub fn paired_step_cost(a: &SceneSamples, b: &SceneSamples) -> Option<PairedCost> {
+    let (ta, tb) = (step_totals(a), step_totals(b));
+    if ta.is_empty() || ta.len() != tb.len() {
+        return None;
+    }
+    let diffs: Vec<f64> = tb.iter().zip(&ta).map(|(b, a)| b - a).collect();
+    Some(PairedCost {
+        median_ns: median(&diffs)?,
+        ci_ns: bootstrap_median_ci(&diffs, &BootstrapConfig::default())?,
+    })
 }
 
 /// Typed field lookups shared by the BENCH_*.json readers.
@@ -637,6 +672,52 @@ mod tests {
         // 5 phase rows + 1 step-total row per scene.
         assert_eq!(rows.len(), 2 * 6);
         assert!(rows.iter().all(|r| !r.is_regression()), "{rows:?}");
+    }
+
+    /// One side of a paired recording: a trajectory whose step cost
+    /// swings ±40% (far more than the overhead being measured), with
+    /// per-step jitter, plus `overhead_ns` on every step.
+    fn synthetic_side(overhead_ns: f64, seed: u64) -> SceneSamples {
+        let mut state = seed;
+        let mut jitter = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % 40_000) as f64 - 20_000.0
+        };
+        let totals: Vec<f64> = (0..240)
+            .map(|i| 1.5e6 * (1.0 + 0.4 * (i as f64 * 0.05).sin()) + jitter() + overhead_ns)
+            .collect();
+        let mut phase_wall_ns: [Vec<f64>; 5] = Default::default();
+        phase_wall_ns[0] = totals;
+        for p in &mut phase_wall_ns[1..] {
+            *p = vec![0.0; 240];
+        }
+        SceneSamples {
+            scene: "Mix".into(),
+            bodies: 300,
+            phase_wall_ns,
+            counters: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn paired_cost_resolves_an_overhead_far_below_the_step_variation() {
+        let off = synthetic_side(0.0, 1);
+        let honest = paired_step_cost(&off, &synthetic_side(120_000.0, 2)).expect("samples");
+        assert!(
+            (100_000.0..140_000.0).contains(&honest.median_ns),
+            "{honest:?}"
+        );
+        assert!(honest.ci_ns.0 > 100_000.0 && honest.ci_ns.1 < 140_000.0);
+        // A planted doubling of the overhead lands clear of the honest
+        // interval: a budget between the two separates them.
+        let doubled = paired_step_cost(&off, &synthetic_side(240_000.0, 3)).expect("samples");
+        assert!(doubled.ci_ns.0 > 1.5 * honest.ci_ns.1, "{doubled:?}");
+        // Unpaired sides cannot be subtracted step by step.
+        let mut short = synthetic_side(0.0, 4);
+        short.phase_wall_ns[0].pop();
+        assert_eq!(paired_step_cost(&off, &short), None);
     }
 
     #[test]

@@ -142,6 +142,9 @@ pub trait WideF32:
     /// Exactly-rounded per-lane square root.
     fn sqrt(self) -> Self;
 
+    /// Per-lane absolute value: the sign bit cleared, as `f32::abs`.
+    fn abs(self) -> Self;
+
     /// Per-lane `self > o` as an all-ones/all-zeros mask.
     fn gt(self, o: Self) -> Self;
 
@@ -177,6 +180,11 @@ impl WideF32 for f32 {
     #[inline(always)]
     fn sqrt(self) -> Self {
         f32::sqrt(self)
+    }
+
+    #[inline(always)]
+    fn abs(self) -> Self {
+        f32::abs(self)
     }
 
     #[inline(always)]
@@ -284,6 +292,12 @@ impl WideF32 for F32x4 {
         // SAFETY: SSE2 is part of the x86-64 baseline. `sqrtps` is
         // IEEE correctly rounded, identical to scalar `f32::sqrt`.
         F32x4(unsafe { _mm_sqrt_ps(self.0) })
+    }
+
+    #[inline(always)]
+    fn abs(self) -> Self {
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        F32x4(unsafe { _mm_andnot_ps(_mm_set1_ps(-0.0), self.0) })
     }
 
     #[inline(always)]
@@ -409,6 +423,12 @@ impl WideF32 for F32x8 {
         // SAFETY: AVX2 presence was runtime-verified. `vsqrtps` is
         // IEEE correctly rounded, identical to scalar `f32::sqrt`.
         F32x8(unsafe { _mm256_sqrt_ps(self.0) })
+    }
+
+    #[inline(always)]
+    fn abs(self) -> Self {
+        // SAFETY: AVX2 presence was runtime-verified.
+        F32x8(unsafe { _mm256_andnot_ps(_mm256_set1_ps(-0.0), self.0) })
     }
 
     #[inline(always)]
@@ -688,6 +708,12 @@ mod tests {
             |a, b| (a * b).exp(),
         );
         check_binary(|a, _| -a, |a, _| -a, |a, _| -a);
+    }
+
+    #[test]
+    fn abs_clears_the_sign_bit_at_every_width() {
+        // `lanes8` carries both zeros.
+        check_binary(|a, _| f32::abs(a), |a, _| a.abs(), |a, _| a.abs());
     }
 
     #[test]

@@ -263,8 +263,8 @@ mod tests {
                 geom_b: k + 1,
                 body_a: k,
                 body_b: k + 1,
-                shape_a: "box",
-                shape_b: "sphere",
+                shape_a: parallax_physics::ShapeKind::Cuboid,
+                shape_b: parallax_physics::ShapeKind::Sphere,
                 contacts: 2,
                 active: true,
             });

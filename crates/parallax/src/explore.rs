@@ -176,8 +176,8 @@ mod tests {
             geom_b: 1,
             body_a: 0,
             body_b: 1,
-            shape_a: "sphere",
-            shape_b: "sphere",
+            shape_a: parallax_physics::ShapeKind::Sphere,
+            shape_b: parallax_physics::ShapeKind::Sphere,
             contacts: 1,
             active: true,
         });

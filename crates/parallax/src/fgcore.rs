@@ -72,7 +72,11 @@ impl FgCoreType {
 pub fn representative_ops(kernel: Kernel) -> OpCounts {
     use parallax_trace::kernels::KernelModel;
     let unit = match kernel {
-        Kernel::Narrowphase => KernelModel::narrowphase_pair("box", "box", 2),
+        Kernel::Narrowphase => KernelModel::narrowphase_pair(
+            parallax_physics::ShapeKind::Cuboid,
+            parallax_physics::ShapeKind::Cuboid,
+            2,
+        ),
         Kernel::IslandSolver => KernelModel::island_solver(50, 20, 10),
         Kernel::Cloth => KernelModel::cloth(625, 5_000, 200),
         Kernel::Broadphase => KernelModel::broadphase(1_000, 10_000, 3_000),

@@ -23,18 +23,84 @@ pub struct ContactPoint {
     pub feature: u32,
 }
 
+/// The points of one manifold, stored inline: at most
+/// [`ContactManifold::MAX_POINTS`], no heap behind them, so a manifold is
+/// plain data that the narrow phase writes and the arena copies.
+///
+/// Dereferences to the slice of live points.
+#[derive(Clone, Copy, Serialize, Deserialize)]
+pub struct ContactPoints {
+    len: u32,
+    buf: [ContactPoint; ContactManifold::MAX_POINTS],
+}
+
+impl ContactPoints {
+    const EMPTY: ContactPoints = ContactPoints {
+        len: 0,
+        buf: [ContactPoint {
+            position: Vec3::ZERO,
+            normal: Vec3::ZERO,
+            depth: 0.0,
+            feature: 0,
+        }; ContactManifold::MAX_POINTS],
+    };
+
+    /// Appends a point.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`ContactManifold::MAX_POINTS`] points are already
+    /// stored; [`ContactManifold::push`] is the capped insert.
+    #[inline]
+    pub fn push(&mut self, p: ContactPoint) {
+        self.buf[self.len as usize] = p;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for ContactPoints {
+    type Target = [ContactPoint];
+
+    #[inline]
+    fn deref(&self) -> &[ContactPoint] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl std::ops::DerefMut for ContactPoints {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [ContactPoint] {
+        &mut self.buf[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a ContactPoints {
+    type Item = &'a ContactPoint;
+    type IntoIter = std::slice::Iter<'a, ContactPoint>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for ContactPoints {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// All contact points between one pair of geoms.
 ///
 /// Narrow-phase produces at most [`ContactManifold::MAX_POINTS`] points per
 /// pair, matching ODE's per-pair contact cap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ContactManifold {
     /// First geom of the pair.
     pub geom_a: GeomId,
     /// Second geom of the pair.
     pub geom_b: GeomId,
     /// The contact points.
-    pub points: Vec<ContactPoint>,
+    pub points: ContactPoints,
     /// Combined friction coefficient for the pair.
     pub friction: f32,
     /// Combined restitution for the pair.
@@ -46,17 +112,30 @@ impl ContactManifold {
     pub const MAX_POINTS: usize = 4;
 
     /// Creates an empty manifold for the pair.
+    #[inline]
     pub fn new(geom_a: GeomId, geom_b: GeomId) -> Self {
         ContactManifold {
             geom_a,
             geom_b,
-            points: Vec::new(),
+            points: ContactPoints::EMPTY,
             friction: 0.6,
             restitution: 0.1,
         }
     }
 
+    /// Makes this an empty manifold for the pair, as [`Self::new`] would,
+    /// without rewriting the point storage.
+    #[inline]
+    pub(crate) fn reset(&mut self, geom_a: GeomId, geom_b: GeomId) {
+        self.geom_a = geom_a;
+        self.geom_b = geom_b;
+        self.points.len = 0;
+        self.friction = 0.6;
+        self.restitution = 0.1;
+    }
+
     /// Adds a point, keeping only the deepest [`Self::MAX_POINTS`].
+    #[inline]
     pub fn push(&mut self, p: ContactPoint) {
         debug_assert!(p.normal.is_finite() && p.position.is_finite());
         if self.points.len() < Self::MAX_POINTS {

@@ -26,6 +26,8 @@
 //! exists so the bisection tooling can be tested against a divergence
 //! with a known ground truth.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::contact::ContactManifold;
 use crate::contact_cache::ContactCache;
 use crate::probe::{IslandWork, PhaseKind};
@@ -174,6 +176,11 @@ impl Digest {
         if let Some(lo) = pending {
             self.write_u64(lo as u64);
         }
+    }
+
+    /// Bytes mixed in so far (every input is framed into 8-byte words).
+    pub fn bytes(&self) -> u64 {
+        self.total_words * 8
     }
 
     /// Finalizes the digest (XXH64 convergence + avalanche).
@@ -380,6 +387,22 @@ fn fold_contact_cache(d: &mut Digest, cache: &ContactCache) {
     }
 }
 
+/// Bytes the per-phase digests below have hashed in this process.
+static PHASE_BYTES_HASHED: AtomicU64 = AtomicU64::new(0);
+
+/// Total bytes hashed by the per-phase digests of every world in this
+/// process since it started: what `digest_overhead` divides the measured
+/// cost by. Five relaxed adds a step, and only with digests on.
+pub fn phase_bytes_hashed() -> u64 {
+    PHASE_BYTES_HASHED.load(Ordering::Relaxed)
+}
+
+/// Finishes a per-phase digest and accounts its length.
+fn finish_phase(d: Digest) -> u64 {
+    PHASE_BYTES_HASHED.fetch_add(d.bytes(), Ordering::Relaxed);
+    d.finish()
+}
+
 /// Digest after broad-phase: body state plus the candidate pair list
 /// (broad-phase mutates no body state, so the pairs are what a
 /// divergence here would show up in).
@@ -388,7 +411,7 @@ pub fn broadphase_digest(world: &World, candidates: &[(GeomId, GeomId)]) -> u64 
     fold_body_state(&mut d, &world.bodies);
     d.write_u64(candidates.len() as u64);
     d.write_u32s(candidates.iter().flat_map(|&(a, b)| [a.0, b.0]));
-    d.finish()
+    finish_phase(d)
 }
 
 /// Digest after narrow-phase: body state (contact events may disable
@@ -407,7 +430,7 @@ pub fn narrowphase_digest(world: &World, manifolds: &[ContactManifold]) -> u64 {
             d.write_u64((p.depth.to_bits() as u64) | ((p.feature as u64) << 32));
         }
     }
-    d.finish()
+    finish_phase(d)
 }
 
 /// Digest after island creation: body state plus the island assignment
@@ -416,7 +439,7 @@ pub fn island_creation_digest(world: &World) -> u64 {
     let mut d = Digest::new(PhaseKind::IslandCreation as u64);
     fold_body_state(&mut d, &world.bodies);
     d.write_u32s(world.bodies.island.iter().copied());
-    d.finish()
+    finish_phase(d)
 }
 
 /// Digest after island processing: post-solve body state, the per-island
@@ -430,7 +453,7 @@ pub fn island_processing_digest(world: &World, islands: &[IslandWork]) -> u64 {
         d.write_u64(w.lambda_digest);
     }
     fold_joints(&mut d, world);
-    d.finish()
+    finish_phase(d)
 }
 
 /// Digest after the cloth phase: body state plus cloth Verlet state.
@@ -438,7 +461,7 @@ pub fn cloth_digest(world: &World) -> u64 {
     let mut d = Digest::new(PhaseKind::Cloth as u64);
     fold_body_state(&mut d, &world.bodies);
     fold_cloths(&mut d, world);
-    d.finish()
+    finish_phase(d)
 }
 
 /// Whole-world digest: every piece of mutable simulation state —

@@ -3,8 +3,12 @@
 //! Determines contact points between each pair of colliding geoms. This
 //! phase exhibits the massive fine-grain parallelism the paper exploits:
 //! every pair is independent. The per-pair entry point is
-//! [`collide_shapes`]; the dispatcher covers sphere, box, capsule, plane,
-//! heightfield and triangle-mesh combinations.
+//! [`collide_shapes`]; the step pipeline hands whole slices of classified
+//! pairs to [`collide_batch`], which runs one kernel loop per shape-kind
+//! bucket. Both go through the same dispatcher and the same kernels,
+//! covering sphere, box, capsule, plane, heightfield and triangle-mesh
+//! combinations, and no kernel allocates: a manifold's points are inline
+//! and box–box clips a polygon on the stack.
 //!
 //! Every routine stamps [`ContactPoint::feature`] with a stable id for the
 //! surface feature that generated the point — box corner index against
@@ -14,10 +18,13 @@
 //! pair across *consecutive* steps; the contact cache uses them to carry
 //! accumulated solver impulses forward.
 
+#[cfg(target_arch = "x86_64")]
+use parallax_math::simd::{F32x4, F32x8};
+use parallax_math::simd::{SimdMode, WideF32};
 use parallax_math::{Transform, Vec3};
 
 use crate::contact::{ContactManifold, ContactPoint};
-use crate::shape::{GeomId, Heightfield, Shape, TriMesh};
+use crate::shape::{Geom, GeomId, Heightfield, Shape, ShapeKind, TriMesh};
 
 /// Computes the contact manifold between two posed shapes.
 ///
@@ -57,36 +64,132 @@ pub fn collide_with_ids(
     shape_b: &Shape,
     tb: &Transform,
 ) -> Option<ContactManifold> {
-    use Shape::*;
     let mut m = ContactManifold::new(ga, gb);
-    let hit = match (shape_a, shape_b) {
+    collide_pair::<f32>(shape_a, ta, shape_b, tb, &mut m);
+    (!m.is_empty()).then_some(m)
+}
+
+/// One pair the step's classifier found worth colliding.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ActivePair {
+    pub a: GeomId,
+    pub b: GeomId,
+    /// The shape-kind pair, see [`bucket_of`].
+    pub bucket: u8,
+    /// Index of the pair's record in the step's `PairWork` list.
+    pub record: u32,
+}
+
+/// Number of shape-kind pair buckets.
+pub(crate) const BUCKETS: usize = ShapeKind::COUNT * ShapeKind::COUNT;
+
+/// The bucket of an ordered shape-kind pair.
+#[inline]
+pub(crate) fn bucket_of(a: ShapeKind, b: ShapeKind) -> u8 {
+    a as u8 * ShapeKind::COUNT as u8 + b as u8
+}
+
+/// Collides `pairs` — sorted by bucket, so that consecutive pairs take
+/// the same arm of the dispatcher and run the same kernel — into the
+/// matching slots of `out`: slot `i` ends up holding pair `i`'s manifold,
+/// empty when the shapes do not touch. `xf` is the per-geom world
+/// transform table; `mode` (already clamped to what the CPU supports)
+/// picks the lane width of the kernels that have lanes to fill.
+pub(crate) fn collide_batch(
+    mode: SimdMode,
+    pairs: &[ActivePair],
+    geoms: &[Geom],
+    xf: &[Transform],
+    out: &mut [ContactManifold],
+) {
+    #[cfg(target_arch = "x86_64")]
+    match mode {
+        SimdMode::Scalar => collide_slice::<f32>(pairs, geoms, xf, out),
+        SimdMode::Sse2 => collide_slice::<F32x4>(pairs, geoms, xf, out),
+        // SAFETY: the caller clamped `mode` to the CPU's features.
+        SimdMode::Avx2 => unsafe { collide_slice_avx2(pairs, geoms, xf, out) },
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = mode;
+        collide_slice::<f32>(pairs, geoms, xf, out);
+    }
+}
+
+#[inline(always)]
+fn collide_slice<W: WideF32>(
+    pairs: &[ActivePair],
+    geoms: &[Geom],
+    xf: &[Transform],
+    out: &mut [ContactManifold],
+) {
+    for (p, m) in pairs.iter().zip(out) {
+        let (a, b) = (p.a.index(), p.b.index());
+        m.reset(p.a, p.b);
+        collide_pair::<W>(&geoms[a].shape, &xf[a], &geoms[b].shape, &xf[b], m);
+    }
+}
+
+/// `#[target_feature]` recompiles the inlined generic loop, dispatcher
+/// and lane kernels as AVX2 code.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (`SimdMode::clamp_to_supported`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn collide_slice_avx2(
+    pairs: &[ActivePair],
+    geoms: &[Geom],
+    xf: &[Transform],
+    out: &mut [ContactManifold],
+) {
+    collide_slice::<F32x8>(pairs, geoms, xf, out);
+}
+
+/// The per-pair dispatcher: appends the pair's contact points to `m`.
+/// `W` is the lane type of the one kernel written width-generically, the
+/// box–box separating-axis test; `f32` is its one-lane instantiation, and
+/// every width produces the same bits.
+#[inline(always)]
+fn collide_pair<W: WideF32>(
+    shape_a: &Shape,
+    ta: &Transform,
+    shape_b: &Shape,
+    tb: &Transform,
+    m: &mut ContactManifold,
+) {
+    use Shape::*;
+    // Every kernel also returns whether it pushed a point; `m` says the
+    // same, so the flag ends here.
+    match (shape_a, shape_b) {
         (Sphere { radius: ra }, Sphere { radius: rb }) => {
-            sphere_sphere(ta.position, *ra, tb.position, *rb, &mut m)
+            sphere_sphere(ta.position, *ra, tb.position, *rb, m)
         }
         (Sphere { radius }, Cuboid { half }) => {
-            sphere_box(ta.position, *radius, tb, *half, 0, &mut m, false)
+            sphere_box(ta.position, *radius, tb, *half, 0, m, false)
         }
         (Cuboid { half }, Sphere { radius }) => {
-            sphere_box(tb.position, *radius, ta, *half, 0, &mut m, true)
+            sphere_box(tb.position, *radius, ta, *half, 0, m, true)
         }
         (Sphere { radius }, Plane { normal, offset }) => {
-            sphere_plane(ta.position, *radius, *normal, *offset, &mut m, false)
+            sphere_plane(ta.position, *radius, *normal, *offset, m, false)
         }
         (Plane { normal, offset }, Sphere { radius }) => {
-            sphere_plane(tb.position, *radius, *normal, *offset, &mut m, true)
+            sphere_plane(tb.position, *radius, *normal, *offset, m, true)
         }
-        (Cuboid { half: ha }, Cuboid { half: hb }) => box_box(ta, *ha, tb, *hb, &mut m),
+        (Cuboid { half: ha }, Cuboid { half: hb }) => box_box::<W>(ta, *ha, tb, *hb, m),
         (Cuboid { half }, Plane { normal, offset }) => {
-            box_plane(ta, *half, *normal, *offset, &mut m, false)
+            box_plane(ta, *half, *normal, *offset, m, false)
         }
         (Plane { normal, offset }, Cuboid { half }) => {
-            box_plane(tb, *half, *normal, *offset, &mut m, true)
+            box_plane(tb, *half, *normal, *offset, m, true)
         }
         (Capsule { radius, half_len }, Plane { normal, offset }) => {
-            capsule_plane(ta, *radius, *half_len, *normal, *offset, &mut m, false)
+            capsule_plane(ta, *radius, *half_len, *normal, *offset, m, false)
         }
         (Plane { normal, offset }, Capsule { radius, half_len }) => {
-            capsule_plane(tb, *radius, *half_len, *normal, *offset, &mut m, true)
+            capsule_plane(tb, *radius, *half_len, *normal, *offset, m, true)
         }
         (
             Capsule {
@@ -97,63 +200,58 @@ pub fn collide_with_ids(
                 radius: rb,
                 half_len: lb,
             },
-        ) => capsule_capsule(ta, *ra, *la, tb, *rb, *lb, &mut m),
+        ) => capsule_capsule(ta, *ra, *la, tb, *rb, *lb, m),
         (
             Sphere { radius },
             Capsule {
                 radius: rc,
                 half_len,
             },
-        ) => sphere_capsule(ta.position, *radius, tb, *rc, *half_len, &mut m, false),
+        ) => sphere_capsule(ta.position, *radius, tb, *rc, *half_len, m, false),
         (
             Capsule {
                 radius: rc,
                 half_len,
             },
             Sphere { radius },
-        ) => sphere_capsule(tb.position, *radius, ta, *rc, *half_len, &mut m, true),
+        ) => sphere_capsule(tb.position, *radius, ta, *rc, *half_len, m, true),
         (Capsule { radius, half_len }, Cuboid { half }) => {
-            capsule_box(ta, *radius, *half_len, tb, *half, &mut m, false)
+            capsule_box(ta, *radius, *half_len, tb, *half, m, false)
         }
         (Cuboid { half }, Capsule { radius, half_len }) => {
-            capsule_box(tb, *radius, *half_len, ta, *half, &mut m, true)
+            capsule_box(tb, *radius, *half_len, ta, *half, m, true)
         }
         (Sphere { radius }, Heightfield(hf)) => {
-            sphere_heightfield(ta.position, *radius, hf, tb, 0, &mut m, false)
+            sphere_heightfield(ta.position, *radius, hf, tb, 0, m, false)
         }
         (Heightfield(hf), Sphere { radius }) => {
-            sphere_heightfield(tb.position, *radius, hf, ta, 0, &mut m, true)
+            sphere_heightfield(tb.position, *radius, hf, ta, 0, m, true)
         }
-        (Cuboid { half }, Heightfield(hf)) => box_heightfield(ta, *half, hf, tb, &mut m, false),
-        (Heightfield(hf), Cuboid { half }) => box_heightfield(tb, *half, hf, ta, &mut m, true),
+        (Cuboid { half }, Heightfield(hf)) => box_heightfield(ta, *half, hf, tb, m, false),
+        (Heightfield(hf), Cuboid { half }) => box_heightfield(tb, *half, hf, ta, m, true),
         (Capsule { radius, half_len }, Heightfield(hf)) => {
-            capsule_heightfield(ta, *radius, *half_len, hf, tb, &mut m, false)
+            capsule_heightfield(ta, *radius, *half_len, hf, tb, m, false)
         }
         (Heightfield(hf), Capsule { radius, half_len }) => {
-            capsule_heightfield(tb, *radius, *half_len, hf, ta, &mut m, true)
+            capsule_heightfield(tb, *radius, *half_len, hf, ta, m, true)
         }
         (Sphere { radius }, TriMesh(mesh)) => {
-            sphere_trimesh(ta.position, *radius, mesh, tb, 0, &mut m, false)
+            sphere_trimesh(ta.position, *radius, mesh, tb, 0, m, false)
         }
         (TriMesh(mesh), Sphere { radius }) => {
-            sphere_trimesh(tb.position, *radius, mesh, ta, 0, &mut m, true)
+            sphere_trimesh(tb.position, *radius, mesh, ta, 0, m, true)
         }
-        (Cuboid { half }, TriMesh(mesh)) => box_trimesh(ta, *half, mesh, tb, &mut m, false),
-        (TriMesh(mesh), Cuboid { half }) => box_trimesh(tb, *half, mesh, ta, &mut m, true),
+        (Cuboid { half }, TriMesh(mesh)) => box_trimesh(ta, *half, mesh, tb, m, false),
+        (TriMesh(mesh), Cuboid { half }) => box_trimesh(tb, *half, mesh, ta, m, true),
         (Capsule { radius, half_len }, TriMesh(mesh)) => {
-            capsule_trimesh(ta, *radius, *half_len, mesh, tb, &mut m, false)
+            capsule_trimesh(ta, *radius, *half_len, mesh, tb, m, false)
         }
         (TriMesh(mesh), Capsule { radius, half_len }) => {
-            capsule_trimesh(tb, *radius, *half_len, mesh, ta, &mut m, true)
+            capsule_trimesh(tb, *radius, *half_len, mesh, ta, m, true)
         }
         // Static-static combinations never collide meaningfully.
         _ => false,
     };
-    if hit && !m.is_empty() {
-        Some(m)
-    } else {
-        None
-    }
 }
 
 fn push_maybe_flipped(m: &mut ContactManifold, p: ContactPoint, flipped: bool) {
@@ -412,13 +510,6 @@ impl Obb {
         }
     }
 
-    /// Projection radius onto unit axis `n`.
-    fn radius(&self, n: Vec3) -> f32 {
-        self.h.x * self.axes[0].dot(n).abs()
-            + self.h.y * self.axes[1].dot(n).abs()
-            + self.h.z * self.axes[2].dot(n).abs()
-    }
-
     fn support(&self, dir: Vec3) -> Vec3 {
         self.c
             + self.axes[0] * self.h.x * self.axes[0].dot(dir).signum()
@@ -444,62 +535,127 @@ impl Obb {
     }
 }
 
-fn box_box(ta: &Transform, ha: Vec3, tb: &Transform, hb: Vec3, m: &mut ContactManifold) -> bool {
-    let a = Obb::new(ta, ha);
-    let b = Obb::new(tb, hb);
-    let d = a.c - b.c;
+/// The winner of a box pair's separating-axis test.
+struct SatBest {
+    /// Overlap along `axis`.
+    depth: f32,
+    /// Unit axis of least (edge-penalised) overlap.
+    axis: Vec3,
+    /// The crossed edge directions `(i of A, j of B)` when an edge axis won.
+    edge: Option<(usize, usize)>,
+}
 
-    // SAT over 6 face axes + 9 edge cross products; track minimum overlap.
-    let mut best_score = f32::INFINITY;
-    let mut best_depth = f32::INFINITY;
-    let mut best_axis = Vec3::UNIT_Y;
-    let mut best_is_edge = false;
-    let mut best_edge = (0usize, 0usize);
-
-    let mut test_axis = |axis: Vec3, is_edge: bool, edge: (usize, usize)| -> bool {
-        let len2 = axis.length_squared();
-        if len2 < 1e-10 {
-            return true; // Degenerate axis (parallel edges): skip.
-        }
-        let n = axis / len2.sqrt();
-        let overlap = a.radius(n) + b.radius(n) - d.dot(n).abs();
-        if overlap < 0.0 {
-            return false; // Separating axis found.
-        }
-        // Penalize edge axes slightly: for near-parallel boxes the cross
-        // product of two almost-aligned edges normalizes to (almost) the
-        // face normal, with the same overlap. An edge axis must beat the
-        // best face axis by a clear margin to be chosen, otherwise stacked
-        // boxes degenerate to a single rocking edge contact instead of a
-        // stable clipped-face manifold.
-        let score = if is_edge { overlap * 1.05 } else { overlap };
-        if score < best_score {
-            best_score = score;
-            best_depth = overlap;
-            best_axis = n;
-            best_is_edge = is_edge;
-            best_edge = edge;
-        }
-        true
-    };
-
+/// SAT over 6 face axes + 9 edge cross products: `None` when some axis
+/// separates the boxes, otherwise the axis of minimum overlap.
+///
+/// The fifteen candidate axes are laid out one per lane and evaluated `W`
+/// at a time — normalisation, the two projection radii, the overlap —
+/// each lane running the scalar expression tree (`Vec3::dot`'s
+/// `(x + y) + z`, one division per component, no FMA), so every width
+/// yields the same bits. The separating-axis exit and the strict-`<`
+/// best-axis scan then walk the chunk's lanes in axis order; a wide chunk
+/// only computes a few axes the one-lane instantiation would not have
+/// reached.
+#[inline(always)]
+fn sat<W: WideF32>(a: &Obb, b: &Obb, d: Vec3) -> Option<SatBest> {
+    const LANES: usize = 16;
+    let (mut ax, mut ay, mut az) = ([0.0f32; LANES], [0.0f32; LANES], [0.0f32; LANES]);
+    let mut set = |k: usize, v: Vec3| (ax[k], ay[k], az[k]) = (v.x, v.y, v.z);
     for i in 0..3 {
-        if !test_axis(a.axes[i], false, (i, 0)) {
-            return false;
-        }
-    }
-    for j in 0..3 {
-        if !test_axis(b.axes[j], false, (3 + j, 0)) {
-            return false;
-        }
-    }
-    for i in 0..3 {
+        set(i, a.axes[i]);
+        set(3 + i, b.axes[i]);
         for j in 0..3 {
-            if !test_axis(a.axes[i].cross(b.axes[j]), true, (i, j)) {
-                return false;
+            set(6 + i * 3 + j, a.axes[i].cross(b.axes[j]));
+        }
+    }
+
+    let mut best_score = f32::INFINITY;
+    let mut best = SatBest {
+        depth: f32::INFINITY,
+        axis: Vec3::UNIT_Y,
+        edge: None,
+    };
+    let (mut len2s, mut overlaps) = ([0.0f32; LANES], [0.0f32; LANES]);
+    let (mut nxs, mut nys, mut nzs) = ([0.0f32; LANES], [0.0f32; LANES], [0.0f32; LANES]);
+    for chunk in (0..LANES).step_by(W::LANES) {
+        let (x, y, z) = (
+            W::load(&ax, chunk),
+            W::load(&ay, chunk),
+            W::load(&az, chunk),
+        );
+        let len2 = x * x + y * y + z * z;
+        let len = len2.sqrt();
+        let (nx, ny, nz) = (x / len, y / len, z / len);
+        let n = (nx, ny, nz);
+        let overlap = radius(a, n) + radius(b, n) - along(d, n).abs();
+        len2.store(&mut len2s, chunk);
+        overlap.store(&mut overlaps, chunk);
+        nx.store(&mut nxs, chunk);
+        ny.store(&mut nys, chunk);
+        nz.store(&mut nzs, chunk);
+
+        for k in chunk..(chunk + W::LANES).min(15) {
+            if len2s[k] < 1e-10 {
+                continue; // Degenerate axis (parallel edges): skip.
+            }
+            let overlap = overlaps[k];
+            if overlap < 0.0 {
+                return None; // Separating axis found.
+            }
+            // Penalize edge axes slightly: for near-parallel boxes the cross
+            // product of two almost-aligned edges normalizes to (almost) the
+            // face normal, with the same overlap. An edge axis must beat the
+            // best face axis by a clear margin to be chosen, otherwise stacked
+            // boxes degenerate to a single rocking edge contact instead of a
+            // stable clipped-face manifold.
+            let is_edge = k >= 6;
+            let score = if is_edge { overlap * 1.05 } else { overlap };
+            if score < best_score {
+                best_score = score;
+                best = SatBest {
+                    depth: overlap,
+                    axis: Vec3::new(nxs[k], nys[k], nzs[k]),
+                    edge: is_edge.then(|| ((k - 6) / 3, (k - 6) % 3)),
+                };
             }
         }
     }
+    Some(best)
+}
+
+/// `v · n` in every lane, in `Vec3::dot`'s association.
+#[inline(always)]
+fn along<W: WideF32>(v: Vec3, (nx, ny, nz): (W, W, W)) -> W {
+    W::splat(v.x) * nx + W::splat(v.y) * ny + W::splat(v.z) * nz
+}
+
+/// Projection radius of a box onto the unit axis in every lane.
+#[inline(always)]
+fn radius<W: WideF32>(o: &Obb, n: (W, W, W)) -> W {
+    W::splat(o.h.x) * along(o.axes[0], n).abs()
+        + W::splat(o.h.y) * along(o.axes[1], n).abs()
+        + W::splat(o.h.z) * along(o.axes[2], n).abs()
+}
+
+#[inline(always)]
+fn box_box<W: WideF32>(
+    ta: &Transform,
+    ha: Vec3,
+    tb: &Transform,
+    hb: Vec3,
+    m: &mut ContactManifold,
+) -> bool {
+    let a = Obb::new(ta, ha);
+    let b = Obb::new(tb, hb);
+    let d = a.c - b.c;
+    let Some(SatBest {
+        depth: best_depth,
+        axis: best_axis,
+        edge: best_edge,
+    }) = sat::<W>(&a, &b, d)
+    else {
+        return false;
+    };
 
     // Orient the normal from B to A.
     let mut normal = best_axis;
@@ -507,9 +663,8 @@ fn box_box(ta: &Transform, ha: Vec3, tb: &Transform, hb: Vec3, m: &mut ContactMa
         normal = -normal;
     }
 
-    if best_is_edge {
+    if let Some((i, j)) = best_edge {
         // Single contact at the closest points of the two edges.
-        let (i, j) = best_edge;
         let pa = a.support(-normal);
         let pb = b.support(normal);
         let (qa, qb) = closest_points_lines(pa, a.axes[i], pb, b.axes[j]);
@@ -551,7 +706,11 @@ fn box_box(ta: &Transform, ha: Vec3, tb: &Transform, hb: Vec3, m: &mut ContactMa
     // Incident face: the face of `incident` most anti-aligned with the
     // reference face normal.
     let (inc_axis, inc_sign) = most_aligned_axis(incident, -ref_face_n);
-    let mut poly: Vec<Vec3> = incident.face(inc_axis, inc_sign).to_vec();
+    let mut bufs = (
+        ClipPoly::from_face(incident.face(inc_axis, inc_sign)),
+        ClipPoly::EMPTY,
+    );
+    let (mut poly, mut clipped) = (&mut bufs.0, &mut bufs.1);
 
     // Clip the incident polygon against the 4 side planes of the reference
     // face.
@@ -566,8 +725,9 @@ fn box_box(ta: &Transform, ha: Vec3, tb: &Transform, hb: Vec3, m: &mut ContactMa
         if plane_n.dot(ref_center - edge_from) < 0.0 {
             plane_n = -plane_n;
         }
-        poly = clip_polygon(&poly, plane_n, plane_n.dot(edge_from));
-        if poly.is_empty() {
+        clip_polygon(poly, plane_n, plane_n.dot(edge_from), clipped);
+        std::mem::swap(&mut poly, &mut clipped);
+        if poly.len == 0 {
             break;
         }
     }
@@ -581,7 +741,7 @@ fn box_box(ta: &Transform, ha: Vec3, tb: &Transform, hb: Vec3, m: &mut ContactMa
 
     let plane_d = ref_face_n.dot(ref_face[0]);
     let mut hit = false;
-    for (idx, p) in poly.into_iter().enumerate() {
+    for (idx, &p) in poly.verts[..poly.len].iter().enumerate() {
         let sep = ref_face_n.dot(p) - plane_d;
         if sep <= 0.0 {
             m.push(ContactPoint {
@@ -622,12 +782,47 @@ fn most_aligned_axis(o: &Obb, dir: Vec3) -> (usize, f32) {
     (best, best_sign)
 }
 
-/// Sutherland–Hodgman clip of `poly` against half-space `n·x >= d`.
-fn clip_polygon(poly: &[Vec3], n: Vec3, d: f32) -> Vec<Vec3> {
-    let mut out = Vec::with_capacity(poly.len() + 2);
-    for i in 0..poly.len() {
-        let cur = poly[i];
-        let next = poly[(i + 1) % poly.len()];
+/// The polygon box–box clips, on the stack.
+///
+/// A face quad clipped by four half-planes has at most 8 vertices when
+/// every intermediate polygon is convex, but in/out is decided per vertex
+/// in `f32`, and a face lying in a side plane can alternate. Without
+/// assuming convexity one clip emits every inside vertex plus one point
+/// per in/out crossing — at most `inside + 2·min(inside, outside)` — so
+/// the count goes 4 → 6 → 9 → 13 → 19 at worst.
+struct ClipPoly {
+    len: usize,
+    verts: [Vec3; ClipPoly::CAPACITY],
+}
+
+impl ClipPoly {
+    const CAPACITY: usize = 20;
+    const EMPTY: ClipPoly = ClipPoly {
+        len: 0,
+        verts: [Vec3::ZERO; ClipPoly::CAPACITY],
+    };
+
+    fn from_face(face: [Vec3; 4]) -> ClipPoly {
+        let mut poly = ClipPoly::EMPTY;
+        poly.verts[..4].copy_from_slice(&face);
+        poly.len = 4;
+        poly
+    }
+
+    #[inline]
+    fn push(&mut self, v: Vec3) {
+        self.verts[self.len] = v;
+        self.len += 1;
+    }
+}
+
+/// Sutherland–Hodgman clip of `poly` against half-space `n·x >= d`,
+/// written over `out`.
+fn clip_polygon(poly: &ClipPoly, n: Vec3, d: f32, out: &mut ClipPoly) {
+    out.len = 0;
+    for i in 0..poly.len {
+        let cur = poly.verts[i];
+        let next = poly.verts[(i + 1) % poly.len];
         let cur_in = n.dot(cur) >= d;
         let next_in = n.dot(next) >= d;
         if cur_in {
@@ -638,7 +833,6 @@ fn clip_polygon(poly: &[Vec3], n: Vec3, d: f32) -> Vec<Vec3> {
             out.push(cur + (next - cur) * t.clamp(0.0, 1.0));
         }
     }
-    out
 }
 
 // --- terrain ------------------------------------------------------------------

@@ -272,6 +272,51 @@ impl Executor {
         self.map_mut_into_span(items, out, telemetry::span_name(label), f);
     }
 
+    /// Runs `f` over aligned chunks of `items` and `out` — `chunk` items
+    /// each, the last one shorter — on the executor: every call gets a
+    /// slice of `items` and the matching `&mut` slice of `out` to fill in
+    /// place. Chunk boundaries depend only on `chunk`, so the result is
+    /// the same for any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length or `chunk` is zero.
+    pub fn zip_chunks_labeled<T, R, F>(
+        &self,
+        label: &str,
+        chunk: usize,
+        items: &[T],
+        out: &mut [R],
+        f: F,
+    ) where
+        T: Sync,
+        R: Send,
+        F: Fn(&[T], &mut [R]) + Sync,
+    {
+        assert_eq!(items.len(), out.len(), "one output slot per item");
+        assert!(chunk > 0, "chunk length must be positive");
+        let base = SendPtr(out.as_mut_ptr());
+        let n = items.len();
+        // No result to collect: a `Vec<()>` never allocates.
+        let mut done: Vec<()> = Vec::new();
+        self.map_indexed_into(
+            n.div_ceil(chunk),
+            &mut done,
+            telemetry::span_name(label),
+            move |c| {
+                let start = c * chunk;
+                let end = (start + chunk).min(n);
+                // SAFETY: chunk `c` covers `start..end`, the ranges of
+                // distinct chunks are disjoint and inside `out` (checked
+                // equal in length to `items` above), the cursor hands out
+                // each chunk index exactly once, and `out` is mutably
+                // borrowed for the whole call.
+                let out = unsafe { std::slice::from_raw_parts_mut(base.at(start), end - start) };
+                f(&items[start..end], out)
+            },
+        );
+    }
+
     fn map_mut_into_span<T, R, F>(
         &self,
         items: &mut [T],

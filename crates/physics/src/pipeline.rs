@@ -24,10 +24,10 @@ use crate::contact_cache::{self, ContactCache, WarmStats};
 use crate::digest;
 use crate::integrator;
 use crate::island::{ConstraintEdge, Island, IslandGraph, IslandStats};
-use crate::narrowphase;
+use crate::narrowphase::{self, ActivePair};
 use crate::parallel::Executor;
 use crate::probe::{ClothWork, IslandWork, PairWork, PhaseKind, StepEvents, StepProfile};
-use crate::shape::{GeomId, Shape};
+use crate::shape::{GeomClass, GeomId, Shape};
 use crate::solver::{self, RowParams, RowSet, VelState, STATIC_BODY};
 use crate::world::{BroadphaseKind, World};
 
@@ -39,11 +39,37 @@ pub struct BroadphaseStage {
 }
 
 /// Parallel phase 2: exact contact generation over the candidate pairs.
+///
+/// A batch in, a batch out: one serial pass classifies every candidate
+/// against the world's per-geom class table and writes its work record,
+/// the active pairs are bucketed by shape-kind pair and collided on the
+/// executor one homogeneous run at a time, and a last serial pass emits
+/// the hits into the manifold arena in candidate order (solver row order
+/// follows it) whatever the thread count.
 pub struct NarrowphaseStage {
-    pairs: Vec<(GeomId, GeomId, bool)>,
-    results: Vec<(Option<ContactManifold>, PairWork)>,
+    /// Active pairs in candidate order.
+    active: Vec<ActivePair>,
+    /// The same pairs stably sorted by bucket, and where each went:
+    /// `slot_of[i]` is the position of `active[i]` in `sorted`.
+    sorted: Vec<ActivePair>,
+    slot_of: Vec<u32>,
+    /// Kernel output, one manifold per entry of `sorted` (empty = miss).
+    slots: Vec<ContactManifold>,
     /// Manifold arena for the step; indexed by the islands.
     manifolds: Vec<ContactManifold>,
+    /// What the last run was given and produced (telemetry).
+    stats: NarrowphaseStats,
+}
+
+/// Per-step narrow-phase counts: candidates handed over by the broad
+/// phase, pairs that were collided, pairs that touched, contact points
+/// they produced.
+#[derive(Default, Clone, Copy)]
+struct NarrowphaseStats {
+    candidates: u64,
+    active: u64,
+    hits: u64,
+    contacts: u64,
 }
 
 /// Serial phase 3: constraint edges + union-find island creation.
@@ -120,62 +146,147 @@ impl BroadphaseStage {
 }
 
 impl NarrowphaseStage {
+    /// Active pairs per executor task: a few kernel runs' worth, so a
+    /// task amortises its claim while a step still splits into enough
+    /// tasks to balance.
+    const TASK_PAIRS: usize = 64;
+
     fn new() -> Self {
         NarrowphaseStage {
-            pairs: Vec::new(),
-            results: Vec::new(),
+            active: Vec::new(),
+            sorted: Vec::new(),
+            slot_of: Vec::new(),
+            slots: Vec::new(),
             manifolds: Vec::new(),
+            stats: NarrowphaseStats::default(),
         }
     }
 
-    /// Collides the candidate pairs on the executor; fills the manifold
-    /// arena and returns the per-pair work records for the profile.
+    /// Classifies and collides the candidate pairs; fills the manifold
+    /// arena and `pairs`, the per-pair work records for the profile.
+    /// Reads the per-geom tables `World::refresh_aabbs_into` wrote this
+    /// step. Allocates nothing once its arenas (and `pairs`) have grown.
     fn run(
         &mut self,
         world: &World,
         executor: &Executor,
         candidates: &[(GeomId, GeomId)],
-    ) -> Vec<PairWork> {
-        world.filter_pairs_into(candidates, &mut self.pairs);
-
-        let run_pair = |&(a, b, active): &(GeomId, GeomId, bool)| {
-            let ga = &world.geoms[a.index()];
-            let gb = &world.geoms[b.index()];
-            let manifold = if active {
-                let ta = world.geom_world_transform(ga);
-                let tb = world.geom_world_transform(gb);
-                narrowphase::collide_with_ids(a, &ga.shape, &ta, b, &gb.shape, &tb)
-            } else {
-                None
-            };
-            let work = PairWork {
+        pairs: &mut Vec<PairWork>,
+    ) {
+        // Classify. Pairs of one body or of excluded (jointed) bodies are
+        // dropped; pairs with no awake dynamic side or with a disabled
+        // body are kept as *considered* pairs (`active = false`) — counted,
+        // and priced as a cheap rejection like ODE pairs filtered in the
+        // near callback — but are never collided. Sleeping bodies count
+        // as static here: a sleeping×sleeping or sleeping×static pair has
+        // its manifolds parked in the sleep system, an awake×sleeping pair
+        // stays active so contact can wake the island.
+        let class = &world.geom_class[..];
+        pairs.clear();
+        pairs.reserve(candidates.len());
+        self.active.clear();
+        let mut bucket_len = [0u32; narrowphase::BUCKETS];
+        for &(a, b) in candidates {
+            let (ca, cb) = (class[a.index()], class[b.index()]);
+            if ca.bits & cb.bits & GeomClass::ENABLED == 0 {
+                continue;
+            }
+            if ca.body != u32::MAX && cb.body != u32::MAX {
+                if ca.body == cb.body {
+                    continue;
+                }
+                if ca.bits & cb.bits & GeomClass::EXCLUDES != 0
+                    && world.exclusions.contains(ca.body, cb.body)
+                {
+                    continue;
+                }
+            }
+            let either = ca.bits | cb.bits;
+            let active =
+                either & GeomClass::AWAKE_DYNAMIC != 0 && either & GeomClass::BODY_DISABLED == 0;
+            if active {
+                let bucket = narrowphase::bucket_of(ca.kind, cb.kind);
+                bucket_len[bucket as usize] += 1;
+                self.active.push(ActivePair {
+                    a,
+                    b,
+                    bucket,
+                    record: pairs.len() as u32,
+                });
+            }
+            pairs.push(PairWork {
                 geom_a: a.0,
                 geom_b: b.0,
-                body_a: ga.body.map_or(u32::MAX, |x| x.0),
-                body_b: gb.body.map_or(u32::MAX, |x| x.0),
-                shape_a: ga.shape.kind_name(),
-                shape_b: gb.shape.kind_name(),
-                contacts: manifold.as_ref().map_or(0, |m| m.len()),
+                body_a: ca.body,
+                body_b: cb.body,
+                shape_a: ca.kind,
+                shape_b: cb.kind,
+                contacts: 0,
                 active,
-            };
-            (manifold, work)
-        };
-        executor.map_into_labeled(
+            });
+        }
+
+        // Bucket: a stable counting sort by shape-kind pair.
+        let n = self.active.len();
+        let mut next = [0u32; narrowphase::BUCKETS];
+        let mut start = 0;
+        for (slot, len) in next.iter_mut().zip(bucket_len) {
+            *slot = start;
+            start += len;
+        }
+        // (The copy only sizes `sorted`; every entry is overwritten.)
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&self.active);
+        self.slot_of.clear();
+        for p in &self.active {
+            let slot = &mut next[p.bucket as usize];
+            self.sorted[*slot as usize] = *p;
+            self.slot_of.push(*slot);
+            *slot += 1;
+        }
+
+        #[cfg(debug_assertions)]
+        if world.config.digest_fault.is_none() {
+            for p in &self.active {
+                for g in [p.a.index(), p.b.index()] {
+                    debug_assert_eq!(
+                        world.geom_xf[g],
+                        world.geom_world_transform(&world.geoms[g]),
+                        "stale cached transform of geom {g}"
+                    );
+                }
+            }
+        }
+        // Collide, one task per `TASK_PAIRS` sorted pairs.
+        self.slots
+            .resize(n, ContactManifold::new(GeomId(0), GeomId(0)));
+        let (geoms, xf) = (&world.geoms[..], &world.geom_xf[..]);
+        let mode = world.config.simd.clamp_to_supported();
+        executor.zip_chunks_labeled(
             PhaseKind::Narrowphase.region_label(),
-            &self.pairs,
-            &mut self.results,
-            run_pair,
+            Self::TASK_PAIRS,
+            &self.sorted,
+            &mut self.slots,
+            |run, out| narrowphase::collide_batch(mode, run, geoms, xf, out),
         );
 
+        // Emit the hits in candidate order.
         self.manifolds.clear();
-        let mut work = Vec::with_capacity(self.results.len());
-        for (m, w) in self.results.drain(..) {
-            if let Some(m) = m {
-                self.manifolds.push(m);
+        let mut contacts = 0;
+        for (p, &slot) in self.active.iter().zip(&self.slot_of) {
+            let m = &self.slots[slot as usize];
+            if !m.is_empty() {
+                pairs[p.record as usize].contacts = m.len() as u8;
+                contacts += m.len() as u64;
+                self.manifolds.push(*m);
             }
-            work.push(w);
         }
-        work
+        self.stats = NarrowphaseStats {
+            candidates: candidates.len() as u64,
+            active: n as u64,
+            hits: self.manifolds.len() as u64,
+            contacts,
+        };
     }
 }
 
@@ -574,6 +685,13 @@ struct PipelineTelemetry {
     steps: telemetry::Counter,
     island_size: telemetry::Histogram,
     manifolds_per_step: telemetry::Histogram,
+    /// What the narrow phase was given and made of it, accumulated per
+    /// step: broad-phase candidates, pairs collided, pairs that touched,
+    /// contact points generated.
+    narrow_candidates: telemetry::Counter,
+    narrow_active: telemetry::Counter,
+    narrow_hits: telemetry::Counter,
+    narrow_contacts: telemetry::Counter,
     solver_rows: telemetry::Histogram,
     /// Conflict-free batches over all island schedules, accumulated per
     /// step; with the row histogram's sum this gives rows per batch.
@@ -613,6 +731,10 @@ impl PipelineTelemetry {
             steps: telemetry::counter("physics.steps"),
             island_size: telemetry::histogram("physics.island_size_bodies"),
             manifolds_per_step: telemetry::histogram("physics.manifolds_per_step"),
+            narrow_candidates: telemetry::counter("physics.narrowphase.candidates"),
+            narrow_active: telemetry::counter("physics.narrowphase.active"),
+            narrow_hits: telemetry::counter("physics.narrowphase.hits"),
+            narrow_contacts: telemetry::counter("physics.narrowphase.contacts"),
             solver_rows: telemetry::histogram("physics.solver_rows_per_island"),
             solver_batches: telemetry::counter("physics.solver.batches"),
             solver_packed_rows: telemetry::counter("physics.solver.packed_rows"),
@@ -835,6 +957,31 @@ impl StepPipeline {
         self.quiet.valid = false;
     }
 
+    /// Rebuilds the executor when the configured thread count changed.
+    fn match_executor_to(&mut self, threads: usize) {
+        if self.executor.threads() != threads.max(1) {
+            self.executor = Executor::new(threads);
+        }
+    }
+
+    /// The manifold arena of the last narrow phase.
+    pub(crate) fn manifolds(&self) -> &[ContactManifold] {
+        &self.narrowphase.manifolds
+    }
+
+    /// See [`World::collide_candidates`].
+    pub(crate) fn collide_candidates(
+        &mut self,
+        world: &mut World,
+        candidates: &[(GeomId, GeomId)],
+        pairs: &mut Vec<PairWork>,
+    ) {
+        self.match_executor_to(world.config.threads);
+        world.refresh_aabbs_into(&mut self.broadphase.aabbs);
+        self.narrowphase
+            .run(world, &self.executor, candidates, pairs);
+    }
+
     /// Replaces the broad-phase algorithm (ablation hook).
     pub(crate) fn set_broadphase(&mut self, kind: BroadphaseKind) {
         self.broadphase = BroadphaseStage::new(kind);
@@ -847,9 +994,7 @@ impl StepPipeline {
     /// / no-cloth skips — goes through [`timed`], so all five
     /// `StepProfile::wall` entries are populated on every step.
     pub(crate) fn step(&mut self, world: &mut World) -> StepProfile {
-        if self.executor.threads() != world.config.threads.max(1) {
-            self.executor = Executor::new(world.config.threads);
-        }
+        self.match_executor_to(world.config.threads);
         self.telemetry.steps.add(1);
         let spans = self.telemetry.phase_spans;
 
@@ -935,9 +1080,13 @@ impl StepPipeline {
                 // No pair has an awake dynamic side: zero manifolds, and
                 // the considered-pair records are unchanged.
                 narrowphase.manifolds.clear();
+                narrowphase.stats = NarrowphaseStats {
+                    candidates: candidates.len() as u64,
+                    ..Default::default()
+                };
                 profile.pairs = quiet_pairs.clone();
             } else {
-                profile.pairs = narrowphase.run(world, executor, candidates);
+                narrowphase.run(world, executor, candidates, &mut profile.pairs);
             }
             let events = world.process_contact_events(&narrowphase.manifolds);
             world.update_cloth_contact_lists();
@@ -1097,6 +1246,11 @@ impl StepPipeline {
             self.telemetry
                 .manifolds_per_step
                 .record(self.narrowphase.manifolds.len() as u64);
+            let narrow = self.narrowphase.stats;
+            self.telemetry.narrow_candidates.add(narrow.candidates);
+            self.telemetry.narrow_active.add(narrow.active);
+            self.telemetry.narrow_hits.add(narrow.hits);
+            self.telemetry.narrow_contacts.add(narrow.contacts);
             // Penetration in micrometers so the log2 buckets resolve the
             // useful 1 µm – 10 m range.
             self.telemetry
@@ -1381,6 +1535,48 @@ mod tests {
             "mutation must break the coast"
         );
         assert_eq!(after.broadphase.geoms, before + 1);
+    }
+
+    /// The narrow phase reads each geom's world transform from the table
+    /// the AABB pass wrote at the start of the step. Debug builds assert,
+    /// inside the stage, that it equals `body ∘ local` for every geom of
+    /// an active pair; this drives that assertion through every way a
+    /// body's pose or standing changes between steps, and checks the
+    /// whole table after each.
+    #[test]
+    fn cached_geom_transforms_equal_the_composed_pose_when_read() {
+        fn check(w: &mut World, what: &str) {
+            w.step();
+            let n = w.geoms.len() as u32;
+            let all: Vec<_> = (0..n)
+                .flat_map(|a| (a + 1..n).map(move |b| (GeomId(a), GeomId(b))))
+                .collect();
+            w.collide_candidates(&all, &mut Vec::new());
+            for (i, g) in w.geoms.iter().enumerate().filter(|(_, g)| g.enabled) {
+                assert_eq!(w.geom_xf[i], w.geom_world_transform(g), "{what}: geom {i}");
+            }
+        }
+        let mut w = settled_world();
+        check(&mut w, "asleep");
+        // Teleport a sleeper without waking it.
+        let _ = w.body_mut(BodyId(3));
+        w.bodies.set_position(3, Vec3::new(0.4, 3.3, 0.1));
+        check(&mut w, "teleported sleeper");
+        w.wake_all();
+        check(&mut w, "woken");
+        let _ = w.body_mut(BodyId(2));
+        w.bodies.set_position(2, Vec3::new(3.0, 0.5, 0.0));
+        check(&mut w, "teleported awake body");
+        w.set_body_enabled(BodyId(1), false);
+        check(&mut w, "disabled");
+        w.set_body_enabled(BodyId(1), true);
+        check(&mut w, "re-enabled");
+        let snap = w.snapshot();
+        for _ in 0..20 {
+            w.step();
+        }
+        w.restore(&snap).expect("own snapshot");
+        check(&mut w, "restored");
     }
 
     #[test]

@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::broadphase::BroadphaseStats;
 use crate::cloth::ClothStats;
 use crate::island::IslandStats;
+use crate::shape::ShapeKind;
 
 /// The five computational phases of the physics pipeline (paper Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -77,8 +78,9 @@ impl PhaseKind {
     }
 }
 
-/// Narrow-phase work for one object pair.
-#[derive(Debug, Clone)]
+/// Narrow-phase work for one object pair: twenty bytes of plain data,
+/// written once per kept candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairWork {
     /// Geom index of A.
     pub geom_a: u32,
@@ -88,12 +90,12 @@ pub struct PairWork {
     pub body_a: u32,
     /// Body index of B (`u32::MAX` for static geoms).
     pub body_b: u32,
-    /// Shape-kind name of A (e.g. "sphere").
-    pub shape_a: &'static str,
-    /// Shape-kind name of B.
-    pub shape_b: &'static str,
+    /// Shape kind of A.
+    pub shape_a: ShapeKind,
+    /// Shape kind of B.
+    pub shape_b: ShapeKind,
     /// Contact points generated (0 = pair rejected in narrow-phase).
-    pub contacts: usize,
+    pub contacts: u8,
     /// `false` when the pair was only *considered* (no awake dynamic
     /// side — both static/sleeping, or a disabled body): counted, cheaply
     /// rejected, no contacts possible.
@@ -191,7 +193,7 @@ pub struct StepProfile {
 impl StepProfile {
     /// Total contact points generated this step.
     pub fn total_contacts(&self) -> usize {
-        self.pairs.iter().map(|p| p.contacts).sum()
+        self.pairs.iter().map(|p| p.contacts as usize).sum()
     }
 
     /// Fine-grain task count per phase (paper Figure 11): object-pairs for
@@ -251,8 +253,8 @@ mod tests {
             geom_b: 1,
             body_a: 0,
             body_b: 1,
-            shape_a: "sphere",
-            shape_b: "sphere",
+            shape_a: ShapeKind::Sphere,
+            shape_b: ShapeKind::Sphere,
             contacts: 1,
             active: true,
         });

@@ -353,15 +353,53 @@ impl Shape {
         }
     }
 
-    /// A short, stable name for profiling and traces.
-    pub fn kind_name(&self) -> &'static str {
+    /// Which primitive this shape is.
+    #[inline]
+    pub fn kind(&self) -> ShapeKind {
         match self {
-            Shape::Sphere { .. } => "sphere",
-            Shape::Cuboid { .. } => "box",
-            Shape::Capsule { .. } => "capsule",
-            Shape::Plane { .. } => "plane",
-            Shape::Heightfield(_) => "heightfield",
-            Shape::TriMesh(_) => "trimesh",
+            Shape::Sphere { .. } => ShapeKind::Sphere,
+            Shape::Cuboid { .. } => ShapeKind::Cuboid,
+            Shape::Capsule { .. } => ShapeKind::Capsule,
+            Shape::Plane { .. } => ShapeKind::Plane,
+            Shape::Heightfield(_) => ShapeKind::Heightfield,
+            Shape::TriMesh(_) => ShapeKind::TriMesh,
+        }
+    }
+}
+
+/// The primitive a [`Shape`] is, as one byte: what the narrow phase
+/// buckets pairs by, what the per-pair work records carry and what the
+/// trace's cost model prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[repr(u8)]
+pub enum ShapeKind {
+    /// [`Shape::Sphere`].
+    Sphere,
+    /// [`Shape::Cuboid`].
+    Cuboid,
+    /// [`Shape::Capsule`].
+    Capsule,
+    /// [`Shape::Plane`].
+    Plane,
+    /// [`Shape::Heightfield`].
+    Heightfield,
+    /// [`Shape::TriMesh`].
+    TriMesh,
+}
+
+impl ShapeKind {
+    /// Number of kinds (the side of the kind-pair bucket table).
+    pub const COUNT: usize = 6;
+
+    /// A short, stable name for profiling and traces.
+    pub fn name(self) -> &'static str {
+        match self {
+            ShapeKind::Sphere => "sphere",
+            ShapeKind::Cuboid => "box",
+            ShapeKind::Capsule => "capsule",
+            ShapeKind::Plane => "plane",
+            ShapeKind::Heightfield => "heightfield",
+            ShapeKind::TriMesh => "trimesh",
         }
     }
 }
@@ -390,6 +428,30 @@ pub struct Geom {
     /// Cached world AABB, refreshed at the start of broad-phase.
     pub(crate) aabb: Aabb,
     pub(crate) enabled: bool,
+}
+
+/// What the narrow phase's classifier needs to know of a geom, packed
+/// into eight bytes so that a candidate pair is judged without touching
+/// the geom, its body or a hash table. Rebuilt every step by the pass
+/// that refreshes the AABBs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GeomClass {
+    /// Owning body, `u32::MAX` for world-static geoms.
+    pub body: u32,
+    pub kind: ShapeKind,
+    pub bits: u8,
+}
+
+impl GeomClass {
+    /// The geom participates in collision.
+    pub const ENABLED: u8 = 1;
+    /// The body is dynamic and awake: a pair needs one such side to
+    /// produce contacts.
+    pub const AWAKE_DYNAMIC: u8 = 2;
+    /// The body is disabled (dormant debris keeps enabled geoms).
+    pub const BODY_DISABLED: u8 = 4;
+    /// The body appears in the collision-exclusion table.
+    pub const EXCLUDES: u8 = 8;
 }
 
 impl Geom {

@@ -303,8 +303,7 @@ pub fn snapshot(world: &World) -> Vec<u8> {
     }
 
     // Collision-excluded pairs, sorted for a canonical encoding.
-    let mut pairs: Vec<(u32, u32)> = world.joint_pairs.iter().copied().collect();
-    pairs.sort_unstable();
+    let pairs = world.exclusions.sorted_pairs();
     w.u64(pairs.len() as u64);
     for (a, b) in pairs {
         w.u32(a);
@@ -609,6 +608,12 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
         };
         let body_a = BodyId(r.u32()?);
         let body_b = BodyId(r.u32()?);
+        if body_a.index().max(body_b.index()) >= n {
+            return Err(SnapshotError::new(format!(
+                "joint {ji} references body {} of {n}",
+                body_a.0.max(body_b.0)
+            )));
+        }
         let break_threshold = if r.u8()? != 0 { Some(r.f32()?) } else { None };
         let accumulated_load = r.f32()?;
         let broken = r.u8()? != 0;
@@ -623,9 +628,18 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
 
     // Collision-excluded pairs.
     let pair_count = r.count(8)?;
-    let mut joint_pairs = std::collections::HashSet::with_capacity(pair_count);
+    let mut excluded_pairs = Vec::with_capacity(pair_count);
     for _ in 0..pair_count {
-        joint_pairs.insert((r.u32()?, r.u32()?));
+        let (a, b) = (r.u32()?, r.u32()?);
+        // The exclusion table keeps a flag per body id: an id from outside
+        // the world must not size it.
+        if a.max(b) as usize >= n {
+            return Err(SnapshotError::new(format!(
+                "excluded pair references body {} of {n}",
+                a.max(b)
+            )));
+        }
+        excluded_pairs.push((a, b));
     }
 
     // Cloths: state only — topology must already match.
@@ -758,6 +772,12 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
                 m.friction = r.f32()?;
                 m.restitution = r.f32()?;
                 let pc = r.count(28)?;
+                if pc > ContactManifold::MAX_POINTS {
+                    return Err(SnapshotError::new(format!(
+                        "parked manifold has {pc} points, at most {} fit",
+                        ContactManifold::MAX_POINTS
+                    )));
+                }
                 for _ in 0..pc {
                     m.points.push(ContactPoint {
                         position: r.vec3()?,
@@ -820,8 +840,8 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
     apply_bodies(world, n, &lanes, flags, island, sleep_timer, sleep_ema);
     world.geoms = geoms;
     world.body_geoms = body_geoms;
+    world.exclusions.restore(&excluded_pairs, &joints);
     world.joints = joints;
-    world.joint_pairs = joint_pairs;
     for (c, (verts, contact_bodies, contact_static_geoms)) in
         world.cloths.iter_mut().zip(cloth_states)
     {
@@ -1056,6 +1076,47 @@ mod tests {
             sb[..sb.len() - tail],
             "non-sleep state diverged after a v1 restore"
         );
+    }
+
+    #[test]
+    fn restore_rejects_body_ids_from_outside_the_world() {
+        let mut w = World::new(WorldConfig::default());
+        let ids: Vec<_> = (0..10)
+            .map(|i| {
+                w.add_body(
+                    BodyDesc::dynamic(Vec3::new(i as f32 * 3.0, 0.5, 0.0))
+                        .with_shape(Shape::sphere(0.5), 1.0),
+                )
+            })
+            .collect();
+        w.exclude_collision(ids[3], ids[7]);
+        w.add_joint(Joint::new(
+            JointKind::Ball {
+                anchor_a: Vec3::ZERO,
+                anchor_b: Vec3::ZERO,
+            },
+            ids[5],
+            ids[9],
+        ));
+        let snap = w.snapshot();
+        w.restore(&snap).expect("own snapshot");
+        // Overwrites the second id of the first `(a, b)` id pair in the blob.
+        let patched = |a: u32, b: u32| {
+            let needle = [a.to_le_bytes(), b.to_le_bytes()].concat();
+            let at = snap
+                .windows(8)
+                .position(|w| w == needle)
+                .expect("the id pair is in the blob");
+            let mut bytes = snap.clone();
+            bytes[at + 4..at + 8].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+            bytes
+        };
+        let err = w.restore(&patched(5, 9)).unwrap_err().to_string();
+        assert!(err.contains("joint 0 references body"), "{err}");
+        let err = w.restore(&patched(3, 7)).unwrap_err().to_string();
+        assert!(err.contains("excluded pair references body"), "{err}");
+        // Neither attempt half-applied.
+        assert_eq!(w.snapshot(), snap);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! world keeps the entity stores and the entity-level hooks the stages
 //! call back into.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use parallax_math::{Aabb, SimdMode, Transform, Vec3};
 
@@ -20,7 +20,7 @@ use crate::island::{ConstraintEdge, EdgeKind};
 use crate::joint::{Joint, JointId, JointKind};
 use crate::pipeline::StepPipeline;
 use crate::probe::StepProfile;
-use crate::shape::{Geom, GeomId, Shape};
+use crate::shape::{Geom, GeomClass, GeomId, Shape};
 use crate::store::{BodiesView, BodyMut, BodyRef, BodyStore};
 
 /// Global simulation parameters.
@@ -134,6 +134,94 @@ pub enum BroadphaseKind {
     SweepAndPrune,
 }
 
+/// Why a body pair is excluded from collision: each unbroken joint
+/// between the two counts once, and [`World::exclude_collision`] pins the
+/// pair for good. The pair collides again only when nothing holds it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Exclusion {
+    joints: u32,
+    explicit: bool,
+}
+
+impl Exclusion {
+    fn holds(self) -> bool {
+        self.explicit || self.joints > 0
+    }
+}
+
+/// Collision-excluded body pairs (jointed bodies and composite-entity
+/// parts do not collide), with a per-body bit so that the narrow phase
+/// consults the map only for pairs whose two bodies both appear in it.
+#[derive(Debug, Default)]
+pub(crate) struct Exclusions {
+    pairs: HashMap<(u32, u32), Exclusion>,
+    /// Per body: named by some key of `pairs` (never cleared).
+    listed: Vec<bool>,
+}
+
+impl Exclusions {
+    fn key(a: u32, b: u32) -> (u32, u32) {
+        (a.min(b), a.max(b))
+    }
+
+    fn entry(&mut self, a: u32, b: u32) -> &mut Exclusion {
+        let need = a.max(b) as usize + 1;
+        if self.listed.len() < need {
+            self.listed.resize(need, false);
+        }
+        self.listed[a as usize] = true;
+        self.listed[b as usize] = true;
+        self.pairs.entry(Self::key(a, b)).or_default()
+    }
+
+    fn joint_broke(&mut self, a: u32, b: u32) {
+        if let Some(e) = self.pairs.get_mut(&Self::key(a, b)) {
+            e.joints = e.joints.saturating_sub(1);
+        }
+    }
+
+    /// Whether `body` appears in any excluded pair.
+    #[inline]
+    pub(crate) fn lists(&self, body: u32) -> bool {
+        self.listed.get(body as usize).copied().unwrap_or(false)
+    }
+
+    /// Whether collision between the two bodies is excluded.
+    #[inline]
+    pub(crate) fn contains(&self, a: u32, b: u32) -> bool {
+        self.pairs.get(&Self::key(a, b)).is_some_and(|e| e.holds())
+    }
+
+    /// The excluded pairs, sorted (the snapshot's canonical encoding).
+    pub(crate) fn sorted_pairs(&self) -> Vec<(u32, u32)> {
+        let mut pairs: Vec<(u32, u32)> = self
+            .pairs
+            .iter()
+            .filter(|(_, e)| e.holds())
+            .map(|(&k, _)| k)
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// Rebuilds the table from a snapshot's pair list and the restored
+    /// joints. The counts are not in the snapshot: a pair's joint count is
+    /// recounted from the unbroken joints, and a listed pair is explicit
+    /// when this world (built by the same scene constructor) excluded it
+    /// explicitly or when no joint accounts for it.
+    pub(crate) fn restore(&mut self, listed: &[(u32, u32)], joints: &[Joint]) {
+        let before = std::mem::take(&mut self.pairs);
+        for j in joints.iter().filter(|j| !j.is_broken()) {
+            self.entry(j.body_a.0, j.body_b.0).joints += 1;
+        }
+        for &(a, b) in listed {
+            let was_explicit = before.get(&Self::key(a, b)).is_some_and(|e| e.explicit);
+            let e = self.entry(a, b);
+            e.explicit = was_explicit || e.joints == 0;
+        }
+    }
+}
+
 /// The simulation world.
 ///
 /// See the [crate docs](crate) for a complete example.
@@ -145,7 +233,14 @@ pub struct World {
     pub(crate) body_geoms: Vec<Vec<GeomId>>,
     pub(crate) joints: Vec<Joint>,
     /// Collision-excluded body pairs (jointed bodies do not collide).
-    pub(crate) joint_pairs: HashSet<(u32, u32)>,
+    pub(crate) exclusions: Exclusions,
+    /// Per-geom classifier record and world transform, parallel to
+    /// `geoms`. Written by [`World::refresh_aabbs_into`] at the start of a
+    /// step and valid until that step's integration moves the bodies: the
+    /// narrow phase reads them, the cloth phase (after integration) cannot.
+    /// `geom_xf[i]` is meaningful only while `geoms[i]` is enabled.
+    pub(crate) geom_class: Vec<GeomClass>,
+    pub(crate) geom_xf: Vec<Transform>,
     pub(crate) cloths: Vec<Cloth>,
     pub(crate) prefractured: Vec<Prefractured>,
     pub(crate) explosive_cfg: Vec<(u32, ExplosionConfig)>,
@@ -187,7 +282,9 @@ impl World {
             geoms: Vec::new(),
             body_geoms: Vec::new(),
             joints: Vec::new(),
-            joint_pairs: HashSet::new(),
+            exclusions: Exclusions::default(),
+            geom_class: Vec::new(),
+            geom_xf: Vec::new(),
             cloths: Vec::new(),
             prefractured: Vec::new(),
             explosive_cfg: Vec::new(),
@@ -308,8 +405,9 @@ impl World {
     pub fn add_joint(&mut self, joint: Joint) -> JointId {
         self.touch();
         let id = JointId(self.joints.len() as u32);
-        let (a, b) = (joint.body_a.0, joint.body_b.0);
-        self.joint_pairs.insert((a.min(b), a.max(b)));
+        if !joint.is_broken() {
+            self.exclusions.entry(joint.body_a.0, joint.body_b.0).joints += 1;
+        }
         self.joints.push(joint);
         id
     }
@@ -318,7 +416,7 @@ impl World {
     /// entities like vehicles whose parts interpenetrate by design).
     pub fn exclude_collision(&mut self, a: BodyId, b: BodyId) {
         self.touch();
-        self.joint_pairs.insert((a.0.min(b.0), a.0.max(b.0)));
+        self.exclusions.entry(a.0, b.0).explicit = true;
     }
 
     /// Adds a cloth object.
@@ -670,7 +768,7 @@ impl World {
             let parked: Vec<ContactManifold> = island
                 .manifolds
                 .iter()
-                .map(|&mi| manifolds[mi as usize].clone())
+                .map(|&mi| manifolds[mi as usize])
                 .collect();
             let slot = self.sleep.alloc();
             for &bi in &island.bodies {
@@ -799,79 +897,72 @@ impl World {
         }
     }
 
+    /// The serial pass over every geom at the start of a step: refreshes
+    /// the cached AABBs into `out` for the broad phase and, in the same
+    /// walk, the per-geom classifier records and world transforms the
+    /// narrow phase reads (see the `geom_class` field).
     pub(crate) fn refresh_aabbs_into(&mut self, out: &mut Vec<(GeomId, Aabb)>) {
         out.clear();
         let bodies = &self.bodies;
+        let exclusions = &self.exclusions;
+        self.geom_class.clear();
+        self.geom_xf.resize(self.geoms.len(), Transform::IDENTITY);
         for (i, g) in self.geoms.iter_mut().enumerate() {
+            let mut class = GeomClass {
+                body: u32::MAX,
+                kind: g.shape.kind(),
+                bits: 0,
+            };
+            let mut asleep = false;
+            if let Some(b) = g.body {
+                let bi = b.index();
+                asleep = bodies.is_sleeping(bi);
+                class.body = b.0;
+                if !bodies.is_static(bi) && !asleep {
+                    class.bits |= GeomClass::AWAKE_DYNAMIC;
+                }
+                if bodies.is_disabled(bi) {
+                    class.bits |= GeomClass::BODY_DISABLED;
+                }
+                if exclusions.lists(b.0) {
+                    class.bits |= GeomClass::EXCLUDES;
+                }
+            }
+            if g.enabled {
+                class.bits |= GeomClass::ENABLED;
+            }
+            self.geom_class.push(class);
             if !g.enabled {
                 continue;
             }
+            let world_t = match g.body {
+                Some(b) => bodies.transform(b.index()).compose(&g.local),
+                None => g.local,
+            };
+            self.geom_xf[i] = world_t;
             // Sleeping bodies have not moved: keep the cached AABB (the
             // geom stays in the broad-phase so awake bodies can still
             // find it and trigger a contact wake).
-            let asleep = g.body.is_some_and(|b| bodies.is_sleeping(b.index()));
             if !asleep {
-                let world_t = match g.body {
-                    Some(b) => bodies.transform(b.index()).compose(&g.local),
-                    None => g.local,
-                };
                 g.aabb = g.shape.aabb(&world_t);
             }
             out.push((GeomId(i as u32), g.aabb));
         }
     }
 
-    /// Removes pairs that cannot produce contacts: same body, both static,
-    /// jointed bodies, disabled.
-    /// Classifies broad-phase candidates. Pairs from the same body or
-    /// between jointed/excluded bodies are dropped; pairs where both sides
-    /// are static or either body is disabled are kept as *considered*
-    /// pairs (`active = false`) — they are counted and pay a cheap
-    /// narrow-phase rejection, like ODE pairs filtered in the near
-    /// callback — but generate no contacts. The rest are fully collided.
-    pub(crate) fn filter_pairs_into(
-        &self,
+    /// Runs the narrow-phase data path alone over an arbitrary candidate
+    /// list, exactly as a step would after its broad phase: refreshes the
+    /// per-geom tables, classifies `candidates` into `pairs` and collides
+    /// the active ones. Returns the manifolds in candidate order. A hook
+    /// for benchmarks and differential tests; the world is not advanced.
+    pub fn collide_candidates(
+        &mut self,
         candidates: &[(GeomId, GeomId)],
-        out: &mut Vec<(GeomId, GeomId, bool)>,
-    ) {
-        out.clear();
-        out.extend(candidates.iter().filter_map(|&(a, b)| {
-            let ga = &self.geoms[a.index()];
-            let gb = &self.geoms[b.index()];
-            if !ga.enabled || !gb.enabled {
-                return None;
-            }
-            let body_disabled = |g: &Geom| {
-                g.body
-                    .map(|id| self.bodies.is_disabled(id.index()))
-                    .unwrap_or(false)
-            };
-            if let (Some(ba), Some(bb)) = (ga.body, gb.body) {
-                if ba == bb {
-                    return None;
-                }
-                let key = (ba.0.min(bb.0), ba.0.max(bb.0));
-                if self.joint_pairs.contains(&key) {
-                    return None;
-                }
-            }
-            // Sleeping bodies count as static-like here: a pair needs at
-            // least one *awake* dynamic side to produce contacts. A
-            // sleeping×sleeping or sleeping×static pair is skipped (its
-            // manifolds are parked in the sleep system); an
-            // awake×sleeping pair stays active so contact can wake the
-            // island.
-            let awake_dynamic = |g: &Geom| {
-                g.body
-                    .map(|id| {
-                        !self.bodies.is_static(id.index()) && !self.bodies.is_sleeping(id.index())
-                    })
-                    .unwrap_or(false)
-            };
-            let any_awake = awake_dynamic(ga) || awake_dynamic(gb);
-            let active = any_awake && !body_disabled(ga) && !body_disabled(gb);
-            Some((a, b, active))
-        }));
+        pairs: &mut Vec<crate::probe::PairWork>,
+    ) -> &[ContactManifold] {
+        let mut pipeline = self.pipeline.take().expect("pipeline present outside step");
+        pipeline.collide_candidates(self, candidates, pairs);
+        self.pipeline.insert(pipeline).manifolds()
     }
 
     pub(crate) fn geom_world_transform(&self, g: &Geom) -> Transform {
@@ -1101,8 +1192,7 @@ impl World {
             let applied = per_joint.get(&(ji as u32)).copied().unwrap_or(0.0);
             if j.update_break(applied) {
                 broken += 1;
-                let key = (j.body_a.0.min(j.body_b.0), j.body_a.0.max(j.body_b.0));
-                self.joint_pairs.remove(&key);
+                self.exclusions.joint_broke(j.body_a.0, j.body_b.0);
             }
         }
         broken
@@ -1326,6 +1416,82 @@ mod tests {
             }
         }
         assert!(broke, "fixed joint should break under the impact");
+    }
+
+    /// Two touching boxes; whether the narrow phase lets them collide.
+    fn overlapping_pair(w: &mut World) -> (BodyId, BodyId) {
+        let a = w.add_body(
+            BodyDesc::dynamic(Vec3::new(0.0, 1.0, 0.0))
+                .with_shape(Shape::cuboid(Vec3::splat(0.5)), 1.0),
+        );
+        let b = w.add_body(
+            BodyDesc::dynamic(Vec3::new(0.8, 1.0, 0.0))
+                .with_shape(Shape::cuboid(Vec3::splat(0.5)), 1.0),
+        );
+        (a, b)
+    }
+
+    fn collides(w: &mut World) -> bool {
+        let mut pairs = Vec::new();
+        !w.collide_candidates(&[(GeomId(0), GeomId(1))], &mut pairs)
+            .is_empty()
+    }
+
+    fn weak_joint(a: BodyId, b: BodyId) -> Joint {
+        Joint::new(
+            JointKind::Ball {
+                anchor_a: Vec3::ZERO,
+                anchor_b: Vec3::ZERO,
+            },
+            a,
+            b,
+        )
+        .breakable(1.0)
+    }
+
+    #[test]
+    fn a_pair_collides_only_once_nothing_excludes_it() {
+        let mut w = world();
+        let (a, b) = overlapping_pair(&mut w);
+        assert!(collides(&mut w));
+        w.add_joint(weak_joint(a, b));
+        w.add_joint(weak_joint(a, b));
+        assert!(!collides(&mut w), "jointed bodies do not collide");
+
+        // Break the first joint: the second still excludes the pair.
+        assert_eq!(w.update_breakable_joints(&[(0, 1e6)]), 1);
+        assert!(w.joint(JointId(0)).is_broken() && !w.joint(JointId(1)).is_broken());
+        assert!(!collides(&mut w), "one of two joints broke");
+        let one_left = w.snapshot();
+
+        assert_eq!(w.update_breakable_joints(&[(1, 1e6)]), 1);
+        assert!(collides(&mut w), "both joints broke");
+        let none_left = w.snapshot();
+
+        // The counts are not in the snapshot; restore derives them.
+        w.restore(&one_left).expect("own snapshot");
+        assert!(!collides(&mut w), "restored with one joint left");
+        assert_eq!(w.update_breakable_joints(&[(1, 1e6)]), 1);
+        assert!(collides(&mut w), "restored, then the last joint broke");
+        w.restore(&none_left).expect("own snapshot");
+        assert!(collides(&mut w), "restored with no joint left");
+    }
+
+    #[test]
+    fn an_explicit_exclusion_outlives_a_broken_joint() {
+        let mut w = world();
+        let (a, b) = overlapping_pair(&mut w);
+        w.exclude_collision(a, b);
+        w.add_joint(weak_joint(a, b));
+        let intact = w.snapshot();
+        assert_eq!(w.update_breakable_joints(&[(0, 1e6)]), 1);
+        assert!(!collides(&mut w), "vehicle parts stay excluded");
+        let broken = w.snapshot();
+        w.restore(&intact).expect("own snapshot");
+        assert_eq!(w.update_breakable_joints(&[(0, 1e6)]), 1);
+        assert!(!collides(&mut w), "restored, then the joint broke");
+        w.restore(&broken).expect("own snapshot");
+        assert!(!collides(&mut w), "restored after the joint broke");
     }
 
     #[test]

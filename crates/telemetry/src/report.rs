@@ -145,6 +145,16 @@ pub const SOLVER_BATCHES_COUNTER: &str = "physics.solver.batches";
 
 /// Counter: rows per sweep the packed four-row kernel projected.
 pub const SOLVER_PACKED_ROWS_COUNTER: &str = "physics.solver.packed_rows";
+/// Counters of what the narrow phase was given and made of it: candidate
+/// pairs from the broad phase, pairs collided, pairs that touched,
+/// contact points generated.
+pub const NARROWPHASE_CANDIDATES_COUNTER: &str = "physics.narrowphase.candidates";
+/// See [`NARROWPHASE_CANDIDATES_COUNTER`].
+pub const NARROWPHASE_ACTIVE_COUNTER: &str = "physics.narrowphase.active";
+/// See [`NARROWPHASE_CANDIDATES_COUNTER`].
+pub const NARROWPHASE_HITS_COUNTER: &str = "physics.narrowphase.hits";
+/// See [`NARROWPHASE_CANDIDATES_COUNTER`].
+pub const NARROWPHASE_CONTACTS_COUNTER: &str = "physics.narrowphase.contacts";
 
 /// Largest `telemetry.spans_dropped` gauge value across records: the
 /// cumulative number of spans the recording process lost to full ring
@@ -302,6 +312,23 @@ pub fn render(records: &[StepRecord]) -> String {
             out,
             "  {:<20} {reinserts} proxy(ies) over all steps",
             "re-inserts"
+        );
+    }
+
+    // What the narrow phase was given: most candidates are only
+    // classified, and only the hits reach the solver.
+    let candidates = merged.counter(NARROWPHASE_CANDIDATES_COUNTER);
+    if candidates > 0 {
+        let active = merged.counter(NARROWPHASE_ACTIVE_COUNTER);
+        let hits = merged.counter(NARROWPHASE_HITS_COUNTER);
+        let contacts = merged.counter(NARROWPHASE_CONTACTS_COUNTER);
+        let _ = writeln!(
+            out,
+            "\nNarrow phase: {candidates} candidate(s), {:.1}% active, {:.1}% of active hit, \
+             {:.2} contacts/hit",
+            100.0 * active as f64 / candidates as f64,
+            100.0 * hits as f64 / active.max(1) as f64,
+            contacts as f64 / hits.max(1) as f64
         );
     }
 
@@ -512,6 +539,28 @@ mod tests {
             "{text}"
         );
         assert!(!render(&[rec(0, 1, 1)]).contains("Solver schedule"));
+    }
+
+    #[test]
+    fn narrow_phase_line_reports_active_and_hit_shares() {
+        let mut a = rec(0, 1, 1);
+        a.metrics.counters = vec![
+            (NARROWPHASE_CANDIDATES_COUNTER.into(), 20_000),
+            (NARROWPHASE_ACTIVE_COUNTER.into(), 2_000),
+            (NARROWPHASE_HITS_COUNTER.into(), 1_100),
+            (NARROWPHASE_CONTACTS_COUNTER.into(), 2_530),
+        ];
+        let mut b = rec(1, 1, 1);
+        b.metrics.counters = a.metrics.counters.clone();
+        let text = render(&[a, b]);
+        assert!(
+            text.contains(
+                "Narrow phase: 40000 candidate(s), 10.0% active, 55.0% of active hit, \
+                 2.30 contacts/hit"
+            ),
+            "{text}"
+        );
+        assert!(!render(&[rec(0, 1, 1)]).contains("Narrow phase"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (1,668/604/376 B read and 100/128/308 B written per 100 iterations),
 //! and the instruction mixes of Figures 7b and 9b.
 
-use parallax_physics::PhaseKind;
+use parallax_physics::{PhaseKind, ShapeKind};
 use serde::{Deserialize, Serialize};
 
 use crate::opmix::OpCounts;
@@ -147,17 +147,16 @@ impl KernelModel {
     ///
     /// Mix target (Fig 9b, Narrowphase): integer ops and reads dominant,
     /// ~8% branches, few FP adds/muls.
-    pub fn narrowphase_pair(shape_a: &str, shape_b: &str, contacts: usize) -> OpCounts {
+    pub fn narrowphase_pair(shape_a: ShapeKind, shape_b: ShapeKind, contacts: usize) -> OpCounts {
         // Base complexity by shape pair (dispatch + primitive test).
-        let complexity = |s: &str| -> u64 {
+        let complexity = |s: ShapeKind| -> u64 {
             match s {
-                "sphere" => 60,
-                "plane" => 40,
-                "capsule" => 130,
-                "box" => 260,
-                "heightfield" => 420,
-                "trimesh" => 900,
-                _ => 120,
+                ShapeKind::Sphere => 60,
+                ShapeKind::Plane => 40,
+                ShapeKind::Capsule => 130,
+                ShapeKind::Cuboid => 260,
+                ShapeKind::Heightfield => 420,
+                ShapeKind::TriMesh => 900,
             }
         };
         let base = complexity(shape_a) + complexity(shape_b);
@@ -270,7 +269,7 @@ mod tests {
 
     #[test]
     fn narrowphase_mix_is_int_dominant_with_8pct_branches() {
-        let ops = KernelModel::narrowphase_pair("box", "box", 4);
+        let ops = KernelModel::narrowphase_pair(ShapeKind::Cuboid, ShapeKind::Cuboid, 4);
         let f = ops.fractions();
         assert!(f[0] > 0.3, "int fraction {}", f[0]);
         assert!((f[1] - 0.08).abs() < 0.02, "branch fraction {}", f[1]);
@@ -304,8 +303,8 @@ mod tests {
 
     #[test]
     fn costs_scale_with_work() {
-        let small = KernelModel::narrowphase_pair("sphere", "sphere", 1);
-        let big = KernelModel::narrowphase_pair("trimesh", "box", 4);
+        let small = KernelModel::narrowphase_pair(ShapeKind::Sphere, ShapeKind::Sphere, 1);
+        let big = KernelModel::narrowphase_pair(ShapeKind::TriMesh, ShapeKind::Cuboid, 4);
         assert!(big.total() > small.total() * 3);
         let one_iter = KernelModel::island_solver(10, 1, 2);
         let twenty = KernelModel::island_solver(10, 20, 2);

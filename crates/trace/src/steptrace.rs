@@ -119,7 +119,7 @@ impl ParallelWork<'_> {
             // Considered-only pair: a cheap near-callback rejection.
             ParallelWork::Pair(pair) if !pair.active => KernelModel::pair_reject(),
             ParallelWork::Pair(pair) => {
-                KernelModel::narrowphase_pair(pair.shape_a, pair.shape_b, pair.contacts)
+                KernelModel::narrowphase_pair(pair.shape_a, pair.shape_b, pair.contacts as usize)
             }
             ParallelWork::Island(island) => {
                 KernelModel::island_solver(island.rows, island.iterations, island.bodies.len())
@@ -481,8 +481,8 @@ mod tests {
                 geom_b: k + 1,
                 body_a: k,
                 body_b: k + 1,
-                shape_a: "sphere",
-                shape_b: "box",
+                shape_a: parallax_physics::ShapeKind::Sphere,
+                shape_b: parallax_physics::ShapeKind::Cuboid,
                 contacts: 2,
                 active: true,
             });

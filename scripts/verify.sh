@@ -38,6 +38,10 @@ PARALLAX_BENCH_QUICK=1 cargo bench --offline -p parallax-bench --bench kernels
 # ... and the simulator's: cache, predictor, core model, captured steps
 # replayed through a warmed hierarchy, trace generation.
 PARALLAX_BENCH_QUICK=1 cargo bench --offline -p parallax-bench --bench archsim_components
+# ... and the narrow phase's: every per-pair kernel case and the whole
+# stage over a Mix-shaped and an Explosions-shaped candidate list at each
+# SIMD width (the trailing word filters the bench labels).
+PARALLAX_BENCH_QUICK=1 cargo bench --offline -p parallax-bench --bench physics_kernels -- narrowphase
 
 # Telemetry smoke: record 10 Mix steps through the JSONL sink, then
 # validate the stream (parses, all five phases present, nonzero walls)
@@ -138,8 +142,9 @@ done
 
 # Island-processing data path: trajectories are pinned across commits by
 # golden world digests (recorded before the solver's rows were packed),
-# and one bisection holds the scalar single-thread solve to the packed
-# two-thread one over the whole Explosions horizon (exit 0: no
+# and two bisections hold the scalar single-thread step to the two-thread
+# AVX2 one — packed solver rows, lane-wise box-box axes, bucketed narrow
+# phase — over the whole Mix and Explosions horizons (exit 0: no
 # divergence). The same test file pins the architecture model: every
 # simulated statistic and the trace's reference streams of Mix and
 # Explosions, recorded before the simulator's host path was rebuilt; the
@@ -147,13 +152,17 @@ done
 # a naive reference access for access.
 cargo test -q --offline --test golden_digests
 cargo test -q --offline -p parallax-archsim --test properties
-cargo run --release --offline -q -p parallax-bench --bin bisect -- \
-    --scene Explosions --steps 200 --scale 0.2 \
-    --a threads=1,simd=scalar --b threads=2,simd=avx2 >/dev/null 2>&1
+for scene in Mix Explosions; do
+    cargo run --release --offline -q -p parallax-bench --bin bisect -- \
+        --scene "$scene" --steps 200 --scale 0.2 \
+        --a threads=1,simd=scalar --b threads=2,simd=avx2 >/dev/null 2>&1
+done
 
-# Digest overhead gate: per-phase state digests must cost <=3% of the
-# step total on Mix (interleaved A/B, whole bootstrap CI must clear the
-# budget). Unlike bench_gate --quick, the threshold does not widen.
+# Digest overhead gate: the per-phase state digests' absolute cost on Mix
+# (interleaved A/B, digests-on minus digests-off per step) must stay
+# within its per-body-step budget; a failure needs the whole bootstrap CI
+# above it in each of three recordings. Unlike bench_gate --quick, the
+# budget does not widen.
 cargo run --release --offline -q -p parallax-bench --bin digest_overhead -- --quick
 
 # Simulation-service smoke: boot the multi-world server on an ephemeral
