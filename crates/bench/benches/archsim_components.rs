@@ -4,7 +4,7 @@
 //! reference), trace generation (ns per reference), and the cost of a
 //! design point's construction plus first step.
 //!
-//! `PARALLAX_BENCH_QUICK=1` cuts the repeat counts to a smoke-test shape
+//! `cargo bench … -- --quick` cuts the repeat counts to a smoke-test shape
 //! (used by `scripts/verify.sh`).
 
 use std::time::Instant;
@@ -21,7 +21,7 @@ use parallax_trace::{Kernel, StepTrace, TaskTrace};
 use parallax_workloads::{BenchmarkId, SceneParams};
 
 fn quick() -> bool {
-    matches!(std::env::var("PARALLAX_BENCH_QUICK").as_deref(), Ok("1"))
+    std::env::args().any(|a| a == "--quick")
 }
 
 /// The paper's per-phase L2 way-partition assignment.

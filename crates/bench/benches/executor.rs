@@ -31,9 +31,9 @@ fn bench_executor_map(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole-pipeline steps/sec on the Mix scene per executor width — the
-/// executor-scaling acceptance experiment in criterion form (the JSON
-/// report comes from `--bin executor_scaling`).
+/// Whole-pipeline steps/sec on the Mix scene per executor width. On a
+/// host that cannot scale, `telemetry_report --critical-path` attributes
+/// the parallel fraction instead.
 fn bench_mix_step_by_threads(c: &mut Criterion) {
     let mut group = c.benchmark_group("mix_step");
     group.sample_size(10);

@@ -7,7 +7,7 @@
 //! row-iteration`: a whole solve divided by rows × iterations) on the
 //! island shapes the scenes are made of.
 //!
-//! `PARALLAX_BENCH_QUICK=1` shrinks the problem sizes and sample counts
+//! `cargo bench … -- --quick` shrinks the problem sizes and sample counts
 //! to a smoke-test shape (used by `scripts/verify.sh`).
 
 use std::time::Instant;
@@ -23,7 +23,7 @@ use parallax_physics::solver::{self, RowParams, RowSet, VelState, STATIC_BODY};
 use parallax_physics::{BodyDesc, BodyStore, Shape};
 
 fn quick() -> bool {
-    matches!(std::env::var("PARALLAX_BENCH_QUICK").as_deref(), Ok("1"))
+    std::env::args().any(|a| a == "--quick")
 }
 
 /// Scalar plus every wide mode this CPU can execute.

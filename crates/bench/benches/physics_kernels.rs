@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the physics engine's five phase kernels.
 //!
-//! `PARALLAX_BENCH_QUICK=1` shrinks the sample counts to a smoke-test
+//! `cargo bench … -- --quick` shrinks the sample counts to a smoke-test
 //! shape (used by `scripts/verify.sh`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn quick() -> bool {
-    matches!(std::env::var("PARALLAX_BENCH_QUICK").as_deref(), Ok("1"))
+    std::env::args().any(|a| a == "--quick")
 }
 
 fn bench_broadphase(c: &mut Criterion) {

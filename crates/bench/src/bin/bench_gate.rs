@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! bench_gate record  [--out BENCH_scenes.json] [--steps N] [--warmup N]
-//!                    [--scale F] [--threads N] [--quick]
+//!                    [--scale F] [--config SPEC] [--quick]
 //! bench_gate compare [--baseline BENCH_scenes.json] [--threshold F]
-//!                    [--steps N] [--warmup N] [--quick]
-//!                    [--allow-missing-baseline]
+//!                    [--steps N] [--warmup N] [--config SPEC] [--quick]
+//!                    [--allow-missing-baseline] [--inject-delay PHASE:NANOS]
 //! ```
 //!
 //! `record` steps every paper scene for a fixed window and writes the
@@ -20,29 +20,39 @@
 //! `--quick` is the CI smoke shape: 10 steps and a +100% threshold, so
 //! it only trips on catastrophic slowdowns but still exercises the full
 //! record → parse → compare → verdict path on every run.
+//!
+//! `--config SPEC` is a `RunConfig` spec (README, "Run configuration").
+//! `record` applies it on top of the default configuration and stores
+//! the result in the envelope. `compare` runs at the baseline's recorded
+//! configuration; a `--config` that changes it turns the gate into an
+//! A/B of the two configurations, both re-measured interleaved — which is
+//! how the SIMD, sleeping, warm-start, digest, thread and broad-phase
+//! effects are measured. `--inject-delay` plants a slowdown in one phase
+//! (the gate's own acceptance test).
 
+use std::time::Duration;
+
+use parallax_bench::cli::{parse_or_exit, Flags, SPEC_USAGE};
 use parallax_bench::harness::{
-    compare_baselines, record, record_paired, Baseline, Fingerprint, GateConfig, PhaseComparison,
+    compare_baselines, record, record_sides, Baseline, GateConfig, PhaseComparison,
 };
 use parallax_bench::print_table;
-use parallax_math::SimdMode;
+use parallax_physics::digest::phase_by_name;
+use parallax_physics::{set_injected_phase_delay, PhaseKind};
 
 struct Args {
     mode: Mode,
     path: String,
+    /// Window, scale and threshold as asked for; `run` is the default
+    /// configuration with every `--config` applied (what `record` uses).
     cfg: GateConfig,
+    /// The `--config` specs themselves: `compare` applies them on top of
+    /// the baseline's recorded configuration instead.
+    config: Vec<String>,
     threshold: Option<f64>,
-    /// An explicit `--simd` choice. For `compare` this deliberately
-    /// overrides the baseline's recorded mode — the cross-mode
-    /// comparison then *measures* the kernel speedup instead of gating
-    /// a code change.
-    simd: Option<SimdMode>,
-    /// An explicit `--sleep` choice. Like `--simd`, a `compare` whose
-    /// sleep setting differs from the baseline's becomes a cross-config
-    /// interleaved A/B that *measures* the island-sleeping speedup.
-    sleep: Option<bool>,
     quick: bool,
     allow_missing: bool,
+    inject_delay: Option<(PhaseKind, Duration)>,
 }
 
 #[derive(PartialEq)]
@@ -52,18 +62,15 @@ enum Mode {
 }
 
 const USAGE: &str = "usage: bench_gate record  [--out PATH] [--steps N] [--warmup N] \
-                     [--scale F] [--threads N] [--simd MODE] [--sleep on|off] [--quick]\n\
+                     [--scale F] [--config SPEC] [--quick]\n\
                      \x20      bench_gate compare [--baseline PATH] [--threshold F] \
-                     [--steps N] [--warmup N] [--simd MODE] [--sleep on|off] [--quick] \
-                     [--allow-missing-baseline]\n\
-                     MODE: scalar | sse2 | avx2 (default: auto-detect; compare \
-                     defaults to the baseline's recorded mode)\n\
-                     --sleep: island sleeping (default: PARALLAX_SLEEP; compare \
-                     defaults to the baseline's recorded setting)";
+                     [--steps N] [--warmup N] [--config SPEC] [--quick] \
+                     [--allow-missing-baseline] [--inject-delay PHASE:NANOS]\n\
+                     compare runs at the baseline's recorded configuration; a --config \
+                     that changes it measures A (recorded) against B (changed) instead";
 
-fn parse_args() -> Result<Args, String> {
-    let mut it = std::env::args().skip(1);
-    let mode = match it.next().as_deref() {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mode = match flags.next_flag().as_deref() {
         Some("record") => Mode::Record,
         Some("compare") => Mode::Compare,
         other => return Err(format!("expected subcommand record|compare, got {other:?}")),
@@ -72,53 +79,42 @@ fn parse_args() -> Result<Args, String> {
         path: "BENCH_scenes.json".to_string(),
         mode,
         cfg: GateConfig::default(),
+        config: Vec::new(),
         threshold: None,
-        simd: None,
-        sleep: None,
         quick: false,
         allow_missing: false,
+        inject_delay: None,
     };
-    let mut steps = None;
+    let mut steps: Option<usize> = None;
     let mut warmup = None;
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--out" | "--baseline" => args.path = value_of(&flag)?,
-            "--steps" => steps = Some(parse_num(&value_of("--steps")?, "--steps")?),
-            "--warmup" => warmup = Some(parse_num(&value_of("--warmup")?, "--warmup")?),
-            "--scale" => {
-                args.cfg.scale = value_of("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
+            "--out" | "--baseline" => args.path = flags.value()?,
+            "--steps" => steps = Some(flags.parse()?),
+            "--warmup" => warmup = Some(flags.parse()?),
+            "--scale" => args.cfg.scale = flags.parse()?,
+            "--config" => {
+                let spec = flags.value()?;
+                args.cfg
+                    .run
+                    .apply(&spec)
+                    .map_err(|e| format!("--config: {e}"))?;
+                args.config.push(spec);
             }
-            "--threads" => args.cfg.threads = parse_num(&value_of("--threads")?, "--threads")?,
-            "--simd" => {
-                let name = value_of("--simd")?;
-                let mode = SimdMode::from_name(&name)
-                    .ok_or_else(|| format!("--simd: unknown mode {name:?} (scalar|sse2|avx2)"))?;
-                args.cfg.simd = mode;
-                args.simd = Some(mode);
-            }
-            "--sleep" => {
-                let v = value_of("--sleep")?;
-                let on = match v.as_str() {
-                    "on" | "1" | "true" => true,
-                    "off" | "0" | "false" => false,
-                    other => return Err(format!("--sleep: expected on|off, got {other:?}")),
-                };
-                args.cfg.sleeping = on;
-                args.sleep = Some(on);
-            }
-            "--threshold" => {
-                args.threshold = Some(
-                    value_of("--threshold")?
-                        .parse()
-                        .map_err(|e| format!("--threshold: {e}"))?,
-                );
-            }
+            "--threshold" => args.threshold = Some(flags.parse()?),
             "--quick" => args.quick = true,
             "--allow-missing-baseline" => args.allow_missing = true,
-            other => return Err(format!("unknown flag {other:?}")),
+            "--inject-delay" => {
+                let spec = flags.value()?;
+                let delay = spec.split_once(':').and_then(|(phase, ns)| {
+                    let ns = ns.trim().parse().ok()?;
+                    Some((phase_by_name(phase.trim())?, Duration::from_nanos(ns)))
+                });
+                args.inject_delay = Some(delay.ok_or_else(|| {
+                    format!("--inject-delay: expected PHASE:NANOS, got {spec:?}")
+                })?);
+            }
+            _ => return Err(flags.unknown()),
         }
     }
     if let Some(t) = args.threshold {
@@ -136,18 +132,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn parse_num(s: &str, flag: &str) -> Result<usize, String> {
-    s.parse().map_err(|e| format!("{flag}: {e}"))
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_or_exit(&format!("{USAGE}\n{SPEC_USAGE}"), parse_args);
+    if let Some((phase, delay)) = args.inject_delay {
+        set_injected_phase_delay(phase, delay);
+    }
     match args.mode {
         Mode::Record => run_record(&args),
         Mode::Compare => run_compare(&args),
@@ -157,25 +146,19 @@ fn main() {
 fn run_record(args: &Args) {
     let cfg = &args.cfg;
     println!(
-        "recording {} scene(s): {} steps (+{} warmup) @ scale {}, {} thread(s), {} kernels, \
-         sleeping {}",
+        "recording {} scene(s): {} steps (+{} warmup) @ scale {}, {}",
         cfg.scenes.len(),
         cfg.steps,
         cfg.warmup,
         cfg.scale,
-        cfg.threads,
-        cfg.simd.clamp_to_supported().name(),
-        if cfg.sleeping { "on" } else { "off" }
+        cfg.run
     );
     let baseline = record(cfg);
     let rows: Vec<Vec<String>> = baseline
         .scenes
         .iter()
         .map(|sc| {
-            let step_ns: Vec<f64> = (0..cfg.steps)
-                .map(|s| (0..5).map(|p| sc.phase_wall_ns[p][s]).sum())
-                .collect();
-            let med = parallax_telemetry::median(&step_ns).unwrap_or(0.0);
+            let med = parallax_telemetry::median(&sc.step_totals()).unwrap_or(0.0);
             vec![
                 sc.scene.clone(),
                 sc.bodies.to_string(),
@@ -214,63 +197,17 @@ fn run_compare(args: &Args) {
             std::process::exit(2);
         }
     };
-    let here = Fingerprint::current();
-    if here != base.fingerprint {
-        eprintln!(
-            "warning: baseline was recorded on {}/{} with {} hw thread(s); this host is \
-             {}/{} with {} — absolute times are not comparable across machines, only \
-             uniform relative changes",
-            base.fingerprint.os,
-            base.fingerprint.arch,
-            base.fingerprint.hw_threads,
-            here.os,
-            here.arch,
-            here.hw_threads
-        );
+    base.fingerprint.warn_unless_current();
+
+    // The fresh run matches the baseline's workload exactly; the sample
+    // count, the threshold and an explicit --config are the comparer's.
+    let mut run = base.config.run;
+    for spec in &args.config {
+        run.apply(spec).expect("validated by the flag parse");
     }
-
-    // A baseline is only meaningful against the kernels it measured:
-    // comparing a scalar baseline against an AVX2 run would gate on the
-    // SIMD speedup, not on a code change. The fresh run therefore runs at
-    // the baseline's recorded mode unless `--simd` explicitly asks for a
-    // cross-mode comparison (which measures the kernel speedup itself);
-    // surface whichever situation holds.
-    let cross_mode = matches!(args.simd, Some(m) if m != base.config.simd);
-    let fresh_simd = match args.simd {
-        Some(m) => m,
-        None => {
-            let active = SimdMode::resolve().clamp_to_supported();
-            if base.config.simd != active {
-                eprintln!(
-                    "warning: baseline was recorded with {} kernels but this run would \
-                     use {}; comparing at the baseline's mode ({}). Re-record with \
-                     `bench_gate record` to gate the {} kernels.",
-                    base.config.simd.name(),
-                    active.name(),
-                    base.config.simd.name(),
-                    active.name()
-                );
-            }
-            base.config.simd
-        }
-    };
-
-    // Island sleeping follows the same rule as SIMD: the fresh run
-    // inherits the baseline's setting unless `--sleep` explicitly asks
-    // for a cross-config comparison measuring the sleeping speedup.
-    let cross_sleep = matches!(args.sleep, Some(s) if s != base.config.sleeping);
-    let fresh_sleep = args.sleep.unwrap_or(base.config.sleeping);
-
-    // The fresh run must match the baseline's workload exactly; only the
-    // sample count, threshold, and an explicit --simd/--sleep are the
-    // comparer's choice.
     let cfg = GateConfig {
         scale: base.config.scale,
-        threads: base.config.threads,
-        warm_starting: base.config.warm_starting,
-        simd: fresh_simd,
-        digests: base.config.digests,
-        sleeping: fresh_sleep,
+        run,
         scenes: base.config.scenes.clone(),
         ..args.cfg.clone()
     };
@@ -281,51 +218,34 @@ fn run_compare(args: &Args) {
     };
     println!(
         "comparing against {} ({} scene(s), threshold +{:.0}%): {} steps (+{} warmup) \
-         @ scale {}, {} thread(s), {} kernels, sleeping {}",
+         @ scale {}, {}",
         args.path,
         base.scenes.len(),
         threshold * 100.0,
         cfg.steps,
         cfg.warmup,
         cfg.scale,
-        cfg.threads,
-        cfg.simd.clamp_to_supported().name(),
-        if cfg.sleeping { "on" } else { "off" }
+        cfg.run
     );
-    // Cross-config: the stored samples were taken minutes-to-months ago,
-    // and slow host drift between then and now easily exceeds a kernel
-    // or sleeping effect. Re-measure *both* configurations interleaved
-    // within each scene so drift cancels; the stored baseline only
-    // contributes the workload configuration. Same-config gating keeps
-    // the stored samples — that comparison against the past is the point
-    // of the gate.
-    let (base, fresh) = if cross_mode || cross_sleep {
-        if cross_mode {
-            eprintln!(
-                "note: cross-mode comparison: re-measuring {} and {} kernels interleaved \
-                 (stored samples are not drift-comparable). Verdicts measure the kernel \
-                 change, not a code change.",
-                base.config.simd.name(),
-                fresh_simd.name()
-            );
-        }
-        if cross_sleep {
-            eprintln!(
-                "note: cross-sleep comparison: re-measuring sleeping {} and {} interleaved \
-                 (stored samples are not drift-comparable). Verdicts measure the sleeping \
-                 change, not a code change.",
-                if base.config.sleeping { "on" } else { "off" },
-                if fresh_sleep { "on" } else { "off" }
-            );
-        }
+    // Same configuration: gate against the stored samples — comparing
+    // with the past is the point. A changed one: the stored samples were
+    // taken minutes to months ago, and host drift since then easily
+    // exceeds a configuration's effect, so both sides are re-measured
+    // interleaved within each scene and the baseline only contributes the
+    // workload.
+    let (base, fresh) = if run == base.config.run {
+        (base, record(&cfg))
+    } else {
+        println!(
+            "A({}) vs B({run}): both re-measured interleaved; the verdicts measure the \
+             configuration change, not a code change",
+            base.config.run
+        );
         let base_cfg = GateConfig {
-            simd: base.config.simd,
-            sleeping: base.config.sleeping,
+            run: base.config.run,
             ..cfg.clone()
         };
-        record_paired(&base_cfg, &cfg)
-    } else {
-        (base, record(&cfg))
+        record_sides([&base_cfg, &cfg]).into()
     };
     let rows = compare_baselines(&base, &fresh, threshold);
 

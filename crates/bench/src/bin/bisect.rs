@@ -12,78 +12,48 @@
 //!
 //! Exit status: 0 when the sides are bit-identical, 3 when a divergence
 //! was found (the report line starts with `divergence:`), 2 on usage
-//! errors. `--fault STEP:PHASE` (or `PARALLAX_DIGEST_FAULT`) injects a
-//! single-ULP perturbation into side B at exactly that step and phase —
-//! the self-test the acceptance suite uses.
+//! errors. `--a` and `--b` are `RunConfig` specs (README, "Run
+//! configuration"). `--fault STEP:PHASE` injects a single-ULP
+//! perturbation into side B at exactly that step and phase — the
+//! self-test the acceptance suite uses.
 
-use parallax_bench::bisect::{bisect, BisectConfig, BisectOutcome, SideSpec};
-use parallax_bench::{benchmark_by_name, scene_names};
+use parallax_bench::bisect::{bisect, BisectConfig, BisectOutcome};
+use parallax_bench::cli::{parse_or_exit, Flags, SPEC_USAGE};
 use parallax_physics::DigestFault;
 
-fn parse_args() -> Result<BisectConfig, String> {
+const USAGE: &str = "usage: bisect [--scene NAME] [--steps N] [--scale F] [--chunk N] \
+                     [--a SPEC] [--b SPEC] [--fault STEP:PHASE]";
+
+fn parse_args(flags: &mut Flags) -> Result<BisectConfig, String> {
     let mut cfg = BisectConfig::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--scene" => {
-                let name = value_of("--scene")?;
-                cfg.scene = benchmark_by_name(&name).ok_or_else(|| {
-                    format!("unknown scene {name:?}; valid scenes: {}", scene_names())
-                })?;
-            }
-            "--steps" => {
-                cfg.steps = value_of("--steps")?
-                    .parse()
-                    .map_err(|e| format!("--steps: {e}"))?;
-                if cfg.steps == 0 {
-                    return Err("--steps must be at least 1".into());
-                }
-            }
-            "--scale" => {
-                cfg.scale = value_of("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
-            }
-            "--chunk" => {
-                cfg.chunk = value_of("--chunk")?
-                    .parse()
-                    .map_err(|e| format!("--chunk: {e}"))?;
-            }
-            "--a" => cfg.a = SideSpec::parse(&value_of("--a")?).map_err(|e| format!("--a: {e}"))?,
-            "--b" => cfg.b = SideSpec::parse(&value_of("--b")?).map_err(|e| format!("--b: {e}"))?,
+            "--scene" => cfg.scene = flags.scene()?,
+            "--steps" => cfg.steps = flags.parse()?,
+            "--scale" => cfg.scale = flags.parse()?,
+            "--chunk" => cfg.chunk = flags.parse()?,
+            "--a" => flags.config(&mut cfg.a)?,
+            "--b" => flags.config(&mut cfg.b)?,
             "--fault" => {
-                cfg.fault = Some(
-                    DigestFault::parse(&value_of("--fault")?)
-                        .map_err(|e| format!("--fault: {e}"))?,
-                );
+                cfg.fault =
+                    Some(DigestFault::parse(&flags.value()?).map_err(|e| format!("--fault: {e}"))?)
             }
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return Err(flags.unknown()),
         }
     }
-    if cfg.fault.is_none() {
-        if let Ok(spec) = std::env::var("PARALLAX_DIGEST_FAULT") {
-            cfg.fault =
-                Some(DigestFault::parse(&spec).map_err(|e| format!("PARALLAX_DIGEST_FAULT: {e}"))?);
-        }
+    // Either would only be noticed after the whole scan: a zero horizon
+    // compares nothing, a zero chunk panics in the localization.
+    if cfg.steps == 0 {
+        return Err("--steps must be at least 1".into());
+    }
+    if cfg.chunk == 0 {
+        return Err("--chunk must be at least 1".into());
     }
     Ok(cfg)
 }
 
 fn main() {
-    let cfg = match parse_args() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: bisect [--scene NAME] [--steps N] [--scale F] [--chunk N] \
-                 [--a threads=N,simd=MODE,sleep=on|off,broadphase=grid|sap] \
-                 [--b threads=N,simd=MODE,sleep=on|off,broadphase=grid|sap] \
-                 [--fault STEP:PHASE]"
-            );
-            std::process::exit(2);
-        }
-    };
+    let cfg = parse_or_exit(&format!("{USAGE}\n{SPEC_USAGE}"), parse_args);
 
     println!(
         "bisect: {} for {} steps @ scale {}: A({}) vs B({}){}",

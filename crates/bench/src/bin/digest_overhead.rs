@@ -1,6 +1,6 @@
 //! Measures the per-step cost of the flight recorder's per-phase state
 //! digests on Mix (the heaviest scene): records digests-off and
-//! digests-on interleaved ([`parallax_bench::harness::record_paired`],
+//! digests-on interleaved ([`parallax_bench::harness::record_sides`],
 //! so host drift cancels) and gates on the *absolute* cost.
 //!
 //! Both sides walk the same trajectory, so the cost is the median over
@@ -24,9 +24,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use parallax_bench::harness::{compare_baselines, paired_step_cost, record_paired, GateConfig};
+use parallax_bench::cli::parse_or_exit;
+use parallax_bench::harness::{compare_baselines, paired_step_cost, record_sides, GateConfig};
 use parallax_physics::digest::{hash_f32s, phase_bytes_hashed};
-use parallax_workloads::{BenchmarkId, SceneParams};
+use parallax_workloads::{BenchmarkId, RunConfig};
 
 /// The digest budget: nanoseconds per body slot per step, all five phase
 /// digests together.
@@ -68,23 +69,31 @@ fn ns_per_byte(lanes: &[Vec<f32>], mut f: impl FnMut(usize, &[f32])) -> f64 {
 const ATTEMPTS: usize = 3;
 
 fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    let quick = parse_or_exit("usage: digest_overhead [--quick]", |flags| {
+        let mut quick = false;
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--quick" => quick = true,
+                _ => return Err(flags.unknown()),
+            }
+        }
+        Ok(quick)
+    });
     let (steps, warmup) = if quick { (240, 8) } else { (480, 8) };
-    let mk = |digests: bool| GateConfig {
+    let mk = |digest: bool| GateConfig {
         steps,
         warmup,
         scale: SCALE,
-        threads: 1,
-        digests,
+        run: RunConfig {
+            digest,
+            ..RunConfig::default()
+        },
         scenes: vec![BenchmarkId::Mix],
         ..GateConfig::default()
     };
     // Body slots: everything a digest folds, dormant debris included.
-    let bodies = BenchmarkId::Mix
-        .build(&SceneParams {
-            scale: SCALE,
-            ..SceneParams::default()
-        })
+    let bodies = RunConfig::default()
+        .build(BenchmarkId::Mix, SCALE)
         .world
         .bodies()
         .len();
@@ -112,7 +121,7 @@ fn main() {
 
     for attempt in 1..=ATTEMPTS {
         let hashed_before = phase_bytes_hashed();
-        let (off, on) = record_paired(&mk(false), &mk(true));
+        let [off, on] = record_sides([&mk(false), &mk(true)]);
         // Only the on side hashes, warm-up steps included.
         let hashed_per_step =
             (phase_bytes_hashed() - hashed_before) as f64 / (steps + warmup) as f64;

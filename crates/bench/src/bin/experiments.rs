@@ -4,56 +4,84 @@
 //! ```text
 //! cargo run --release -p parallax-bench --bin experiments -- list
 //! cargo run --release -p parallax-bench --bin experiments -- all
-//! cargo run --release -p parallax-bench --bin experiments -- fig2a_breakdown fig6a_breakdown4
+//! cargo run --release -p parallax-bench --bin experiments -- --scale 0.1 fig2a_breakdown fig6a_breakdown4
 //! ```
 //!
-//! Inputs: `PARALLAX_SCALE`, `PARALLAX_FRAMES`, `--telemetry <path>`.
+//! `--scale F` (default 1.0) scales the scenes, `--frames N` (default 3,
+//! at least 1) sets the measured window, `--telemetry PATH` records every
+//! measured step. The engine always runs under `RunConfig::default()`;
+//! the first line of a run says which configuration that is on this host.
 
+use parallax_bench::cli::{parse_or_exit, Flags};
 use parallax_bench::experiments::{find, Experiment, EXPERIMENTS};
-use parallax_bench::Ctx;
+use parallax_bench::{open_telemetry_sink, Ctx};
+use parallax_workloads::RunConfig;
 
-fn usage() -> ! {
-    eprintln!("usage: experiments list | all | <name>... [--telemetry <path>]");
-    eprintln!("experiments:");
-    for e in EXPERIMENTS {
-        eprintln!("  {}", e.name);
+struct Args {
+    ctx: Ctx,
+    telemetry: Option<String>,
+    /// `None` for `list`.
+    selected: Option<Vec<&'static Experiment>>,
+}
+
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mut ctx = Ctx::default();
+    let mut telemetry = None;
+    let mut names = Vec::new();
+    while let Some(arg) = flags.next_flag() {
+        match arg.as_str() {
+            "--scale" => ctx.scale = flags.parse()?,
+            "--frames" => ctx.measure_frames = flags.parse::<usize>()?.max(1),
+            "--telemetry" => telemetry = Some(flags.value()?),
+            flag if flag.starts_with("--") => return Err(flags.unknown()),
+            _ => names.push(arg),
+        }
     }
-    std::process::exit(2);
+    let selected = match names.as_slice() {
+        [] => return Err("expected list, all or experiment names".into()),
+        [list] if list == "list" => None,
+        [all] if all == "all" => Some(EXPERIMENTS.iter().collect()),
+        names => Some(
+            names
+                .iter()
+                .map(|n| find(n).ok_or_else(|| format!("unknown experiment {n:?}")))
+                .collect::<Result<_, _>>()?,
+        ),
+    };
+    Ok(Args {
+        ctx,
+        telemetry,
+        selected,
+    })
 }
 
 fn main() {
-    // `--telemetry` is read off the command line by `telemetry_sink`.
-    let mut args = std::env::args().skip(1);
-    let mut names = Vec::new();
-    while let Some(a) = args.next() {
-        if a == "--telemetry" {
-            args.next();
-        } else if !a.starts_with("--telemetry=") {
-            names.push(a);
-        }
+    let mut usage = String::from(
+        "usage: experiments [--scale F] [--frames N] [--telemetry PATH] list | all | <name>...\n\
+         experiments:",
+    );
+    for e in EXPERIMENTS {
+        usage.push_str("\n  ");
+        usage.push_str(e.name);
     }
-
-    let selected: Vec<&Experiment> = match names.as_slice() {
-        [] => usage(),
-        [list] if list == "list" => {
-            for e in EXPERIMENTS {
-                println!("{:<24}{}", e.name, e.title);
-            }
-            return;
+    let args = parse_or_exit(&usage, parse_args);
+    let Some(selected) = args.selected else {
+        for e in EXPERIMENTS {
+            println!("{:<24}{}", e.name, e.title);
         }
-        [all] if all == "all" => EXPERIMENTS.iter().collect(),
-        names => names
-            .iter()
-            .map(|n| {
-                find(n).unwrap_or_else(|| {
-                    eprintln!("error: unknown experiment {n:?}");
-                    usage()
-                })
-            })
-            .collect(),
+        return;
     };
+    if let Some(path) = &args.telemetry {
+        open_telemetry_sink(path);
+    }
+    let ctx = args.ctx;
 
-    let ctx = Ctx::from_env();
+    println!(
+        "experiments: scale {}, {} measured frame(s), engine {}",
+        ctx.scale,
+        ctx.measure_frames,
+        RunConfig::default()
+    );
     for e in &selected {
         if selected.len() > 1 {
             println!("\n##### {} #####", e.name);

@@ -4,8 +4,11 @@
 //! executor span tracks).
 //!
 //! ```text
-//! run_scene --scene Mix --steps 60 --scale 0.5 --threads 4 --telemetry out.jsonl
+//! run_scene --scene Mix --steps 60 --scale 0.5 --config threads=4 --telemetry out.jsonl
 //! ```
+//!
+//! `--config SPEC` is a `RunConfig` spec (README, "Run configuration"):
+//! threads, SIMD width, sleeping, warm starting, digests, broad phase.
 //!
 //! Render the output with `telemetry_report out.jsonl` or convert it to
 //! a Perfetto-loadable Chrome trace with
@@ -27,14 +30,14 @@
 use std::collections::VecDeque;
 use std::path::PathBuf;
 
+use parallax_bench::cli::{parse_or_exit, Flags, SPEC_USAGE};
 use parallax_bench::{
-    benchmark_by_name, build_step_record, scene_names, sink_step_record, telemetry_baseline,
-    telemetry_sink,
+    build_step_record, open_telemetry_sink, sink_step_record, telemetry_baseline, telemetry_sink,
 };
 use parallax_observe::{FlightEntry, FlightRing};
 use parallax_physics::InvariantMonitor;
 use parallax_telemetry::StepRecord;
-use parallax_workloads::{BenchmarkId, Scene, SceneParams};
+use parallax_workloads::{BenchmarkId, RunConfig, Scene};
 
 /// Flight-recorder depth: steps of digests retained for a black box.
 const FLIGHT_STEPS: usize = 256;
@@ -46,73 +49,41 @@ struct Args {
     scene: BenchmarkId,
     steps: u64,
     scale: f32,
-    threads: usize,
+    run: RunConfig,
     monitor: bool,
-    warm_starting: bool,
-    /// Island sleeping override; `None` follows `PARALLAX_SLEEP`.
-    sleep: Option<bool>,
+    telemetry: Option<String>,
     serve: Option<String>,
     blackbox_dir: PathBuf,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: run_scene [--scene NAME] [--steps N] [--scale F] [--config SPEC] \
+                     [--monitor] [--telemetry PATH] [--serve ADDR] [--blackbox-dir PATH]";
+
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         scene: BenchmarkId::Mix,
         steps: 30,
         scale: 0.25,
-        threads: 1,
+        run: RunConfig::default(),
         monitor: false,
-        warm_starting: true,
-        sleep: None,
+        telemetry: None,
         serve: None,
         blackbox_dir: PathBuf::from("blackbox"),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--scene" => {
-                let name = value_of("--scene")?;
-                args.scene = benchmark_by_name(&name).ok_or_else(|| {
-                    format!("unknown scene {name:?}; valid scenes: {}", scene_names())
-                })?;
-            }
-            "--steps" => {
-                args.steps = value_of("--steps")?
-                    .parse()
-                    .map_err(|e| format!("--steps: {e}"))?;
-            }
-            "--scale" => {
-                args.scale = value_of("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
-            }
-            "--threads" => {
-                args.threads = value_of("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
+            "--scene" => args.scene = flags.scene()?,
+            "--steps" => args.steps = flags.parse()?,
+            "--scale" => args.scale = flags.parse()?,
+            "--config" => flags.config(&mut args.run)?,
             "--monitor" => args.monitor = true,
             "--serve" => {
-                args.serve = Some(value_of("--serve")?);
+                args.serve = Some(flags.value()?);
                 args.monitor = true; // /health needs the invariant verdict
             }
-            "--no-warm-start" => args.warm_starting = false,
-            "--sleep" => {
-                let v = value_of("--sleep")?;
-                args.sleep = Some(match v.as_str() {
-                    "on" | "1" | "true" => true,
-                    "off" | "0" | "false" => false,
-                    other => return Err(format!("--sleep: expected on|off, got {other:?}")),
-                });
-            }
-            "--blackbox-dir" => args.blackbox_dir = PathBuf::from(value_of("--blackbox-dir")?),
-            // Consumed by the shared sink bootstrap in parallax-bench.
-            "--telemetry" => {
-                value_of("--telemetry")?;
-            }
-            other if other.starts_with("--telemetry=") => {}
-            other => return Err(format!("unknown flag {other:?}")),
+            "--blackbox-dir" => args.blackbox_dir = PathBuf::from(flags.value()?),
+            "--telemetry" => args.telemetry = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(args)
@@ -164,19 +135,10 @@ fn dump_box(
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: run_scene [--scene NAME] [--steps N] [--scale F] \
-                 [--threads N] [--monitor] [--no-warm-start] [--sleep on|off] \
-                 [--telemetry PATH] [--serve ADDR] [--blackbox-dir PATH]"
-            );
-            std::process::exit(2);
-        }
-    };
-
+    let args = parse_or_exit(&format!("{USAGE}\n{SPEC_USAGE}"), parse_args);
+    if let Some(path) = &args.telemetry {
+        open_telemetry_sink(path);
+    }
     let recording = telemetry_sink().is_some();
     // Keep telemetry live for the solver-residual summary even without a
     // sink; the registry is cheap and the deltas below stay process-local.
@@ -185,16 +147,16 @@ fn main() {
     // --serve): per-phase digests on, a ring of them retained, a black
     // box dumped on the first violation or a /blackbox request.
     let flight_on = args.monitor;
-    let mut scene = args.scene.build(&SceneParams {
-        scale: args.scale,
-        threads: args.threads,
-        warm_starting: args.warm_starting,
-        sleeping: args
-            .sleep
-            .unwrap_or_else(parallax_physics::sleeping_from_env),
-        digests: flight_on || parallax_physics::digest::digests_from_env(),
-        ..SceneParams::default()
-    });
+    let run = RunConfig {
+        digest: args.run.digest || flight_on,
+        ..args.run
+    };
+    println!(
+        "run_scene: {} @ scale {}, {run}",
+        args.scene.name(),
+        args.scale
+    );
+    let mut scene = run.build(args.scene, args.scale);
 
     let observe = args.serve.as_deref().map(|addr| {
         match parallax_observe::serve(addr) {
@@ -295,7 +257,7 @@ fn main() {
             residual.quantile_upper_bound(0.5).unwrap_or(0),
             residual.mean(),
             residual.count(),
-            if args.warm_starting { "on" } else { "off" },
+            if run.warm { "on" } else { "off" },
             snap.counter("physics.solver.warm_hits"),
             snap.counter("physics.solver.warm_misses"),
         );

@@ -19,7 +19,7 @@
 //! one process, so a run that cannot keep `achieved/ideal ≥ min_sustain`
 //! fails regardless of how it compares to the baseline.
 
-use parallax_bench::harness::Fingerprint;
+use parallax_bench::cli::{parse_or_exit, Flags};
 use parallax_bench::print_table;
 use parallax_bench::server_gate::{
     compare_server_baselines, record, CellComparison, ServerBaseline, ServerGateConfig,
@@ -46,9 +46,8 @@ const USAGE: &str = "usage: server_bench record  [--out PATH] [--sessions N] [--
                      [--quick] [--allow-missing-baseline]\n\
                      --sessions/--bodies replace the sweep with a single cell";
 
-fn parse_args() -> Result<Args, String> {
-    let mut it = std::env::args().skip(1);
-    let mode = match it.next().as_deref() {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mode = match flags.next_flag().as_deref() {
         Some("record") => Mode::Record,
         Some("compare") => Mode::Compare,
         other => return Err(format!("expected subcommand record|compare, got {other:?}")),
@@ -63,31 +62,18 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut sessions = None;
     let mut bodies = None;
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--out" | "--baseline" => args.path = value_of(&flag)?,
-            "--sessions" => sessions = Some(parse_num(&value_of("--sessions")?, "--sessions")?),
-            "--bodies" => bodies = Some(parse_num(&value_of("--bodies")?, "--bodies")?),
-            "--rate" => {
-                args.cfg.step_rate = value_of("--rate")?
-                    .parse()
-                    .map_err(|e| format!("--rate: {e}"))?;
-            }
-            "--measure-ms" => {
-                args.cfg.measure_ms = parse_num(&value_of("--measure-ms")?, "--measure-ms")? as u64;
-            }
-            "--clients" => args.cfg.clients = parse_num(&value_of("--clients")?, "--clients")?,
-            "--threshold" => {
-                args.threshold = Some(
-                    value_of("--threshold")?
-                        .parse()
-                        .map_err(|e| format!("--threshold: {e}"))?,
-                );
-            }
+            "--out" | "--baseline" => args.path = flags.value()?,
+            "--sessions" => sessions = Some(flags.parse()?),
+            "--bodies" => bodies = Some(flags.parse()?),
+            "--rate" => args.cfg.step_rate = flags.parse()?,
+            "--measure-ms" => args.cfg.measure_ms = flags.parse()?,
+            "--clients" => args.cfg.clients = flags.parse()?,
+            "--threshold" => args.threshold = Some(flags.parse()?),
             "--quick" => args.quick = true,
             "--allow-missing-baseline" => args.allow_missing = true,
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return Err(flags.unknown()),
         }
     }
     if let Some(t) = args.threshold {
@@ -102,18 +88,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn parse_num(s: &str, flag: &str) -> Result<usize, String> {
-    s.parse().map_err(|e| format!("{flag}: {e}"))
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_or_exit(USAGE, parse_args);
     match args.mode {
         Mode::Record => run_record(&args),
         Mode::Compare => run_compare(&args),
@@ -219,19 +195,7 @@ fn run_compare(args: &Args) {
             std::process::exit(2);
         }
     };
-    let here = Fingerprint::current();
-    if here != base.fingerprint {
-        eprintln!(
-            "warning: baseline from {}/{} ({} hw thread(s)); this host is {}/{} ({}) — \
-             absolute numbers are not comparable across machines",
-            base.fingerprint.os,
-            base.fingerprint.arch,
-            base.fingerprint.hw_threads,
-            here.os,
-            here.arch,
-            here.hw_threads
-        );
-    }
+    base.fingerprint.warn_unless_current();
     // Measure the baseline's cells at the baseline's shape; sample
     // windows and threshold are the comparer's choice.
     let cfg = ServerGateConfig {

@@ -21,10 +21,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parallax_bench::{benchmark_by_name, build_step_record, scene_names, telemetry_baseline};
+use parallax_bench::cli::{parse_or_exit, Flags, SPEC_USAGE};
+use parallax_bench::{build_step_record, telemetry_baseline};
 use parallax_physics::InvariantMonitor;
 use parallax_telemetry::{compare, http_get, BootstrapConfig, Verdict};
-use parallax_workloads::{BenchmarkId, SceneParams};
+use parallax_workloads::{BenchmarkId, RunConfig};
 
 const SCRAPE_PERIOD: Duration = Duration::from_millis(250);
 const OVERHEAD_BUDGET: f64 = 0.03;
@@ -32,59 +33,39 @@ const OVERHEAD_BUDGET: f64 = 0.03;
 struct Args {
     scene: BenchmarkId,
     scale: f32,
-    threads: usize,
+    run: RunConfig,
     seconds: u64,
     rss_budget_mb: u64,
     quick: bool,
     skip_overhead: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: soak [--scene NAME] [--scale F] [--config SPEC] [--seconds S] \
+                     [--rss-budget-mb M] [--quick] [--no-overhead]";
+
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         scene: BenchmarkId::Mix,
         scale: 0.25,
-        threads: 1,
+        run: RunConfig::default(),
         seconds: 120,
         rss_budget_mb: 128,
         quick: false,
         skip_overhead: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--scene" => {
-                let name = value_of("--scene")?;
-                args.scene = benchmark_by_name(&name).ok_or_else(|| {
-                    format!("unknown scene {name:?}; valid scenes: {}", scene_names())
-                })?;
-            }
-            "--scale" => {
-                args.scale = value_of("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
-            }
-            "--threads" => {
-                args.threads = value_of("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--seconds" => {
-                args.seconds = value_of("--seconds")?
-                    .parse()
-                    .map_err(|e| format!("--seconds: {e}"))?;
-            }
-            "--rss-budget-mb" => {
-                args.rss_budget_mb = value_of("--rss-budget-mb")?
-                    .parse()
-                    .map_err(|e| format!("--rss-budget-mb: {e}"))?;
-            }
+            "--scene" => args.scene = flags.scene()?,
+            "--scale" => args.scale = flags.parse()?,
+            "--config" => flags.config(&mut args.run)?,
+            "--seconds" => args.seconds = flags.parse()?,
+            "--rss-budget-mb" => args.rss_budget_mb = flags.parse()?,
             "--quick" => {
                 args.quick = true;
                 args.seconds = args.seconds.min(8);
             }
             "--no-overhead" => args.skip_overhead = true,
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(args)
@@ -223,24 +204,10 @@ fn measure_overhead(
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: soak [--scene NAME] [--scale F] [--threads N] [--seconds S] \
-                 [--rss-budget-mb M] [--quick] [--no-overhead]"
-            );
-            std::process::exit(2);
-        }
-    };
+    let args = parse_or_exit(&format!("{USAGE}\n{SPEC_USAGE}"), parse_args);
 
     parallax_telemetry::set_enabled(true);
-    let mut scene = args.scene.build(&SceneParams {
-        scale: args.scale,
-        threads: args.threads,
-        ..SceneParams::default()
-    });
+    let mut scene = args.run.build(args.scene, args.scale);
     let observe = match parallax_observe::serve("127.0.0.1:0") {
         Ok(obs) => obs,
         Err(e) => {
@@ -250,9 +217,10 @@ fn main() {
     };
     let addr = observe.addr();
     println!(
-        "soak: {} @ scale {} on http://{addr}/metrics, {} s{}",
+        "soak: {} @ scale {}, {} on http://{addr}/metrics, {} s{}",
         args.scene.name(),
         args.scale,
+        args.run,
         args.seconds,
         if args.quick { " (quick)" } else { "" }
     );

@@ -14,6 +14,7 @@
 //! carries all five pipeline phases with a positive total — the tier-1
 //! smoke test in `scripts/verify.sh` relies on this.
 
+use parallax_bench::cli::{parse_or_exit, Flags};
 use parallax_physics::PhaseKind;
 use parallax_telemetry::{chrome_trace, read_jsonl, render_critical_path, report, StepRecord};
 
@@ -48,41 +49,42 @@ fn check_phases(records: &[StepRecord]) -> Result<(), String> {
     Ok(())
 }
 
-fn main() {
-    let mut input = None;
-    let mut chrome_out = None;
-    let mut check = false;
-    let mut critical_path = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+struct Args {
+    input: String,
+    chrome_out: Option<String>,
+    check: bool,
+    critical_path: bool,
+}
+
+const USAGE: &str =
+    "usage: telemetry_report <file.jsonl> [--chrome OUT] [--check-phases] [--critical-path]";
+
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let (mut input, mut chrome_out, mut check, mut critical_path) = (None, None, false, false);
+    while let Some(arg) = flags.next_flag() {
         match arg.as_str() {
-            "--chrome" => match it.next() {
-                Some(path) => chrome_out = Some(path),
-                None => {
-                    eprintln!("error: --chrome requires a path");
-                    std::process::exit(2);
-                }
-            },
+            "--chrome" => chrome_out = Some(flags.value()?),
             "--check-phases" => check = true,
             "--critical-path" => critical_path = true,
-            other if other.starts_with("--") => {
-                eprintln!("error: unknown flag {other:?}");
-                eprintln!(
-                    "usage: telemetry_report <file.jsonl> [--chrome OUT] [--check-phases] \
-                     [--critical-path]"
-                );
-                std::process::exit(2);
-            }
-            other => input = Some(other.to_string()),
+            flag if flag.starts_with("--") => return Err(flags.unknown()),
+            _ => input = Some(arg),
         }
     }
-    let Some(input) = input else {
-        eprintln!(
-            "usage: telemetry_report <file.jsonl> [--chrome OUT] [--check-phases] \
-             [--critical-path]"
-        );
-        std::process::exit(2);
-    };
+    Ok(Args {
+        input: input.ok_or("expected a JSONL file")?,
+        chrome_out,
+        check,
+        critical_path,
+    })
+}
+
+fn main() {
+    let Args {
+        input,
+        chrome_out,
+        check,
+        critical_path,
+    } = parse_or_exit(USAGE, parse_args);
 
     let records = match read_jsonl(&input) {
         Ok(r) => r,

@@ -17,109 +17,20 @@
 //!    body chunk ([`parallax_physics::chunk_digests`]) and a named SoA
 //!    lane ([`parallax_physics::first_divergence`]).
 //!
-//! Both sides must be built from the same benchmark and scale; only
-//! threads, SIMD mode, broad-phase algorithm and island sleeping (the
-//! axes determinism is promised over) differ. Every broad phase emits the
-//! same canonical candidate list, so `broadphase=sap` against
+//! Both sides are built from the same benchmark and scale and differ
+//! only in their [`RunConfig`]. Every broad phase emits the same
+//! canonical candidate list, so `broadphase=sap` against
 //! `broadphase=grid` must report clean: the history-free rebuild is the
-//! reference the persistent grid is held to. A cross-sleep bisection (`sleep=on` vs
-//! `sleep=off`) is *expected* to diverge at the first sleep transition —
-//! running it localizes exactly where the fast path first bites, which
-//! doubles as a smoke test that the bisector attributes sleep-lane
-//! divergences correctly.
+//! reference the persistent grid is held to. A cross-sleep bisection
+//! (`sleep=on` vs `sleep=off`) is *expected* to diverge at the first
+//! sleep transition — running it localizes exactly where the fast path
+//! first bites, which doubles as a smoke test that the bisector
+//! attributes sleep-lane divergences correctly.
 //! A test-only single-ULP fault ([`DigestFault`], applied to side B)
 //! lets the machinery be verified end to end.
 
-use parallax_math::SimdMode;
-use parallax_physics::{self as physics, BroadphaseKind, DigestFault, PhaseKind, WorldConfig};
-use parallax_workloads::{BenchmarkId, Scene, SceneParams};
-
-/// One side of an A/B bisection: the configuration axes that may differ
-/// while the simulation must not.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SideSpec {
-    /// Executor width.
-    pub threads: usize,
-    /// SIMD kernel mode.
-    pub simd: SimdMode,
-    /// Island sleeping.
-    pub sleep: bool,
-    /// Broad-phase algorithm.
-    pub broadphase: BroadphaseKind,
-}
-
-impl Default for SideSpec {
-    /// 1 thread, scalar kernels, sleeping off, the engine's default grid.
-    fn default() -> Self {
-        SideSpec {
-            threads: 1,
-            simd: SimdMode::Scalar,
-            sleep: false,
-            broadphase: WorldConfig::default().broadphase,
-        }
-    }
-}
-
-impl std::fmt::Display for SideSpec {
-    /// The side in `parse` syntax, with the SIMD mode the host will run.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "threads={}, simd={}, sleep={}, broadphase={}",
-            self.threads,
-            self.simd.clamp_to_supported().name(),
-            if self.sleep { "on" } else { "off" },
-            match self.broadphase {
-                BroadphaseKind::Grid { .. } => "grid",
-                BroadphaseKind::SweepAndPrune => "sap",
-            }
-        )
-    }
-}
-
-impl SideSpec {
-    /// Parses `"threads=8,simd=avx2,sleep=on,broadphase=sap"` (every key
-    /// optional, any order; defaults: [`SideSpec::default`]).
-    pub fn parse(spec: &str) -> Result<SideSpec, String> {
-        let mut side = SideSpec::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            match key.trim() {
-                "threads" => {
-                    side.threads = value.trim().parse().map_err(|e| format!("threads: {e}"))?
-                }
-                "simd" => {
-                    side.simd = SimdMode::from_name(value.trim())
-                        .ok_or_else(|| format!("unknown simd mode {value:?}"))?
-                }
-                "sleep" => {
-                    side.sleep = match value.trim() {
-                        "on" | "1" | "true" => true,
-                        "off" | "0" | "false" => false,
-                        other => return Err(format!("sleep: expected on|off, got {other:?}")),
-                    }
-                }
-                "broadphase" => {
-                    side.broadphase = match value.trim() {
-                        "grid" => SideSpec::default().broadphase,
-                        "sap" => BroadphaseKind::SweepAndPrune,
-                        other => {
-                            return Err(format!("broadphase: expected grid|sap, got {other:?}"))
-                        }
-                    }
-                }
-                other => {
-                    return Err(format!(
-                        "unknown key {other:?} (expected threads/simd/sleep/broadphase)"
-                    ))
-                }
-            }
-        }
-        Ok(side)
-    }
-}
+use parallax_physics::{self as physics, DigestFault, PhaseKind};
+use parallax_workloads::{BenchmarkId, RunConfig, Scene};
 
 /// What to bisect: scene, horizon and the two configurations.
 #[derive(Debug, Clone)]
@@ -131,9 +42,9 @@ pub struct BisectConfig {
     /// Scene scale.
     pub scale: f32,
     /// Side A configuration.
-    pub a: SideSpec,
+    pub a: RunConfig,
     /// Side B configuration.
-    pub b: SideSpec,
+    pub b: RunConfig,
     /// Test-only single-ULP fault, injected into side B.
     pub fault: Option<DigestFault>,
     /// Body-chunk size for range localization.
@@ -146,8 +57,8 @@ impl Default for BisectConfig {
             scene: BenchmarkId::Mix,
             steps: 200,
             scale: 0.25,
-            a: SideSpec::default(),
-            b: SideSpec::default(),
+            a: RunConfig::default(),
+            b: RunConfig::default(),
             fault: None,
             chunk: 64,
         }
@@ -188,19 +99,12 @@ pub enum BisectOutcome {
     Diverged(DivergenceReport),
 }
 
-fn build_side(cfg: &BisectConfig, side: SideSpec, fault: Option<DigestFault>) -> Scene {
-    let mut scene = cfg.scene.build(&SceneParams {
-        scale: cfg.scale,
-        threads: side.threads,
-        simd: side.simd,
-        sleeping: side.sleep,
-        // Off during the scan: the probes compare whole-world digests at
-        // their endpoints, so the runs stay representative of production.
-        digests: false,
-        ..SceneParams::default()
-    });
+fn build_side(cfg: &BisectConfig, side: RunConfig, fault: Option<DigestFault>) -> Scene {
+    // `digest` is off by default, so the scan stays representative of
+    // production: the probes compare whole-world digests at their
+    // endpoints, and only the divergent step is re-run with them on.
+    let mut scene = side.build(cfg.scene, cfg.scale);
     scene.world.config_mut().digest_fault = fault;
-    scene.world.set_broadphase(side.broadphase);
     scene
 }
 
@@ -330,27 +234,6 @@ impl DivergenceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn side_spec_parses_and_defaults() {
-        let s = SideSpec::parse("threads=8,simd=avx2,sleep=on").unwrap();
-        assert_eq!(s.threads, 8);
-        assert_eq!(s.simd, SimdMode::Avx2);
-        assert!(s.sleep);
-        let d = SideSpec::parse("").unwrap();
-        assert_eq!(d.threads, 1);
-        assert_eq!(d.simd, SimdMode::Scalar);
-        assert!(!d.sleep);
-        assert!(SideSpec::parse("cores=4").is_err());
-        assert!(SideSpec::parse("simd=neon").is_err());
-        assert!(SideSpec::parse("sleep=maybe").is_err());
-        assert_eq!(d.broadphase, WorldConfig::default().broadphase);
-        let sap = SideSpec::parse("broadphase=sap").unwrap();
-        assert_eq!(sap.broadphase, BroadphaseKind::SweepAndPrune);
-        assert_eq!(SideSpec::parse("broadphase=grid").unwrap(), d);
-        let err = SideSpec::parse("broadphase=bvh").unwrap_err();
-        assert!(err.contains("grid|sap"), "{err}");
-    }
 
     #[test]
     fn identical_sides_are_clean() {

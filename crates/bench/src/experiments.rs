@@ -20,10 +20,10 @@ use parallax_archsim::config::{CoreConfig, L2Config, MachineConfig};
 use parallax_archsim::core::CoreModel;
 use parallax_archsim::multicore::{kernel_of, FrameResult, MulticoreSim, PhaseTime, SimOptions};
 use parallax_archsim::offchip::Link;
-use parallax_physics::{BroadphaseKind, PhaseKind};
+use parallax_physics::PhaseKind;
 use parallax_trace::kernels::KernelModel;
 use parallax_trace::{Kernel, OpCounts, StepTrace};
-use parallax_workloads::{stats, BenchmarkId, SceneParams};
+use parallax_workloads::{stats, BenchmarkId, RunConfig};
 
 use crate::{
     bench_data, fmt_secs, partitioned_machine, print_table, warm_measure, BenchData, Ctx, Memo,
@@ -822,17 +822,9 @@ fn ablations(ctx: &Ctx) {
         BenchmarkId::Mix,
     ] {
         let mut row = vec![id.abbrev().to_string()];
-        for kind in [
-            BroadphaseKind::Grid { cell: 1.2 },
-            BroadphaseKind::SweepAndPrune,
-        ] {
-            let params = SceneParams {
-                scale: ctx.scale,
-                ..Default::default()
-            };
-            let mut scene = id.build(&params);
-            scene.world.set_broadphase(kind);
-            let profiles = scene.run_measured(2, 1);
+        for broadphase in ["grid", "sap"] {
+            let run = RunConfig::parse(&format!("broadphase={broadphase}")).expect("spec");
+            let profiles = run.build(id, ctx.scale).run_measured(2, 1);
             let tests: usize = profiles.iter().map(|p| p.broadphase.overlap_tests).sum();
             let pairs: usize = profiles.iter().map(|p| p.pairs.len()).sum();
             let wall: f64 = profiles.iter().map(|p| p.wall[0].as_secs_f64()).sum();

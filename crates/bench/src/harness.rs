@@ -20,17 +20,16 @@
 
 use std::fmt::Write as _;
 
-use parallax_math::SimdMode;
 use parallax_physics::PhaseKind;
 use parallax_telemetry::json::{write_str, Json};
 use parallax_telemetry::stats::{
     bootstrap_median_ci, compare, median, BootstrapConfig, Comparison, Verdict,
 };
-use parallax_workloads::{BenchmarkId, SceneParams};
+use parallax_workloads::{BenchmarkId, RunConfig};
 
 /// Version of the baseline JSON layout. Bump on any incompatible change;
 /// `compare` refuses to read a mismatched file rather than mis-parse it.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The `"experiment"` tag of scene-gate baselines.
 pub const EXPERIMENT: &str = "scene_gate";
@@ -44,32 +43,14 @@ pub struct GateConfig {
     pub warmup: usize,
     /// Scene scale (fraction of paper scale).
     pub scale: f32,
-    /// Executor width.
-    pub threads: usize,
     /// Relative median-change threshold a regression must clear
     /// (0.35 = 35% slower).
     pub threshold: f64,
-    /// Solver warm starting from the persistent contact cache. Part of
-    /// the envelope so a baseline is always compared against a run with
-    /// the same solver configuration. Baselines recorded before the
-    /// field existed read as `true` (the engine default).
-    pub warm_starting: bool,
-    /// SIMD kernel width the samples were taken with. Part of the
-    /// envelope so a scalar baseline is never silently compared against
-    /// an AVX2 run (or vice versa). Baselines recorded before the field
-    /// existed read as `Scalar` — the only kernels that engine had.
-    pub simd: SimdMode,
-    /// Per-phase state digests computed during the run (the flight
-    /// recorder's fingerprinting). Part of the envelope because digests
-    /// add per-step work; the `digest_overhead` binary A/B-compares
-    /// off-vs-on. Baselines recorded before the field existed read as
-    /// `false`.
-    pub digests: bool,
-    /// Island sleeping enabled during the run. Part of the envelope
-    /// because sleeping changes how much work settled scenes do per
-    /// step; `bench_gate --sleep` A/B-compares off-vs-on. Baselines
-    /// recorded before the field existed read as `false`.
-    pub sleeping: bool,
+    /// The engine configuration the samples are taken under. Part of the
+    /// envelope (as its `Display` string) so a baseline is only ever
+    /// gated against a run of the same configuration; `bench_gate
+    /// compare --config` on top of it is an explicit A/B instead.
+    pub run: RunConfig,
     /// Scenes measured, in order.
     pub scenes: Vec<BenchmarkId>,
 }
@@ -80,12 +61,8 @@ impl Default for GateConfig {
             steps: 40,
             warmup: 8,
             scale: 0.2,
-            threads: 1,
             threshold: 0.35,
-            warm_starting: true,
-            simd: SimdMode::resolve(),
-            digests: false,
-            sleeping: parallax_physics::sleeping_from_env(),
+            run: RunConfig::default(),
             scenes: BenchmarkId::ALL.to_vec(),
         }
     }
@@ -129,7 +106,7 @@ impl Fingerprint {
     }
 
     /// The fingerprint as a JSON object (shared envelope across
-    /// `BENCH_scenes.json` and `BENCH_pipeline.json`).
+    /// `BENCH_scenes.json` and `BENCH_server.json`).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\"os\": ");
         write_str(&mut s, &self.os);
@@ -137,6 +114,21 @@ impl Fingerprint {
         write_str(&mut s, &self.arch);
         let _ = write!(s, ", \"hw_threads\": {}}}", self.hw_threads);
         s
+    }
+
+    /// Warns on stderr when this fingerprint — a baseline's — is not the
+    /// running machine's: the gate still runs (the statistics absorb a
+    /// uniform speed difference), but absolute times are not comparable.
+    pub fn warn_unless_current(&self) {
+        let here = Fingerprint::current();
+        if here != *self {
+            eprintln!(
+                "warning: baseline was recorded on {}/{} with {} hw thread(s); this host is \
+                 {}/{} with {} — absolute times are not comparable across machines, only \
+                 uniform relative changes",
+                self.os, self.arch, self.hw_threads, here.os, here.arch, here.hw_threads
+            );
+        }
     }
 
     pub(crate) fn from_json(v: &Json) -> Result<Fingerprint, String> {
@@ -162,6 +154,17 @@ pub struct SceneSamples {
     pub counters: Vec<(String, u64)>,
 }
 
+impl SceneSamples {
+    /// Whole-step wall time of every recorded step: the five phase walls
+    /// summed.
+    pub fn step_totals(&self) -> Vec<f64> {
+        let n = self.phase_wall_ns.iter().map(Vec::len).min().unwrap_or(0);
+        (0..n)
+            .map(|s| self.phase_wall_ns.iter().map(|p| p[s]).sum())
+            .collect()
+    }
+}
+
 /// A recorded baseline: envelope + per-scene samples.
 #[derive(Debug, Clone)]
 pub struct Baseline {
@@ -175,148 +178,83 @@ pub struct Baseline {
     pub scenes: Vec<SceneSamples>,
 }
 
-/// Runs every scene in `cfg` and records its samples. Telemetry is
-/// switched on for the duration so counter deltas are captured, then
-/// restored to its previous state; span rings are drained per scene so
-/// a long recording cannot overflow them.
+/// Runs every scene in `cfg` and records its samples: [`record_sides`]
+/// with one side, the only form that captures counter deltas.
 pub fn record(cfg: &GateConfig) -> Baseline {
-    let was_enabled = parallax_telemetry::enabled();
-    parallax_telemetry::set_enabled(true);
-    let mut scenes = Vec::with_capacity(cfg.scenes.len());
-    for &id in &cfg.scenes {
-        scenes.push(record_scene(id, cfg));
-    }
-    parallax_telemetry::set_enabled(was_enabled);
-    Baseline {
-        schema_version: SCHEMA_VERSION,
-        fingerprint: Fingerprint::current(),
-        config: cfg.clone(),
-        scenes,
-    }
+    let [baseline] = record_sides([cfg]);
+    baseline
 }
 
-/// Records one scene under `cfg` (telemetry must already be enabled).
-fn record_scene(id: BenchmarkId, cfg: &GateConfig) -> SceneSamples {
-    let mut discard = Vec::new();
-    let mut scene = id.build(&SceneParams {
-        scale: cfg.scale,
-        threads: cfg.threads,
-        warm_starting: cfg.warm_starting,
-        simd: cfg.simd,
-        digests: cfg.digests,
-        sleeping: cfg.sleeping,
-        ..SceneParams::default()
-    });
-    for _ in 0..cfg.warmup {
-        scene.step();
-    }
-    parallax_telemetry::drain_spans(&mut discard);
-    let before = parallax_telemetry::snapshot();
-    let mut phase_wall_ns: [Vec<f64>; 5] = Default::default();
-    let mut bodies = 0;
-    for _ in 0..cfg.steps {
-        let profile = scene.step();
-        for (i, w) in profile.wall.iter().enumerate() {
-            phase_wall_ns[i].push(w.as_nanos() as f64);
-        }
-        bodies = profile.body_count;
-    }
-    let delta = parallax_telemetry::snapshot().delta_since(&before);
-    parallax_telemetry::drain_spans(&mut discard);
-    SceneSamples {
-        scene: id.name().to_string(),
-        bodies,
-        phase_wall_ns,
-        counters: delta.counters,
-    }
-}
-
-/// Records two configurations as one pass, *interleaved in small step
-/// blocks within each scene*: two instances of the scene run
-/// alternately (A block, B block, A block, …) until both have their
+/// Records every scene once per side, the sides *interleaved in small
+/// step blocks within each scene*: one instance of the scene per side
+/// runs alternately (A block, B block, A block, …) until each has its
 /// sample budget.
 ///
-/// Sequential `record` passes minutes apart are confounded by slow host
-/// drift (thermal/scheduling) that the per-step bootstrap CI cannot
-/// see — identical builds routinely differ by 10% across passes on a
-/// busy host. Interleaving makes any drift hit both configurations
-/// nearly equally, so an A-vs-B comparison measures the configuration
-/// change, not the weather. Telemetry counter deltas are not split per
-/// side (the samples are what comparisons consume); both sides report
-/// empty counters.
-pub fn record_paired(a: &GateConfig, b: &GateConfig) -> (Baseline, Baseline) {
-    /// Steps run on one side before yielding to the other: small enough
+/// Sequential passes minutes apart are confounded by slow host drift
+/// (thermal/scheduling) that the per-step bootstrap CI cannot see —
+/// identical builds routinely differ by 10% across passes on a busy
+/// host. Interleaving makes any drift hit every configuration nearly
+/// equally, so an A-vs-B comparison measures the configuration change,
+/// not the weather. Telemetry is switched on for the duration and then
+/// restored; the counter deltas of a scene's window cannot be split per
+/// side, so only a lone side reports them. Span rings are drained per
+/// scene so a long recording cannot overflow them.
+pub fn record_sides<const N: usize>(sides: [&GateConfig; N]) -> [Baseline; N] {
+    /// Steps run on one side before yielding to the next: small enough
     /// that drift within a block is negligible, large enough that cache
     /// warmup from the side switch does not dominate.
     const BLOCK: usize = 8;
-    assert_eq!(a.scenes, b.scenes, "paired recording needs one scene list");
+    assert!(
+        sides.iter().all(|s| s.scenes == sides[0].scenes),
+        "interleaved recording needs one scene list"
+    );
     let was_enabled = parallax_telemetry::enabled();
     parallax_telemetry::set_enabled(true);
-    let mut scenes_a = Vec::with_capacity(a.scenes.len());
-    let mut scenes_b = Vec::with_capacity(b.scenes.len());
-    for &id in &a.scenes {
-        let build = |cfg: &GateConfig| {
-            id.build(&SceneParams {
-                scale: cfg.scale,
-                threads: cfg.threads,
-                warm_starting: cfg.warm_starting,
-                simd: cfg.simd,
-                digests: cfg.digests,
-                sleeping: cfg.sleeping,
-                ..SceneParams::default()
-            })
-        };
-        let mut sa = build(a);
-        let mut sb = build(b);
-        for _ in 0..a.warmup {
-            sa.step();
-        }
-        for _ in 0..b.warmup {
-            sb.step();
-        }
-        let mut pa: [Vec<f64>; 5] = Default::default();
-        let mut pb: [Vec<f64>; 5] = Default::default();
-        let (mut bodies_a, mut bodies_b) = (0, 0);
-        while pa[0].len() < a.steps || pb[0].len() < b.steps {
-            for _ in 0..BLOCK.min(a.steps - pa[0].len()) {
-                let profile = sa.step();
-                for (i, w) in profile.wall.iter().enumerate() {
-                    pa[i].push(w.as_nanos() as f64);
-                }
-                bodies_a = profile.body_count;
+    let mut recorded: [Vec<SceneSamples>; N] = std::array::from_fn(|_| Vec::new());
+    for &id in &sides[0].scenes {
+        let mut scenes = sides.map(|cfg| {
+            let mut scene = cfg.run.build(id, cfg.scale);
+            for _ in 0..cfg.warmup {
+                scene.step();
             }
-            for _ in 0..BLOCK.min(b.steps - pb[0].len()) {
-                let profile = sb.step();
-                for (i, w) in profile.wall.iter().enumerate() {
-                    pb[i].push(w.as_nanos() as f64);
-                }
-                bodies_b = profile.body_count;
-            }
-        }
-        // Nobody reads the spans of a paired recording; leave the rings
-        // empty for the next scene (or the caller's next recording).
+            scene
+        });
+        let mut samples = sides.map(|_| SceneSamples {
+            scene: id.name().to_string(),
+            bodies: 0,
+            phase_wall_ns: Default::default(),
+            counters: Vec::new(),
+        });
         parallax_telemetry::drain_spans(&mut Vec::new());
-        scenes_a.push(SceneSamples {
-            scene: id.name().to_string(),
-            bodies: bodies_a,
-            phase_wall_ns: pa,
-            counters: Vec::new(),
-        });
-        scenes_b.push(SceneSamples {
-            scene: id.name().to_string(),
-            bodies: bodies_b,
-            phase_wall_ns: pb,
-            counters: Vec::new(),
-        });
+        let before = parallax_telemetry::snapshot();
+        while (0..N).any(|s| samples[s].phase_wall_ns[0].len() < sides[s].steps) {
+            for s in 0..N {
+                let left = sides[s].steps - samples[s].phase_wall_ns[0].len();
+                for _ in 0..BLOCK.min(left) {
+                    let profile = scenes[s].step();
+                    for (i, w) in profile.wall.iter().enumerate() {
+                        samples[s].phase_wall_ns[i].push(w.as_nanos() as f64);
+                    }
+                    samples[s].bodies = profile.body_count;
+                }
+            }
+        }
+        if N == 1 {
+            samples[0].counters = parallax_telemetry::snapshot().delta_since(&before).counters;
+        }
+        parallax_telemetry::drain_spans(&mut Vec::new());
+        for (side, samples) in recorded.iter_mut().zip(samples) {
+            side.push(samples);
+        }
     }
     parallax_telemetry::set_enabled(was_enabled);
-    let mk = |cfg: &GateConfig, scenes| Baseline {
+    let mut recorded = recorded.into_iter();
+    sides.map(|cfg| Baseline {
         schema_version: SCHEMA_VERSION,
         fingerprint: Fingerprint::current(),
         config: cfg.clone(),
-        scenes,
-    };
-    (mk(a, scenes_a), mk(b, scenes_b))
+        scenes: recorded.next().expect("one sample list per side"),
+    })
 }
 
 impl Baseline {
@@ -331,17 +269,12 @@ impl Baseline {
         let _ = writeln!(
             s,
             "  \"config\": {{\"steps\": {}, \"warmup\": {}, \"scale\": {}, \
-             \"threads\": {}, \"threshold\": {}, \"warm_starting\": {}, \
-             \"simd\": \"{}\", \"digests\": {}, \"sleeping\": {}}},",
+             \"threshold\": {}, \"run\": \"{}\"}},",
             self.config.steps,
             self.config.warmup,
             self.config.scale,
-            self.config.threads,
             self.config.threshold,
-            self.config.warm_starting,
-            self.config.simd.name(),
-            self.config.digests,
-            self.config.sleeping
+            self.config.run
         );
         s.push_str("  \"scenes\": [\n");
         for (i, sc) in self.scenes.iter().enumerate() {
@@ -404,23 +337,10 @@ impl Baseline {
             steps: field_u64(c, "steps")? as usize,
             warmup: field_u64(c, "warmup")? as usize,
             scale: field_f64(c, "scale")? as f32,
-            threads: field_u64(c, "threads")? as usize,
             threshold: field_f64(c, "threshold")?,
-            // Absent in pre-warm-starting baselines: those were recorded
-            // with the engine default, which is on.
-            warm_starting: !matches!(c.get("warm_starting"), Some(Json::Bool(false))),
-            // Absent in pre-SIMD baselines: that engine only had the
-            // scalar kernels.
-            simd: c
-                .get("simd")
-                .and_then(Json::as_str)
-                .and_then(SimdMode::from_name)
-                .unwrap_or(SimdMode::Scalar),
-            // Absent in pre-digest baselines: digests did not exist, so
-            // those samples were recorded without them.
-            digests: matches!(c.get("digests"), Some(Json::Bool(true))),
-            // Absent in pre-sleeping baselines: sleeping did not exist.
-            sleeping: matches!(c.get("sleeping"), Some(Json::Bool(true))),
+            run: field_str(c, "run")
+                .and_then(|spec| RunConfig::parse(&spec).map_err(|e| format!("field \"run\": {e}")))
+                .map_err(|e| format!("{e}; re-record with `bench_gate record`"))?,
             scenes: Vec::new(),
         };
         let mut scenes = Vec::new();
@@ -430,7 +350,7 @@ impl Baseline {
             .ok_or("missing scenes array")?
         {
             let name = field_str(sc, "scene")?;
-            if let Some(id) = crate::benchmark_by_name(&name) {
+            if let Some(id) = BenchmarkId::by_name(&name) {
                 config.scenes.push(id);
             }
             let phases = sc.get("phases").ok_or("scene missing phases")?;
@@ -529,7 +449,7 @@ pub fn compare_baselines(
         // Whole-step totals: phase rows can individually sit inside the
         // threshold while their sum drifts past it (or, symmetrically, a
         // kernel win can be visible per-step but diluted per-phase).
-        if let Some(cmp) = compare(&step_totals(b), &step_totals(f), threshold, &cfg) {
+        if let Some(cmp) = compare(&b.step_totals(), &f.step_totals(), threshold, &cfg) {
             rows.push(PhaseComparison {
                 scene: b.scene.clone(),
                 phase: "step total",
@@ -540,16 +460,8 @@ pub fn compare_baselines(
     rows
 }
 
-/// Whole-step wall time of every recorded step: the five phase walls summed.
-fn step_totals(sc: &SceneSamples) -> Vec<f64> {
-    let n = sc.phase_wall_ns.iter().map(Vec::len).min().unwrap_or(0);
-    (0..n)
-        .map(|s| sc.phase_wall_ns.iter().map(|p| p[s]).sum())
-        .collect()
-}
-
 /// What configuration B costs over configuration A per step, in
-/// nanoseconds, from a [`record_paired`] recording of one scene.
+/// nanoseconds, from a two-sided [`record_sides`] recording of one scene.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairedCost {
     /// Median over the steps of `B's step total - A's step total`.
@@ -565,7 +477,7 @@ pub struct PairedCost {
 /// own variation, which dwarfs the cost being measured. `None` when the
 /// sides hold no or differently many steps.
 pub fn paired_step_cost(a: &SceneSamples, b: &SceneSamples) -> Option<PairedCost> {
-    let (ta, tb) = (step_totals(a), step_totals(b));
+    let (ta, tb) = (a.step_totals(), b.step_totals());
     if ta.is_empty() || ta.len() != tb.len() {
         return None;
     }
@@ -605,12 +517,8 @@ mod tests {
             steps: 4,
             warmup: 1,
             scale: 0.05,
-            threads: 1,
             threshold: 0.35,
-            warm_starting: true,
-            simd: SimdMode::Scalar,
-            digests: false,
-            sleeping: false,
+            run: RunConfig::parse("simd=scalar").expect("spec"),
             scenes: vec![BenchmarkId::Periodic, BenchmarkId::Ragdoll],
         }
     }
@@ -629,6 +537,24 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_sides_each_get_their_own_budget() {
+        let _flag = crate::telemetry_flag_lock();
+        let long = GateConfig {
+            steps: 19,
+            ..tiny_config()
+        };
+        let [a, b] = record_sides([&tiny_config(), &long]);
+        for (side, steps) in [(&a, 4), (&b, 19)] {
+            assert_eq!(side.scenes.len(), 2);
+            for sc in &side.scenes {
+                assert!(sc.phase_wall_ns.iter().all(|p| p.len() == steps));
+                assert!(sc.bodies > 0 && sc.counters.is_empty());
+            }
+        }
+        assert_eq!(b.config.steps, 19);
+    }
+
+    #[test]
     fn baseline_json_round_trips() {
         let _flag = crate::telemetry_flag_lock();
         let b = record(&tiny_config());
@@ -636,7 +562,7 @@ mod tests {
         assert_eq!(parsed.schema_version, SCHEMA_VERSION);
         assert_eq!(parsed.fingerprint, b.fingerprint);
         assert_eq!(parsed.config.steps, b.config.steps);
-        assert_eq!(parsed.config.simd, b.config.simd);
+        assert_eq!(parsed.config.run, b.config.run);
         assert_eq!(parsed.config.scenes, b.config.scenes);
         assert_eq!(parsed.scenes.len(), b.scenes.len());
         for (a, e) in parsed.scenes.iter().zip(&b.scenes) {
@@ -657,11 +583,42 @@ mod tests {
     fn from_json_rejects_other_schemas() {
         assert!(Baseline::from_json("{\"schema_version\": 999}").is_err());
         assert!(Baseline::from_json("not json").is_err());
-        let wrong = format!(
-            "{{\"schema_version\": {SCHEMA_VERSION}, \"experiment\": \"executor_scaling\"}}"
-        );
+        let wrong =
+            format!("{{\"schema_version\": {SCHEMA_VERSION}, \"experiment\": \"server_gate\"}}");
         let err = Baseline::from_json(&wrong).unwrap_err();
-        assert!(err.contains("executor_scaling"), "{err}");
+        assert!(err.contains("server_gate"), "{err}");
+
+        // A v1 document (five configuration fields, no `run`) names the
+        // way out instead of reading as some default configuration.
+        let v1 = "{\"schema_version\": 1, \"experiment\": \"scene_gate\", \
+                  \"config\": {\"threads\": 1, \"simd\": \"avx2\", \"sleeping\": false}}";
+        let err = Baseline::from_json(v1).unwrap_err();
+        assert!(
+            err.contains("v1") && err.contains("bench_gate record"),
+            "{err}"
+        );
+
+        let doc = |run: &str| {
+            format!(
+                "{{\"schema_version\": {SCHEMA_VERSION}, \"experiment\": \"{EXPERIMENT}\", \
+                 \"fingerprint\": {}, \"config\": {{\"steps\": 4, \"warmup\": 1, \
+                 \"scale\": 0.05, \"threshold\": 0.35{run}}}, \"scenes\": []}}",
+                Fingerprint::current().to_json()
+            )
+        };
+        assert!(Baseline::from_json(&doc(", \"run\": \"threads=2\"")).is_ok());
+        let err = Baseline::from_json(&doc("")).unwrap_err();
+        assert!(
+            err.contains("\"run\"") && err.contains("bench_gate record"),
+            "{err}"
+        );
+        let err = Baseline::from_json(&doc(", \"run\": \"simd=neon\"")).unwrap_err();
+        assert!(
+            err.contains("\"run\"")
+                && err.contains("\"neon\"")
+                && err.contains("bench_gate record"),
+            "{err}"
+        );
     }
 
     #[test]

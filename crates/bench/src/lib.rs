@@ -4,12 +4,16 @@
 //! [`experiments::EXPERIMENTS`], run by the `experiments` binary: `cargo
 //! run --release -p parallax-bench --bin experiments -- all` regenerates
 //! everything in one process (`list` names the entries, `<name>…` runs
-//! some). The environment variable `PARALLAX_SCALE` (default `1.0`)
-//! scales the scenes, and `PARALLAX_FRAMES` (default `3`) sets the
-//! measured window — useful for quick smoke runs (`PARALLAX_SCALE=0.1`).
+//! some). `--scale F` (default `1.0`) scales the scenes and `--frames N`
+//! (default `3`) sets the measured window — useful for quick smoke runs
+//! (`--scale 0.1`); the engine always runs under `RunConfig::default()`.
+//!
+//! Nothing in this crate reads the environment: a binary's behaviour is
+//! its command line, parsed through [`cli::Flags`], and an engine
+//! configuration is a [`parallax_workloads::RunConfig`] spec.
 
 pub mod bisect;
-pub mod executor_scaling;
+pub mod cli;
 pub mod experiments;
 pub mod harness;
 pub mod server_gate;
@@ -21,7 +25,7 @@ use parallax_archsim::multicore::PhaseTime;
 use parallax_physics::{PhaseKind, StepProfile};
 use parallax_telemetry::{Snapshot, SpanRecord, StepRecord, TelemetrySink};
 use parallax_trace::StepTrace;
-use parallax_workloads::{BenchmarkId, Scene, SceneMeta, SceneParams};
+use parallax_workloads::{BenchmarkId, RunConfig, Scene, SceneMeta};
 
 /// Experiment context: scale and measurement window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,33 +38,15 @@ pub struct Ctx {
     pub measure_frames: usize,
 }
 
-impl Ctx {
-    /// Reads the context from the environment ([`env_or`]: a malformed
-    /// `PARALLAX_SCALE` / `PARALLAX_FRAMES` exits 2).
-    pub fn from_env() -> Ctx {
+impl Default for Ctx {
+    /// Paper scale, the paper's window: frames 1–4 warm, 5–7 measured.
+    fn default() -> Self {
         Ctx {
-            scale: env_or("PARALLAX_SCALE", 1.0),
+            scale: 1.0,
             warm_frames: 4,
-            measure_frames: env_or("PARALLAX_FRAMES", 3usize).max(1),
+            measure_frames: 3,
         }
     }
-}
-
-/// Reads a numeric environment variable, `default` when unset. A value
-/// that does not parse is a typo, not a request for the default (which
-/// for `PARALLAX_SCALE` would silently launch a full-scale run): variable
-/// and value are named on stderr and the process exits 2.
-pub fn env_or<T: std::str::FromStr>(var: &str, default: T) -> T {
-    let Some(raw) = std::env::var_os(var) else {
-        return default;
-    };
-    raw.to_str()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or_else(|| {
-            let kind = std::any::type_name::<T>();
-            eprintln!("error: {var}={raw:?} is not a valid {kind}");
-            std::process::exit(2);
-        })
 }
 
 /// Measured data of one benchmark: metadata, the measured-window step
@@ -114,11 +100,7 @@ pub(crate) static CAPTURES: Memo<BenchData> = Memo::new();
 /// stepped manually so each step writes one JSONL [`StepRecord`].
 pub fn bench_data(id: BenchmarkId, ctx: &Ctx) -> Arc<BenchData> {
     CAPTURES.get_or(id, ctx, || {
-        let params = SceneParams {
-            scale: ctx.scale,
-            ..Default::default()
-        };
-        let mut scene: Scene = id.build(&params);
+        let mut scene = RunConfig::default().build(id, ctx.scale);
         let profiles = if telemetry_sink().is_some() {
             run_measured_with_telemetry(&mut scene, ctx.warm_frames, ctx.measure_frames)
         } else {
@@ -133,40 +115,25 @@ pub fn bench_data(id: BenchmarkId, ctx: &Ctx) -> Arc<BenchData> {
     })
 }
 
-/// The global telemetry sink, opened on first use from `--telemetry
-/// <path>` on the command line (or the `PARALLAX_TELEMETRY` env var).
-/// Opening the sink turns the telemetry layer on for the process.
-pub fn telemetry_sink() -> &'static Option<Mutex<TelemetrySink>> {
-    static SINK: OnceLock<Option<Mutex<TelemetrySink>>> = OnceLock::new();
-    SINK.get_or_init(|| {
-        let path = telemetry_path(std::env::args())?;
-        match TelemetrySink::create(&path) {
-            Ok(sink) => {
+static SINK: OnceLock<Mutex<TelemetrySink>> = OnceLock::new();
+
+/// Opens the process's telemetry sink at `path` (a binary's `--telemetry
+/// PATH`) and turns the telemetry layer on; a path that cannot be created
+/// is warned about and the run goes on unrecorded.
+pub fn open_telemetry_sink(path: &str) {
+    match TelemetrySink::create(path) {
+        Ok(sink) => {
+            if SINK.set(Mutex::new(sink)).is_ok() {
                 parallax_telemetry::set_enabled(true);
-                Some(Mutex::new(sink))
-            }
-            Err(e) => {
-                eprintln!("warning: cannot open telemetry sink {path}: {e}");
-                None
             }
         }
-    })
+        Err(e) => eprintln!("warning: cannot open telemetry sink {path}: {e}"),
+    }
 }
 
-/// Extracts the telemetry output path from an argument list
-/// (`--telemetry <path>` or `--telemetry=<path>`), falling back to the
-/// `PARALLAX_TELEMETRY` environment variable.
-fn telemetry_path(args: impl Iterator<Item = String>) -> Option<String> {
-    let args: Vec<String> = args.collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--telemetry" {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(p) = a.strip_prefix("--telemetry=") {
-            return Some(p.to_string());
-        }
-    }
-    std::env::var("PARALLAX_TELEMETRY").ok()
+/// The sink [`open_telemetry_sink`] opened, if any.
+pub fn telemetry_sink() -> Option<&'static Mutex<TelemetrySink>> {
+    SINK.get()
 }
 
 /// Builds one step's [`StepRecord`]: the per-phase wall times from
@@ -214,21 +181,6 @@ pub fn sink_step_record(record: &StepRecord) {
     }
 }
 
-/// Writes one step's telemetry to the active sink (no-op without one):
-/// [`build_step_record`] + [`sink_step_record`].
-pub fn write_step_record(
-    source: &str,
-    scene: &str,
-    step: u64,
-    profile: Option<&StepProfile>,
-    baseline: &mut Snapshot,
-) {
-    if telemetry_sink().is_none() {
-        return;
-    }
-    sink_step_record(&build_step_record(source, scene, step, profile, baseline));
-}
-
 /// Mirrors the process's cumulative dropped-span count into the
 /// `telemetry.spans_dropped` gauge so it travels with every snapshot and
 /// `telemetry_report` can surface incomplete traces from the JSONL alone
@@ -264,7 +216,8 @@ fn run_measured_with_telemetry(
     let mut out = Vec::with_capacity(steps);
     for s in 0..steps {
         let profile = scene.step();
-        write_step_record("physics", name, s as u64, Some(&profile), &mut baseline);
+        let record = build_step_record("physics", name, s as u64, Some(&profile), &mut baseline);
+        sink_step_record(&record);
         out.push(profile);
     }
     out
@@ -326,25 +279,6 @@ pub fn partitioned_machine(cores: usize) -> MachineConfig {
 pub const BREAKDOWN_HEADERS: [&str; 8] = [
     "Bench", "Broad", "Narrow", "IslSer", "IslPar", "Cloth", "Total", "FPS",
 ];
-
-/// Looks up a benchmark by name or abbreviation, case-insensitively.
-pub fn benchmark_by_name(s: &str) -> Option<BenchmarkId> {
-    BenchmarkId::by_name(s).or_else(|| {
-        BenchmarkId::ALL
-            .into_iter()
-            .find(|b| b.abbrev().eq_ignore_ascii_case(s))
-    })
-}
-
-/// Every valid scene spelling, `"Name (Abbrev)"` comma-joined — the
-/// suggestion list binaries print when `--scene` doesn't resolve.
-pub fn scene_names() -> String {
-    BenchmarkId::ALL
-        .into_iter()
-        .map(|b| format!("{} ({})", b.name(), b.abbrev()))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
 
 /// Warm-then-measure helper: runs `traces` through the simulator once to
 /// warm caches, resets stats, runs again and returns the measured result.
@@ -411,12 +345,8 @@ mod tests {
 
     #[test]
     fn ctx_defaults() {
-        let c = Ctx {
-            scale: 1.0,
-            warm_frames: 4,
-            measure_frames: 3,
-        };
-        assert_eq!(c.measure_frames, 3);
+        let c = Ctx::default();
+        assert_eq!((c.scale, c.warm_frames, c.measure_frames), (1.0, 4, 3));
     }
 
     #[test]

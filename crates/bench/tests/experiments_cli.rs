@@ -2,7 +2,7 @@
 //! scale prints at least one table for every registry entry and exits 0
 //! (the run that would have caught Table 3 indexing its eight paper
 //! constants with nine scenes), `list` is the registry, and an unknown
-//! name or a malformed `PARALLAX_*` value exits 2 saying why.
+//! name or a malformed `--scale` / `--frames` value exits 2 saying why.
 
 use std::process::{Command, Output};
 
@@ -10,10 +10,8 @@ use parallax_bench::experiments::EXPERIMENTS;
 
 fn experiments(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--scale", "0.05", "--frames", "1"])
         .args(args)
-        .env("PARALLAX_SCALE", "0.05")
-        .env("PARALLAX_FRAMES", "1")
-        .env_remove("PARALLAX_TELEMETRY")
         .output()
         .expect("run experiments")
 }
@@ -32,7 +30,11 @@ fn all_prints_a_table_for_every_registry_entry() {
     assert!(out.status.success(), "all failed: {}", stderr_of(&out));
     let stdout = stdout_of(&out);
     let mut sections = stdout.split("\n##### ");
-    sections.next();
+    let header = sections.next().expect("a header line");
+    assert!(
+        header.starts_with("experiments: scale 0.05, 1 measured frame(s), engine threads=1,simd="),
+        "{header}"
+    );
     for e in EXPERIMENTS {
         let section = sections
             .next()
@@ -84,16 +86,12 @@ fn unknown_name_exits_2_listing_the_valid_ones() {
 }
 
 #[test]
-fn malformed_environment_exits_2_naming_variable_and_value() {
-    for (var, value) in [("PARALLAX_SCALE", "abc"), ("PARALLAX_FRAMES", "x")] {
-        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .arg("kernel_storage")
-            .env(var, value)
-            .output()
-            .expect("run experiments");
-        assert_eq!(out.status.code(), Some(2), "{var}={value}");
+fn malformed_flag_value_exits_2_naming_flag_and_value() {
+    for (flag, value) in [("--scale", "abc"), ("--frames", "x")] {
+        let out = experiments(&[flag, value, "kernel_storage"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
         let stderr = stderr_of(&out);
-        assert!(stderr.contains(var) && stderr.contains(value), "{stderr}");
-        assert!(stdout_of(&out).is_empty(), "{var}={value} still ran");
+        assert!(stderr.contains(flag) && stderr.contains(value), "{stderr}");
+        assert!(stdout_of(&out).is_empty(), "{flag} {value} still ran");
     }
 }

@@ -1,9 +1,9 @@
 //! `bench_gate` exercised as a subprocess, the way CI and developers
 //! run it: record a baseline, compare an identical build (exit 0),
-//! compare a build slowed via the `PARALLAX_PHASE_SLOW` environment
-//! hook (exit 1, stderr names the scene and phase), and pass with a
-//! warning when no baseline exists and `--allow-missing-baseline` is
-//! given.
+//! compare a build slowed with `--inject-delay` (exit 1, stderr names the
+//! scene and phase), refuse the per-axis flags `--config` replaced, and
+//! pass with a warning when no baseline exists and
+//! `--allow-missing-baseline` is given.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -23,7 +23,7 @@ fn stderr_of(out: &Output) -> String {
 }
 
 #[test]
-fn record_compare_and_env_slowdown() {
+fn record_compare_and_injected_slowdown() {
     let path = scratch("BENCH_scenes.json");
     let args = [
         "--steps", "8", "--warmup", "2", "--scale", "0.05", "--quick",
@@ -55,7 +55,7 @@ fn record_compare_and_env_slowdown() {
         .arg("compare")
         .args(["--baseline", path.to_str().unwrap()])
         .args(args)
-        .env("PARALLAX_PHASE_SLOW", "Broadphase:10000000")
+        .args(["--inject-delay", "Broadphase:10000000"])
         .output()
         .expect("run slowed bench_gate compare");
     assert_eq!(
@@ -72,7 +72,46 @@ fn record_compare_and_env_slowdown() {
         "no scene named: {err}"
     );
 
+    // A --config that changes the recorded configuration is an A/B:
+    // both sides named, both re-measured, no gate against the past.
+    let ab = bench_gate()
+        .arg("compare")
+        .args(["--baseline", path.to_str().unwrap()])
+        .args(args)
+        .args(["--config", "sleep=on"])
+        .output()
+        .expect("run bench_gate compare --config");
+    assert!(ab.status.success(), "A/B failed: {}", stderr_of(&ab));
+    let out = String::from_utf8_lossy(&ab.stdout).into_owned();
+    let header = out
+        .lines()
+        .find(|l| l.starts_with("A("))
+        .unwrap_or_else(|| panic!("no A/B header: {out}"));
+    assert!(
+        header.contains("sleep=off") && header.contains(") vs B(") && header.contains("sleep=on"),
+        "{header}"
+    );
+
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn replaced_flags_and_bad_specs_exit_2() {
+    for bad in [
+        &["--threads", "2"][..],
+        &["--simd", "scalar"],
+        &["--sleep", "on"],
+        &["--config", "cores=4"],
+        &["--inject-delay", "Broadphase"],
+    ] {
+        let out = bench_gate()
+            .arg("compare")
+            .args(bad)
+            .output()
+            .expect("run bench_gate compare");
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {}", stderr_of(&out));
+        assert!(stderr_of(&out).contains(bad[0]), "{bad:?} not named");
+    }
 }
 
 #[test]

@@ -24,9 +24,8 @@
 //! 128-bit parallelism applies). Its two impls ([`ScalarX4`], [`Sse4`])
 //! share all control flow through the same generic solver loop.
 //!
-//! [`SimdMode`] selects the widest instantiation to dispatch to; the
-//! `PARALLAX_SIMD` environment variable and `WorldConfig::simd` both feed
-//! it.
+//! [`SimdMode`] selects the widest instantiation to dispatch to;
+//! `WorldConfig::simd` carries it, defaulting to [`SimdMode::resolve`].
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -51,8 +50,9 @@ pub enum SimdMode {
 }
 
 impl SimdMode {
-    /// Widest mode this CPU supports.
-    pub fn detect() -> SimdMode {
+    /// The widest mode this CPU executes — the default everywhere a mode
+    /// is not chosen explicitly.
+    pub fn resolve() -> SimdMode {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
@@ -67,22 +67,9 @@ impl SimdMode {
         }
     }
 
-    /// Resolves the startup default: `PARALLAX_SIMD=0|off|scalar` forces
-    /// the scalar path, `sse2`/`avx2` request a specific width (clamped
-    /// to what the CPU supports), anything else — including unset — means
-    /// the widest detected mode.
-    pub fn resolve() -> SimdMode {
-        match std::env::var("PARALLAX_SIMD").as_deref() {
-            Ok("0") | Ok("off") | Ok("scalar") => SimdMode::Scalar,
-            Ok("sse2") => SimdMode::Sse2.clamp_to_supported(),
-            Ok("avx2") => SimdMode::Avx2.clamp_to_supported(),
-            _ => SimdMode::detect(),
-        }
-    }
-
     /// Clamps a requested mode down to what the running CPU can execute.
     pub fn clamp_to_supported(self) -> SimdMode {
-        self.min(SimdMode::detect())
+        self.min(SimdMode::resolve())
     }
 
     /// Short name used in bench-gate envelopes and telemetry.
@@ -747,7 +734,7 @@ mod tests {
             assert_eq!(SimdMode::from_name(m.name()), Some(m));
         }
         assert_eq!(SimdMode::from_name("neon"), None);
-        assert!(SimdMode::detect() >= SimdMode::Sse2 || cfg!(not(target_arch = "x86_64")));
-        assert_eq!(SimdMode::Avx2.clamp_to_supported(), SimdMode::detect());
+        assert!(SimdMode::resolve() >= SimdMode::Sse2 || cfg!(not(target_arch = "x86_64")));
+        assert_eq!(SimdMode::Avx2.clamp_to_supported(), SimdMode::resolve());
     }
 }

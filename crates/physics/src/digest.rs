@@ -19,12 +19,11 @@
 //! which is exactly the pipeline's contract (note: `-0.0` and `+0.0`
 //! therefore digest differently, as they must).
 //!
-//! Digests are computed per phase behind [`crate::WorldConfig::digests`]
-//! (env: `PARALLAX_DIGEST=1`), published as `physics.digest.<phase>`
-//! telemetry gauges, and recorded in the step profile. The deliberate
-//! single-ULP fault knob ([`DigestFault`], `PARALLAX_DIGEST_FAULT`)
-//! exists so the bisection tooling can be tested against a divergence
-//! with a known ground truth.
+//! Digests are computed per phase behind [`crate::WorldConfig::digests`],
+//! published as `physics.digest.<phase>` telemetry gauges, and recorded
+//! in the step profile. The deliberate single-ULP fault knob
+//! ([`DigestFault`], `bisect --fault`) exists so the bisection tooling
+//! can be tested against a divergence with a known ground truth.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -223,28 +222,14 @@ pub fn hash_f32s(seed: u64, values: &[f32]) -> u64 {
     d.finish()
 }
 
-/// `true` when `PARALLAX_DIGEST` requests per-phase digests
-/// (`1`/`on`/`true`). Read once per process.
-pub fn digests_from_env() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        matches!(
-            std::env::var("PARALLAX_DIGEST").as_deref(),
-            Ok("1") | Ok("on") | Ok("true")
-        )
-    })
-}
-
 /// A deliberately injected single-ULP perturbation: at the end of
 /// `phase` of step `step` (0-based, [`World::step_count`] before the
 /// step), the lowest mantissa bit of body 0's `pos.x` is flipped.
 ///
 /// This is the ground-truth fault the divergence-bisection tooling is
-/// tested against (`bisect` applies it to its B side only; see
-/// `PARALLAX_DIGEST_FAULT="<step>:<phase>"`). It lives in
-/// [`crate::WorldConfig`] rather than the environment so two worlds in
-/// one process can disagree about it.
+/// tested against (`bisect --fault "<step>:<phase>"` applies it to its B
+/// side only). It lives in [`crate::WorldConfig`] so two worlds in one
+/// process can disagree about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DigestFault {
     /// Step to perturb (0-based).

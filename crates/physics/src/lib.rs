@@ -73,7 +73,7 @@ pub use parallax_math::SimdMode;
 pub use pipeline::{set_injected_phase_delay, StepPipeline};
 pub use probe::{PhaseKind, StepProfile};
 pub use shape::{GeomId, Heightfield, Shape, ShapeKind, TriMesh};
-pub use sleep::{sleeping_from_env, SleepSystem, SleepingIsland};
+pub use sleep::{SleepSystem, SleepingIsland};
 pub use snapshot::{
     SnapshotError, MAGIC as SNAPSHOT_MAGIC, MIN_VERSION as SNAPSHOT_MIN_VERSION,
     VERSION as SNAPSHOT_VERSION,

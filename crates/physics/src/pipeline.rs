@@ -756,37 +756,9 @@ impl PipelineTelemetry {
 }
 
 /// Per-phase artificial delay in nanoseconds, used to fake a regression
-/// for gate testing. Initialized once from `PARALLAX_PHASE_SLOW`
-/// (`"<PhaseName>:<nanos>"`, e.g. `Broadphase:2000000`), adjustable at
-/// runtime through [`set_injected_phase_delay`].
-fn injected_delays() -> &'static [std::sync::atomic::AtomicU64; 5] {
-    use std::sync::atomic::AtomicU64;
-    use std::sync::OnceLock;
-    static DELAYS: OnceLock<[AtomicU64; 5]> = OnceLock::new();
-    DELAYS.get_or_init(|| {
-        let delays = [const { AtomicU64::new(0) }; 5];
-        if let Ok(spec) = std::env::var("PARALLAX_PHASE_SLOW") {
-            if let Some((name, ns)) = spec.split_once(':') {
-                let idx = PhaseKind::ALL
-                    .iter()
-                    .position(|p| p.name().eq_ignore_ascii_case(name.trim()));
-                match (idx, ns.trim().parse::<u64>()) {
-                    (Some(i), Ok(ns)) => delays[i].store(ns, std::sync::atomic::Ordering::Relaxed),
-                    _ => eprintln!(
-                        "warning: ignoring malformed PARALLAX_PHASE_SLOW={spec:?} \
-                         (expected \"<PhaseName>:<nanos>\")"
-                    ),
-                }
-            } else {
-                eprintln!(
-                    "warning: ignoring malformed PARALLAX_PHASE_SLOW={spec:?} \
-                     (expected \"<PhaseName>:<nanos>\")"
-                );
-            }
-        }
-        delays
-    })
-}
+/// for gate testing; set through [`set_injected_phase_delay`].
+static INJECTED_DELAYS: [std::sync::atomic::AtomicU64; 5] =
+    [const { std::sync::atomic::AtomicU64::new(0) }; 5];
 
 /// Test/CI hook: makes every future step spend an extra `delay` inside
 /// `phase` (a deliberately slowed build without recompiling). Pass
@@ -797,7 +769,7 @@ pub fn set_injected_phase_delay(phase: PhaseKind, delay: Duration) {
         .iter()
         .position(|p| *p == phase)
         .expect("phase");
-    injected_delays()[idx].store(
+    INJECTED_DELAYS[idx].store(
         delay.as_nanos() as u64,
         std::sync::atomic::Ordering::Relaxed,
     );
@@ -830,7 +802,7 @@ fn end_phase(
         }
     }
     let d = if digests_on { digest(world) } else { 0 };
-    let ns = injected_delays()[phase_idx].load(std::sync::atomic::Ordering::Relaxed);
+    let ns = INJECTED_DELAYS[phase_idx].load(std::sync::atomic::Ordering::Relaxed);
     if ns > 0 {
         std::thread::sleep(Duration::from_nanos(ns));
     }

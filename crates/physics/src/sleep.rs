@@ -25,18 +25,6 @@ use crate::contact::ContactManifold;
 /// before its sleep timer starts counting again.
 pub(crate) const WAKE_EMA: f32 = 4.0;
 
-/// Reads the `PARALLAX_SLEEP` toggle once: `1`, `on` or `true` enables
-/// island sleeping by default in [`crate::WorldConfig::default`].
-pub fn sleeping_from_env() -> bool {
-    static SLEEP: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *SLEEP.get_or_init(|| {
-        matches!(
-            std::env::var("PARALLAX_SLEEP").as_deref(),
-            Ok("1") | Ok("on") | Ok("true")
-        )
-    })
-}
-
 /// A deactivated island, parked until a wake event.
 ///
 /// Stores the member body indices and the full contact manifolds the

@@ -64,13 +64,13 @@ pub struct WorldConfig {
     /// for ablation runs comparing cold-start convergence.
     pub warm_starting: bool,
     /// Which SIMD kernel set the hot loops use. Defaults to
-    /// [`SimdMode::resolve`]: the widest ISA the CPU supports, overridable
-    /// with `PARALLAX_SIMD=0|sse2|avx2`. All modes are bit-identical.
+    /// [`SimdMode::resolve`], the widest ISA the CPU executes. All modes
+    /// are bit-identical.
     pub simd: SimdMode,
     /// Compute the per-phase state digests ([`crate::digest`]) every step
     /// and publish them as `physics.digest.<phase>` gauges +
-    /// [`StepProfile::digests`]. Off by default (the digest walk costs a
-    /// few percent of a step); defaults from `PARALLAX_DIGEST=1`.
+    /// [`StepProfile::digests`]. Off by default: the digest walk costs a
+    /// few percent of a step.
     pub digests: bool,
     /// Deliberate single-ULP fault injection for testing the divergence
     /// tooling (see [`crate::digest::DigestFault`]). `None` in any real
@@ -79,11 +79,11 @@ pub struct WorldConfig {
     /// Island sleeping (the temporal-coherence fast path, see
     /// [`crate::sleep`]): islands whose bodies have all been quiet for
     /// [`WorldConfig::sleep_steps`] consecutive steps are deactivated and
-    /// skipped by every phase until a wake event. Off by default;
-    /// defaults from `PARALLAX_SLEEP=1`. Bit-deterministic across thread
-    /// counts and SIMD modes; note that sleeping zeroes residual
-    /// velocities, so a sleeping run's trajectory differs from a
-    /// non-sleeping run only from the first sleep event onward.
+    /// skipped by every phase until a wake event. Off by default.
+    /// Bit-deterministic across thread counts and SIMD modes; note that
+    /// sleeping zeroes residual velocities, so a sleeping run's
+    /// trajectory differs from a non-sleeping run only from the first
+    /// sleep event onward.
     pub sleeping: bool,
     /// Linear-velocity quietness threshold (m/s) for the sleep EMA.
     pub sleep_lin_threshold: f32,
@@ -112,9 +112,9 @@ impl Default for WorldConfig {
             slider_spring_c: 1_200.0,
             warm_starting: true,
             simd: SimdMode::resolve(),
-            digests: crate::digest::digests_from_env(),
+            digests: false,
             digest_fault: None,
-            sleeping: crate::sleep::sleeping_from_env(),
+            sleeping: false,
             sleep_lin_threshold: 0.08,
             sleep_ang_threshold: 0.10,
             sleep_steps: 30,

@@ -35,6 +35,11 @@ use parallax_workloads::{Actors, BenchmarkId, SceneParams, SessionWorld};
 /// StepRecord tail kept per session for `GET /sessions/:id/state`.
 const RECORD_TAIL: usize = 32;
 
+/// Width of the slots a scheduled period is divided into (see
+/// `SessionConfig::first_due_ns`): sessions of one slot come due together
+/// and are stepped as one batch.
+const SLOT_NS: u64 = 1_000_000;
+
 /// How a session's world is built.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SceneKind {
@@ -154,6 +159,24 @@ impl SessionConfig {
             None
         }
     }
+
+    /// First scheduled due time of session `id` after `now_ns` (`0`,
+    /// unused, for manual sessions). Due times are ticks of the rate's own
+    /// clock — multiples of the period on `telemetry::now_ns` — plus the
+    /// offset of the session's slot: the period is cut into slots about
+    /// [`SLOT_NS`] wide and ids fill them round-robin, so which sessions
+    /// share a batch is fixed by their ids. Phases left where the rate
+    /// requests happen to arrive make one fleet's wake-up count — and its
+    /// CPU per step — follow request timing, and restarting a late
+    /// session's clock from "now" puts a whole fleet on one phase, at
+    /// half the cost, from its first stall past `max_catchup` on.
+    fn first_due_ns(&self, id: u64, now_ns: u64) -> u64 {
+        self.period_ns().map_or(0, |period| {
+            let slots = (period / SLOT_NS).max(1);
+            let offset = id % slots * (period / slots);
+            (now_ns.saturating_sub(offset) / period + 1) * period + offset
+        })
+    }
 }
 
 /// Summary of one session, as returned by `GET /sessions`.
@@ -244,7 +267,7 @@ impl Session {
                 (scene.world, scene.actors)
             }
         };
-        let due_ns = now_ns + config.period_ns().unwrap_or(0);
+        let due_ns = config.first_due_ns(id, now_ns);
         Session {
             id,
             config,
@@ -272,11 +295,11 @@ impl Session {
     }
 
     /// Changes the scheduled step rate at runtime (the coarse/fine cost
-    /// knob): `0` parks the session, any other rate reschedules it one
-    /// fresh period from `now_ns`.
+    /// knob): `0` parks the session, any other rate reschedules it on
+    /// its slot's next tick of that rate after `now_ns`.
     pub fn set_step_rate(&mut self, hz: f64, now_ns: u64) {
         self.config.step_rate = hz;
-        self.due_ns = now_ns + self.config.period_ns().unwrap_or(0);
+        self.due_ns = self.config.first_due_ns(self.id, now_ns);
     }
 
     /// Advances `n` steps and returns the new step count.
@@ -572,14 +595,12 @@ impl SessionTable {
             };
             // Steps owed since the last deadline, capped: a session that
             // fell far behind sheds the backlog instead of stalling the
-            // batch.
+            // batch. The schedule skips every owed tick either way, so it
+            // stays on its slot of the rate's clock.
             let owed = 1 + now_ns.saturating_sub(s.due_ns) / period;
             let n = owed.min(max_catchup);
             s.step_n(n);
-            s.due_ns += n * period;
-            if owed > max_catchup {
-                s.due_ns = now_ns + period;
-            }
+            s.due_ns += owed * period;
             n
         });
         let total: u64 = stepped.iter().sum();
@@ -703,6 +724,38 @@ mod tests {
         assert_eq!(table.with_session(info.id, |s| s.steps()), Some(4));
         // And the schedule snapped forward instead of replaying the backlog.
         assert!(table.next_due_ns().expect("due") > now);
+    }
+
+    #[test]
+    fn due_times_are_slots_of_the_rates_clock() {
+        let table = SessionTable::default();
+        let period = 4_000_000; // 250 Hz: four slots of SLOT_NS
+        let t0 = telemetry::now_ns();
+        let due_of = |id| table.with_session(id, |s| s.due_ns).expect("alive");
+        let on_its_slot = |id| due_of(id) % period == id % 4 * SLOT_NS;
+        // Five sessions: the first scheduled at creation, the others at
+        // unrelated later instants.
+        let first = SessionConfig {
+            step_rate: 250.0,
+            ..manual(3, 0)
+        };
+        let mut ids = vec![table.create(first).expect("create").id];
+        for k in 1..5 {
+            let id = table.create(manual(3, k)).expect("create").id;
+            let at = t0 + k * 1_370_001;
+            table.with_session(id, |s| s.set_step_rate(250.0, at));
+            assert!(due_of(id) > at && due_of(id) <= at + period);
+            ids.push(id);
+        }
+        assert!(ids.iter().all(|&id| on_its_slot(id)));
+        // A stall past the catch-up cap moves nobody off its slot, and
+        // ids four apart come due together.
+        let late = due_of(ids[4]) + 1_000 * period + 1;
+        assert_eq!(table.step_due(late), 5);
+        for &id in &ids {
+            assert!(on_its_slot(id) && due_of(id) > late && due_of(id) <= late + period);
+        }
+        assert_eq!(due_of(ids[0]), due_of(ids[4]));
     }
 
     #[test]

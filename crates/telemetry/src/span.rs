@@ -16,34 +16,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default spans each thread can hold between drains; override with the
-/// `PARALLAX_SPAN_RING` environment variable (read once, at first use).
+/// Spans each thread can hold between drains.
 pub const SPAN_CAPACITY: usize = 8192;
-
-/// The per-thread ring capacity in effect for this process.
-pub fn ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| capacity_from(std::env::var("PARALLAX_SPAN_RING").ok().as_deref()))
-}
-
-/// Parses a `PARALLAX_SPAN_RING` value, falling back to the default on
-/// absence or nonsense (warned, not fatal: telemetry must never take the
-/// process down).
-fn capacity_from(env: Option<&str>) -> usize {
-    match env.map(str::trim) {
-        None | Some("") => SPAN_CAPACITY,
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: ignoring PARALLAX_SPAN_RING={s:?} (want a positive integer); \
-                     using default {SPAN_CAPACITY}"
-                );
-                SPAN_CAPACITY
-            }
-        },
-    }
-}
 
 /// An interned span name (copyable handle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,14 +40,8 @@ struct SpanBuf {
     /// Number of initialized slots; the owning thread is the only
     /// writer, drains reset it to zero.
     len: AtomicUsize,
-    /// `capacity × 3` slots: (name<<32 | track, start_ns, dur_ns).
+    /// [`SPAN_CAPACITY`]` × 3` slots: (name<<32 | track, start_ns, dur_ns).
     slots: Vec<AtomicU64>,
-}
-
-impl SpanBuf {
-    fn capacity(&self) -> usize {
-        self.slots.len() / 3
-    }
 }
 
 struct Global {
@@ -123,9 +91,7 @@ pub fn span_record(name: SpanName, track: u32, start_ns: u64, dur_ns: u64) {
         let buf = cell.get_or_init(|| {
             let buf = Arc::new(SpanBuf {
                 len: AtomicUsize::new(0),
-                slots: (0..ring_capacity() * 3)
-                    .map(|_| AtomicU64::new(0))
-                    .collect(),
+                slots: (0..SPAN_CAPACITY * 3).map(|_| AtomicU64::new(0)).collect(),
             });
             global()
                 .bufs
@@ -135,14 +101,13 @@ pub fn span_record(name: SpanName, track: u32, start_ns: u64, dur_ns: u64) {
             buf
         });
         let i = buf.len.load(Ordering::Relaxed);
-        if i >= buf.capacity() {
+        if i >= SPAN_CAPACITY {
             // First drop of the process warns once; after that the count
             // (and the gauge set at drain time) is the only signal.
             if global().dropped.fetch_add(1, Ordering::Relaxed) == 0 {
                 eprintln!(
-                    "warning: telemetry span ring full ({} spans/thread); dropping new spans \
-                     until the next drain — raise PARALLAX_SPAN_RING or drain more often",
-                    buf.capacity()
+                    "warning: telemetry span ring full ({SPAN_CAPACITY} spans/thread); dropping \
+                     new spans until the next drain — drain more often"
                 );
             }
             return;
@@ -218,7 +183,7 @@ pub fn drain_spans(out: &mut Vec<SpanRecord>) {
     let bufs = global().bufs.lock().expect("span bufs");
     let before = out.len();
     for buf in bufs.iter() {
-        let n = buf.len.load(Ordering::Acquire).min(buf.capacity());
+        let n = buf.len.load(Ordering::Acquire).min(SPAN_CAPACITY);
         for i in 0..n {
             let base = i * 3;
             let meta = buf.slots[base].load(Ordering::Relaxed);
@@ -245,15 +210,6 @@ pub fn spans_dropped() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_capacity_parses_the_environment_spelling() {
-        assert_eq!(capacity_from(None), SPAN_CAPACITY);
-        assert_eq!(capacity_from(Some("")), SPAN_CAPACITY);
-        assert_eq!(capacity_from(Some(" 1024 ")), 1024);
-        assert_eq!(capacity_from(Some("0")), SPAN_CAPACITY);
-        assert_eq!(capacity_from(Some("lots")), SPAN_CAPACITY);
-    }
 
     #[test]
     fn span_names_are_interned() {

@@ -30,6 +30,7 @@
 //! ```
 
 pub mod entities;
+pub mod run_config;
 pub mod scenes;
 pub mod session;
 pub mod stats;
@@ -37,6 +38,7 @@ pub mod stats;
 use parallax_physics::{SimdMode, World, WorldConfig};
 use serde::{Deserialize, Serialize};
 
+pub use run_config::RunConfig;
 pub use session::SessionWorld;
 pub use stats::{measure, BenchStats};
 
@@ -164,28 +166,24 @@ pub struct SceneParams {
     /// SIMD kernel width for the engine's vectorized sweeps.
     pub simd: SimdMode,
     /// Compute per-phase state digests each step (flight recorder /
-    /// divergence bisection). Defaults from `PARALLAX_DIGEST`.
+    /// divergence bisection).
     pub digests: bool,
     /// Island sleeping: settled islands stop simulating until disturbed.
-    /// Defaults from `PARALLAX_SLEEP`.
     pub sleeping: bool,
 }
 
 impl Default for SceneParams {
+    /// Paper scale and the default seed under [`RunConfig::default`].
     fn default() -> Self {
-        SceneParams {
-            scale: 1.0,
-            seed: 0x7A11AC5,
-            threads: 1,
-            warm_starting: true,
-            simd: SimdMode::resolve(),
-            digests: parallax_physics::digest::digests_from_env(),
-            sleeping: parallax_physics::sleeping_from_env(),
-        }
+        RunConfig::default().scene_params(1.0, SceneParams::DEFAULT_SEED)
     }
 }
 
 impl SceneParams {
+    /// The placement-jitter seed every scene is built with unless one is
+    /// chosen.
+    pub const DEFAULT_SEED: u64 = 0x7A11AC5;
+
     /// Scales an entity count, keeping at least `min`.
     pub fn count(&self, base: usize, min: usize) -> usize {
         ((base as f32 * self.scale).round() as usize).max(min)

@@ -8,8 +8,8 @@
 //! the settled stacks deactivate after `sleep_steps` quiet steps and
 //! the per-step cost collapses to the few islands the cannon keeps
 //! disturbing; with sleeping disabled every stack re-solves its resting
-//! contacts every step. The `bench_gate --sleep` A/B comparison runs on
-//! exactly this contrast.
+//! contacts every step. The `bench_gate compare --config sleep=on` A/B
+//! runs on exactly this contrast.
 
 use parallax_math::Vec3;
 use parallax_physics::{BodyDesc, Shape, World};

@@ -4,44 +4,47 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
+# One pass runs every suite; the ones later stanzas lean on:
+#   determinism            threads x SIMD x sleeping x warm start, as an
+#                          in-process RunConfig matrix (tests/determinism.rs);
+#   simd_equivalence       every SIMD mode against the reference solve;
+#   sleeping               prefix equivalence, wake reconvergence, monitor
+#                          cleanliness of the island-sleeping fast path;
+#   snapshot_roundtrip     snapshot -> restore bit-identical on Mix, random
+#                          worlds and the cross thread/SIMD grid;
+#   broadphase_equivalence the persistent grid against the sweep-and-prune
+#                          rebuild, every phase of every step on Mix and
+#                          Breakable (sleeping on and off, through a mid-run
+#                          restore and an enable toggle);
+#   golden_digests         trajectories and every simulated statistic of
+#                          Mix and Explosions pinned across commits;
+#   archsim properties     the division-free, hash-free hierarchy against a
+#                          naive reference, access for access;
+#   env_inert              the retired variables change nothing.
 cargo test -q --offline
 cargo fmt --check
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
-# Cross-thread determinism must hold beyond the defaults the plain
-# `cargo test` above exercises, so the full determinism suite reruns
-# under each of:
-#   PARALLAX_WARM_START=0  the cold solver path (warm-started is the
-#                          default; the suite honours 0|off);
-#   PARALLAX_SIMD=0 / =1   both kernel paths, forced-scalar and the
-#                          widest SIMD the host supports — bit-identical
-#                          by construction (one width-generic
-#                          implementation; see DESIGN.md §10) and asserted
-#                          by the equivalence proptests, but this covers
-#                          the end-to-end pipeline too;
-#   PARALLAX_SLEEP=1       the island-sleeping fast path: sleep/wake
-#                          decisions run serially in body order, so the
-#                          suite must hold with sleeping on
-#                          (WorldConfig::default honours the variable).
-for setting in PARALLAX_WARM_START=0 PARALLAX_SIMD=0 PARALLAX_SIMD=1 PARALLAX_SLEEP=1; do
-    env "$setting" cargo test -q --offline --test determinism
-done
-cargo test -q --offline --test simd_equivalence
-# The dedicated sleeping suite covers prefix equivalence, wake
-# reconvergence and monitor cleanliness.
-cargo test -q --offline --test sleeping
+# The rule the run configuration rests on: nothing below a `main` reads
+# the environment, and no retired variable name comes back. The one
+# exemption is the table of retired names in the env-inert test.
+if grep -rnE 'PARALLAX[_][A-Z]|env::va[r]' crates tests examples scripts \
+    --exclude=env_inert.rs; then
+    echo "verify: environment read or retired variable name (see above)" >&2
+    exit 1
+fi
 
 # Hot-kernel microbench smoke (integrator sweep, PGS rows, cloth
 # relaxation at each SIMD width) — quick shapes, just proves the bench
 # harness and every dispatch path still run.
-PARALLAX_BENCH_QUICK=1 cargo bench --offline -p parallax-bench --bench kernels
+cargo bench --offline -p parallax-bench --bench kernels -- --quick
 # ... and the simulator's: cache, predictor, core model, captured steps
 # replayed through a warmed hierarchy, trace generation.
-PARALLAX_BENCH_QUICK=1 cargo bench --offline -p parallax-bench --bench archsim_components
+cargo bench --offline -p parallax-bench --bench archsim_components -- --quick
 # ... and the narrow phase's: every per-pair kernel case and the whole
 # stage over a Mix-shaped and an Explosions-shaped candidate list at each
 # SIMD width (the trailing word filters the bench labels).
-PARALLAX_BENCH_QUICK=1 cargo bench --offline -p parallax-bench --bench physics_kernels -- narrowphase
+cargo bench --offline -p parallax-bench --bench physics_kernels -- --quick narrowphase
 
 # Telemetry smoke: record 10 Mix steps through the JSONL sink, then
 # validate the stream (parses, all five phases present, nonzero walls)
@@ -50,7 +53,7 @@ PARALLAX_BENCH_QUICK=1 cargo bench --offline -p parallax-bench --bench physics_k
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo run --release --offline -q -p parallax-bench --bin run_scene -- \
-    --scene Mix --steps 10 --scale 0.15 --threads 2 --telemetry "$tmp/mix.jsonl"
+    --scene Mix --steps 10 --scale 0.15 --config threads=2 --telemetry "$tmp/mix.jsonl"
 cargo run --release --offline -q -p parallax-bench --bin telemetry_report -- \
     "$tmp/mix.jsonl" --check-phases --chrome "$tmp/trace.json" >/dev/null
 test -s "$tmp/trace.json"
@@ -68,11 +71,11 @@ cargo run --release --offline -q -p parallax-bench --bin bench_gate -- \
 cargo bench --offline -p parallax-bench --bench telemetry_overhead
 
 # Live telemetry plane smoke: run_scene --serve on an ephemeral port
-# (printed on its first stdout line), curl /metrics and /health while it
-# steps, and check the scrape carries a per-phase wall gauge and a
-# histogram _bucket sample. --steps 0 + --serve = run until killed.
+# (printed on its `serving telemetry on` line), curl /metrics and /health
+# while it steps, and check the scrape carries a per-phase wall gauge and
+# a histogram _bucket sample. --steps 0 + --serve = run until killed.
 cargo run --release --offline -q -p parallax-bench --bin run_scene -- \
-    --scene Mix --steps 0 --scale 0.15 --threads 2 --serve 127.0.0.1:0 \
+    --scene Mix --steps 0 --scale 0.15 --config threads=2 --serve 127.0.0.1:0 \
     > "$tmp/serve.out" &
 serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
@@ -95,11 +98,6 @@ wait "$serve_pid" 2>/dev/null || true
 # counters, clean invariants and bounded rss (plus the exporter-overhead
 # A/B check).
 cargo run --release --offline -q -p parallax-bench --bin soak -- --quick
-
-# Flight recorder: snapshot round-trip must be bit-identical on Mix
-# (the targeted integration tests cover random worlds and the cross
-# thread/SIMD grid too).
-cargo test -q --offline --test snapshot_roundtrip
 
 # Divergence bisector end to end through the CLI: inject a single-ULP
 # fault into side B at step 17's narrow phase and require the report to
@@ -128,30 +126,18 @@ test "$bisect_rc" -eq 3
 grep -q "^divergence: step=" "$tmp/bisect_sleep.out"
 
 # Persistent broad phase: the grid is held to the history-free
-# sweep-and-prune rebuild by digest. The integration test compares every
-# phase of every step on Mix and Breakable (sleeping on and off, through
-# a mid-run restore and an enable toggle); the two bisections run the
-# whole 200-step horizon on Mix and Explosions and must exit 0 (no
-# divergence).
-cargo test -q --offline --test broadphase_equivalence
+# sweep-and-prune rebuild by digest; the two bisections run the whole
+# 200-step horizon on Mix and Explosions and must exit 0 (no divergence).
 for scene in Mix Explosions; do
     cargo run --release --offline -q -p parallax-bench --bin bisect -- \
         --scene "$scene" --steps 200 --scale 0.2 \
         --a broadphase=sap --b broadphase=grid >/dev/null 2>&1
 done
 
-# Island-processing data path: trajectories are pinned across commits by
-# golden world digests (recorded before the solver's rows were packed),
-# and two bisections hold the scalar single-thread step to the two-thread
-# AVX2 one — packed solver rows, lane-wise box-box axes, bucketed narrow
-# phase — over the whole Mix and Explosions horizons (exit 0: no
-# divergence). The same test file pins the architecture model: every
-# simulated statistic and the trace's reference streams of Mix and
-# Explosions, recorded before the simulator's host path was rebuilt; the
-# archsim property suite holds the division-free, hash-free hierarchy to
-# a naive reference access for access.
-cargo test -q --offline --test golden_digests
-cargo test -q --offline -p parallax-archsim --test properties
+# Island-processing data path: two bisections hold the scalar
+# single-thread step to the two-thread AVX2 one — packed solver rows,
+# lane-wise box-box axes, bucketed narrow phase — over the whole Mix and
+# Explosions horizons (exit 0: no divergence).
 for scene in Mix Explosions; do
     cargo run --release --offline -q -p parallax-bench --bin bisect -- \
         --scene "$scene" --steps 200 --scale 0.2 \

@@ -10,22 +10,17 @@
 use std::time::Duration;
 
 use parallax_bench::harness::{compare_baselines, record, Baseline, GateConfig};
-use parallax_math::SimdMode;
 use parallax_physics::{set_injected_phase_delay, InvariantMonitor, PhaseKind};
-use parallax_workloads::{BenchmarkId, SceneParams};
+use parallax_workloads::{BenchmarkId, RunConfig, SceneParams};
 
 fn tiny_gate() -> GateConfig {
     GateConfig {
         steps: 8,
         warmup: 2,
         scale: 0.05,
-        threads: 1,
         // The CI smoke threshold: only a gross slowdown may trip.
         threshold: 1.0,
-        warm_starting: true,
-        simd: SimdMode::Scalar,
-        digests: false,
-        sleeping: false,
+        run: RunConfig::parse("simd=scalar").expect("spec"),
         // Two scenes whose broad-phase is tens of microseconds at this
         // scale, so the injected delay is a huge *relative* change.
         scenes: vec![BenchmarkId::Periodic, BenchmarkId::Ragdoll],

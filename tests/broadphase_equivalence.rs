@@ -10,7 +10,7 @@
 
 use parallax_math::Vec3;
 use parallax_physics::{BodyDesc, BodyId, BroadphaseKind, Shape, World, WorldConfig};
-use parallax_workloads::{BenchmarkId, Scene, SceneParams};
+use parallax_workloads::{BenchmarkId, RunConfig};
 
 const STEPS: u64 = 120;
 const CHECKPOINT_AT: u64 = 40;
@@ -18,20 +18,14 @@ const RESTORE_AT: u64 = 70;
 const DISABLE_AT: u64 = 85;
 const ENABLE_AT: u64 = 100;
 
-fn build(id: BenchmarkId, sleeping: bool, broadphase: BroadphaseKind) -> Scene {
-    let mut scene = id.build(&SceneParams {
-        scale: 0.2,
-        sleeping,
-        digests: true,
-        ..SceneParams::default()
-    });
-    scene.world.set_broadphase(broadphase);
-    scene
-}
-
 fn assert_equivalent(id: BenchmarkId, sleeping: bool) {
-    let mut grid = build(id, sleeping, WorldConfig::default().broadphase);
-    let mut sap = build(id, sleeping, BroadphaseKind::SweepAndPrune);
+    let build = |broadphase: &str| {
+        let sleep = if sleeping { "on" } else { "off" };
+        RunConfig::parse(&format!("sleep={sleep},digest=on,broadphase={broadphase}"))
+            .expect("spec")
+            .build(id, 0.2)
+    };
+    let (mut grid, mut sap) = (build("grid"), build("sap"));
     assert!(matches!(
         grid.world.config().broadphase,
         BroadphaseKind::Grid { .. }

@@ -9,29 +9,45 @@
 //!
 //! The contact cache used for solver warm starting is itself updated in
 //! island order on the caller thread, so the guarantee holds with warm
-//! starting on (the default) or off. `scripts/verify.sh` runs this suite
-//! both ways; set `PARALLAX_WARM_START=0` (or `off`) to cover the cold
-//! path.
+//! starting on (the default) or off. The same contract extends to the
+//! SIMD kernels — every `SimdMode` must produce bit-identical runs, at
+//! every thread count — and to island sleeping: all sleep/wake decisions
+//! run on the serial phases in body-index order, so a sleeping-enabled
+//! run must also be bit-identical across thread counts and SIMD modes.
 //!
-//! The same contract extends to the SIMD kernels: every `SimdMode` must
-//! produce bit-identical runs, at every thread count. `verify.sh` runs
-//! the suite under `PARALLAX_SIMD=0` and `=1` as well, and the grid test
-//! below pins the cross-product explicitly.
-//!
-//! Island sleeping is a third axis: all sleep/wake decisions run on the
-//! serial phases in body-index order, so a sleeping-enabled run must
-//! also be bit-identical across thread counts and SIMD modes.
-//! `WorldConfig::default()` honours `PARALLAX_SLEEP=1|on`, so
-//! `verify.sh` re-runs this whole suite with sleeping enabled, and the
-//! dedicated grid test below pins the sleeping cross-product (and that
-//! bodies actually sleep) regardless of the environment.
+//! Every test therefore runs under each point of [`MATRIX`] — the
+//! default, the cold solver, the scalar kernels, the sleeping fast path —
+//! and the two grid tests pin the SIMD × threads cross-product explicitly
+//! on top of each point (and that bodies actually sleep).
 
 use parallax_math::Vec3;
 use parallax_physics::{BodyDesc, PhaseKind, Shape, SimdMode, World, WorldConfig};
 use parallax_trace::StepTrace;
-use parallax_workloads::{BenchmarkId, SceneParams};
+use parallax_workloads::{BenchmarkId, RunConfig, Scene};
 
 const STEPS: usize = 100;
+
+/// The configurations every test runs under, as `RunConfig` specs on top
+/// of the default: the default itself, warm starting off (the cold solver
+/// path), the scalar kernels (the default is the widest SIMD the host
+/// executes) and island sleeping on.
+const MATRIX: [&str; 4] = ["", "warm=off", "simd=scalar", "sleep=on"];
+
+/// The points of [`MATRIX`], digests on, with `fix` applied to each and
+/// duplicates dropped: a test that sweeps an axis itself pins it here, and
+/// a point that differed only in that axis would repeat another.
+fn matrix(fix: impl Fn(&mut RunConfig)) -> Vec<RunConfig> {
+    let mut points: Vec<RunConfig> = Vec::new();
+    for spec in MATRIX {
+        let mut run = RunConfig::parse(spec).expect("spec");
+        run.digest = true;
+        fix(&mut run);
+        if !points.contains(&run) {
+            points.push(run);
+        }
+    }
+    points
+}
 
 /// First step whose per-phase digests differ, with the first divergent
 /// phase's display name — so a determinism failure reads "step 37,
@@ -59,15 +75,6 @@ fn assert_identical(baseline: &RunRecord, run: &RunRecord, label: &str) {
     );
 }
 
-/// Honours `PARALLAX_WARM_START=0|off` so the suite can be re-run against
-/// the cold-solver path without a rebuild.
-fn warm_starting() -> bool {
-    !matches!(
-        std::env::var("PARALLAX_WARM_START").as_deref(),
-        Ok("0") | Ok("off")
-    )
-}
-
 /// Bit-exact snapshot of the dynamic state plus per-step trace counts.
 #[derive(PartialEq, Debug)]
 struct RunRecord {
@@ -90,10 +97,21 @@ fn bits(v: Vec3) -> [u32; 3] {
 }
 
 fn record(world: &mut World, steps: usize) -> RunRecord {
+    record_driven(world, steps, |_, _| {})
+}
+
+/// Records `steps` steps, calling `drive(world, step)` before each one (a
+/// scene's scripted actors).
+fn record_driven(
+    world: &mut World,
+    steps: usize,
+    mut drive: impl FnMut(&mut World, u64),
+) -> RunRecord {
     let mut digests = Vec::with_capacity(steps);
     let mut instructions = Vec::with_capacity(steps);
     let mut work = Vec::with_capacity(steps);
     for _ in 0..steps {
+        drive(world, world.step_count());
         let p = world.step();
         digests.push(p.digests.expect("digests enabled in test worlds"));
         instructions.push(StepTrace::from_profile(&p).total_instructions());
@@ -125,12 +143,10 @@ fn record(world: &mut World, steps: usize) -> RunRecord {
 /// A dense hand-built scene touching every parallel phase: stacked boxes
 /// (islands above the queue threshold), loose spheres (small islands) and
 /// a cloth sheet.
-fn build_dense_world(threads: usize) -> World {
+fn build_dense_world(run: RunConfig) -> World {
     let mut w = World::new(WorldConfig {
-        threads,
-        warm_starting: warm_starting(),
-        digests: true,
-        ..WorldConfig::default()
+        broadphase: run.broadphase,
+        ..run.scene_params(1.0, 0).world_config()
     });
     w.add_static_geom(Shape::plane(Vec3::UNIT_Y, 0.0));
     for s in 0..4 {
@@ -160,11 +176,13 @@ fn build_dense_world(threads: usize) -> World {
 
 #[test]
 fn dense_world_is_bit_identical_across_thread_counts() {
-    let baseline = record(&mut build_dense_world(1), STEPS);
-    assert!(baseline.instructions.iter().all(|&i| i > 0));
-    for threads in [2, 8] {
-        let run = record(&mut build_dense_world(threads), STEPS);
-        assert_identical(&baseline, &run, &format!("threads = {threads}"));
+    for run in matrix(|_| {}) {
+        let baseline = record(&mut build_dense_world(run), STEPS);
+        assert!(baseline.instructions.iter().all(|&i| i > 0));
+        for threads in [2, 8] {
+            let r = record(&mut build_dense_world(RunConfig { threads, ..run }), STEPS);
+            assert_identical(&baseline, &r, &format!("{run}, threads = {threads}"));
+        }
     }
 }
 
@@ -172,37 +190,35 @@ fn dense_world_is_bit_identical_across_thread_counts() {
 fn mix_scene_is_bit_identical_across_thread_counts() {
     // The Mix scene exercises explosions, fracture, breakables and cloth
     // on top of plain stacks — the full pipeline.
-    let record_mix = |threads: usize| {
-        let mut scene = BenchmarkId::Mix.build(&SceneParams {
-            scale: 0.1,
-            threads,
-            warm_starting: warm_starting(),
-            digests: true,
-            ..SceneParams::default()
-        });
-        let mut digests = Vec::new();
-        let mut instructions = Vec::new();
-        for _ in 0..STEPS {
-            let p = scene.step();
-            digests.push(p.digests.expect("digests enabled"));
-            instructions.push(StepTrace::from_profile(&p).total_instructions());
-        }
-        let positions: Vec<[u32; 3]> = scene
-            .world
-            .bodies()
-            .iter()
-            .map(|b| bits(b.position()))
-            .collect();
-        (digests, instructions, positions)
+    let record_mix = |run: RunConfig| {
+        let Scene {
+            mut world,
+            mut actors,
+            ..
+        } = run.build(BenchmarkId::Mix, 0.1);
+        record_driven(&mut world, STEPS, |w, step| actors.update(w, step))
     };
-    let baseline = record_mix(1);
-    for threads in [2, 8] {
-        let run = record_mix(threads);
-        if let Some((step, phase)) = first_digest_divergence(&baseline.0, &run.0) {
-            panic!("threads = {threads}: first divergence at step {step}, phase {phase}");
+    for run in matrix(|_| {}) {
+        let baseline = record_mix(run);
+        for threads in [2, 8] {
+            let r = record_mix(RunConfig { threads, ..run });
+            assert_identical(&baseline, &r, &format!("{run}, threads = {threads}"));
         }
-        assert_eq!(run, baseline, "threads = {threads}");
     }
+}
+
+/// Every SIMD mode this CPU executes × {1, 2, 8} threads on top of `base`.
+fn simd_threads_grid(base: RunConfig) -> impl Iterator<Item = RunConfig> {
+    [SimdMode::Scalar, SimdMode::Sse2, SimdMode::Avx2]
+        .into_iter()
+        .filter(|simd| simd.clamp_to_supported() == *simd)
+        .flat_map(move |simd| {
+            [1, 2, 8].map(|threads| RunConfig {
+                threads,
+                simd,
+                ..base
+            })
+        })
 }
 
 #[test]
@@ -210,23 +226,11 @@ fn simulation_is_bit_identical_across_simd_modes_and_threads() {
     // The full {scalar, sse2, avx2} × {1, 2, 8} grid must agree with the
     // serial scalar run bit-for-bit — SIMD lanes and the executor width
     // are both pure implementation details of the same trajectory.
-    let run = |threads: usize, simd: SimdMode| {
-        let mut w = build_dense_world(threads);
-        w.config_mut().simd = simd;
-        record(&mut w, STEPS)
-    };
-    let baseline = run(1, SimdMode::Scalar);
-    for simd in [SimdMode::Scalar, SimdMode::Sse2, SimdMode::Avx2] {
-        if simd.clamp_to_supported() != simd {
-            continue; // CPU cannot execute this width.
-        }
-        for threads in [1, 2, 8] {
-            let r = run(threads, simd);
-            assert_identical(
-                &baseline,
-                &r,
-                &format!("threads = {threads}, simd = {}", simd.name()),
-            );
+    for base in matrix(|run| run.simd = SimdMode::Scalar) {
+        let baseline = record(&mut build_dense_world(base), STEPS);
+        for run in simd_threads_grid(base) {
+            let r = record(&mut build_dense_world(run), STEPS);
+            assert_identical(&baseline, &r, &run.to_string());
         }
     }
 }
@@ -238,27 +242,25 @@ fn sleeping_runs_are_bit_identical_across_simd_modes_and_threads() {
     // order, so the grid must still agree bit-for-bit — and bodies must
     // actually fall asleep, or the test proves nothing.
     const SLEEP_STEPS: usize = 200;
-    let run = |threads: usize, simd: SimdMode| {
-        let mut w = build_dense_world(threads);
-        w.config_mut().simd = simd;
-        w.config_mut().sleeping = true;
+    let run_one = |run: RunConfig| {
+        let mut w = build_dense_world(run);
         let rec = record(&mut w, SLEEP_STEPS);
         (rec, w.sleeping_body_count())
     };
-    let (baseline, slept) = run(1, SimdMode::Scalar);
-    assert!(
-        slept > 0,
-        "no body fell asleep in {SLEEP_STEPS} steps; the sleeping grid is vacuous"
-    );
-    for simd in [SimdMode::Scalar, SimdMode::Sse2, SimdMode::Avx2] {
-        if simd.clamp_to_supported() != simd {
-            continue; // CPU cannot execute this width.
-        }
-        for threads in [1, 2, 8] {
-            let (r, r_slept) = run(threads, simd);
-            let label = format!("sleeping, threads = {threads}, simd = {}", simd.name());
-            assert_identical(&baseline, &r, &label);
-            assert_eq!(r_slept, slept, "{label}: sleeping-body count diverged");
+    let sleeping_scalar = |run: &mut RunConfig| {
+        run.simd = SimdMode::Scalar;
+        run.sleep = true;
+    };
+    for base in matrix(sleeping_scalar) {
+        let (baseline, slept) = run_one(base);
+        assert!(
+            slept > 0,
+            "{base}: no body fell asleep in {SLEEP_STEPS} steps; the sleeping grid is vacuous"
+        );
+        for run in simd_threads_grid(base) {
+            let (r, r_slept) = run_one(run);
+            assert_identical(&baseline, &r, &run.to_string());
+            assert_eq!(r_slept, slept, "{run}: sleeping-body count diverged");
         }
     }
 }
@@ -267,29 +269,13 @@ fn sleeping_runs_are_bit_identical_across_simd_modes_and_threads() {
 fn thread_count_change_mid_run_stays_deterministic() {
     // Switching the executor width mid-simulation (config_mut) must not
     // perturb the trajectory either.
-    let mut steady = build_dense_world(1);
-    let mut switching = build_dense_world(1);
-    for step in 0..STEPS {
-        let ps = steady.step();
-        if step == 25 {
-            switching.config_mut().threads = 4;
-        }
-        if step == 75 {
-            switching.config_mut().threads = 2;
-        }
-        let pw = switching.step();
-        if let Some((_, phase)) = first_digest_divergence(
-            &[ps.digests.expect("digests enabled")],
-            &[pw.digests.expect("digests enabled")],
-        ) {
-            panic!("first divergence at step {step}, phase {phase}");
-        }
+    for run in matrix(|_| {}) {
+        let steady = record(&mut build_dense_world(run), STEPS);
+        let switching = record_driven(&mut build_dense_world(run), STEPS, |w, step| match step {
+            25 => w.config_mut().threads = 4,
+            75 => w.config_mut().threads = 2,
+            _ => {}
+        });
+        assert_identical(&steady, &switching, &format!("{run}, threads 1 -> 4 -> 2"));
     }
-    let a: Vec<[u32; 3]> = steady.bodies().iter().map(|b| bits(b.position())).collect();
-    let b: Vec<[u32; 3]> = switching
-        .bodies()
-        .iter()
-        .map(|b| bits(b.position()))
-        .collect();
-    assert_eq!(a, b);
 }

@@ -13,12 +13,12 @@
 //!    injects a known single-ULP fault ([`DigestFault`]) and checks the
 //!    report names exactly that step and phase.
 
-use parallax_bench::bisect::{bisect, BisectConfig, BisectOutcome, SideSpec};
+use parallax_bench::bisect::{bisect, BisectConfig, BisectOutcome};
 use parallax_math::Vec3;
 use parallax_physics::{
     self as physics, BodyDesc, DigestFault, PhaseKind, Shape, SimdMode, World, WorldConfig,
 };
-use parallax_workloads::BenchmarkId;
+use parallax_workloads::{BenchmarkId, RunConfig};
 use proptest::prelude::*;
 
 /// Drops `n` random mixed-shape bodies above a plane, digests enabled.
@@ -155,16 +155,8 @@ fn bisect_localizes_injected_fault_to_exact_step_and_phase() {
         scene: BenchmarkId::Mix,
         steps: 64,
         scale: 0.1,
-        a: SideSpec {
-            threads: 1,
-            simd: SimdMode::Scalar,
-            ..SideSpec::default()
-        },
-        b: SideSpec {
-            threads: 2,
-            simd: SimdMode::Scalar,
-            ..SideSpec::default()
-        },
+        a: RunConfig::parse("threads=1,simd=scalar").expect("spec"),
+        b: RunConfig::parse("threads=2,simd=scalar").expect("spec"),
         fault: Some(fault),
         chunk: 32,
     };
