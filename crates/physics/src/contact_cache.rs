@@ -238,23 +238,28 @@ impl ContactCache {
     /// where either geom is pinned (its body sleeps — narrow-phase skips
     /// the pair, so the cache would otherwise age it out while the
     /// impulses are still exactly right) neither age nor evict, except
-    /// when a geom dies.
+    /// when a geom dies. Returns whether the cache came through unchanged:
+    /// every entry live and pinned.
     pub fn end_step_pinned(
         &mut self,
         max_age: u32,
         mut is_live: impl FnMut(GeomId) -> bool,
         mut is_pinned: impl FnMut(GeomId) -> bool,
-    ) {
+    ) -> bool {
+        let mut unchanged = true;
         self.map.retain(|&(a, b), pair| {
             if !(is_live(a) && is_live(b)) {
+                unchanged = false;
                 return false;
             }
             if is_pinned(a) || is_pinned(b) {
                 return true;
             }
+            unchanged = false;
             pair.age += 1;
             pair.age <= max_age
         });
+        unchanged
     }
 }
 

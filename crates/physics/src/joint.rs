@@ -180,6 +180,15 @@ impl Joint {
         }
         false
     }
+
+    /// Whether a step that loads the joint with no impulse leaves it
+    /// exactly as it is: no fatigue left to decay, no impulse on record.
+    pub(crate) fn is_unloaded(&self) -> bool {
+        let mut next = self.clone();
+        !next.update_break(0.0)
+            && next.accumulated_load.to_bits() == self.accumulated_load.to_bits()
+            && next.last_impulse.to_bits() == self.last_impulse.to_bits()
+    }
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@ use crate::contact_cache::{self, ContactCache, WarmStats};
 use crate::digest;
 use crate::integrator;
 use crate::island::{ConstraintEdge, Island, IslandGraph, IslandStats};
+use crate::joint::Joint;
 use crate::narrowphase::{self, ActivePair};
 use crate::parallel::Executor;
 use crate::probe::{ClothWork, IslandWork, PairWork, PhaseKind, StepEvents, StepProfile};
@@ -760,8 +761,9 @@ impl PipelineTelemetry {
 static INJECTED_DELAYS: [std::sync::atomic::AtomicU64; 5] =
     [const { std::sync::atomic::AtomicU64::new(0) }; 5];
 
-/// Test/CI hook: makes every future step spend an extra `delay` inside
-/// `phase` (a deliberately slowed build without recompiling). Pass
+/// Test/CI hook: makes every future step that runs its phases (a coast
+/// runs none) spend an extra `delay` inside `phase` (a deliberately
+/// slowed build without recompiling). Pass
 /// `Duration::ZERO` to clear. The regression-gate acceptance test uses
 /// this to verify `bench_gate compare` catches a real slowdown.
 pub fn set_injected_phase_delay(phase: PhaseKind, delay: Duration) {
@@ -826,35 +828,85 @@ fn timed<T>(span: telemetry::SpanName, f: impl FnOnce() -> T) -> (T, Duration) {
     (r, wall)
 }
 
-/// Cache backing the fully-asleep fast path (see [`StepPipeline::step`]).
+/// The five phase digests of a step in which nothing moved: the world as
+/// it stands, the broad phase's `candidates`, no manifold, no island.
+fn rest_digests(world: &World, candidates: &[(GeomId, GeomId)]) -> [u64; 5] {
+    [
+        digest::broadphase_digest(world, candidates),
+        digest::narrowphase_digest(world, &[]),
+        digest::island_creation_digest(world),
+        digest::island_processing_digest(world, &[]),
+        digest::cloth_digest(world),
+    ]
+}
+
+/// Cache backing the whole-step coast (see [`StepPipeline::step`]).
 ///
-/// Once a step both starts and ends with every dynamic body asleep, no
-/// body can move until something external wakes or mutates the world:
-/// sleeping bodies are masked out of the integrator sweeps and their
-/// AABBs are frozen. The broad-phase candidate set (kept in the
-/// broad-phase stage arena) and the all-inactive narrow-phase pair
-/// records are therefore bit-identical step to step, and both serial
-/// recomputations can be skipped. Validity is keyed on the world's
-/// `mutation_epoch` so any out-of-step mutation — adding bodies,
-/// teleporting a sleeper through `body_mut`, toggling enables, restoring
-/// a snapshot — invalidates the cache before it can serve stale pairs.
+/// A *fixed-point* step changes nothing but the clock. It starts with
+/// every dynamic body asleep, nothing pending, no blast, no cloth and no
+/// force applied, and it ends asleep with no event. No contact-cache entry
+/// ages, no joint has fatigue left to decay, and no speed is above the
+/// clamp. Sleeping bodies are masked out of every sweep and their AABBs are
+/// frozen, so the step after a fixed-point step sees the same input and
+/// repeats it exactly.
+///
+/// The first fixed-point step *primes* the cache. The next one, with no
+/// mutation between, *arms* it: its persistent broad phase has now run on
+/// an input it had already seen, so its profile is the one every later
+/// step reproduces. From then on a step is a coast: clock, cached profile,
+/// telemetry and digests, until the world's `mutation_epoch` moves. Any
+/// out-of-step mutation (adding bodies, teleporting a sleeper through
+/// `body_mut`, waking, toggling enables, restoring a snapshot) moves it.
 struct QuiescentCache {
-    valid: bool,
+    rest: Rest,
+    /// `World::mutation_epoch` at the last fixed-point step.
     epoch: u64,
-    /// Broad-phase stats to report while coasting (`sort_ops` and
-    /// `overlap_tests` zeroed: no work is actually performed).
-    stats: BroadphaseStats,
-    /// The all-inactive pair records for the profile.
-    pairs: Vec<PairWork>,
+    /// The arming step's profile, walls and digests cleared.
+    profile: StepProfile,
+}
+
+/// How far a world is on its way to a coast.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Rest {
+    Moving,
+    Primed,
+    Armed,
 }
 
 impl QuiescentCache {
     fn new() -> Self {
         QuiescentCache {
-            valid: false,
+            rest: Rest::Moving,
             epoch: 0,
-            stats: BroadphaseStats::default(),
-            pairs: Vec::new(),
+            profile: StepProfile::default(),
+        }
+    }
+
+    /// Whether this step is a coast. Every precondition beyond the epoch
+    /// was proved when the cache armed; these are the O(1) re-checks.
+    fn coasts(&self, world: &World) -> bool {
+        self.rest == Rest::Armed
+            && self.epoch == world.mutation_epoch
+            && world.sleep.pending_wakes.is_empty()
+            && world.blasts.is_empty()
+            && world.cloths.is_empty()
+    }
+
+    /// Records the outcome of a full step: primes on a first fixed-point
+    /// step, arms on a second one with no mutation between, else resets.
+    fn record(&mut self, epoch: u64, fixed_point: bool, profile: &StepProfile) {
+        self.rest = match self.rest {
+            _ if !fixed_point => Rest::Moving,
+            Rest::Primed | Rest::Armed if self.epoch == epoch => Rest::Armed,
+            _ => Rest::Primed,
+        };
+        self.epoch = epoch;
+        if self.rest == Rest::Armed {
+            self.profile = StepProfile {
+                wall: Default::default(),
+                digests: None,
+                ..profile.clone()
+            };
         }
     }
 }
@@ -926,7 +978,7 @@ impl StepPipeline {
     /// restore, which replaces the island lanes wholesale.
     pub(crate) fn invalidate_island_graph(&mut self) {
         self.island_creation.graph.invalidate();
-        self.quiet.valid = false;
+        self.quiet.rest = Rest::Moving;
     }
 
     /// Rebuilds the executor when the configured thread count changed.
@@ -957,15 +1009,21 @@ impl StepPipeline {
     /// Replaces the broad-phase algorithm (ablation hook).
     pub(crate) fn set_broadphase(&mut self, kind: BroadphaseKind) {
         self.broadphase = BroadphaseStage::new(kind);
-        self.quiet.valid = false;
+        self.quiet.rest = Rest::Moving;
     }
 
-    /// Runs one full step over `world`, returning the work profile.
+    /// Runs one step over `world`, returning the work profile.
     ///
-    /// Every path — including the empty-world fast path and the no-island
-    /// / no-cloth skips — goes through [`timed`], so all five
-    /// `StepProfile::wall` entries are populated on every step.
+    /// A world at rest coasts (see [`QuiescentCache`]): the step advances
+    /// the clock and returns the cached profile, bit-identical to the full
+    /// recomputation except that no phase ran, so all five
+    /// `StepProfile::wall` entries are zero. Every other path — including
+    /// the empty-world fast path and the no-island / no-cloth skips — goes
+    /// through [`timed`], so all five walls are populated.
     pub(crate) fn step(&mut self, world: &mut World) -> StepProfile {
+        if self.quiet.coasts(world) {
+            return self.coast(world);
+        }
         self.match_executor_to(world.config.threads);
         self.telemetry.steps.add(1);
         let spans = self.telemetry.phase_spans;
@@ -992,6 +1050,16 @@ impl StepPipeline {
         world.apply_slider_springs();
         world.apply_blast_impulses();
         world.scan_sleep_disturbances();
+        // A step that starts with nothing able to move — every dynamic
+        // body asleep, no wake queued by the scan, no force left for the
+        // integrator to consume — may be a fixed point (see
+        // `QuiescentCache`).
+        let quiescent = world.config.sleeping
+            && world.config.digest_fault.is_none()
+            && world.cloths.is_empty()
+            && world.blasts.is_empty()
+            && world.fully_asleep()
+            && world.bodies.forces_clear();
         integrator::apply_forces(&mut world.bodies, gravity, dt, mode);
 
         // Fast path: a fully empty world has no phase work at all, but
@@ -1002,37 +1070,14 @@ impl StepPipeline {
                 profile.wall[i] = wall;
             }
             if digests_on {
-                profile.digests = Some([
-                    digest::broadphase_digest(world, &[]),
-                    digest::narrowphase_digest(world, &[]),
-                    digest::island_creation_digest(world),
-                    digest::island_processing_digest(world, &[]),
-                    digest::cloth_digest(world),
-                ]);
+                profile.digests = Some(rest_digests(world, &[]));
             }
             return Self::finish_step(world, profile, (0, 0), 0);
         }
 
-        // Fully-asleep fast path: every dynamic body is asleep, nothing is
-        // pending and the world has not been mutated since the cache was
-        // filled, so this step cannot move anything. The broad-phase
-        // candidate set and the (all-inactive) pair records are reused
-        // verbatim — the digests below hash the same world state and the
-        // same candidate list, so the trajectory stays bit-identical to
-        // the full recomputation.
-        let quiescent = world.config.sleeping
-            && world.cloths.is_empty()
-            && world.blasts.is_empty()
-            && world.fully_asleep();
-        let coast = quiescent && self.quiet.valid && self.quiet.epoch == world.mutation_epoch;
-
         // (b) Broad-phase (serial).
         let (stats, wall) = timed(spans[0], || {
-            let s = if coast {
-                self.quiet.stats
-            } else {
-                self.broadphase.run(world)
-            };
+            let s = self.broadphase.run(world);
             phase_digests[0] = end_phase(world, 0, digests_on, |w| {
                 digest::broadphase_digest(w, &self.broadphase.candidates)
             });
@@ -1045,21 +1090,9 @@ impl StepPipeline {
         // hooks.
         let narrowphase = &mut self.narrowphase;
         let candidates = &self.broadphase.candidates;
-        let quiet_pairs = &self.quiet.pairs;
         let executor = &self.executor;
         let (events, wall) = timed(spans[1], || {
-            if coast {
-                // No pair has an awake dynamic side: zero manifolds, and
-                // the considered-pair records are unchanged.
-                narrowphase.manifolds.clear();
-                narrowphase.stats = NarrowphaseStats {
-                    candidates: candidates.len() as u64,
-                    ..Default::default()
-                };
-                profile.pairs = quiet_pairs.clone();
-            } else {
-                narrowphase.run(world, executor, candidates, &mut profile.pairs);
-            }
+            narrowphase.run(world, executor, candidates, &mut profile.pairs);
             let events = world.process_contact_events(&narrowphase.manifolds);
             world.update_cloth_contact_lists();
             phase_digests[1] = end_phase(world, 1, digests_on, |w| {
@@ -1162,7 +1195,7 @@ impl StepPipeline {
         // must survive to warm-start the island on wake. With warm
         // starting off the cache stays empty so an ablation run carries
         // no stale state into a later warm-on run.
-        if warm_starting {
+        let cache_unchanged = if warm_starting {
             let geoms = &world.geoms;
             let bodies = &world.bodies;
             self.contact_cache.end_step_pinned(
@@ -1173,10 +1206,13 @@ impl StepPipeline {
                         .body
                         .is_some_and(|b| bodies.is_sleeping(b.index()))
                 },
-            );
+            )
         } else if !self.contact_cache.is_empty() {
             self.contact_cache.clear();
-        }
+            false
+        } else {
+            true
+        };
 
         // (g) Cloth (parallel); skipped (but still timed) without cloths.
         let cloth = &mut self.cloth;
@@ -1192,33 +1228,75 @@ impl StepPipeline {
         profile.cloths = cloths;
         profile.wall[4] = wall;
 
-        // Arm or disarm the fast-path cache. Arming requires a step that
-        // both started and ended fully asleep: only then were the
-        // candidates computed from the same frozen positions the next
-        // step will see. A settling step (awake at broad-phase, asleep by
-        // the end) must not arm — its candidates predate the final
-        // integrate.
-        if quiescent && world.fully_asleep() {
-            if !coast {
-                self.quiet.pairs.clone_from(&profile.pairs);
-                self.quiet.stats = BroadphaseStats {
-                    sort_ops: 0,
-                    overlap_tests: 0,
-                    reinserts: 0,
-                    ..profile.broadphase
-                };
-            }
-            self.quiet.valid = true;
-            self.quiet.epoch = world.mutation_epoch;
-        } else {
-            self.quiet.valid = false;
+        if digests_on {
+            profile.digests = Some(phase_digests);
         }
+        self.publish(
+            &profile,
+            self.narrowphase.stats,
+            self.narrowphase.manifolds.len(),
+            warm,
+            schedule,
+        );
+        let profile = Self::finish_step(world, profile, events, broken);
 
+        // A step that started at rest must also end at rest, having changed
+        // nothing the next step reads, to count as a fixed point: a settling
+        // step (awake at broad-phase, asleep by the end) computed its
+        // candidates before the final integrate.
+        let fixed_point = quiescent
+            && cache_unchanged
+            && profile.events == StepEvents::default()
+            && world.fully_asleep()
+            && world.joints.iter().all(Joint::is_unloaded)
+            && world.bodies.speeds_within(
+                world.config.max_linear_velocity,
+                world.config.max_angular_velocity,
+            );
+        self.quiet
+            .record(world.mutation_epoch, fixed_point, &profile);
+        profile
+    }
+
+    /// A step of a world at rest (see [`QuiescentCache`]): the clock
+    /// advances, the armed profile comes back, the telemetry counters and
+    /// gauges advance as a full step of this world would advance them (no
+    /// phase runs, so no phase span is recorded), and the digests hash the
+    /// unchanged state.
+    fn coast(&mut self, world: &mut World) -> StepProfile {
+        self.telemetry.steps.add(1);
+        let mut profile = self.quiet.profile.clone();
+        let candidates = &self.broadphase.candidates;
+        if world.config.digests {
+            profile.digests = Some(rest_digests(world, candidates));
+        }
+        let narrow = NarrowphaseStats {
+            candidates: candidates.len() as u64,
+            ..Default::default()
+        };
+        self.publish(
+            &profile,
+            narrow,
+            0,
+            WarmStats::default(),
+            ScheduleTotals::default(),
+        );
+        world.time += world.config.dt as f64;
+        world.steps += 1;
+        profile
+    }
+
+    /// Publishes a finished step's counters, histograms and gauges.
+    fn publish(
+        &self,
+        profile: &StepProfile,
+        narrow: NarrowphaseStats,
+        manifolds: usize,
+        warm: WarmStats,
+        schedule: ScheduleTotals,
+    ) {
         if telemetry::enabled() {
-            self.telemetry
-                .manifolds_per_step
-                .record(self.narrowphase.manifolds.len() as u64);
-            let narrow = self.narrowphase.stats;
+            self.telemetry.manifolds_per_step.record(manifolds as u64);
             self.telemetry.narrow_candidates.add(narrow.candidates);
             self.telemetry.narrow_active.add(narrow.active);
             self.telemetry.narrow_hits.add(narrow.hits);
@@ -1257,18 +1335,12 @@ impl StepPipeline {
             self.telemetry
                 .broadphase_fat_pairs
                 .set(profile.broadphase.fat_pairs as u64);
-        }
-
-        if digests_on {
-            profile.digests = Some(phase_digests);
-            if telemetry::enabled() {
-                for (g, d) in self.telemetry.digest_gauges.iter().zip(phase_digests) {
+            if let Some(digests) = profile.digests {
+                for (g, d) in self.telemetry.digest_gauges.iter().zip(digests) {
                     g.set_always(d);
                 }
             }
         }
-
-        Self::finish_step(world, profile, events, broken)
     }
 
     /// Shared step epilogue: blast expiry, clock advance, event and
@@ -1435,21 +1507,31 @@ mod tests {
         w
     }
 
+    /// A coast runs no phase: every wall of its profile is zero.
+    fn coasted(p: &StepProfile) -> bool {
+        p.wall.iter().all(|w| w.is_zero())
+    }
+
     #[test]
     fn fully_asleep_steps_coast_without_broadphase_work() {
         let mut w = settled_world();
-        // First fully-asleep step runs the real broad-phase and arms the
-        // cache; the second coasts.
+        // The first two fully-asleep steps run every phase, priming then
+        // arming the cache; the third coasts on the arming step's profile.
+        let primed = w.step();
         let armed = w.step();
+        assert!(!coasted(&primed) && !coasted(&armed));
         assert!(armed.broadphase.pairs > 0);
-        let coasted = w.step();
-        assert_eq!(coasted.broadphase.pairs, armed.broadphase.pairs);
-        assert_eq!(coasted.broadphase.geoms, armed.broadphase.geoms);
-        assert_eq!(coasted.broadphase.sort_ops, 0, "coasting must not sort");
-        assert_eq!(coasted.broadphase.overlap_tests, 0);
-        assert_eq!(coasted.pairs.len(), armed.pairs.len());
-        assert!(coasted.pairs.iter().all(|p| !p.active));
+        let (steps, time) = (w.step_count(), w.time());
+        let coast = w.step();
+        assert!(coasted(&coast), "a settled world coasts");
+        assert_eq!(coast.broadphase, armed.broadphase);
+        assert_eq!(coast.pairs, armed.pairs);
+        assert!(coast.pairs.iter().all(|p| !p.active));
+        assert_eq!(coast.island_creation.islands, 0);
+        assert_eq!(coast.digests, armed.digests);
         assert_eq!(w.sleeping_body_count(), 4);
+        assert_eq!(w.step_count(), steps + 1);
+        assert_eq!(w.time(), time + w.config().dt as f64);
     }
 
     #[test]
@@ -1491,22 +1573,29 @@ mod tests {
     #[test]
     fn mutation_while_asleep_invalidates_the_coast_cache() {
         let mut w = settled_world();
+        w.step(); // prime
         w.step(); // arm
-        let coasted = w.step();
-        assert_eq!(coasted.broadphase.sort_ops, 0);
+        let coast = w.step();
+        assert!(coasted(&coast));
         // A static geom added while everything sleeps must show up in the
         // next broad-phase pass instead of being masked by the cache.
-        let before = coasted.broadphase.geoms;
+        let before = coast.broadphase.geoms;
         w.add_static_geom_at(
             Shape::cuboid(Vec3::splat(0.6)),
             Transform::from_position(Vec3::new(0.0, 0.5, 2.0)),
         );
         let after = w.step();
-        assert!(
-            after.broadphase.sort_ops > 0,
-            "mutation must break the coast"
-        );
+        assert!(!coasted(&after), "mutation must break the coast");
+        assert!(after.broadphase.sort_ops > 0);
         assert_eq!(after.broadphase.geoms, before + 1);
+        // That step primed the cache on the insert's profile; the next one
+        // arms on an input the broad phase has already seen.
+        let armed = w.step();
+        assert!(!coasted(&armed));
+        assert_eq!(armed.broadphase.sort_ops, 0);
+        let coast = w.step();
+        assert!(coasted(&coast));
+        assert_eq!(coast.broadphase, armed.broadphase);
     }
 
     /// The narrow phase reads each geom's world transform from the table

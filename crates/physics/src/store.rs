@@ -418,6 +418,22 @@ impl BodyStore {
         }
     }
 
+    /// Whether every force and torque accumulator is zero.
+    pub(crate) fn forces_clear(&self) -> bool {
+        [&self.force, &self.torque]
+            .into_iter()
+            .flat_map(|l| [&l.x, &l.y, &l.z])
+            .all(|lane| lane.iter().all(|&v| v == 0.0))
+    }
+
+    /// Whether the velocity clamp would leave every body as it is: no
+    /// speed above the caps, by the clamp's own length and comparison.
+    pub(crate) fn speeds_within(&self, max_lin: f32, max_ang: f32) -> bool {
+        (0..self.len()).all(|i| {
+            !(self.lin_vel.get(i).length() > max_lin || self.ang_vel.get(i).length() > max_ang)
+        })
+    }
+
     /// Immutable view of body `i`.
     #[inline]
     pub fn body(&self, i: usize) -> BodyRef<'_> {

@@ -250,11 +250,11 @@ pub struct World {
     pub(crate) pipeline: Option<StepPipeline>,
     /// Sleeping-island table + pending wake queue (see [`crate::sleep`]).
     pub(crate) sleep: crate::sleep::SleepSystem,
-    /// Bumped by every out-of-step mutation that could change collision
-    /// state (construction, enable toggles, direct body/cloth access,
-    /// restore). The pipeline's fully-asleep fast path caches broad-phase
-    /// output keyed on this epoch, so a stale cache can never survive a
-    /// mutation it did not observe.
+    /// Bumped by every public `&mut self` method but the step itself
+    /// (construction, enable toggles, waking, direct body/cloth/config
+    /// access, restore). The pipeline's whole-step coast is keyed on this
+    /// epoch, so a cached step can never survive a mutation it did not
+    /// observe.
     pub(crate) mutation_epoch: u64,
     pub(crate) time: f64,
     pub(crate) steps: u64,
@@ -304,8 +304,8 @@ impl World {
     }
 
     /// `true` when every enabled dynamic body is asleep and no wake is
-    /// pending — the precondition for the pipeline's fully-asleep fast
-    /// path (nothing can move this step).
+    /// pending — nothing can move this step (see the pipeline's
+    /// `QuiescentCache`).
     pub(crate) fn fully_asleep(&self) -> bool {
         self.sleep.pending_wakes.is_empty()
             && (0..self.bodies.len())
@@ -600,6 +600,7 @@ impl World {
     /// The parked manifolds are discarded: the bodies have not moved, so
     /// the next step's narrow-phase regenerates identical contacts.
     pub fn wake_body(&mut self, id: BodyId) {
+        self.touch();
         if self.bodies.is_sleeping(id.index()) {
             self.wake_island_of(id.index(), None);
         }
@@ -607,6 +608,7 @@ impl World {
 
     /// Wakes every sleeping island.
     pub fn wake_all(&mut self) {
+        self.touch();
         for i in 0..self.bodies.len() {
             if self.bodies.is_sleeping(i) {
                 self.wake_island_of(i, None);
@@ -960,6 +962,7 @@ impl World {
         candidates: &[(GeomId, GeomId)],
         pairs: &mut Vec<crate::probe::PairWork>,
     ) -> &[ContactManifold] {
+        self.touch();
         let mut pipeline = self.pipeline.take().expect("pipeline present outside step");
         pipeline.collide_candidates(self, candidates, pairs);
         self.pipeline.insert(pipeline).manifolds()

@@ -2,7 +2,8 @@
 //!
 //! One thread wakes when the earliest scheduled session comes due,
 //! calls [`SessionTable::step_due`] (which fans the batch out over the
-//! table's executor) and goes back to sleep. Manual sessions
+//! table's executor), empties the span rings and goes back to sleep for
+//! at most `MAX_TICK`. Manual sessions
 //! (`step_rate == 0`) never wake it. Sleeps are sliced so `Drop`
 //! shutdown is prompt even with an empty table.
 
@@ -38,6 +39,10 @@ impl Scheduler {
                 while !stop.load(Ordering::Relaxed) {
                     let now = telemetry::now_ns();
                     table.step_due(now);
+                    // The service records telemetry for `/metrics` but has
+                    // no span consumer: empty the rings its batch and
+                    // request threads fill before they overflow.
+                    telemetry::discard_spans();
                     let sleep = match table.next_due_ns() {
                         Some(due) => Duration::from_nanos(due.saturating_sub(telemetry::now_ns()))
                             .min(MAX_TICK),

@@ -1,11 +1,11 @@
 //! Sessions and the table that owns them.
 //!
 //! A *session* is one independent [`World`] plus its scripted actors,
-//! step counter and a short tail of [`StepRecord`]s for the `/state`
-//! stream. The [`SessionTable`] owns the fleet: creation (from a named
-//! benchmark scene or a generated stack world), manual stepping,
-//! scheduled stepping in parallel batches, snapshot/restore, and
-//! destruction.
+//! step counter and a short tail of per-step phase walls, rendered as
+//! [`StepRecord`]s for the `/state` stream. The [`SessionTable`] owns
+//! the fleet: creation (from a named benchmark scene or a generated stack
+//! world), manual stepping, scheduled stepping in parallel batches,
+//! snapshot/restore, and destruction.
 //!
 //! # Determinism
 //!
@@ -32,7 +32,7 @@ use parallax_telemetry::json::write_str;
 use parallax_telemetry::StepRecord;
 use parallax_workloads::{Actors, BenchmarkId, SceneParams, SessionWorld};
 
-/// StepRecord tail kept per session for `GET /sessions/:id/state`.
+/// Steps whose phase walls a session keeps for `GET /sessions/:id/state`.
 const RECORD_TAIL: usize = 32;
 
 /// Width of the slots a scheduled period is divided into (see
@@ -241,7 +241,9 @@ pub struct Session {
     /// Next scheduled due time (`telemetry::now_ns` clock); meaningless
     /// for manual sessions.
     due_ns: u64,
-    records: VecDeque<StepRecord>,
+    /// The last [`RECORD_TAIL`] steps: step index and phase walls in ns,
+    /// rendered as [`StepRecord`]s only when `/state` asks.
+    records: VecDeque<(u64, [u64; 5])>,
 }
 
 impl Session {
@@ -311,18 +313,8 @@ impl Session {
             if self.records.len() == RECORD_TAIL {
                 self.records.pop_front();
             }
-            self.records.push_back(StepRecord {
-                source: "server".to_string(),
-                scene: self.config.scene_name().to_string(),
-                step,
-                wall_ns: PhaseKind::ALL
-                    .iter()
-                    .zip(profile.wall.iter())
-                    .map(|(phase, wall)| (phase.name().to_string(), wall.as_nanos() as u64))
-                    .collect(),
-                metrics: telemetry::Snapshot::default(),
-                spans: Vec::new(),
-            });
+            self.records
+                .push_back((step, profile.wall.map(|wall| wall.as_nanos() as u64)));
         }
         self.world.step_count()
     }
@@ -345,7 +337,19 @@ impl Session {
     pub fn state_jsonl(&self, records: usize, bodies: usize) -> String {
         let mut out = String::with_capacity(4096);
         let tail = self.records.len().min(records);
-        for record in self.records.iter().skip(self.records.len() - tail) {
+        for &(step, walls) in self.records.iter().skip(self.records.len() - tail) {
+            let record = StepRecord {
+                source: "server".to_string(),
+                scene: self.config.scene_name().to_string(),
+                step,
+                wall_ns: PhaseKind::ALL
+                    .iter()
+                    .zip(walls)
+                    .map(|(phase, ns)| (phase.name().to_string(), ns))
+                    .collect(),
+                metrics: telemetry::Snapshot::default(),
+                spans: Vec::new(),
+            };
             out.push_str(&record.to_json_line());
             out.push('\n');
         }

@@ -70,7 +70,9 @@ pub use registry::{
     counter, counter_named, gauge, histogram, reset, snapshot, Counter, Gauge, Histogram,
     HistogramSnapshot, Snapshot,
 };
-pub use span::{drain_spans, now_ns, span_name, span_record, SpanGuard, SpanName, SpanRecord};
+pub use span::{
+    discard_spans, drain_spans, now_ns, span_name, span_record, SpanGuard, SpanName, SpanRecord,
+};
 pub use stats::{
     bootstrap_median_ci, compare, mad, median, summarize, trim_warmup, BootstrapConfig, Comparison,
     Verdict,

@@ -202,6 +202,15 @@ pub fn drain_spans(out: &mut Vec<SpanRecord>) {
     out[before..].sort_by_key(|s| (s.start_ns, s.track));
 }
 
+/// Empties every thread's span buffer without reading it: the drain of a
+/// process that records metrics but has no span consumer. Same quiescence
+/// caveat as [`drain_spans`].
+pub fn discard_spans() {
+    for buf in global().bufs.lock().expect("span bufs").iter() {
+        buf.len.store(0, Ordering::Release);
+    }
+}
+
 /// Spans dropped so far because a thread's buffer was full.
 pub fn spans_dropped() -> u64 {
     global().dropped.load(Ordering::Relaxed)

@@ -4,6 +4,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
+# The benchmark (`benchmark/`) is a package of its own with its own
+# lockfile, so nothing above compiles it: build what `benchmark/run.sh`
+# builds and run its harness tests, which drive every workload at
+# reduced size against the `BENCHMARK.json` contract.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
 # One pass runs every suite; the ones later stanzas lean on:
 #   determinism            threads x SIMD x sleeping x warm start, as an
 #                          in-process RunConfig matrix (tests/determinism.rs);
