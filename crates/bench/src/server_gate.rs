@@ -254,7 +254,11 @@ fn record_cell(sessions: usize, bodies: usize, cfg: &ServerGateConfig) -> CellSa
     let mut latencies: Vec<f64> = Vec::new();
     let mut steps_per_sec = Vec::with_capacity(cfg.subwindows);
     let window = Duration::from_millis(cfg.measure_ms / cfg.subwindows.max(1) as u64);
-    let mut window_start = parallax_telemetry::snapshot().counter("server.steps");
+    // The table's own count, settled up to each read: the registry
+    // counter misses the steps of sessions off the schedule until a
+    // request settles them.
+    let table = server.table();
+    let mut window_start = table.total_steps();
     let measure_begin = window_start;
     std::thread::scope(|scope| {
         let mut workers = Vec::new();
@@ -283,7 +287,7 @@ fn record_cell(sessions: usize, bodies: usize, cfg: &ServerGateConfig) -> CellSa
         for _ in 0..cfg.subwindows {
             let begin = Instant::now();
             std::thread::sleep(window);
-            let now = parallax_telemetry::snapshot().counter("server.steps");
+            let now = table.total_steps();
             let secs = begin.elapsed().as_secs_f64();
             steps_per_sec.push((now - window_start) as f64 / secs.max(1e-9));
             window_start = now;

@@ -1233,11 +1233,13 @@ impl StepPipeline {
         }
         self.publish(
             &profile,
+            1,
             self.narrowphase.stats,
             self.narrowphase.manifolds.len(),
             warm,
             schedule,
         );
+        self.publish_digests(profile.digests);
         let profile = Self::finish_step(world, profile, events, broken);
 
         // A step that started at rest must also end at rest, having changed
@@ -1258,65 +1260,95 @@ impl StepPipeline {
         profile
     }
 
-    /// A step of a world at rest (see [`QuiescentCache`]): the clock
-    /// advances, the armed profile comes back, the telemetry counters and
-    /// gauges advance as a full step of this world would advance them (no
-    /// phase runs, so no phase span is recorded), and the digests hash the
-    /// unchanged state.
+    /// Whether the next step is a coast (see [`QuiescentCache`]).
+    pub(crate) fn coasts(&self, world: &World) -> bool {
+        self.quiet.coasts(world)
+    }
+
+    /// A step of a world at rest (see [`QuiescentCache`]): the armed
+    /// profile comes back with the digests of [`StepPipeline::coast_n`].
     fn coast(&mut self, world: &mut World) -> StepProfile {
-        self.telemetry.steps.add(1);
-        let mut profile = self.quiet.profile.clone();
-        let candidates = &self.broadphase.candidates;
-        if world.config.digests {
-            profile.digests = Some(rest_digests(world, candidates));
+        let digests = self.coast_n(world, 1);
+        StepProfile {
+            digests,
+            ..self.quiet.profile.clone()
         }
+    }
+
+    /// `n` steps of a world at rest at once; the caller has checked
+    /// [`StepPipeline::coasts`]. The clock advances by `n` single
+    /// additions of `dt`, so its bits are those of `n` steps; the telemetry
+    /// counters and histograms advance as `n` full steps of this world
+    /// would advance them (no phase runs, so no phase span is recorded);
+    /// the gauges and the digests, which hash the unchanged state, are
+    /// taken once. Returns the digests when they are on.
+    pub(crate) fn coast_n(&mut self, world: &mut World, n: u64) -> Option<[u64; 5]> {
+        self.telemetry.steps.add(n);
+        let candidates = &self.broadphase.candidates;
+        let digests = world
+            .config
+            .digests
+            .then(|| rest_digests(world, candidates));
         let narrow = NarrowphaseStats {
             candidates: candidates.len() as u64,
             ..Default::default()
         };
         self.publish(
-            &profile,
+            &self.quiet.profile,
+            n,
             narrow,
             0,
             WarmStats::default(),
             ScheduleTotals::default(),
         );
-        world.time += world.config.dt as f64;
-        world.steps += 1;
-        profile
+        self.publish_digests(digests);
+        let dt = world.config.dt as f64;
+        for _ in 0..n {
+            world.time += dt;
+        }
+        world.steps += n;
+        digests
     }
 
-    /// Publishes a finished step's counters, histograms and gauges.
+    /// Publishes the counters, histograms and gauges of `n` identical
+    /// finished steps (`n` is 1 but on a coast).
     fn publish(
         &self,
         profile: &StepProfile,
+        n: u64,
         narrow: NarrowphaseStats,
         manifolds: usize,
         warm: WarmStats,
         schedule: ScheduleTotals,
     ) {
         if telemetry::enabled() {
-            self.telemetry.manifolds_per_step.record(manifolds as u64);
-            self.telemetry.narrow_candidates.add(narrow.candidates);
-            self.telemetry.narrow_active.add(narrow.active);
-            self.telemetry.narrow_hits.add(narrow.hits);
-            self.telemetry.narrow_contacts.add(narrow.contacts);
+            self.telemetry
+                .manifolds_per_step
+                .record_n(manifolds as u64, n);
+            self.telemetry.narrow_candidates.add(n * narrow.candidates);
+            self.telemetry.narrow_active.add(n * narrow.active);
+            self.telemetry.narrow_hits.add(n * narrow.hits);
+            self.telemetry.narrow_contacts.add(n * narrow.contacts);
             // Penetration in micrometers so the log2 buckets resolve the
             // useful 1 µm – 10 m range.
             self.telemetry
                 .max_penetration_um
-                .record((profile.max_penetration.max(0.0) * 1e6) as u64);
+                .record_n((profile.max_penetration.max(0.0) * 1e6) as u64, n);
             for w in &profile.islands {
-                self.telemetry.island_size.record(w.bodies.len() as u64);
-                self.telemetry.solver_rows.record(w.rows as u64);
+                self.telemetry
+                    .island_size
+                    .record_n(w.bodies.len() as u64, n);
+                self.telemetry.solver_rows.record_n(w.rows as u64, n);
                 self.telemetry
                     .solver_residual_milli
-                    .record((w.residual.max(0.0) * 1e3) as u64);
+                    .record_n((w.residual.max(0.0) * 1e3) as u64, n);
             }
-            self.telemetry.solver_batches.add(schedule.batches);
-            self.telemetry.solver_packed_rows.add(schedule.packed_rows);
-            self.telemetry.warm_hits.add(warm.hits as u64);
-            self.telemetry.warm_misses.add(warm.misses as u64);
+            self.telemetry.solver_batches.add(n * schedule.batches);
+            self.telemetry
+                .solver_packed_rows
+                .add(n * schedule.packed_rows);
+            self.telemetry.warm_hits.add(n * warm.hits as u64);
+            self.telemetry.warm_misses.add(n * warm.misses as u64);
             self.telemetry
                 .cache_entries
                 .set(self.contact_cache.len() as u64);
@@ -1328,17 +1360,21 @@ impl StepPipeline {
                 .set(profile.sleeping_islands as u64);
             self.telemetry
                 .islands_rebuilt
-                .add(profile.island_creation.islands as u64);
+                .add(n * profile.island_creation.islands as u64);
             self.telemetry
                 .broadphase_reinserts
-                .add(profile.broadphase.reinserts as u64);
+                .add(n * profile.broadphase.reinserts as u64);
             self.telemetry
                 .broadphase_fat_pairs
                 .set(profile.broadphase.fat_pairs as u64);
-            if let Some(digests) = profile.digests {
-                for (g, d) in self.telemetry.digest_gauges.iter().zip(digests) {
-                    g.set_always(d);
-                }
+        }
+    }
+
+    /// Publishes a finished step's phase digests, when they are on.
+    fn publish_digests(&self, digests: Option<[u64; 5]>) {
+        if let Some(digests) = digests.filter(|_| telemetry::enabled()) {
+            for (g, d) in self.telemetry.digest_gauges.iter().zip(digests) {
+                g.set_always(d);
             }
         }
     }
@@ -1532,6 +1568,28 @@ mod tests {
         assert_eq!(w.sleeping_body_count(), 4);
         assert_eq!(w.step_count(), steps + 1);
         assert_eq!(w.time(), time + w.config().dt as f64);
+    }
+
+    #[test]
+    fn coast_n_leaves_a_world_that_would_not_coast_alone() {
+        let mut w = settled_world();
+        // Settled but not yet armed (the prime and arm steps are still to
+        // come), then primed, then armed: only the last coasts.
+        for expected in [false, false, true] {
+            assert_eq!(w.coasts(), expected);
+            if !expected {
+                let (epoch, bytes) = (w.mutation_epoch, w.snapshot());
+                assert_eq!(w.coast_n(5), 0);
+                assert_eq!(w.mutation_epoch, epoch);
+                assert!(w.snapshot() == bytes, "coast_n changed a moving world");
+                w.step();
+            }
+        }
+        let steps = w.step_count();
+        assert_eq!(w.coast_n(0), 0);
+        assert_eq!(w.coast_n(7), 7);
+        assert_eq!(w.step_count(), steps + 7);
+        assert!(w.coasts(), "a coast does not end the coast");
     }
 
     #[test]

@@ -831,6 +831,31 @@ impl World {
         profile
     }
 
+    /// Whether the next [`World::step`] is a coast: the world is at rest,
+    /// its step cache is armed and nothing has touched it since, so the
+    /// step only advances the clock (see the pipeline's `QuiescentCache`).
+    pub fn coasts(&self) -> bool {
+        self.pipeline().coasts(self)
+    }
+
+    /// Takes `n` steps at once on a world that [coasts](World::coasts),
+    /// and returns `n`. The outcome is that of `n` calls to
+    /// [`World::step`]: the clock is advanced by `n` single additions of
+    /// `dt` (the same bits), the step count by `n`, every telemetry
+    /// counter and histogram by `n` steps' worth, and the gauges and
+    /// digests hold the final state. On a world that would not coast it
+    /// returns 0 and changes nothing. Like `step`, it is not a mutation:
+    /// the coast goes on.
+    pub fn coast_n(&mut self, n: u64) -> u64 {
+        if n == 0 || !self.coasts() {
+            return 0;
+        }
+        let mut pipeline = self.pipeline.take().expect("pipeline present outside step");
+        pipeline.coast_n(self, n);
+        self.pipeline = Some(pipeline);
+        n
+    }
+
     // --- step internals (called by the pipeline stages) -------------------------
 
     pub(crate) fn apply_slider_springs(&mut self) {

@@ -124,10 +124,15 @@ fn route(table: &Arc<SessionTable>, req: &Request) -> Response {
                 steps
             ))
         }
-        ("GET", ["metrics"]) => Response::ok(
-            "text/plain; version=0.0.4",
-            telemetry::prometheus_text(&telemetry::snapshot()),
-        ),
+        ("GET", ["metrics"]) => {
+            // `server.steps` counts off-schedule sessions' ticks once
+            // they are settled.
+            table.settle_coasting(telemetry::now_ns());
+            Response::ok(
+                "text/plain; version=0.0.4",
+                telemetry::prometheus_text(&telemetry::snapshot()),
+            )
+        }
         ("GET", ["sessions"]) => {
             let infos = table.infos();
             let mut body = String::with_capacity(64 + infos.len() * 96);
@@ -418,6 +423,7 @@ mod tests {
 
     #[test]
     fn scheduled_session_advances_without_step_calls() {
+        let _serial = crate::schedule_guard();
         let server = start();
         let addr = server.addr();
         let (status, body) = http_request(

@@ -1,10 +1,8 @@
 //! Multi-world simulation service.
 //!
-//! The ROADMAP's top open item is world-level parallelism: the measured
-//! parallel fraction of a single step on this host is ~0.42, so Amdahl
-//! caps single-world speedup near 1.7×. The way out is the inference-
-//! server shape — many *independent* worlds per process, stepped in
-//! batches, each world a serial job. This crate is that server:
+//! The inference-server shape applied to physics: many *independent*
+//! worlds per process, stepped in batches, each world a serial job. This
+//! crate is that server:
 //!
 //! * [`SessionTable`] owns the fleet: create a session from a named
 //!   benchmark scene or a generated settled-stack world, step it,
@@ -14,6 +12,8 @@
 //!   persistent [`Executor`](parallax_physics::parallel::Executor),
 //!   one world = one job. Per-world trajectories are deterministic
 //!   regardless of batch composition (see [`session`] module docs).
+//!   A session whose world has come to rest leaves the schedule and is
+//!   advanced in bulk whenever it is read.
 //! * [`serve`] puts an HTTP front end on it, reusing the hardened
 //!   `telemetry::net` transport — worker pool, request deadlines,
 //!   size limits — and the shared metrics registry, so `/metrics`
@@ -42,3 +42,11 @@ pub mod session;
 pub use http::{serve, serve_with, Server};
 pub use scheduler::Scheduler;
 pub use session::{SceneKind, Session, SessionConfig, SessionInfo, SessionTable, TableConfig};
+
+/// Serializes the unit tests that step scheduled sessions: the
+/// `server.steps_shed` counter some of them check is process-wide.
+#[cfg(test)]
+fn schedule_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}

@@ -1,11 +1,16 @@
-//! The batch scheduler: a background thread draining due sessions.
+//! The batch scheduler: a background thread stepping the on-schedule
+//! sessions.
 //!
-//! One thread wakes when the earliest scheduled session comes due,
-//! calls [`SessionTable::step_due`] (which fans the batch out over the
-//! table's executor), empties the span rings and goes back to sleep for
-//! at most `MAX_TICK`. Manual sessions
-//! (`step_rate == 0`) never wake it. Sleeps are sliced so `Drop`
-//! shutdown is prompt even with an empty table.
+//! One thread sleeps until the earliest due time in the table's due
+//! index, calls `SessionTable::step_scheduled` (which fans the due
+//! sessions out over the table's executor and touches no other session),
+//! empties the span rings and sleeps again. Filing a session ahead of the
+//! due time it sleeps towards (creating it, changing its rate, waking its
+//! world) wakes it early, so the next due time is never stale. Manual
+//! sessions (`step_rate == 0`) and sessions off the schedule (see
+//! [`crate::session`]) never wake it. Sleeps are capped at
+//! `DRAIN_TICK` so the span rings are emptied while nothing is due, and
+//! `Drop` wakes the thread for a prompt shutdown.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,14 +21,13 @@ use parallax_telemetry as telemetry;
 
 use crate::session::SessionTable;
 
-/// Idle poll when nothing is scheduled.
-const IDLE_TICK: Duration = Duration::from_millis(5);
-/// Longest single sleep — bounds how stale `next_due_ns` can get when
-/// sessions are created while the scheduler sleeps.
-const MAX_TICK: Duration = Duration::from_millis(20);
+/// Longest sleep: how often the span rings are emptied when nothing is
+/// due (each thread's ring holds 8 192 spans).
+const DRAIN_TICK: Duration = Duration::from_millis(10);
 
 /// Handle to the scheduler thread; dropping it shuts the thread down.
 pub struct Scheduler {
+    table: Arc<SessionTable>,
     shutdown: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
@@ -33,28 +37,22 @@ impl Scheduler {
     pub fn spawn(table: Arc<SessionTable>) -> Scheduler {
         let shutdown = Arc::new(AtomicBool::new(false));
         let stop = Arc::clone(&shutdown);
+        let stepped = Arc::clone(&table);
         let handle = std::thread::Builder::new()
             .name("parallax-scheduler".to_string())
             .spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let now = telemetry::now_ns();
-                    table.step_due(now);
+                    stepped.step_scheduled(telemetry::now_ns());
                     // The service records telemetry for `/metrics` but has
                     // no span consumer: empty the rings its batch and
                     // request threads fill before they overflow.
                     telemetry::discard_spans();
-                    let sleep = match table.next_due_ns() {
-                        Some(due) => Duration::from_nanos(due.saturating_sub(telemetry::now_ns()))
-                            .min(MAX_TICK),
-                        None => IDLE_TICK,
-                    };
-                    if !sleep.is_zero() {
-                        std::thread::sleep(sleep);
-                    }
+                    stepped.wait_for_due(DRAIN_TICK, &stop);
                 }
             })
             .expect("spawn scheduler thread");
         Scheduler {
+            table,
             shutdown,
             handle: Some(handle),
         }
@@ -64,6 +62,7 @@ impl Scheduler {
 impl Drop for Scheduler {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        self.table.wake_scheduler();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -77,11 +76,14 @@ mod tests {
 
     #[test]
     fn scheduler_steps_scheduled_sessions() {
+        let _serial = crate::schedule_guard();
         let table = Arc::new(SessionTable::new(TableConfig::default()));
+        // Never asleep, so never coasting: only the scheduler steps it.
         let info = table
             .create(SessionConfig {
                 bodies: 5,
                 step_rate: 500.0,
+                sleeping: false,
                 ..SessionConfig::default()
             })
             .expect("create");

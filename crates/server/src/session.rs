@@ -7,6 +7,23 @@
 //! world), manual stepping, scheduled stepping in parallel batches,
 //! snapshot/restore, and destruction.
 //!
+//! # Coasting sessions leave the schedule
+//!
+//! A scheduled session whose world [coasts](World::coasts) and whose
+//! actors are inert is a pure function of its step count until something
+//! touches it, so it leaves the schedule. It keeps its next due time on
+//! its slot clock, and every table access first *settles* it: one
+//! [`World::coast_n`] takes every tick up to `now`. Only sessions still on
+//! the schedule sit in the due-ordered index the scheduler thread reads,
+//! so its wake-ups never touch an off-schedule session. An access that
+//! leaves the world not coasting (a restore, a manual step that wakes it)
+//! puts the session back on the index at its next tick.
+//!
+//! A settle never sheds. Eager stepping caps a late session at
+//! [`TableConfig::max_catchup`] steps and counts the rest in
+//! `server.steps_shed`; a settle takes every owed tick, since a coast of a
+//! thousand steps costs what a coast of one does.
+//!
 //! # Determinism
 //!
 //! Every session world is built with `threads: 1`: its own pipeline is
@@ -20,10 +37,11 @@
 //! trajectory. The integration suite pins this with a 500-noisy-neighbor
 //! digest comparison.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use parallax_physics::parallel::Executor;
 use parallax_physics::{PhaseKind, SnapshotError, World};
@@ -231,6 +249,20 @@ fn finite32(x: f32) -> f32 {
     }
 }
 
+/// Where a session stands with the scheduler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// `step_rate == 0`: advanced only by explicit steps.
+    Manual,
+    /// In the table's due index at `due_ns`, stepped by the scheduler.
+    Due,
+    /// Off the schedule: the world coasts and the actors are inert, so
+    /// every access first settles the ticks up to `now`.
+    Coasting,
+    /// Destroyed: a batch job still holding it must not file it again.
+    Gone,
+}
+
 /// One independent world behind the API.
 pub struct Session {
     /// Session id (table-assigned, never reused within a process).
@@ -241,6 +273,8 @@ pub struct Session {
     /// Next scheduled due time (`telemetry::now_ns` clock); meaningless
     /// for manual sessions.
     due_ns: u64,
+    /// Filed by the table after every access (see [`Place`]).
+    place: Place,
     /// The last [`RECORD_TAIL`] steps: step index and phase walls in ns,
     /// rendered as [`StepRecord`]s only when `/state` asks.
     records: VecDeque<(u64, [u64; 5])>,
@@ -276,6 +310,7 @@ impl Session {
             world,
             actors,
             due_ns,
+            place: Place::Manual,
             records: VecDeque::with_capacity(RECORD_TAIL),
         }
     }
@@ -304,19 +339,47 @@ impl Session {
         self.due_ns = self.config.first_due_ns(self.id, now_ns);
     }
 
-    /// Advances `n` steps and returns the new step count.
+    /// Advances `n` steps and returns the new step count. Full steps run
+    /// until the world coasts; with inert actors the rest is one
+    /// [`World::coast_n`], which leaves the record tail exactly as that
+    /// many coasting steps would: one entry per step, all walls zero.
     pub fn step_n(&mut self, n: u64) -> u64 {
-        for _ in 0..n {
+        for left in (1..=n).rev() {
             let step = self.world.step_count();
+            if self.actors.is_inert() && self.world.coast_n(left) == left {
+                for k in left - left.min(RECORD_TAIL as u64)..left {
+                    self.record(step + k, [0; 5]);
+                }
+                break;
+            }
             self.actors.update(&mut self.world, step);
             let profile = self.world.step();
-            if self.records.len() == RECORD_TAIL {
-                self.records.pop_front();
-            }
-            self.records
-                .push_back((step, profile.wall.map(|wall| wall.as_nanos() as u64)));
+            self.record(step, profile.wall.map(|wall| wall.as_nanos() as u64));
         }
         self.world.step_count()
+    }
+
+    fn record(&mut self, step: u64, walls: [u64; 5]) {
+        if self.records.len() == RECORD_TAIL {
+            self.records.pop_front();
+        }
+        self.records.push_back((step, walls));
+    }
+
+    /// Where the table should file this session now.
+    fn place_now(&self) -> Place {
+        match self.config.period_ns() {
+            _ if self.place == Place::Gone => Place::Gone,
+            None => Place::Manual,
+            Some(_) if self.world.coasts() && self.actors.is_inert() => Place::Coasting,
+            Some(_) => Place::Due,
+        }
+    }
+
+    /// Steps owed at `now_ns` since `due_ns`, and the period they are on.
+    fn owed(&self, now_ns: u64) -> Option<(u64, u64)> {
+        let period = self.config.period_ns()?;
+        (self.due_ns <= now_ns).then(|| (1 + (now_ns - self.due_ns) / period, period))
     }
 
     /// Summary for listings.
@@ -417,7 +480,8 @@ pub struct TableConfig {
     pub max_sessions: usize,
     /// Most owed steps a scheduled session may catch up per batch;
     /// beyond that the schedule snaps forward (shed load rather than
-    /// spiral).
+    /// spiral). Off-schedule sessions are settled whole (see the module
+    /// docs).
     pub max_catchup: u64,
 }
 
@@ -437,9 +501,11 @@ impl Default for TableConfig {
 /// `/metrics` next to the physics counters).
 struct TableMetrics {
     sessions: telemetry::Gauge,
+    coasting: telemetry::Gauge,
     created: telemetry::Counter,
     destroyed: telemetry::Counter,
     steps: telemetry::Counter,
+    shed: telemetry::Counter,
     batches: telemetry::Counter,
     batch_sessions: telemetry::Histogram,
 }
@@ -448,19 +514,43 @@ impl TableMetrics {
     fn new() -> TableMetrics {
         TableMetrics {
             sessions: telemetry::gauge("server.sessions"),
+            coasting: telemetry::gauge("server.sessions_coasting"),
             created: telemetry::counter("server.sessions_created"),
             destroyed: telemetry::counter("server.sessions_destroyed"),
             steps: telemetry::counter("server.steps"),
+            shed: telemetry::counter("server.steps_shed"),
             batches: telemetry::counter("server.batches"),
             batch_sessions: telemetry::histogram("server.batch_sessions"),
         }
     }
 }
 
-/// The fleet: id-keyed sessions plus the shared batch executor.
+/// The scheduler's view of the fleet: on-schedule sessions by due time,
+/// and how many are off it.
+#[derive(Default)]
+struct Schedule {
+    due: BTreeSet<(u64, u64)>,
+    coasting: u64,
+}
+
+type SessionRef = Arc<Mutex<Session>>;
+
+/// The fleet: id-keyed sessions, their schedule, and the shared batch
+/// executor.
 pub struct SessionTable {
-    sessions: Mutex<HashMap<u64, Arc<Mutex<Session>>>>,
+    sessions: Mutex<HashMap<u64, SessionRef>>,
+    /// Filed under the session's own lock, so a session's entry changes
+    /// only with the session (lock order: map, session, schedule). The
+    /// one exception is [`SessionTable::step_scheduled`], which takes due
+    /// entries out for the batch it is about to run.
+    schedule: Mutex<Schedule>,
+    /// Wakes the scheduler thread when a session is filed ahead of the
+    /// earliest due time it is sleeping towards.
+    reschedule: Condvar,
     next_id: AtomicU64,
+    /// Steps this table has taken; an off-schedule session's ticks
+    /// count once they are settled.
+    steps: AtomicU64,
     executor: Executor,
     config: TableConfig,
     metrics: TableMetrics,
@@ -477,7 +567,10 @@ impl SessionTable {
     pub fn new(config: TableConfig) -> SessionTable {
         SessionTable {
             sessions: Mutex::new(HashMap::new()),
+            schedule: Mutex::new(Schedule::default()),
+            reschedule: Condvar::new(),
             next_id: AtomicU64::new(1),
+            steps: AtomicU64::new(0),
             executor: Executor::new(config.batch_threads.max(1)),
             config,
             metrics: TableMetrics::new(),
@@ -486,21 +579,89 @@ impl SessionTable {
 
     /// Mutex recovery: a panic inside one session's step must not take
     /// the whole table down — recover the guard and keep serving.
-    fn map(&self) -> MutexGuard<'_, HashMap<u64, Arc<Mutex<Session>>>> {
+    fn map(&self) -> MutexGuard<'_, HashMap<u64, SessionRef>> {
         self.sessions
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn lock_session(arc: &Arc<Mutex<Session>>) -> MutexGuard<'_, Session> {
+    fn schedule(&self) -> MutexGuard<'_, Schedule> {
+        self.schedule
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn lock_session(arc: &SessionRef) -> MutexGuard<'_, Session> {
         arc.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn all_sessions(&self) -> Vec<SessionRef> {
+        self.map().values().cloned().collect()
+    }
+
+    fn count_steps(&self, n: u64) {
+        self.steps.fetch_add(n, Ordering::Relaxed);
+        self.metrics.steps.add(n);
+    }
+
+    /// Takes every tick of an off-schedule session up to `now_ns`;
+    /// returns how many.
+    fn settle(&self, s: &mut Session, now_ns: u64) -> u64 {
+        let Some((owed, period)) = s.owed(now_ns).filter(|_| s.place == Place::Coasting) else {
+            return 0;
+        };
+        s.step_n(owed);
+        s.due_ns += owed * period;
+        self.count_steps(owed);
+        owed
+    }
+
+    /// Files `s` where it belongs now, given that it stood at `before`
+    /// (its place and due time) when the caller locked it.
+    fn refile(&self, s: &mut Session, before: (Place, u64)) {
+        s.place = s.place_now();
+        if (s.place, s.due_ns) == before {
+            return;
+        }
+        let mut schedule = self.schedule();
+        match before.0 {
+            Place::Due => {
+                schedule.due.remove(&(before.1, s.id));
+            }
+            Place::Coasting => schedule.coasting -= 1,
+            Place::Manual | Place::Gone => {}
+        }
+        match s.place {
+            Place::Due => {
+                if schedule.due.first().is_none_or(|&(due, _)| s.due_ns < due) {
+                    self.reschedule.notify_all();
+                }
+                schedule.due.insert((s.due_ns, s.id));
+            }
+            Place::Coasting => schedule.coasting += 1,
+            Place::Manual | Place::Gone => {}
+        }
+        self.metrics.coasting.set(schedule.coasting);
+    }
+
+    /// Settles the session behind `arc` up to `now_ns`, runs `f` on it and
+    /// files it again.
+    fn access<R>(&self, arc: &SessionRef, now_ns: u64, f: impl FnOnce(&mut Session) -> R) -> R {
+        let mut s = Self::lock_session(arc);
+        self.settle(&mut s, now_ns);
+        let before = (s.place, s.due_ns);
+        let result = f(&mut s);
+        self.refile(&mut s, before);
+        result
     }
 
     /// Creates a session; refuses beyond [`TableConfig::max_sessions`].
     pub fn create(&self, config: SessionConfig) -> Result<SessionInfo, String> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let session = Session::new(id, config, telemetry::now_ns());
+        let before = (session.place, session.due_ns);
         let info = session.info();
+        let arc = Arc::new(Mutex::new(session));
         let count = {
             let mut map = self.map();
             if map.len() >= self.config.max_sessions {
@@ -509,40 +670,46 @@ impl SessionTable {
                     self.config.max_sessions
                 ));
             }
-            map.insert(id, Arc::new(Mutex::new(session)));
+            map.insert(id, Arc::clone(&arc));
             map.len()
         };
+        // In the map before the index: the scheduler looks up what it pops.
+        self.refile(&mut Self::lock_session(&arc), before);
         self.metrics.sessions.set(count as u64);
         self.metrics.created.add(1);
         Ok(info)
     }
 
-    /// Destroys a session; `false` if the id is unknown.
+    /// Destroys a session; `false` if the id is unknown. Its steps up to
+    /// now are settled (and counted) first.
     pub fn destroy(&self, id: u64) -> bool {
         let (removed, count) = {
             let mut map = self.map();
-            let removed = map.remove(&id).is_some();
+            let removed = map.remove(&id);
             (removed, map.len())
         };
-        if removed {
-            self.metrics.sessions.set(count as u64);
-            self.metrics.destroyed.add(1);
-        }
-        removed
+        let Some(arc) = removed else {
+            return false;
+        };
+        self.access(&arc, telemetry::now_ns(), |s| s.place = Place::Gone);
+        self.metrics.sessions.set(count as u64);
+        self.metrics.destroyed.add(1);
+        true
     }
 
-    /// Runs `f` on a session, serialized against batch stepping.
-    /// `None` if the id is unknown.
+    /// Runs `f` on a session, serialized against batch stepping, after
+    /// settling it up to now; files it again afterwards (a restore or a
+    /// rate change may put it on or off the schedule). `None` if the id
+    /// is unknown.
     pub fn with_session<R>(&self, id: u64, f: impl FnOnce(&mut Session) -> R) -> Option<R> {
         let arc = self.map().get(&id).cloned()?;
-        let mut session = Self::lock_session(&arc);
-        Some(f(&mut session))
+        Some(self.access(&arc, telemetry::now_ns(), f))
     }
 
     /// Manually advances a session `n` steps; `None` for unknown ids.
     pub fn step(&self, id: u64, n: u64) -> Option<u64> {
         let steps = self.with_session(id, |s| s.step_n(n))?;
-        self.metrics.steps.add(n);
+        self.count_steps(n);
         Some(steps)
     }
 
@@ -556,73 +723,124 @@ impl SessionTable {
         self.len() == 0
     }
 
-    /// Total steps taken across all sessions so far.
+    /// Steps this table has taken, with every off-schedule session
+    /// settled up to now. (The process-wide `server.steps` counter on
+    /// `/metrics` sums every table, and reads 0 with telemetry off.)
     pub fn total_steps(&self) -> u64 {
-        telemetry::snapshot().counter("server.steps")
+        self.settle_coasting(telemetry::now_ns());
+        self.steps.load(Ordering::Relaxed)
     }
 
-    /// Summaries of every session, id-ordered.
+    /// Summaries of every session, settled up to now, id-ordered.
     pub fn infos(&self) -> Vec<SessionInfo> {
-        let arcs: Vec<Arc<Mutex<Session>>> = self.map().values().cloned().collect();
-        let mut infos: Vec<SessionInfo> = arcs
+        let now = telemetry::now_ns();
+        let mut infos: Vec<SessionInfo> = self
+            .all_sessions()
             .iter()
-            .map(|arc| Self::lock_session(arc).info())
+            .map(|arc| self.access(arc, now, |s| s.info()))
             .collect();
         infos.sort_by_key(|info| info.id);
         infos
     }
 
-    /// Steps every scheduled session that is due at `now_ns`, in one
-    /// parallel batch (one session = one executor job). Returns the
-    /// number of sessions stepped.
+    /// Brings every off-schedule session up to `now_ns`; returns how many
+    /// advanced.
+    pub(crate) fn settle_coasting(&self, now_ns: u64) -> usize {
+        self.all_sessions()
+            .iter()
+            .filter(|arc| self.settle(&mut Self::lock_session(arc), now_ns) > 0)
+            .count()
+    }
+
+    /// Brings every scheduled session up to `now_ns`: the due ones on
+    /// the schedule in one parallel batch, capped at
+    /// [`TableConfig::max_catchup`] steps each, and the off-schedule ones
+    /// settled whole. Returns the number of sessions that advanced.
     pub fn step_due(&self, now_ns: u64) -> usize {
-        let due: Vec<Arc<Mutex<Session>>> = {
-            let map = self.map();
-            map.values()
-                .filter(|arc| {
-                    let s = Self::lock_session(arc);
-                    s.config.period_ns().is_some() && s.due_ns <= now_ns
-                })
-                .cloned()
-                .collect()
-        };
-        if due.is_empty() {
+        self.step_scheduled(now_ns) + self.settle_coasting(now_ns)
+    }
+
+    /// The scheduler's wake-up: steps the on-schedule sessions due at
+    /// `now_ns` in one parallel batch (one session = one executor job)
+    /// and touches no other session. Returns the number stepped.
+    pub(crate) fn step_scheduled(&self, now_ns: u64) -> usize {
+        let mut due_ids = Vec::new();
+        {
+            let mut schedule = self.schedule();
+            while let Some(&(due, id)) = schedule.due.first() {
+                if due > now_ns {
+                    break;
+                }
+                schedule.due.pop_first();
+                due_ids.push(id);
+            }
+        }
+        if due_ids.is_empty() {
             return 0;
         }
+        let due: Vec<SessionRef> = {
+            let map = self.map();
+            due_ids
+                .iter()
+                .filter_map(|id| map.get(id).cloned())
+                .collect()
+        };
         let max_catchup = self.config.max_catchup.max(1);
-        let mut stepped: Vec<u64> = Vec::new();
+        let mut stepped: Vec<(u64, u64)> = Vec::new();
         self.executor.map_into(&due, &mut stepped, |arc| {
             let mut s = Self::lock_session(arc);
-            let period = match s.config.period_ns() {
-                Some(p) => p,
-                None => return 0,
+            // Moved since it was taken out: whoever moved it filed it.
+            let Some((owed, period)) = s.owed(now_ns).filter(|_| s.place == Place::Due) else {
+                return (0, 0);
             };
             // Steps owed since the last deadline, capped: a session that
             // fell far behind sheds the backlog instead of stalling the
             // batch. The schedule skips every owed tick either way, so it
             // stays on its slot of the rate's clock.
-            let owed = 1 + now_ns.saturating_sub(s.due_ns) / period;
             let n = owed.min(max_catchup);
             s.step_n(n);
+            let before = (s.place, s.due_ns);
             s.due_ns += owed * period;
-            n
+            self.refile(&mut s, before);
+            (n, owed - n)
         });
-        let total: u64 = stepped.iter().sum();
-        self.metrics.steps.add(total);
+        let (steps, shed) = stepped
+            .iter()
+            .fold((0, 0), |(n, d), &(sn, sd)| (n + sn, d + sd));
+        self.count_steps(steps);
+        self.metrics.shed.add(shed);
         self.metrics.batches.add(1);
         self.metrics.batch_sessions.record(due.len() as u64);
-        due.len()
+        stepped.iter().filter(|&&(n, _)| n > 0).count()
     }
 
-    /// Earliest scheduled due time, for the scheduler's sleep.
+    /// Earliest due time on the schedule (off-schedule sessions have
+    /// none).
     pub fn next_due_ns(&self) -> Option<u64> {
-        self.map()
-            .values()
-            .filter_map(|arc| {
-                let s = Self::lock_session(arc);
-                s.config.period_ns().map(|_| s.due_ns)
-            })
-            .min()
+        self.schedule().due.first().map(|&(due, _)| due)
+    }
+
+    /// Blocks the scheduler thread until the earliest due time, for
+    /// `max` at most, or until a session is filed ahead of it or `stop`
+    /// is raised (see [`SessionTable::wake_scheduler`]).
+    pub(crate) fn wait_for_due(&self, max: Duration, stop: &AtomicBool) {
+        let schedule = self.schedule();
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
+        let wait = schedule.due.first().map_or(max, |&(due, _)| {
+            Duration::from_nanos(due.saturating_sub(telemetry::now_ns())).min(max)
+        });
+        if !wait.is_zero() {
+            drop(self.reschedule.wait_timeout(schedule, wait));
+        }
+    }
+
+    /// Wakes a scheduler thread blocked in
+    /// [`SessionTable::wait_for_due`] (after its `stop` flag is raised).
+    pub(crate) fn wake_scheduler(&self) {
+        let _schedule = self.schedule();
+        self.reschedule.notify_all();
     }
 }
 
@@ -656,6 +874,7 @@ mod tests {
     fn batch_stepping_matches_manual_trajectory() {
         // The same (seed, bodies) world stepped by the batch scheduler
         // must land on the identical state as one stepped manually.
+        let _serial = crate::schedule_guard();
         let table = SessionTable::new(TableConfig {
             batch_threads: 4,
             ..TableConfig::default()
@@ -711,6 +930,8 @@ mod tests {
 
     #[test]
     fn catchup_is_capped() {
+        let _serial = crate::schedule_guard();
+        telemetry::set_enabled(true);
         let table = SessionTable::new(TableConfig {
             max_catchup: 4,
             ..TableConfig::default()
@@ -721,17 +942,261 @@ mod tests {
                 ..manual(5, 1)
             })
             .expect("create");
-        // Pretend the scheduler slept for a full second: 1000 steps owed,
-        // only max_catchup taken.
+        // Pretend the scheduler slept for a full second: ~1000 steps owed,
+        // only max_catchup taken, and the rest counted as shed.
+        let due = table.with_session(info.id, |s| s.due_ns).expect("alive");
         let now = telemetry::now_ns() + 1_000_000_000;
+        let owed = 1 + (now - due) / 1_000_000;
+        let shed_before = telemetry::snapshot().counter("server.steps_shed");
         assert_eq!(table.step_due(now), 1);
         assert_eq!(table.with_session(info.id, |s| s.steps()), Some(4));
+        let shed = telemetry::snapshot().counter("server.steps_shed") - shed_before;
+        assert_eq!(shed, owed - 4);
+        assert_eq!(table.total_steps(), 4);
         // And the schedule snapped forward instead of replaying the backlog.
         assert!(table.next_due_ns().expect("due") > now);
     }
 
+    /// Steps a session one step at a time until its world coasts.
+    fn settle_manually(table: &SessionTable, id: u64) -> u64 {
+        for _ in 0..1000 {
+            if table.with_session(id, |s| s.world.coasts()).expect("alive") {
+                return table.with_session(id, |s| s.steps()).expect("alive");
+            }
+            table.step(id, 1);
+        }
+        panic!("session {id} never coasted");
+    }
+
+    #[test]
+    fn a_coasting_session_leaves_the_schedule_and_settles_whole() {
+        let table = SessionTable::new(TableConfig {
+            max_catchup: 4,
+            ..TableConfig::default()
+        });
+        let id = table.create(manual(12, 5)).expect("create").id;
+        let settled = settle_manually(&table, id);
+        let snapshot = table.with_session(id, |s| s.snapshot()).expect("alive");
+        // Injected times run ahead of the clock accesses settle to.
+        let t = telemetry::now_ns() + 10_000_000_000;
+        let place = |id| {
+            table
+                .with_session(id, |s| (s.place, s.due_ns))
+                .expect("alive")
+        };
+        table.with_session(id, |s| s.set_step_rate(100.0, t));
+        let (at, due) = place(id);
+        assert_eq!(at, Place::Coasting);
+        assert_eq!(table.next_due_ns(), None, "off the schedule");
+        // The scheduler's wake-up does not touch it; `step_due` settles
+        // all 1000 owed ticks, far past `max_catchup`.
+        let later = due + 999 * 10_000_000;
+        assert_eq!(table.step_scheduled(later), 0);
+        assert_eq!(table.with_session(id, |s| s.steps()), Some(settled));
+        assert_eq!(table.step_due(later), 1);
+        assert_eq!(table.with_session(id, |s| s.steps()), Some(settled + 1000));
+        assert_eq!(place(id), (Place::Coasting, due + 1000 * 10_000_000));
+        assert_eq!(table.total_steps(), settled + 1000);
+        // A restore wakes the world: back on the schedule at its next tick.
+        table.with_session(id, |s| s.restore(&snapshot).expect("restore"));
+        assert_eq!(place(id), (Place::Due, due + 1000 * 10_000_000));
+        assert_eq!(table.next_due_ns(), Some(due + 1000 * 10_000_000));
+        // Parking takes it off both.
+        table.with_session(id, |s| s.set_step_rate(0.0, later));
+        assert_eq!(place(id).0, Place::Manual);
+        assert_eq!(table.next_due_ns(), None);
+    }
+
+    /// The oracle's reference for one session: the same world stepped
+    /// with `World::step` once per tick of its slot clock.
+    struct Eager {
+        s: Session,
+        taken: u64,
+    }
+
+    impl Eager {
+        fn step(&mut self, n: u64) {
+            for _ in 0..n {
+                let s = &mut self.s;
+                let step = s.world.step_count();
+                s.actors.update(&mut s.world, step);
+                let walls = s.world.step().wall.map(|wall| wall.as_nanos() as u64);
+                s.record(step, walls);
+                self.taken += 1;
+            }
+        }
+
+        fn run_to(&mut self, t: u64) {
+            while let Some((_, period)) = self.s.owed(t) {
+                self.step(1);
+                self.s.due_ns += period;
+            }
+        }
+    }
+
+    /// `state_jsonl` with each step record reduced to its step index and
+    /// whether it was a coast (the walls of a full step are timings).
+    fn comparable(state: &str) -> String {
+        let mut out = String::new();
+        for line in state.lines() {
+            match StepRecord::from_json_line(line) {
+                Ok(r) => {
+                    let _ = writeln!(out, "step {} coast {}", r.step, r.wall_total_ns() == 0);
+                }
+                Err(_) => out.push_str(line),
+            }
+        }
+        out
+    }
+
+    fn assert_twins(table: &SessionTable, eager: &HashMap<u64, Eager>, what: &str) {
+        for (&id, e) in eager {
+            let (state, snapshot) = table
+                .with_session(id, |s| {
+                    (s.state_jsonl(RECORD_TAIL, usize::MAX), s.snapshot())
+                })
+                .expect("alive");
+            let expected = e.s.state_jsonl(RECORD_TAIL, usize::MAX);
+            assert_eq!(
+                comparable(&state),
+                comparable(&expected),
+                "{what}: session {id}"
+            );
+            assert!(snapshot == e.s.snapshot(), "{what}: session {id} snapshot");
+        }
+        let mut expected: Vec<String> = eager.values().map(|e| e.s.info().to_json()).collect();
+        expected.sort();
+        let mut infos: Vec<String> = table.infos().iter().map(SessionInfo::to_json).collect();
+        infos.sort();
+        assert_eq!(infos, expected, "{what}: infos");
+    }
+
+    #[test]
+    fn lazy_table_matches_per_tick_stepping() {
+        let _serial = crate::schedule_guard();
+        let table = SessionTable::new(TableConfig {
+            batch_threads: 2,
+            ..TableConfig::default()
+        });
+        let mut eager: HashMap<u64, Eager> = HashMap::new();
+        // Injected times run an hour ahead of the clock accesses settle
+        // to (however slow the build), so every tick is taken by
+        // `step_due`, at the time the script says.
+        let mut t = telemetry::now_ns() + 3_600_000_000_000;
+        let create = |eager: &mut HashMap<u64, Eager>, config: SessionConfig| {
+            let id = table.create(config).expect("create").id;
+            let s = Session::new(id, config, 0);
+            eager.insert(id, Eager { s, taken: 0 });
+            id
+        };
+        let set_rate = |eager: &mut HashMap<u64, Eager>, id: u64, hz: f64, t: u64| {
+            table.with_session(id, |s| s.set_step_rate(hz, t));
+            eager.get_mut(&id).expect("twin").s.set_step_rate(hz, t);
+        };
+        let step = |eager: &mut HashMap<u64, Eager>, id: u64, n: u64| {
+            table.step(id, n);
+            eager.get_mut(&id).expect("twin").step(n);
+        };
+        let tick_to = |eager: &mut HashMap<u64, Eager>, t: u64| {
+            table.step_due(t);
+            eager.values_mut().for_each(|e| e.run_to(t));
+        };
+        let coasting = |id| table.with_session(id, |s| s.place == Place::Coasting);
+        // Dense: 1 ms of injected time per call, so no on-schedule session
+        // owes more than one step, until `until` holds.
+        let dense =
+            |eager: &mut HashMap<u64, Eager>, t: &mut u64, what: &str, until: &dyn Fn() -> bool| {
+                for k in 0..6000 {
+                    if until() {
+                        return;
+                    }
+                    *t += 1_000_000;
+                    tick_to(eager, *t);
+                    if k % 97 == 0 {
+                        assert_twins(&table, eager, &format!("{what}, tick {k}"));
+                    }
+                }
+                panic!("{what}: sessions never coasted");
+            };
+
+        let a = create(&mut eager, manual(12, 1));
+        let b = create(&mut eager, manual(8, 2));
+        let cannon = create(
+            &mut eager,
+            SessionConfig {
+                scene: SceneKind::Named(BenchmarkId::Resting),
+                scale: 0.05,
+                seed: 3,
+                ..SessionConfig::default()
+            },
+        );
+        let parked = create(&mut eager, manual(6, 4));
+        set_rate(&mut eager, a, 100.0, t);
+        set_rate(&mut eager, b, 200.0, t);
+        set_rate(&mut eager, cannon, 100.0, t);
+        for _ in 0..50 {
+            t += 1_000_000;
+            tick_to(&mut eager, t);
+        }
+        step(&mut eager, parked, 7);
+        step(&mut eager, a, 3);
+        let early_b = table.with_session(b, |s| s.snapshot()).expect("alive");
+        assert_twins(&table, &eager, "after manual steps");
+        dense(&mut eager, &mut t, "settling", &|| {
+            coasting(a) == Some(true) && coasting(b) == Some(true)
+        });
+        // The cannon's actors are never inert: park it, and nothing is
+        // left on the schedule.
+        assert_eq!(coasting(cannon), Some(false));
+        set_rate(&mut eager, cannon, 0.0, t);
+        assert_eq!(table.next_due_ns(), None);
+        assert_twins(&table, &eager, "all coasting");
+
+        // Sparse: hundreds of ticks settled in bulk per call.
+        for round in 0..3 {
+            t += 3_000_000_000 + round * 7_777_777;
+            tick_to(&mut eager, t);
+            assert_twins(&table, &eager, &format!("sparse round {round}"));
+        }
+        set_rate(&mut eager, a, 30.0, t);
+        assert_eq!(coasting(a), Some(true), "a rate change keeps the coast");
+        t += 5_000_000_000;
+        tick_to(&mut eager, t);
+        assert_twins(&table, &eager, "after a rate change");
+
+        // A restore wakes `b` back onto the schedule.
+        table.with_session(b, |s| s.restore(&early_b).expect("restore"));
+        eager
+            .get_mut(&b)
+            .expect("twin")
+            .s
+            .restore(&early_b)
+            .expect("restore");
+        assert_eq!(coasting(b), Some(false));
+        assert!(table.next_due_ns().is_some());
+        assert_twins(&table, &eager, "after the restore");
+        dense(&mut eager, &mut t, "re-settling", &|| {
+            coasting(b) == Some(true)
+        });
+
+        // Destroy and re-create.
+        assert!(table.destroy(a));
+        let destroyed = eager.remove(&a).expect("twin").taken;
+        let a2 = create(&mut eager, manual(12, 1));
+        set_rate(&mut eager, a2, 100.0, t);
+        dense(&mut eager, &mut t, "after re-creation", &|| {
+            coasting(a2) == Some(true)
+        });
+        t += 2_000_000_000;
+        tick_to(&mut eager, t);
+        assert_twins(&table, &eager, "final");
+        let taken: u64 = eager.values().map(|e| e.taken).sum();
+        assert_eq!(table.total_steps(), taken + destroyed);
+    }
+
     #[test]
     fn due_times_are_slots_of_the_rates_clock() {
+        let _serial = crate::schedule_guard();
         let table = SessionTable::default();
         let period = 4_000_000; // 250 Hz: four slots of SLOT_NS
         let t0 = telemetry::now_ns();

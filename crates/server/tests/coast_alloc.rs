@@ -2,12 +2,14 @@
 //!
 //! A counting `#[global_allocator]` (this file is its own test binary, so
 //! nothing else shares it) watches the thread that steps the session: a
-//! coasting `Session::step_n(1)` may allocate the one vector the returned
-//! profile owns (its pair list) and nothing else — no step record, no
-//! telemetry slot, no scratch.
+//! coasting `Session::step_n(1)` may allocate once and no more — no step
+//! record, no telemetry slot, no scratch. Settling an off-schedule
+//! session's backlog is one allocation at most, whatever its length, and
+//! never goes through the batch executor.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
 
 use parallax_server::{SessionConfig, SessionTable, TableConfig};
 use parallax_telemetry as telemetry;
@@ -59,9 +61,12 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
         .expect("armed for the whole call")
 }
 
-#[test]
-fn a_coasting_session_step_allocates_only_its_pair_list() {
-    // Recording on, as the service runs.
+/// The tests share the process-wide recording switch and counters.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// A one-thread table holding one settled stack session, recording on
+/// (as the service runs).
+fn settled_session() -> (SessionTable, u64) {
     telemetry::set_enabled(true);
     let table = SessionTable::new(TableConfig {
         batch_threads: 1,
@@ -76,6 +81,13 @@ fn a_coasting_session_step_allocates_only_its_pair_list() {
         .id;
     // Settle, then prime and arm the coast.
     table.step(id, 240);
+    (table, id)
+}
+
+#[test]
+fn a_coasting_session_step_allocates_only_its_pair_list() {
+    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let (table, id) = settled_session();
 
     // The counter sees what this thread allocates.
     assert_eq!(
@@ -100,5 +112,28 @@ fn a_coasting_session_step_allocates_only_its_pair_list() {
             }
         })
         .expect("session alive");
+    telemetry::set_enabled(false);
+}
+
+#[test]
+fn settling_a_thousand_owed_steps_allocates_at_most_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let (table, id) = settled_session();
+    // 100 kHz from an injected instant ahead of the clock: the session
+    // coasts, so it leaves the schedule at once.
+    let period = 10_000;
+    let t = telemetry::now_ns() + 10_000_000_000;
+    table.with_session(id, |s| s.set_step_rate(100_000.0, t));
+    assert_eq!(table.next_due_ns(), None, "the session is still scheduled");
+    let first_due = t / period * period + period;
+    let owed_all = first_due + 999 * period;
+    let steps = table.with_session(id, |s| s.steps()).expect("alive");
+    let batches = telemetry::snapshot().counter("server.batches");
+    let n = allocations_in(|| {
+        assert_eq!(table.step_due(owed_all), 1);
+    });
+    assert!(n <= 1, "settling 1000 steps allocated {n} times");
+    assert_eq!(table.with_session(id, |s| s.steps()), Some(steps + 1000));
+    assert_eq!(telemetry::snapshot().counter("server.batches"), batches);
     telemetry::set_enabled(false);
 }

@@ -250,6 +250,15 @@ pub struct Actors {
 }
 
 impl Actors {
+    /// Whether there are no actors at all, so [`Actors::update`] never
+    /// touches the world.
+    pub fn is_inert(&self) -> bool {
+        self.cannons.is_empty()
+            && self.cars.is_empty()
+            && self.combat_groups.is_empty()
+            && self.cloth_attachments.is_empty()
+    }
+
     /// Runs one tick of actor logic before a physics step.
     pub fn update(&mut self, world: &mut World, step: u64) {
         for c in &mut self.cannons {

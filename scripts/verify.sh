@@ -159,7 +159,8 @@ cargo run --release --offline -q -p parallax-bench --bin digest_overhead -- --qu
 
 # Simulation-service smoke: boot the multi-world server on an ephemeral
 # port, create a session over HTTP, step it 10x, and check that /state
-# streams JSONL body state and /metrics carries the fleet gauge. The
+# streams JSONL body state and /metrics carries the fleet gauge; then
+# schedule a settled session and check it is advanced off the schedule. The
 # integration suite (tests/server.rs, in `cargo test` above) covers
 # determinism under noisy neighbors and snapshot/restore in depth; this
 # proves the standalone binary and the end-to-end curl path.
@@ -184,6 +185,24 @@ curl -fsS "http://$sim_addr/sessions/$sim_id/state?records=2" > "$tmp/state.json
 grep -q '"body_state"' "$tmp/state.jsonl"
 curl -fsS "http://$sim_addr/metrics" > "$tmp/simsrv_metrics.txt"
 grep -q '^server_sessions 1$' "$tmp/simsrv_metrics.txt"
+# The lazy path through the real binary: a settled session (seed 1 coasts
+# after 240 steps) scheduled at 60 Hz leaves the schedule, and reads
+# settle its ticks: ~30 in half a second, counted in server_steps.
+curl -fsS -XPOST "http://$sim_addr/sessions" \
+    -H 'content-type: application/json' -d '{"bodies":100,"seed":1}' \
+    > "$tmp/lazy_create.json"
+lazy_id="$(sed -n 's|^{"id":\([0-9]*\).*|\1|p' "$tmp/lazy_create.json")"
+test -n "$lazy_id"
+curl -fsS -XPOST "http://$sim_addr/sessions/$lazy_id/step?n=240" > /dev/null
+curl -fsS -XPOST "http://$sim_addr/sessions/$lazy_id/rate?hz=60" > /dev/null
+sleep 0.5
+curl -fsS "http://$sim_addr/sessions/$lazy_id" > "$tmp/lazy.json"
+lazy_steps="$(sed -n 's|.*"steps":\([0-9]*\).*|\1|p' "$tmp/lazy.json")"
+test "$lazy_steps" -ge 260
+curl -fsS "http://$sim_addr/metrics" > "$tmp/lazy_metrics.txt"
+grep -q '^server_sessions_coasting 1$' "$tmp/lazy_metrics.txt"
+lazy_total="$(sed -n 's|^server_steps \([0-9]*\)$|\1|p' "$tmp/lazy_metrics.txt")"
+test "$lazy_total" -ge "$lazy_steps"
 kill "$simsrv_pid" 2>/dev/null || true
 wait "$simsrv_pid" 2>/dev/null || true
 
