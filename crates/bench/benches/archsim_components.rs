@@ -1,8 +1,9 @@
 //! Criterion benchmarks for the architecture simulator's components, plus
-//! three host-speed entries that follow the `arch_sweep` workload: captured
+//! four host-speed entries that follow the `arch_sweep` workload: captured
 //! scene steps replayed through a warmed hierarchy (ns per simulated
-//! reference), trace generation (ns per reference), and the cost of a
-//! design point's construction plus first step.
+//! reference), trace generation (ns per reference), the cost of a
+//! design point's construction plus first step, and a nine-point ParallAX
+//! sweep whose first point simulates the CG side the other eight share.
 //!
 //! `cargo bench … -- --quick` cuts the repeat counts to a smoke-test shape
 //! (used by `scripts/verify.sh`).
@@ -10,11 +11,13 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
+use parallax::{FgCoreType, ParallaxSystem};
 use parallax_archsim::cache::{BankedCache, Cache};
 use parallax_archsim::config::{CoreConfig, L2Config, MachineConfig};
 use parallax_archsim::core::CoreModel;
 use parallax_archsim::hierarchy::Hierarchy;
 use parallax_archsim::multicore::{MulticoreSim, SimOptions};
+use parallax_archsim::offchip::Link;
 use parallax_archsim::yags::Yags;
 use parallax_physics::StepProfile;
 use parallax_trace::{Kernel, StepTrace, TaskTrace};
@@ -198,6 +201,56 @@ fn bench_first_step(_: &mut Criterion) {
     );
 }
 
+/// The nine ParallAX design points of `arch_sweep` (three FG pools, each
+/// behind each CG↔FG link) over one captured window: the first point
+/// simulates the CG side, the other eight read it from the CG record.
+/// Windows alternate between two scenes, so every sweep's first point
+/// starts a new history.
+fn bench_parallax_sweep(_: &mut Criterion) {
+    let windows: Vec<(BenchmarkId, Vec<StepProfile>)> = [BenchmarkId::Explosions, BenchmarkId::Mix]
+        .into_iter()
+        .map(|id| {
+            let mut scene = id.build(&SceneParams {
+                scale: 0.2,
+                ..SceneParams::default()
+            });
+            (id, scene.run_measured(2, 1))
+        })
+        .collect();
+    let pools = [
+        (FgCoreType::Desktop, 30),
+        (FgCoreType::Console, 43),
+        (FgCoreType::Shader, 150),
+    ];
+    let mut first = [f64::INFINITY; 2];
+    let mut rest = [f64::INFINITY; 2];
+    for _ in 0..if quick() { 1 } else { 5 } {
+        for (w, (_, window)) in windows.iter().enumerate() {
+            let walls: Vec<f64> = pools
+                .iter()
+                .flat_map(|&(fg_type, n)| Link::ALL.map(|link| (fg_type, n, link)))
+                .map(|(fg_type, n, link)| {
+                    least_wall(1, || {
+                        let mut system = ParallaxSystem::new(4, fg_type, n, link);
+                        black_box(system.simulate_steps(window));
+                    })
+                })
+                .collect();
+            first[w] = first[w].min(walls[0]);
+            rest[w] = rest[w].min(walls[1..].iter().sum::<f64>() / 8.0);
+        }
+    }
+    for (w, (id, window)) in windows.iter().enumerate() {
+        println!(
+            "bench: {:<50} {:9.3} ms  (each of the other eight: {:.3} ms; {} steps)",
+            format!("parallax_sweep/{}", id.name()),
+            first[w] * 1e3,
+            rest[w] * 1e3,
+            window.len()
+        );
+    }
+}
+
 criterion_group!(
     benches,
     bench_cache,
@@ -206,6 +259,7 @@ criterion_group!(
     bench_hierarchy,
     bench_replay,
     bench_trace_build,
-    bench_first_step
+    bench_first_step,
+    bench_parallax_sweep
 );
 criterion_main!(benches);

@@ -80,7 +80,7 @@ pub struct LengthConstraint {
 }
 
 /// Work statistics from one cloth step, consumed by the trace layer.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ClothStats {
     /// Vertices integrated.
     pub vertices: usize,

@@ -43,7 +43,7 @@ impl Island {
 }
 
 /// Statistics from island creation, consumed by the trace layer.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IslandStats {
     /// Bodies scanned.
     pub bodies: usize,

@@ -103,7 +103,7 @@ pub struct PairWork {
 }
 
 /// Island-processing work for one island.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq)]
 pub struct IslandWork {
     /// Body indices in the island.
     pub bodies: Vec<u32>,
@@ -130,7 +130,7 @@ pub struct IslandWork {
 }
 
 /// Cloth work for one cloth object.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClothWork {
     /// Cloth index.
     pub cloth: u32,
@@ -154,7 +154,10 @@ pub struct StepEvents {
 }
 
 /// The full work profile of one simulation step.
-#[derive(Debug, Default, Clone)]
+///
+/// Equality is exact, field by field, walls included; a NaN anywhere (an
+/// island's `residual`, say) makes a profile unequal even to itself.
+#[derive(Debug, Default, PartialEq)]
 pub struct StepProfile {
     /// Broad-phase statistics.
     pub broadphase: BroadphaseStats,
@@ -188,6 +191,94 @@ pub struct StepProfile {
     pub sleeping_bodies: usize,
     /// Islands asleep at the end of the step.
     pub sleeping_islands: usize,
+}
+
+// `Clone` by hand for `clone_from`, which reuses the destination's
+// buffers where the derived one reallocates; `clone` is what the derive
+// would write, inline as the derive's is.
+impl Clone for IslandWork {
+    #[inline]
+    fn clone(&self) -> Self {
+        IslandWork {
+            bodies: self.bodies.clone(),
+            joints: self.joints.clone(),
+            ..*self
+        }
+    }
+
+    /// Keeps `self`'s body and joint buffers.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        let IslandWork {
+            bodies,
+            joints,
+            manifolds,
+            rows,
+            dof_removed,
+            iterations,
+            residual,
+            queued,
+            lambda_digest,
+        } = source;
+        self.bodies.clone_from(bodies);
+        self.joints.clone_from(joints);
+        self.manifolds = *manifolds;
+        self.rows = *rows;
+        self.dof_removed = *dof_removed;
+        self.iterations = *iterations;
+        self.residual = *residual;
+        self.queued = *queued;
+        self.lambda_digest = *lambda_digest;
+    }
+}
+
+impl Clone for StepProfile {
+    #[inline]
+    fn clone(&self) -> Self {
+        StepProfile {
+            pairs: self.pairs.clone(),
+            islands: self.islands.clone(),
+            cloths: self.cloths.clone(),
+            ..*self
+        }
+    }
+
+    /// Keeps `self`'s pair, island (down to each island's lists) and
+    /// cloth buffers, so a profile slot that is overwritten step after
+    /// step stops allocating once it has seen the largest step.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        let StepProfile {
+            broadphase,
+            pairs,
+            island_creation,
+            islands,
+            cloths,
+            events,
+            max_penetration,
+            wall,
+            body_count,
+            geom_count,
+            joint_count,
+            digests,
+            sleeping_bodies,
+            sleeping_islands,
+        } = source;
+        self.broadphase = *broadphase;
+        self.pairs.clone_from(pairs);
+        self.island_creation = *island_creation;
+        self.islands.clone_from(islands);
+        self.cloths.clone_from(cloths);
+        self.events = *events;
+        self.max_penetration = *max_penetration;
+        self.wall = *wall;
+        self.body_count = *body_count;
+        self.geom_count = *geom_count;
+        self.joint_count = *joint_count;
+        self.digests = *digests;
+        self.sleeping_bodies = *sleeping_bodies;
+        self.sleeping_islands = *sleeping_islands;
+    }
 }
 
 impl StepProfile {
@@ -282,5 +373,56 @@ mod tests {
         assert_eq!(p.fg_tasks(PhaseKind::Cloth), 25);
         assert_eq!(p.fg_tasks(PhaseKind::Broadphase), 0);
         assert_eq!(p.total_contacts(), 1);
+    }
+
+    /// A profile of `islands` islands of `bodies` bodies each and as
+    /// many pairs.
+    fn profile(islands: usize, bodies: u32) -> StepProfile {
+        let mut p = StepProfile::default();
+        for i in 0..islands as u32 {
+            p.pairs.push(PairWork {
+                geom_a: i,
+                geom_b: i + 1,
+                body_a: i,
+                body_b: i + 1,
+                shape_a: ShapeKind::Cuboid,
+                shape_b: ShapeKind::Sphere,
+                contacts: 2,
+                active: true,
+            });
+            p.islands.push(IslandWork {
+                bodies: (0..bodies).map(|b| i * bodies + b).collect(),
+                joints: vec![i],
+                manifolds: 1,
+                rows: 6,
+                dof_removed: 6,
+                iterations: 20,
+                residual: i as f32,
+                queued: false,
+                lambda_digest: u64::from(i),
+            });
+        }
+        p.max_penetration = islands as f32;
+        p
+    }
+
+    #[test]
+    fn clone_from_keeps_the_buffers_and_equality_is_exact() {
+        let big = profile(40, 12);
+        let small = profile(5, 3);
+        let mut slot = big.clone();
+        assert_eq!(slot, big);
+        let pairs = slot.pairs.as_ptr();
+        let bodies = slot.islands[0].bodies.as_ptr();
+        slot.clone_from(&small);
+        assert_eq!(slot, small);
+        assert_eq!(slot.pairs.as_ptr(), pairs);
+        assert_eq!(slot.islands[0].bodies.as_ptr(), bodies);
+        let mut nan = small.clone();
+        nan.islands[1].residual = f32::NAN;
+        assert_ne!(nan, nan.clone());
+        let mut wall = small.clone();
+        wall.wall[3] = Duration::from_nanos(1);
+        assert_ne!(wall, small);
     }
 }

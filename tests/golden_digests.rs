@@ -179,7 +179,36 @@ fn model_golden(window: &[StepProfile], traces: &[StepTrace]) -> u64 {
     h.0
 }
 
-fn assert_model_golden(id: BenchmarkId, trace: (u64, u64, u64), model: u64) {
+/// A nine-point ParallAX sweep over the window (three FG pools, each
+/// behind each CG↔FG link, on the 4-core CG side), each point warmed on
+/// the window and measured on it again: every point's results, in order.
+/// Its constants were recorded at the commit before the points shared
+/// one CG simulation, so they pin the results of points simulated alone.
+fn sweep_golden(window: &[StepProfile]) -> u64 {
+    let mut h = Fnv::new();
+    for (fg_type, fg_count) in [
+        (FgCoreType::Desktop, 30),
+        (FgCoreType::Console, 43),
+        (FgCoreType::Shader, 150),
+    ] {
+        for link in Link::ALL {
+            let mut system = ParallaxSystem::new(4, fg_type, fg_count, link);
+            system.simulate_steps(window);
+            let s = system.simulate_steps(window);
+            for word in s.per_phase.into_iter().chain([
+                s.serial_cycles,
+                s.cg_parallel_cycles,
+                s.fg_cycles,
+                s.exposed_comm_cycles,
+            ]) {
+                h.word(word);
+            }
+        }
+    }
+    h.0
+}
+
+fn assert_model_golden(id: BenchmarkId, trace: (u64, u64, u64), model: u64, sweep: u64) {
     let window = model_window(id);
     let traces: Vec<StepTrace> = window.iter().map(StepTrace::from_profile).collect();
     let got = trace_golden(&traces);
@@ -200,6 +229,13 @@ fn assert_model_golden(id: BenchmarkId, trace: (u64, u64, u64), model: u64) {
         "{}: simulated statistics hash to {got:#018x}, pinned {model:#018x}",
         id.name()
     );
+    let got = sweep_golden(&window);
+    assert_eq!(
+        got,
+        sweep,
+        "{}: the nine-point ParallAX sweep hashes to {got:#018x}, pinned {sweep:#018x}",
+        id.name()
+    );
 }
 
 #[test]
@@ -208,6 +244,7 @@ fn mix_matches_the_pinned_simulated_statistics() {
         BenchmarkId::Mix,
         (204_996_876, 657_418, 0x5cd1_a4f7_138d_5d5d),
         0x2973_7d26_4490_5fb5,
+        0x07c1_a3c3_3c77_9dcf,
     );
 }
 
@@ -217,5 +254,6 @@ fn explosions_matches_the_pinned_simulated_statistics() {
         BenchmarkId::Explosions,
         (228_102_987, 272_882, 0x8a8b_8a69_c901_7eff),
         0x8cad_f219_eabd_6e5d,
+        0x6781_ab98_97a4_6aec,
     );
 }
