@@ -3,6 +3,8 @@
 //! `cargo bench … -- --quick` shrinks the sample counts to a smoke-test
 //! shape (used by `scripts/verify.sh`).
 
+use std::time::{Duration, Instant};
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
 use parallax_math::{Quat, SimdMode, Transform, Vec3};
 use parallax_physics::broadphase::{Broadphase, SweepAndPrune, UniformGrid};
@@ -318,15 +320,105 @@ fn bench_island_processing(c: &mut Criterion) {
     c.bench_function("island_processing/stack5_step", |b| b.iter(|| world.step()));
 }
 
+/// One cloth step at the widest SIMD mode this host runs, for Mix's two
+/// cloth shapes: a 25×25 drape pinned along one edge and a 5×5 uniform
+/// pinned at two corners. Each runs bare (Verlet + relaxation; printed as
+/// ns per constraint projection) and against a Mix-shaped collider set —
+/// terrain heightfield, capsule limbs, a box — printed as the extra ns per
+/// vertex-collider test, with the share the collision bounds skipped.
 fn bench_cloth(c: &mut Criterion) {
     let mut group = c.benchmark_group("cloth");
-    for (name, n) in [("small_25v", 5usize), ("large_625v", 25)] {
-        let mut cloth = Cloth::rectangle(Vec3::new(0.0, 2.0, 0.0), 1.0, 1.0, n, n, &[0]);
-        group.bench_function(name, |b| {
-            b.iter(|| cloth.step(Vec3::new(0.0, -9.81, 0.0), 0.01, &[], SimdMode::Scalar))
-        });
+    if quick() {
+        group.sample_size(3);
+    }
+    let mode = SimdMode::resolve().clamp_to_supported();
+    let gravity = Vec3::new(0.0, -9.81, 0.0);
+    for (name, n, side, pins) in [
+        ("drape_25x25", 25usize, 3.0f32, (0..25).collect::<Vec<_>>()),
+        ("uniform_5x5", 5, 0.4, vec![0, 4]),
+    ] {
+        let origin = Vec3::new(-0.5 * side, 1.6, -0.5 * side);
+        let colliders = mix_shaped_colliders(side);
+        let mut bare_ns = 0.0;
+        for with_colliders in [false, true] {
+            let set: &[(Shape, Transform)] = if with_colliders { &colliders } else { &[] };
+            let mut cloth = Cloth::rectangle(origin, side, side, n, n, &pins);
+            // Settle onto the colliders so that every sample steps the same
+            // resting configuration.
+            for _ in 0..100 {
+                cloth.step(gravity, 0.01, set, mode);
+            }
+            let stats = cloth.step(gravity, 0.01, set, mode);
+            let culls = cloth.last_culls();
+            let label = format!(
+                "{name}_{}{}",
+                mode.name(),
+                if with_colliders { "_colliders" } else { "" }
+            );
+            let (mut spent, mut steps) = (Duration::ZERO, 0u64);
+            group.bench_function(label.as_str(), |b| {
+                let start = Instant::now();
+                b.iter(|| {
+                    steps += 1;
+                    cloth.step(gravity, 0.01, set, mode)
+                });
+                spent += start.elapsed();
+            });
+            if steps == 0 {
+                continue;
+            }
+            let step_ns = spent.as_nanos() as f64 / steps as f64;
+            if with_colliders {
+                let skipped = culls.ccd_culled + culls.project_out_culled;
+                println!(
+                    "  cloth/{label}: {:.1} ns per collision test ({} tests per step, \
+                     {:.0}% skipped by bounds)",
+                    (step_ns - bare_ns) / stats.collision_tests.max(1) as f64,
+                    stats.collision_tests,
+                    100.0 * skipped as f64 / stats.collision_tests.max(1) as f64
+                );
+            } else {
+                bare_ns = step_ns;
+                println!(
+                    "  cloth/{label}: {:.2} ns per projection ({} projections per step)",
+                    step_ns / stats.projections.max(1) as f64,
+                    stats.projections
+                );
+            }
+        }
     }
     group.finish();
+}
+
+/// Colliders around a `side`-wide cloth hanging at y = 1.6 as Mix places
+/// them: rolling terrain below, a building wall behind, and a humanoid's
+/// torso and limbs (capsules) under its middle.
+fn mix_shaped_colliders(side: f32) -> Vec<(Shape, Transform)> {
+    let heights = (0..64 * 64)
+        .map(|i| 0.2 * ((i % 64) as f32 * 0.3).sin() * ((i / 64) as f32 * 0.2).cos())
+        .collect();
+    let upright = |x: f32, y: f32, z: f32| Transform::from_position(Vec3::new(x, y, z));
+    let lying = |x: f32, y: f32, z: f32| {
+        Transform::new(
+            Vec3::new(x, y, z),
+            Quat::from_axis_angle(Vec3::UNIT_Z, std::f32::consts::FRAC_PI_2),
+        )
+    };
+    vec![
+        (
+            Shape::heightfield(Heightfield::new(64, 64, 2.5, heights)),
+            Transform::IDENTITY,
+        ),
+        (
+            Shape::cuboid(Vec3::new(side, 2.0, 0.2)),
+            upright(0.0, 2.0, -0.5 * side - 0.3),
+        ),
+        (Shape::capsule(0.15, 0.25), upright(0.0, 1.05, 0.0)),
+        (Shape::capsule(0.06, 0.2), lying(0.3, 1.25, 0.0)),
+        (Shape::capsule(0.06, 0.2), lying(-0.3, 1.25, 0.0)),
+        (Shape::capsule(0.08, 0.3), upright(0.12, 0.45, 0.0)),
+        (Shape::capsule(0.08, 0.3), upright(-0.12, 0.45, 0.0)),
+    ]
 }
 
 fn bench_full_step(c: &mut Criterion) {

@@ -126,6 +126,23 @@ pub trait WideF32:
     /// Stores `LANES` consecutive values to `s[i..]`.
     fn store(self, s: &mut [f32], i: usize);
 
+    /// Lane `j` set to `f(j)`, for `j` in `0..LANES` in order. Built in
+    /// registers: filling a stack array lane by lane and loading it whole
+    /// stalls on store forwarding, which a gather of scattered values
+    /// (cloth rest lengths, read through constraint indices) would pay
+    /// for every vector.
+    fn from_fn(f: impl FnMut(usize) -> f32) -> Self;
+
+    /// The four-float records `rows[row(j)]`, `j` in `0..LANES`,
+    /// transposed: lane `j` of the `k`-th result is `rows[row(j)][k]`.
+    /// One load per record instead of four lane inserts (a cloth vertex's
+    /// position and pin mask).
+    fn load_rows(rows: &[[f32; 4]], row: impl Fn(usize) -> usize) -> [Self; 4];
+
+    /// The inverse of [`WideF32::load_rows`]: writes lane `j` of `cols[k]`
+    /// to `rows[row(j)][k]`, one store per record, in lane order.
+    fn store_rows(cols: [Self; 4], rows: &mut [[f32; 4]], row: impl Fn(usize) -> usize);
+
     /// Exactly-rounded per-lane square root.
     fn sqrt(self) -> Self;
 
@@ -162,6 +179,21 @@ impl WideF32 for f32 {
     #[inline(always)]
     fn store(self, s: &mut [f32], i: usize) {
         s[i] = self;
+    }
+
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f32) -> Self {
+        f(0)
+    }
+
+    #[inline(always)]
+    fn load_rows(rows: &[[f32; 4]], row: impl Fn(usize) -> usize) -> [Self; 4] {
+        rows[row(0)]
+    }
+
+    #[inline(always)]
+    fn store_rows(cols: [Self; 4], rows: &mut [[f32; 4]], row: impl Fn(usize) -> usize) {
+        rows[row(0)] = cols;
     }
 
     #[inline(always)]
@@ -272,6 +304,34 @@ impl WideF32 for F32x4 {
         // SAFETY: the assert above bounds-checks the 4-lane write;
         // `storeu` has no alignment requirement.
         unsafe { _mm_storeu_ps(s.as_mut_ptr().add(i), self.0) }
+    }
+
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f32) -> Self {
+        let (a, b, c, d) = (f(0), f(1), f(2), f(3));
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        F32x4(unsafe { _mm_setr_ps(a, b, c, d) })
+    }
+
+    #[inline(always)]
+    fn load_rows(rows: &[[f32; 4]], row: impl Fn(usize) -> usize) -> [Self; 4] {
+        // SAFETY: each pointer comes from a bounds-checked `&[f32; 4]`, so
+        // the 4-lane unaligned read stays inside it; SSE2 is baseline.
+        let r = |j: usize| unsafe { _mm_loadu_ps(rows[row(j)].as_ptr()) };
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        unsafe { transpose4(r(0), r(1), r(2), r(3)) }.map(F32x4)
+    }
+
+    #[inline(always)]
+    fn store_rows(cols: [Self; 4], rows: &mut [[f32; 4]], row: impl Fn(usize) -> usize) {
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        let r = unsafe { transpose4(cols[0].0, cols[1].0, cols[2].0, cols[3].0) };
+        for (j, r) in r.into_iter().enumerate() {
+            // SAFETY: the pointer comes from a bounds-checked
+            // `&mut [f32; 4]`, so the 4-lane unaligned write stays inside
+            // it.
+            unsafe { _mm_storeu_ps(rows[row(j)].as_mut_ptr(), r) }
+        }
     }
 
     #[inline(always)]
@@ -403,6 +463,43 @@ impl WideF32 for F32x8 {
         // SAFETY: the assert bounds-checks the 8-lane write, `storeu` has
         // no alignment requirement, and AVX2 presence was runtime-verified.
         unsafe { _mm256_storeu_ps(s.as_mut_ptr().add(i), self.0) }
+    }
+
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f32) -> Self {
+        let l = [f(0), f(1), f(2), f(3), f(4), f(5), f(6), f(7)];
+        // SAFETY: F32x8 values only exist on AVX2-verified dispatch paths.
+        F32x8(unsafe { _mm256_setr_ps(l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]) })
+    }
+
+    #[inline(always)]
+    fn load_rows(rows: &[[f32; 4]], row: impl Fn(usize) -> usize) -> [Self; 4] {
+        // Record `k` in the low half and record `k + 4` in the high half,
+        // then one in-lane 4×4 transpose per half.
+        // SAFETY: each pointer comes from a bounds-checked `&[f32; 4]`, so
+        // every 4-lane unaligned read stays inside it; F32x8 values only
+        // exist on AVX2-verified dispatch paths.
+        unsafe {
+            let r = |j: usize| _mm_loadu_ps(rows[row(j)].as_ptr());
+            let pair = |k: usize| _mm256_set_m128(r(k + 4), r(k));
+            transpose4x2(pair(0), pair(1), pair(2), pair(3)).map(F32x8)
+        }
+    }
+
+    #[inline(always)]
+    fn store_rows(cols: [Self; 4], rows: &mut [[f32; 4]], row: impl Fn(usize) -> usize) {
+        // SAFETY: F32x8 values only exist on AVX2-verified dispatch paths;
+        // each pointer comes from a bounds-checked `&mut [f32; 4]`, so
+        // every 4-lane unaligned write stays inside it.
+        unsafe {
+            let pairs = transpose4x2(cols[0].0, cols[1].0, cols[2].0, cols[3].0);
+            for (k, p) in pairs.into_iter().enumerate() {
+                _mm_storeu_ps(rows[row(k)].as_mut_ptr(), _mm256_castps256_ps128(p));
+            }
+            for (k, p) in pairs.into_iter().enumerate() {
+                _mm_storeu_ps(rows[row(k + 4)].as_mut_ptr(), _mm256_extractf128_ps::<1>(p));
+            }
+        }
     }
 
     #[inline(always)]
@@ -639,6 +736,53 @@ unsafe fn reduce3(p: __m128) -> f32 {
     }
 }
 
+/// 4×4 transpose of `[a, b, c, d]`: result `k` holds element `k` of each.
+/// Its own inverse.
+///
+/// # Safety
+///
+/// The CPU must support SSE (part of the x86-64 baseline).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose4(a: __m128, b: __m128, c: __m128, d: __m128) -> [__m128; 4] {
+    // SAFETY: SSE2 is part of the x86-64 baseline (caller contract).
+    unsafe {
+        let ab_lo = _mm_unpacklo_ps(a, b); // a0 b0 a1 b1
+        let cd_lo = _mm_unpacklo_ps(c, d); // c0 d0 c1 d1
+        let ab_hi = _mm_unpackhi_ps(a, b); // a2 b2 a3 b3
+        let cd_hi = _mm_unpackhi_ps(c, d); // c2 d2 c3 d3
+        [
+            _mm_movelh_ps(ab_lo, cd_lo),
+            _mm_movehl_ps(cd_lo, ab_lo),
+            _mm_movelh_ps(ab_hi, cd_hi),
+            _mm_movehl_ps(cd_hi, ab_hi),
+        ]
+    }
+}
+
+/// [`transpose4`] within each 128-bit half of four `__m256`.
+///
+/// # Safety
+///
+/// The CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose4x2(a: __m256, b: __m256, c: __m256, d: __m256) -> [__m256; 4] {
+    // SAFETY: AVX presence is the caller's contract.
+    unsafe {
+        let ab_lo = _mm256_unpacklo_ps(a, b);
+        let cd_lo = _mm256_unpacklo_ps(c, d);
+        let ab_hi = _mm256_unpackhi_ps(a, b);
+        let cd_hi = _mm256_unpackhi_ps(c, d);
+        [
+            _mm256_shuffle_ps::<0b01_00_01_00>(ab_lo, cd_lo),
+            _mm256_shuffle_ps::<0b11_10_11_10>(ab_lo, cd_lo),
+            _mm256_shuffle_ps::<0b01_00_01_00>(ab_hi, cd_hi),
+            _mm256_shuffle_ps::<0b11_10_11_10>(ab_hi, cd_hi),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,6 +816,70 @@ mod tests {
             f8(F32x8::load(&a, 0), F32x8::load(&b, 0)).store(&mut out8, 0);
             assert_eq!(out8.map(f32::to_bits).to_vec(), expect, "avx2 diverged");
         }
+    }
+
+    /// `load_rows` transposes the addressed records into lanes at every
+    /// width, and `store_rows` writes them back, leaving other records
+    /// alone.
+    #[test]
+    fn rows_transpose_at_every_width() {
+        let rows: Vec<[f32; 4]> = (0..12)
+            .map(|i| [i as f32, i as f32 + 0.25, -(i as f32), f32::from_bits(i)])
+            .collect();
+        let pick = [9usize, 2, 11, 0, 5, 7, 3, 10];
+        let expect = |k: usize, lanes: usize| -> Vec<u32> {
+            pick[..lanes]
+                .iter()
+                .map(|&r| rows[r][k].to_bits())
+                .collect()
+        };
+        let mut out = [0.0f32; 8];
+        let cols4 = F32x4::load_rows(&rows, |j| pick[j]);
+        for (k, c) in cols4.iter().enumerate() {
+            c.store(&mut out, 0);
+            assert_eq!(
+                out[..4].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                expect(k, 4)
+            );
+        }
+        let mut back = vec![[0.0f32; 4]; 12];
+        F32x4::store_rows(cols4, &mut back, |j| pick[j]);
+        for (r, row) in back.iter().enumerate() {
+            let want = if pick[..4].contains(&r) {
+                rows[r]
+            } else {
+                [0.0; 4]
+            };
+            assert_eq!(
+                row.map(f32::to_bits),
+                want.map(f32::to_bits),
+                "sse2 row {r}"
+            );
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let cols8 = F32x8::load_rows(&rows, |j| pick[j]);
+            for (k, c) in cols8.iter().enumerate() {
+                c.store(&mut out, 0);
+                assert_eq!(
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    expect(k, 8)
+                );
+            }
+            let mut back = vec![[0.0f32; 4]; 12];
+            F32x8::store_rows(cols8, &mut back, |j| pick[j]);
+            for (r, row) in back.iter().enumerate() {
+                let want = if pick.contains(&r) { rows[r] } else { [0.0; 4] };
+                assert_eq!(
+                    row.map(f32::to_bits),
+                    want.map(f32::to_bits),
+                    "avx2 row {r}"
+                );
+            }
+        }
+        assert_eq!(
+            <f32 as WideF32>::load_rows(&rows, |_| 4).map(f32::to_bits),
+            rows[4].map(f32::to_bits)
+        );
     }
 
     #[test]

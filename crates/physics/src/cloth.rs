@@ -8,20 +8,30 @@
 //!
 //! Each vertex update is independent — this is the fine-grain parallel
 //! kernel the paper maps onto FG cores. The real execution exploits the
-//! same structure with SIMD: each step gathers the vertices into scratch
-//! structure-of-arrays lanes, runs the Verlet sweep `LANES` vertices at a
-//! time, and relaxes the constraints in precomputed conflict-free batches
-//! (no two constraints in a batch share a vertex) so a whole batch can be
-//! projected in packed registers. The batch schedule is deterministic and
+//! same structure with SIMD: each step integrates the vertices into
+//! scratch records (position and pin mask, 16 bytes each) and relaxes the
+//! constraints in precomputed conflict-free batches (no two constraints
+//! in a batch share a vertex), so a whole batch can be projected in
+//! packed registers, `LANES` records transposed into coordinate lanes at
+//! a time. The batches cover every iteration at once (see `Schedule`) and
+//! keep each projection after every earlier one it shares a vertex with,
+//! so they reproduce sequential Gauss–Seidel in index order bit for bit;
 //! the scalar path walks the *same* schedule one lane at a time, so every
 //! [`SimdMode`] produces bit-identical vertices.
+//!
+//! The collision pass tests every unpinned vertex against every collider,
+//! but skips the exact routine where a bound proves it would miss (see
+//! `ColliderBounds`); skipped tests still count as tests.
 
 use parallax_math::simd::WideF32;
 #[cfg(target_arch = "x86_64")]
 use parallax_math::simd::{F32x4, F32x8};
-use parallax_math::{Aabb, SimdMode, Transform, Vec3};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
+use parallax_math::{Aabb, Quat, SimdMode, Transform, Vec3};
 use serde::{Deserialize, Serialize};
 
+use crate::ray::{self, Ray, ROUNDING_SLACK};
 use crate::shape::Shape;
 
 /// Identifier of a cloth object inside a world.
@@ -92,6 +102,20 @@ pub struct ClothStats {
     pub collisions_resolved: usize,
 }
 
+/// How the last step's collision pass spent its vertex-collider tests:
+/// ray casts run, and ray casts and projections skipped because a bound
+/// proved the exact routine would miss. Every skipped test still counts
+/// in [`ClothStats::collision_tests`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CollisionCulls {
+    /// Continuous-collision ray casts run.
+    pub ccd_casts: usize,
+    /// Continuous-collision ray casts skipped.
+    pub ccd_culled: usize,
+    /// Discrete projections (`project_out`) skipped.
+    pub project_out_culled: usize,
+}
+
 /// A cloth object: triangular mesh + length constraints.
 ///
 /// # Examples
@@ -107,16 +131,16 @@ pub struct ClothStats {
 #[derive(Debug, Clone)]
 pub struct Cloth {
     verts: Vec<ClothVertex>,
-    constraints: Vec<LengthConstraint>,
+    constraints: Arc<[LengthConstraint]>,
     triangles: Vec<[u32; 3]>,
     config: ClothConfig,
-    /// Conflict-free relaxation schedule: each inner list holds constraint
-    /// indices that share no vertex, so they can be projected in any order
-    /// (and hence in packed lanes). Built once from the topology.
-    batches: Vec<Vec<u32>>,
-    /// Structure-of-arrays scratch for the SIMD step (gather/scatter
-    /// target; persists for allocation reuse).
+    /// Conflict-free relaxation schedule of every iteration, shared by the
+    /// cloths of one topology and iteration count.
+    schedule: Arc<Schedule>,
+    /// The step's vertex records and collider bounds.
     scratch: ClothScratch,
+    /// The last step's collision culling counts.
+    culls: CollisionCulls,
     /// Bodies to collide against this step (world maintains this from
     /// broad-phase overlaps with the cloth's AABB).
     pub(crate) contact_bodies: Vec<u32>,
@@ -124,64 +148,228 @@ pub struct Cloth {
     pub(crate) contact_static_geoms: Vec<u32>,
 }
 
-/// Scratch SoA lanes for one cloth step: positions, Verlet previous
-/// positions and the pin mask (all-ones bits for pinned vertices).
+/// The bits of a pinned vertex's pin mask (see `ClothScratch::rows`).
+const PINNED: f32 = f32::from_bits(u32::MAX);
+
+/// Scratch for one cloth step (persists for allocation reuse).
 #[derive(Debug, Default, Clone)]
 struct ClothScratch {
-    sx: Vec<f32>,
-    sy: Vec<f32>,
-    sz: Vec<f32>,
-    px: Vec<f32>,
-    py: Vec<f32>,
-    pz: Vec<f32>,
-    pin: Vec<f32>,
+    /// Per vertex: position x, y, z and the pin mask (all-ones bits for
+    /// pinned vertices, zero otherwise) — one 16-byte record that
+    /// relaxation loads and stores whole.
+    rows: Vec<[f32; 4]>,
+    /// Per collider of the current step: where it cannot act.
+    bounds: Vec<ColliderBounds>,
 }
 
-impl ClothScratch {
-    fn gather(&mut self, verts: &[ClothVertex]) {
-        let n = verts.len();
-        self.sx.resize(n, 0.0);
-        self.sy.resize(n, 0.0);
-        self.sz.resize(n, 0.0);
-        self.px.resize(n, 0.0);
-        self.py.resize(n, 0.0);
-        self.pz.resize(n, 0.0);
-        self.pin.resize(n, 0.0);
-        for (i, v) in verts.iter().enumerate() {
-            self.sx[i] = v.pos.x;
-            self.sy[i] = v.pos.y;
-            self.sz[i] = v.pos.z;
-            self.px[i] = v.prev.x;
-            self.py[i] = v.prev.y;
-            self.pz[i] = v.prev.z;
-            self.pin[i] = f32::from_bits(if v.pinned { u32::MAX } else { 0 });
+/// The relaxation schedule of one constraint set at one iteration count:
+/// every projection of a step, `iterations × constraints` of them, in
+/// conflict-free batches.
+///
+/// The batches colour the unrolled sequence — iteration 0's constraints in
+/// index order, then iteration 1's, and so on — greedily: a projection
+/// goes into the first batch after every earlier projection that shares a
+/// vertex with it (`level[v]` is the batch after the last one using `v`).
+/// So no vertex appears twice in a batch, two projections of one
+/// constraint (which share both vertices) are never batched together, and
+/// every projection reads exactly the positions sequential Gauss–Seidel
+/// in index order gives it: packed batches are bit-identical to the
+/// one-constraint-at-a-time loop. Colouring across iterations lets the
+/// next iteration start where the last one has moved on, so a step runs
+/// far fewer, wider batches than colouring each iteration alone (a 25×25
+/// cloth at 8 iterations: 192 batches, not 1 144).
+///
+/// An entry is a constraint index (4 bytes): a step reads the endpoints
+/// and rest length from the cloth's own constraints. Cloths of one
+/// topology and iteration count share one schedule (see
+/// [`Schedule::shared`]).
+#[derive(Debug)]
+struct Schedule {
+    /// The constraints of the cloth this was built for (shared with it):
+    /// their endpoints and the iteration count are the key cloths share
+    /// schedules by.
+    constraints: Arc<[LengthConstraint]>,
+    iterations: usize,
+    /// The projections, batch after batch, as constraint indices.
+    order: Vec<u32>,
+    /// Exclusive end of each batch in `order`.
+    ends: Vec<u32>,
+}
+
+impl Schedule {
+    fn build(constraints: Arc<[LengthConstraint]>, iterations: usize) -> Schedule {
+        let n_verts = constraints
+            .iter()
+            .map(|c| c.a.max(c.b) as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut level = vec![0u32; n_verts];
+        let mut batch_of = Vec::with_capacity(constraints.len() * iterations);
+        let mut sizes: Vec<u32> = Vec::new();
+        for _ in 0..iterations {
+            for &LengthConstraint { a, b, .. } in constraints.iter() {
+                let k = level[a as usize].max(level[b as usize]);
+                if k as usize == sizes.len() {
+                    sizes.push(0);
+                }
+                sizes[k as usize] += 1;
+                batch_of.push(k);
+                level[a as usize] = k + 1;
+                level[b as usize] = k + 1;
+            }
+        }
+        // Counting sort by batch, stable, so a batch lists its projections
+        // in sequence order.
+        let mut ends = Vec::with_capacity(sizes.len());
+        let mut total = 0;
+        for &n in &sizes {
+            total += n;
+            ends.push(total);
+        }
+        let mut cursor: Vec<u32> = ends.iter().zip(&sizes).map(|(&e, &n)| e - n).collect();
+        let mut order = vec![0; batch_of.len()];
+        for (i, &k) in batch_of.iter().enumerate() {
+            order[cursor[k as usize] as usize] = (i % constraints.len()) as u32;
+            cursor[k as usize] += 1;
+        }
+        Schedule {
+            constraints,
+            iterations,
+            order,
+            ends,
         }
     }
 
-    fn scatter(&self, verts: &mut [ClothVertex]) {
-        for (i, v) in verts.iter_mut().enumerate() {
-            v.pos = Vec3::new(self.sx[i], self.sy[i], self.sz[i]);
-            v.prev = Vec3::new(self.px[i], self.py[i], self.pz[i]);
+    /// The schedule for `constraints` at `iterations`, shared with every
+    /// live cloth of the same topology and iteration count (Mix's 30
+    /// uniforms hold one between them, the 3 drapes another).
+    fn shared(constraints: &Arc<[LengthConstraint]>, iterations: usize) -> Arc<Schedule> {
+        static LIVE: Mutex<Vec<Weak<Schedule>>> = Mutex::new(Vec::new());
+        // Every update (a retain, a push) leaves the list valid, so a
+        // panic elsewhere while it was held leaves nothing to repair.
+        let mut live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
+        live.retain(|w| w.strong_count() > 0);
+        let fits = |s: &Schedule| {
+            s.iterations == iterations
+                && s.constraints.len() == constraints.len()
+                && s.constraints
+                    .iter()
+                    .zip(constraints.iter())
+                    .all(|(s, c)| (s.a, s.b) == (c.a, c.b))
+        };
+        if let Some(s) = live.iter().filter_map(Weak::upgrade).find(|s| fits(s)) {
+            return s;
+        }
+        let s = Arc::new(Schedule::build(Arc::clone(constraints), iterations));
+        live.push(Arc::downgrade(&s));
+        s
+    }
+
+    /// The batches, in execution order.
+    fn batches(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.order[start as usize..end as usize])
+    }
+}
+
+/// The slack for coordinates up to the magnitude of `bb`'s corners.
+fn slack_of(bb: &Aabb) -> f32 {
+    ROUNDING_SLACK * (1.0 + bb.min.abs().max(bb.max.abs()).max_element())
+}
+
+/// All of space: a bound that never proves a miss.
+fn everywhere() -> Aabb {
+    Aabb::new(Vec3::splat(f32::NEG_INFINITY), Vec3::splat(f32::INFINITY))
+}
+
+/// Where one posed collider can act on a vertex this step: a finite point
+/// outside `touch` gets `None` from `project_out`, and a finite segment
+/// wholly beyond one face of `cast` gets `None` from `ray::cast_shape`.
+///
+/// * Sphere, capsule: the world AABB grown by the thickness (`touch`); a
+///   sphere's ray cast is a few flops and is never skipped, and a capsule's
+///   64-sample march misses a segment outside its AABB (`cast`).
+/// * Cuboid: grown by twice the thickness — a rotated box grown by `t`
+///   reaches up to `√3·t` past the box's AABB; the slab test misses a
+///   segment outside the AABB.
+/// * Heightfield at identity rotation with tame samples (finite, under
+///   1e30): only the half-space above its highest sample (plus the
+///   thickness for `touch`) — heights clamp to the border, so a point
+///   beside or below the field can still be pushed out. Rotated or untamed
+///   fields get no cloth-side bound (the ray march has its own).
+/// * Plane: none; trimesh: `project_out` never acts, and its ray cast is
+///   not bounded.
+///
+/// Every bound is grown by [`ROUNDING_SLACK`] of its magnitude.
+#[derive(Debug, Clone, Copy)]
+struct ColliderBounds {
+    touch: Aabb,
+    cast: Aabb,
+}
+
+impl ColliderBounds {
+    fn of(shape: &Shape, pose: &Transform, thickness: f32) -> ColliderBounds {
+        let grown = |by: f32| {
+            let bb = shape.aabb(pose);
+            bb.expanded(by + slack_of(&bb))
+        };
+        match shape {
+            Shape::Sphere { .. } => ColliderBounds {
+                touch: grown(thickness),
+                cast: everywhere(),
+            },
+            Shape::Capsule { .. } => ColliderBounds {
+                touch: grown(thickness),
+                cast: grown(0.0),
+            },
+            Shape::Cuboid { .. } => ColliderBounds {
+                touch: grown(2.0 * thickness),
+                cast: grown(0.0),
+            },
+            Shape::Heightfield(hf) if pose.rotation == Quat::IDENTITY && hf.is_tame() => {
+                let bb = shape.aabb(pose);
+                let top = bb.max.y + slack_of(&bb);
+                let (mut touch, mut cast) = (everywhere(), everywhere());
+                touch.max.y = top + thickness;
+                cast.max.y = top;
+                ColliderBounds { touch, cast }
+            }
+            Shape::TriMesh(_) => ColliderBounds {
+                touch: Aabb::EMPTY,
+                cast: everywhere(),
+            },
+            Shape::Heightfield(_) | Shape::Plane { .. } => ColliderBounds {
+                touch: everywhere(),
+                cast: everywhere(),
+            },
         }
     }
 }
 
-/// Deterministic greedy coloring: a constraint goes into the first batch
-/// not yet using either of its vertices. `level[v]` is the next batch with
-/// `v` still free, so batch = max(level[a], level[b]).
-fn color_batches(constraints: &[LengthConstraint], n_verts: usize) -> Vec<Vec<u32>> {
-    let mut level = vec![0u32; n_verts];
-    let mut batches: Vec<Vec<u32>> = Vec::new();
-    for (ci, c) in constraints.iter().enumerate() {
-        let b = level[c.a as usize].max(level[c.b as usize]);
-        if b as usize == batches.len() {
-            batches.push(Vec::new());
-        }
-        batches[b as usize].push(ci as u32);
-        level[c.a as usize] = b + 1;
-        level[c.b as usize] = b + 1;
-    }
-    batches
+/// Whether `p` is finite and outside `bb` (a NaN or infinite position is
+/// never culled: the exact routines give it answers of their own).
+#[inline]
+fn point_misses(bb: &Aabb, p: Vec3) -> bool {
+    let outside = p.x < bb.min.x
+        || p.x > bb.max.x
+        || p.y < bb.min.y
+        || p.y > bb.max.y
+        || p.z < bb.min.z
+        || p.z > bb.max.z;
+    outside && p.x.is_finite() && p.y.is_finite() && p.z.is_finite()
+}
+
+/// Whether the box `lo..hi` lies wholly beyond one face of `bb`.
+#[inline]
+fn box_misses(bb: &Aabb, lo: Vec3, hi: Vec3) -> bool {
+    hi.x < bb.min.x
+        || lo.x > bb.max.x
+        || hi.y < bb.min.y
+        || lo.y > bb.max.y
+        || hi.z < bb.min.z
+        || lo.z > bb.max.z
 }
 
 impl Cloth {
@@ -236,7 +424,7 @@ impl Cloth {
                 }
             }
         }
-        let constraints: Vec<LengthConstraint> = constraints
+        let constraints: Arc<[LengthConstraint]> = constraints
             .into_iter()
             .map(|(a, b)| LengthConstraint {
                 a,
@@ -245,18 +433,20 @@ impl Cloth {
             })
             .collect();
 
-        // The relaxation schedule depends only on topology (pins are
-        // handled by lane masks), so `pin` after construction never
-        // invalidates it.
-        let batches = color_batches(&constraints, verts.len());
+        // The relaxation schedule depends only on topology and iteration
+        // count (pins are handled by lane masks), so `pin` after
+        // construction never invalidates it.
+        let config = ClothConfig::default();
+        let schedule = Schedule::shared(&constraints, config.iterations);
 
         Cloth {
             verts,
             constraints,
             triangles,
-            config: ClothConfig::default(),
-            batches,
+            config,
+            schedule,
             scratch: ClothScratch::default(),
+            culls: CollisionCulls::default(),
             contact_bodies: Vec::new(),
             contact_static_geoms: Vec::new(),
         }
@@ -264,6 +454,9 @@ impl Cloth {
 
     /// Overrides the default configuration.
     pub fn with_config(mut self, config: ClothConfig) -> Self {
+        if config.iterations != self.schedule.iterations {
+            self.schedule = Schedule::shared(&self.constraints, config.iterations);
+        }
         self.config = config;
         self
     }
@@ -290,6 +483,12 @@ impl Cloth {
     #[inline]
     pub fn triangles(&self) -> &[[u32; 3]] {
         &self.triangles
+    }
+
+    /// The last step's collision culling counts.
+    #[inline]
+    pub fn last_culls(&self) -> CollisionCulls {
+        self.culls
     }
 
     /// Bodies currently on the contact list.
@@ -346,9 +545,9 @@ impl Cloth {
     /// Advances the cloth one step: Verlet integration, constraint
     /// relaxation, then collision projection against `colliders`.
     ///
-    /// Integration and relaxation run on gathered SoA lanes at the width
-    /// `mode` selects; every mode walks the same batch schedule, so the
-    /// resulting vertices are bit-identical across modes (see module docs).
+    /// Relaxation runs at the width `mode` selects; every mode walks the
+    /// same batch schedule, so the resulting vertices are bit-identical
+    /// across modes (see module docs).
     ///
     /// Every entry of `colliders` is a posed shape from the contact list.
     pub fn step(
@@ -363,59 +562,56 @@ impl Cloth {
             ..Default::default()
         };
 
-        // Gather AoS vertices into the scratch lanes, run Verlet +
-        // relaxation at the selected width, scatter back.
-        self.scratch.gather(&self.verts);
+        // Verlet, one vertex at a time (the same IEEE operations as at
+        // any width), into the rows relaxation works on.
+        let gdt2 = gravity * (dt * dt);
+        let damp = self.config.damping;
+        let rows = &mut self.scratch.rows;
+        rows.clear();
+        rows.extend(self.verts.iter_mut().map(|v| {
+            if v.pinned {
+                return [v.pos.x, v.pos.y, v.pos.z, PINNED];
+            }
+            let (p, q) = (v.pos, v.prev);
+            v.prev = p;
+            [
+                p.x + (p.x - q.x) * damp + gdt2.x,
+                p.y + (p.y - q.y) * damp + gdt2.y,
+                p.z + (p.z - q.z) * damp + gdt2.z,
+                0.0,
+            ]
+        }));
         let mode = mode.clamp_to_supported();
         #[cfg(target_arch = "x86_64")]
         match mode {
-            SimdMode::Scalar => solve_soa::<f32>(
-                &mut self.scratch,
-                &self.constraints,
-                &self.batches,
-                &self.config,
-                gravity,
-                dt,
-            ),
-            SimdMode::Sse2 => solve_soa::<F32x4>(
-                &mut self.scratch,
-                &self.constraints,
-                &self.batches,
-                &self.config,
-                gravity,
-                dt,
-            ),
+            SimdMode::Scalar => relax::<f32>(rows, &self.constraints, &self.schedule),
+            SimdMode::Sse2 => relax::<F32x4>(rows, &self.constraints, &self.schedule),
             // SAFETY: `clamp_to_supported` above verified AVX2 via
             // `is_x86_feature_detected!`, so executing AVX2 code is sound.
-            SimdMode::Avx2 => unsafe {
-                solve_soa_avx2(
-                    &mut self.scratch,
-                    &self.constraints,
-                    &self.batches,
-                    &self.config,
-                    gravity,
-                    dt,
-                )
-            },
+            SimdMode::Avx2 => unsafe { relax_avx2(rows, &self.constraints, &self.schedule) },
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
             let _ = mode;
-            solve_soa::<f32>(
-                &mut self.scratch,
-                &self.constraints,
-                &self.batches,
-                &self.config,
-                gravity,
-                dt,
-            );
+            relax::<f32>(rows, &self.constraints, &self.schedule);
         }
-        self.scratch.scatter(&mut self.verts);
+        for (v, r) in self.verts.iter_mut().zip(rows.iter()) {
+            v.pos = Vec3::new(r[0], r[1], r[2]);
+        }
         stats.projections = self.constraints.len() * self.config.iterations;
 
         // Collision: continuous (ray-cast, paper: cloth CD "is based on a
         // combination of ray casting and AABB hierarchies") plus discrete
         // vertex projection.
+        let thickness = self.config.thickness;
+        let bounds = &mut self.scratch.bounds;
+        bounds.clear();
+        bounds.extend(
+            colliders
+                .iter()
+                .map(|(shape, t)| ColliderBounds::of(shape, t, thickness)),
+        );
+        let mut culls = CollisionCulls::default();
         for v in &mut self.verts {
             if v.pinned {
                 continue;
@@ -423,22 +619,40 @@ impl Cloth {
             // CCD: a vertex that moved more than its thickness this step
             // may have tunnelled; clamp it at the first surface its path
             // crossed.
-            let travel = v.pos - v.prev;
-            if travel.length() > self.config.thickness * 2.0 {
-                let ray = crate::ray::Ray::between(v.prev, v.pos);
-                for (shape, t) in colliders {
+            let travel = (v.pos - v.prev).length();
+            if travel > thickness * 2.0 {
+                // Built at the first cast a bound does not skip.
+                let mut ray = None;
+                // A finite travel means finite endpoints; the segment's box
+                // is grown by the slack of its own magnitude.
+                let segment = (travel <= f32::MAX).then(|| {
+                    let (lo, hi) = (v.prev.min(v.pos), v.prev.max(v.pos));
+                    let s = ROUNDING_SLACK * lo.abs().max(hi.abs()).max_element();
+                    (lo - Vec3::splat(s), hi + Vec3::splat(s))
+                });
+                for ((shape, t), b) in colliders.iter().zip(bounds.iter()) {
                     stats.collision_tests += 1;
-                    if let Some(hit) = crate::ray::cast_shape(&ray, shape, t) {
-                        v.pos = hit.point + hit.normal * self.config.thickness;
+                    if segment.is_some_and(|(lo, hi)| box_misses(&b.cast, lo, hi)) {
+                        culls.ccd_culled += 1;
+                        continue;
+                    }
+                    culls.ccd_casts += 1;
+                    let ray = ray.get_or_insert_with(|| Ray::between(v.prev, v.pos));
+                    if let Some(hit) = ray::cast_shape(ray, shape, t) {
+                        v.pos = hit.point + hit.normal * thickness;
                         v.prev = v.prev.lerp(v.pos, 0.5);
                         stats.collisions_resolved += 1;
                         break;
                     }
                 }
             }
-            for (shape, t) in colliders {
+            for ((shape, t), b) in colliders.iter().zip(bounds.iter()) {
                 stats.collision_tests += 1;
-                if let Some(pushed) = project_out(v.pos, shape, t, self.config.thickness) {
+                if point_misses(&b.touch, v.pos) {
+                    culls.project_out_culled += 1;
+                    continue;
+                }
+                if let Some(pushed) = project_out(v.pos, shape, t, thickness) {
                     v.pos = pushed;
                     // Kill the velocity component into the surface by
                     // moving prev with the vertex (inelastic).
@@ -447,109 +661,53 @@ impl Cloth {
                 }
             }
         }
+        self.culls = culls;
         stats
     }
 }
 
 // --- width-generic kernels -----------------------------------------------
 
-/// Verlet sweep + batched constraint relaxation over the SoA scratch.
+/// Batched constraint relaxation over the vertex rows.
 ///
-/// `W`-wide chunks cover the bulk; the remainder (`len % LANES`) re-uses
-/// the one-lane `f32` instantiation of the *same* chunk kernels, so
-/// remainder elements take the identical data path and every width is
+/// `W`-wide chunks cover each batch; its remainder (`len % LANES`) re-uses
+/// the one-lane `f32` instantiation of the *same* chunk kernel, so every
+/// projection takes the identical data path and every width is
 /// bit-identical.
 #[inline(always)]
-fn solve_soa<W: WideF32>(
-    s: &mut ClothScratch,
-    constraints: &[LengthConstraint],
-    batches: &[Vec<u32>],
-    config: &ClothConfig,
-    gravity: Vec3,
-    dt: f32,
-) {
-    let n = s.sx.len();
-    let main = n - n % W::LANES;
-    let mut i = 0;
-    while i < main {
-        verlet_chunk::<W>(s, i, config.damping, gravity, dt);
-        i += W::LANES;
-    }
-    while i < n {
-        verlet_chunk::<f32>(s, i, config.damping, gravity, dt);
-        i += 1;
-    }
-
-    for _ in 0..config.iterations {
-        for batch in batches {
-            let m = batch.len();
-            let bulk = m - m % W::LANES;
-            let mut j = 0;
-            while j < bulk {
-                relax_chunk::<W>(s, constraints, &batch[j..j + W::LANES]);
-                j += W::LANES;
-            }
-            while j < m {
-                relax_chunk::<f32>(s, constraints, &batch[j..j + 1]);
-                j += 1;
-            }
+fn relax<W: WideF32>(rows: &mut [[f32; 4]], constraints: &[LengthConstraint], schedule: &Schedule) {
+    for batch in schedule.batches() {
+        let m = batch.len();
+        let bulk = m - m % W::LANES;
+        let mut j = 0;
+        while j < bulk {
+            relax_chunk::<W>(rows, constraints, &batch[j..j + W::LANES]);
+            j += W::LANES;
+        }
+        while j < m {
+            relax_chunk::<f32>(rows, constraints, &batch[j..j + 1]);
+            j += 1;
         }
     }
 }
 
 /// `#[target_feature(enable = "avx2")]` recompiles the inlined generic
-/// solve as AVX2 code; `unsafe` because calling it on a CPU without AVX2
-/// would be undefined behaviour. The call site sits behind
+/// relaxation as AVX2 code; `unsafe` because calling it on a CPU without
+/// AVX2 would be undefined behaviour. The call site sits behind
 /// [`SimdMode::clamp_to_supported`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn solve_soa_avx2(
-    s: &mut ClothScratch,
-    constraints: &[LengthConstraint],
-    batches: &[Vec<u32>],
-    config: &ClothConfig,
-    gravity: Vec3,
-    dt: f32,
-) {
-    solve_soa::<F32x8>(s, constraints, batches, config, gravity, dt);
+unsafe fn relax_avx2(rows: &mut [[f32; 4]], constraints: &[LengthConstraint], schedule: &Schedule) {
+    relax::<F32x8>(rows, constraints, schedule);
 }
 
-/// Verlet-integrates `LANES` vertices starting at `i`. Pinned lanes keep
-/// both `pos` and `prev` via the mask blend — no branches, identical at
-/// every width.
-#[inline(always)]
-fn verlet_chunk<W: WideF32>(s: &mut ClothScratch, i: usize, damping: f32, gravity: Vec3, dt: f32) {
-    let pin = W::load(&s.pin, i);
-    let damp = W::splat(damping);
-    let gdt2 = gravity * (dt * dt);
-
-    // Scalar reference per axis: vel = (pos - prev) * damping;
-    //                            next = (pos + vel) + gravity_axis * dt².
-    let pos = W::load(&s.sx, i);
-    let prev = W::load(&s.px, i);
-    let next = pos + (pos - prev) * damp + W::splat(gdt2.x);
-    W::select(pin, prev, pos).store(&mut s.px, i);
-    W::select(pin, pos, next).store(&mut s.sx, i);
-
-    let pos = W::load(&s.sy, i);
-    let prev = W::load(&s.py, i);
-    let next = pos + (pos - prev) * damp + W::splat(gdt2.y);
-    W::select(pin, prev, pos).store(&mut s.py, i);
-    W::select(pin, pos, next).store(&mut s.sy, i);
-
-    let pos = W::load(&s.sz, i);
-    let prev = W::load(&s.pz, i);
-    let next = pos + (pos - prev) * damp + W::splat(gdt2.z);
-    W::select(pin, prev, pos).store(&mut s.pz, i);
-    W::select(pin, pos, next).store(&mut s.sz, i);
-}
-
-/// Projects `idx.len() == LANES` constraints from one conflict-free batch.
+/// Runs the first `LANES` projections of `batch`, from one conflict-free
+/// batch.
 ///
-/// Endpoints are gathered into small stack buffers (the indices are not
-/// contiguous), projected in packed lanes, and scattered back. Because no
-/// two constraints in a batch share a vertex, the packed
-/// read-all/compute/write-all is equal to processing them one at a time.
+/// Each lane's two vertex rows are loaded whole and transposed into
+/// coordinate lanes, projected in packed lanes, and transposed back.
+/// Because no two projections in a batch share a vertex, the packed
+/// read-all/compute/write-all is equal to running them one at a time.
 ///
 /// Scalar reference per lane (matching the pre-SoA loop):
 /// `delta = b - a; len = |delta|; if len > 1e-12:
@@ -560,36 +718,14 @@ fn verlet_chunk<W: WideF32>(s: &mut ClothScratch, i: usize, damping: f32, gravit
 /// both scalar branches bit-for-bit; lanes with `len <= 1e-12` may divide
 /// by ~0 but their results are discarded by the bitwise `select`.
 #[inline(always)]
-fn relax_chunk<W: WideF32>(s: &mut ClothScratch, constraints: &[LengthConstraint], idx: &[u32]) {
-    debug_assert_eq!(idx.len(), W::LANES);
-    debug_assert!(W::LANES <= 8);
-
-    let mut ax = [0.0f32; 8];
-    let mut ay = [0.0f32; 8];
-    let mut az = [0.0f32; 8];
-    let mut bx = [0.0f32; 8];
-    let mut by = [0.0f32; 8];
-    let mut bz = [0.0f32; 8];
-    let mut pa = [0.0f32; 8];
-    let mut pb = [0.0f32; 8];
-    let mut rest = [0.0f32; 8];
-    for (j, &ci) in idx.iter().enumerate() {
-        let c = &constraints[ci as usize];
-        let (ia, ib) = (c.a as usize, c.b as usize);
-        ax[j] = s.sx[ia];
-        ay[j] = s.sy[ia];
-        az[j] = s.sz[ia];
-        bx[j] = s.sx[ib];
-        by[j] = s.sy[ib];
-        bz[j] = s.sz[ib];
-        pa[j] = s.pin[ia];
-        pb[j] = s.pin[ib];
-        rest[j] = c.rest;
-    }
-
-    let (ax_v, ay_v, az_v) = (W::load(&ax, 0), W::load(&ay, 0), W::load(&az, 0));
-    let (bx_v, by_v, bz_v) = (W::load(&bx, 0), W::load(&by, 0), W::load(&bz, 0));
-    let (pa_v, pb_v) = (W::load(&pa, 0), W::load(&pb, 0));
+fn relax_chunk<W: WideF32>(rows: &mut [[f32; 4]], constraints: &[LengthConstraint], batch: &[u32]) {
+    let batch = &batch[..W::LANES];
+    let con = |j: usize| &constraints[batch[j] as usize];
+    let a = |j: usize| con(j).a as usize;
+    let b = |j: usize| con(j).b as usize;
+    let [ax_v, ay_v, az_v, pa_v] = W::load_rows(rows, a);
+    let [bx_v, by_v, bz_v, pb_v] = W::load_rows(rows, b);
+    let rest = W::from_fn(|j| con(j).rest);
 
     let dx = bx_v - ax_v;
     let dy = by_v - ay_v;
@@ -597,7 +733,7 @@ fn relax_chunk<W: WideF32>(s: &mut ClothScratch, constraints: &[LengthConstraint
     // Same association as Vec3::dot / length: (x² + y²) + z².
     let len = (dx * dx + dy * dy + dz * dz).sqrt();
     let ok = len.gt(W::splat(1e-12));
-    let e = (len - W::load(&rest, 0)) * W::splat(0.5);
+    let e = (len - rest) * W::splat(0.5);
     let cx = (dx / len) * e;
     let cy = (dy / len) * e;
     let cz = (dz / len) * e;
@@ -613,22 +749,8 @@ fn relax_chunk<W: WideF32>(s: &mut ClothScratch, constraints: &[LengthConstraint
     let nby = W::select(ok, W::select(pb_v, by_v, by_v - cy * sb), by_v);
     let nbz = W::select(ok, W::select(pb_v, bz_v, bz_v - cz * sb), bz_v);
 
-    nax.store(&mut ax, 0);
-    nay.store(&mut ay, 0);
-    naz.store(&mut az, 0);
-    nbx.store(&mut bx, 0);
-    nby.store(&mut by, 0);
-    nbz.store(&mut bz, 0);
-    for (j, &ci) in idx.iter().enumerate() {
-        let c = &constraints[ci as usize];
-        let (ia, ib) = (c.a as usize, c.b as usize);
-        s.sx[ia] = ax[j];
-        s.sy[ia] = ay[j];
-        s.sz[ia] = az[j];
-        s.sx[ib] = bx[j];
-        s.sy[ib] = by[j];
-        s.sz[ib] = bz[j];
-    }
+    W::store_rows([nax, nay, naz, pa_v], rows, a);
+    W::store_rows([nbx, nby, nbz, pb_v], rows, b);
 }
 
 /// Projects a point out of a shape if inside (plus `thickness`), returning
@@ -837,24 +959,136 @@ mod tests {
         }
     }
 
+    /// The unrolled schedule against sequential Gauss–Seidel: within a
+    /// batch no vertex appears twice, every constraint appears once per
+    /// iteration, and each projection runs in a later batch than every
+    /// earlier projection (in iteration-then-index order) it shares a
+    /// vertex with.
     #[test]
     fn relaxation_batches_are_conflict_free() {
-        let c = Cloth::rectangle(Vec3::ZERO, 1.0, 1.0, 9, 5, &[]);
-        let mut total = 0;
-        for batch in &c.batches {
-            let mut used = std::collections::HashSet::new();
-            for &ci in batch {
-                let con = &c.constraints[ci as usize];
-                assert!(used.insert(con.a), "vertex {} reused in batch", con.a);
-                assert!(used.insert(con.b), "vertex {} reused in batch", con.b);
+        for (nx, nz, iterations) in [(9, 5, 8), (5, 5, 8), (25, 25, 8), (2, 2, 3), (4, 7, 12)] {
+            let c = Cloth::rectangle(Vec3::ZERO, 1.0, 1.0, nx, nz, &[]).with_config(ClothConfig {
+                iterations,
+                ..ClothConfig::default()
+            });
+            // batch_of[ci][k]: the batch running iteration k of constraint
+            // ci (its k-th appearance in batch order).
+            let mut batch_of = vec![Vec::new(); c.constraints.len()];
+            for (bi, batch) in c.schedule.batches().enumerate() {
+                let mut used = std::collections::HashSet::new();
+                for &ci in batch {
+                    let ci = ci as usize;
+                    let con = &c.constraints[ci];
+                    assert!(used.insert(con.a), "vertex {} reused in batch {bi}", con.a);
+                    assert!(used.insert(con.b), "vertex {} reused in batch {bi}", con.b);
+                    batch_of[ci].push(bi);
+                }
             }
-            total += batch.len();
+            let mut last = vec![None::<usize>; c.verts.len()];
+            for k in 0..iterations {
+                for (ci, con) in c.constraints.iter().enumerate() {
+                    assert_eq!(batch_of[ci].len(), iterations, "constraint {ci} count");
+                    let b = batch_of[ci][k];
+                    for v in [con.a as usize, con.b as usize] {
+                        if let Some(prev) = last[v] {
+                            assert!(
+                                b > prev,
+                                "{nx}x{nz}: iteration {k} of {ci} not after vertex {v}'s last use"
+                            );
+                        }
+                        last[v] = Some(b);
+                    }
+                }
+            }
         }
-        assert_eq!(
-            total,
-            c.constraints.len(),
-            "schedule must cover every constraint"
+    }
+
+    /// A cloth that shares another's schedule relaxes to its own rest
+    /// lengths: every mode against sequential Gauss–Seidel in index order
+    /// over its own constraints.
+    #[test]
+    fn a_shared_schedule_relaxes_each_cloth_to_its_own_rest_lengths() {
+        let owner = Cloth::rectangle(Vec3::ZERO, 1.0, 1.0, 6, 6, &[0]);
+        let fresh = || Cloth::rectangle(Vec3::new(3.0, 0.5, 0.0), 2.0, 0.7, 6, 6, &[0, 5]);
+        assert!(Arc::ptr_eq(&owner.schedule, &fresh().schedule));
+        let (gravity, dt) = (Vec3::new(0.0, -10.0, 0.0), 0.01);
+        let mut reference = fresh();
+        let mut expected = Vec::new();
+        for _ in 0..20 {
+            let c = &mut reference;
+            let gdt2 = gravity * (dt * dt);
+            for v in c.verts.iter_mut().filter(|v| !v.pinned) {
+                let (p, q) = (v.pos, v.prev);
+                v.prev = p;
+                v.pos = Vec3::new(
+                    p.x + (p.x - q.x) * c.config.damping + gdt2.x,
+                    p.y + (p.y - q.y) * c.config.damping + gdt2.y,
+                    p.z + (p.z - q.z) * c.config.damping + gdt2.z,
+                );
+            }
+            for _ in 0..c.config.iterations {
+                for con in c.constraints.iter() {
+                    let (a, b) = (con.a as usize, con.b as usize);
+                    let (pa, pb) = (c.verts[a].pinned, c.verts[b].pinned);
+                    let d = c.verts[b].pos - c.verts[a].pos;
+                    let len = ((d.x * d.x + d.y * d.y) + d.z * d.z).sqrt();
+                    if len <= 1e-12 {
+                        continue;
+                    }
+                    let e = (len - con.rest) * 0.5;
+                    let corr = Vec3::new((d.x / len) * e, (d.y / len) * e, (d.z / len) * e);
+                    let (sa, sb) = (if pb { 2.0 } else { 1.0 }, if pa { 2.0 } else { 1.0 });
+                    if !pa {
+                        let p = &mut c.verts[a].pos;
+                        *p = Vec3::new(p.x + corr.x * sa, p.y + corr.y * sa, p.z + corr.z * sa);
+                    }
+                    if !pb {
+                        let p = &mut c.verts[b].pos;
+                        *p = Vec3::new(p.x - corr.x * sb, p.y - corr.y * sb, p.z - corr.z * sb);
+                    }
+                }
+            }
+            expected.push(bits(c));
+        }
+        for mode in [SimdMode::Scalar, SimdMode::Sse2, SimdMode::Avx2] {
+            let mut c = fresh();
+            for (i, want) in expected.iter().enumerate() {
+                c.step(gravity, dt, &[], mode);
+                assert_eq!(&bits(&c), want, "{} step {i}", mode.name());
+            }
+        }
+
+        fn bits(c: &Cloth) -> Vec<u32> {
+            c.verts
+                .iter()
+                .flat_map(|v| [v.pos.x, v.pos.y, v.pos.z, v.prev.x, v.prev.y, v.prev.z])
+                .map(f32::to_bits)
+                .collect()
+        }
+    }
+
+    #[test]
+    fn schedule_is_shared_and_rekeyed_by_iterations() {
+        let a = Cloth::rectangle(Vec3::ZERO, 1.0, 1.0, 6, 6, &[0]);
+        let b = Cloth::rectangle(Vec3::new(3.0, 0.0, 0.0), 2.0, 1.0, 6, 6, &[]);
+        assert!(
+            Arc::ptr_eq(&a.schedule, &b.schedule),
+            "one topology, one schedule"
         );
+        let c = b.with_config(ClothConfig {
+            iterations: 3,
+            ..ClothConfig::default()
+        });
+        assert_eq!(c.schedule.iterations, 3);
+        assert_eq!(c.schedule.order.len(), c.constraints.len() * 3);
+        assert!(!Arc::ptr_eq(&a.schedule, &c.schedule));
+        let d = Cloth::rectangle(Vec3::ZERO, 1.0, 1.0, 6, 7, &[]);
+        assert!(!Arc::ptr_eq(&a.schedule, &d.schedule), "another topology");
+        // The Mix and Deformable shapes at the default 8 iterations.
+        let drape = Cloth::rectangle(Vec3::ZERO, 3.0, 3.0, 25, 25, &[]);
+        let uniform = Cloth::rectangle(Vec3::ZERO, 0.4, 0.4, 5, 5, &[0, 4]);
+        assert_eq!(drape.schedule.ends.len(), 192);
+        assert_eq!(uniform.schedule.ends.len(), 72);
     }
 
     #[test]

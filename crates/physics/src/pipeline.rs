@@ -30,7 +30,7 @@ use crate::parallel::Executor;
 use crate::probe::{ClothWork, IslandWork, PairWork, PhaseKind, StepEvents, StepProfile};
 use crate::shape::{GeomClass, GeomId, Shape};
 use crate::solver::{self, RowParams, RowSet, VelState, STATIC_BODY};
-use crate::world::{BroadphaseKind, World};
+use crate::world::{BroadphaseKind, ContactListScratch, World};
 
 /// Serial phase 1: refresh world AABBs and produce candidate pairs.
 pub struct BroadphaseStage {
@@ -95,6 +95,8 @@ pub struct IslandProcessingStage {
 pub struct ClothStage {
     collider_sets: Vec<Vec<(Shape, Transform)>>,
     results: Vec<ClothWork>,
+    /// Buffers of the contact-list build the narrow phase runs.
+    lists: ContactListScratch,
 }
 
 enum BroadphaseImpl {
@@ -624,6 +626,7 @@ impl ClothStage {
         ClothStage {
             collider_sets: Vec::new(),
             results: Vec::new(),
+            lists: ContactListScratch::default(),
         }
     }
 
@@ -717,6 +720,13 @@ struct PipelineTelemetry {
     broadphase_reinserts: telemetry::Counter,
     /// Fat-overlapping pairs the persistent grid holds (end of step).
     broadphase_fat_pairs: telemetry::Gauge,
+    /// The cloth collision pass, accumulated per step: vertex-collider
+    /// tests, ray casts run, ray casts skipped and projections skipped by
+    /// a bound that proved a miss (skipped tests are counted as tests).
+    cloth_tests: telemetry::Counter,
+    cloth_ccd_casts: telemetry::Counter,
+    cloth_ccd_culled: telemetry::Counter,
+    cloth_project_out_culled: telemetry::Counter,
     /// Active kernel layout/ISA: 0 = scalar, 1 = SSE2, 2 = AVX2.
     simd_mode: telemetry::Gauge,
     /// Per-phase state digests (`physics.digest.<phase>`), published only
@@ -749,6 +759,10 @@ impl PipelineTelemetry {
             islands_rebuilt: telemetry::counter("physics.islands_rebuilt"),
             broadphase_reinserts: telemetry::counter("physics.broadphase.reinserts"),
             broadphase_fat_pairs: telemetry::gauge("physics.broadphase.fat_pairs"),
+            cloth_tests: telemetry::counter("physics.cloth.collision_tests"),
+            cloth_ccd_casts: telemetry::counter("physics.cloth.ccd_casts"),
+            cloth_ccd_culled: telemetry::counter("physics.cloth.ccd_culled"),
+            cloth_project_out_culled: telemetry::counter("physics.cloth.project_out_culled"),
             simd_mode: telemetry::gauge("physics.simd_mode"),
             digest_gauges: PhaseKind::ALL
                 .map(|p| telemetry::gauge(&format!("physics.digest.{}", p.name()))),
@@ -1090,11 +1104,12 @@ impl StepPipeline {
         // hooks.
         let narrowphase = &mut self.narrowphase;
         let candidates = &self.broadphase.candidates;
+        let lists = &mut self.cloth.lists;
         let executor = &self.executor;
         let (events, wall) = timed(spans[1], || {
             narrowphase.run(world, executor, candidates, &mut profile.pairs);
             let events = world.process_contact_events(&narrowphase.manifolds);
-            world.update_cloth_contact_lists();
+            world.update_cloth_contact_lists(lists);
             phase_digests[1] = end_phase(world, 1, digests_on, |w| {
                 digest::narrowphase_digest(w, &narrowphase.manifolds)
             });
@@ -1227,6 +1242,7 @@ impl StepPipeline {
         });
         profile.cloths = cloths;
         profile.wall[4] = wall;
+        self.publish_cloth_culls(world, &profile.cloths);
 
         if digests_on {
             profile.digests = Some(phase_digests);
@@ -1367,6 +1383,23 @@ impl StepPipeline {
             self.telemetry
                 .broadphase_fat_pairs
                 .set(profile.broadphase.fat_pairs as u64);
+        }
+    }
+
+    /// Publishes the cloth collision pass's test and cull counts, once per
+    /// cloth (a world with cloths never coasts).
+    fn publish_cloth_culls(&self, world: &World, cloths: &[ClothWork]) {
+        if !telemetry::enabled() {
+            return;
+        }
+        let t = &self.telemetry;
+        for (work, cloth) in cloths.iter().zip(&world.cloths) {
+            let culls = cloth.last_culls();
+            t.cloth_tests.add(work.stats.collision_tests as u64);
+            t.cloth_ccd_casts.add(culls.ccd_casts as u64);
+            t.cloth_ccd_culled.add(culls.ccd_culled as u64);
+            t.cloth_project_out_culled
+                .add(culls.project_out_culled as u64);
         }
     }
 

@@ -7,7 +7,7 @@
 
 use parallax_math::{Transform, Vec3};
 
-use crate::shape::{GeomId, Shape};
+use crate::shape::{GeomId, Heightfield, Shape};
 use crate::world::World;
 
 /// A ray: origin + unit direction, limited to `max_t`.
@@ -72,6 +72,9 @@ pub fn cast_shape(ray: &Ray, shape: &Shape, pose: &Transform) -> Option<RayHit> 
             // March the ray in local space, sampling the field.
             let local_o = pose.apply_inverse(ray.origin);
             let local_d = pose.rotation.rotate_inverse(ray.dir);
+            if stays_above(hf, local_o, local_d, ray.max_t) {
+                return None;
+            }
             let steps = 128;
             let dt = ray.max_t / steps as f32;
             let mut prev_above = local_o.y >= hf.height_at(local_o.x, local_o.z);
@@ -205,6 +208,31 @@ fn ray_box(ray: &Ray, pose: &Transform, half: Vec3) -> Option<RayHit> {
     })
 }
 
+/// Relative float-rounding slack of the bounds that skip exact collision
+/// work (the ray marches' early outs here, the cloth's collider bounds):
+/// `1e-5` — about 168 ULPs at 1.0 — of the largest coordinate magnitude a
+/// bound involves, far above the few ULPs the exact routines and the
+/// bounds themselves round by.
+pub(crate) const ROUNDING_SLACK: f32 = 1e-5;
+
+/// Whether a heightfield march provably finds no crossing: the segment,
+/// in field-local space, starts and ends above the field's highest sample
+/// by the slack, so every sample is above a surface that bilinear
+/// interpolation keeps at or below that height. Only finite segments over
+/// tame fields qualify (a NaN coordinate makes the march's `above` tests
+/// flip on their own, and a NaN sample bounds nothing).
+fn stays_above(hf: &Heightfield, o: Vec3, d: Vec3, max_t: f32) -> bool {
+    let end = o + d * max_t;
+    let finite = (o.x + o.y + o.z + d.x + d.y + d.z + max_t).is_finite();
+    if !finite || !hf.is_tame() {
+        return false;
+    }
+    let field = hf.local_aabb();
+    let mag = o.abs().max_element() + max_t + field.min.y.abs().max(field.max.y.abs());
+    let top = field.max.y + ROUNDING_SLACK * (1.0 + mag);
+    o.y > top && end.y > top
+}
+
 fn ray_capsule(ray: &Ray, a: Vec3, b: Vec3, radius: f32) -> Option<RayHit> {
     // Sample-based: march and refine against distance-to-segment; robust
     // and adequate for gameplay queries.
@@ -214,16 +242,28 @@ fn ray_capsule(ray: &Ray, a: Vec3, b: Vec3, radius: f32) -> Option<RayHit> {
         let c = crate::narrowphase::closest_point_on_segment(a, b, p);
         (p - c).length() - radius
     };
-    let mut prev = dist(ray.origin);
-    if prev <= 0.0 {
+    let d0 = dist(ray.origin);
+    if d0 <= 0.0 {
         return Some(RayHit {
             t: 0.0,
             point: ray.origin,
             normal: -ray.dir,
         });
     }
+    // The distance is 1-Lipschitz along a unit-direction ray: a sample less
+    // than `d - slack` past one at distance `d` is outside too, so it is
+    // skipped without changing which sample first reaches the surface.
+    // NaN distances, an infinite slack or a direction that is not unit
+    // length skip nothing.
+    let mag = ray.origin.abs().max(a.abs()).max(b.abs()).max_element() + radius + ray.max_t;
+    let slack = ROUNDING_SLACK * (1.0 + mag);
+    let unit = (ray.dir.length() - 1.0).abs() <= 1e-6;
+    let mut clear_until = if unit { d0 - slack } else { f32::NEG_INFINITY };
     for i in 1..=steps {
         let t = dt * i as f32;
+        if t < clear_until {
+            continue;
+        }
         let d = dist(ray.at(t));
         if d <= 0.0 {
             // Bisect for the surface crossing.
@@ -244,9 +284,10 @@ fn ray_capsule(ray: &Ray, a: Vec3, b: Vec3, radius: f32) -> Option<RayHit> {
                 normal: (point - c).normalized(),
             });
         }
-        prev = d;
+        if unit {
+            clear_until = t + d - slack;
+        }
     }
-    let _ = prev;
     None
 }
 

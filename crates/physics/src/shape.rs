@@ -33,6 +33,10 @@ pub struct Heightfield {
     heights: Vec<f32>,
     min_height: f32,
     max_height: f32,
+    /// Every sample is finite and under 1e30 in magnitude, so bilinear
+    /// interpolation neither overflows nor makes a NaN: only then do the
+    /// height bounds that skip collision work hold.
+    tame: bool,
 }
 
 impl Heightfield {
@@ -49,6 +53,7 @@ impl Heightfield {
             lo = lo.min(h);
             hi = hi.max(h);
         }
+        let tame = heights.iter().all(|h| h.abs() <= 1e30);
         Heightfield {
             nx,
             nz,
@@ -56,6 +61,7 @@ impl Heightfield {
             heights,
             min_height: lo,
             max_height: hi,
+            tame,
         }
     }
 
@@ -100,6 +106,12 @@ impl Heightfield {
         let a = h00 + (h10 - h00) * tx;
         let b = h01 + (h11 - h01) * tx;
         a + (b - a) * tz
+    }
+
+    /// Whether every sample is finite and under 1e30 in magnitude, which
+    /// the height bounds that skip collision work rely on.
+    pub(crate) fn is_tame(&self) -> bool {
+        self.tame
     }
 
     /// Outward surface normal at local `(x, z)` via central differences.

@@ -241,6 +241,15 @@ pub struct World {
     /// `geom_xf[i]` is meaningful only while `geoms[i]` is enabled.
     pub(crate) geom_class: Vec<GeomClass>,
     pub(crate) geom_xf: Vec<Transform>,
+    /// The geoms a cloth could list, as of the last
+    /// [`World::refresh_aabbs_into`] (which writes it when the world has
+    /// cloths): every enabled geom whose body is neither disabled nor a
+    /// blast volume, ascending, with the AABB that refresh cached.
+    pub(crate) cloth_geoms: Vec<(u32, Aabb)>,
+    /// Geoms [`World::set_body_enabled`] switched on, or whose body it
+    /// switched on, since the last refresh (cleared there): listable
+    /// geoms `cloth_geoms` may not hold.
+    pub(crate) geoms_enabled_since_refresh: Vec<u32>,
     pub(crate) cloths: Vec<Cloth>,
     pub(crate) prefractured: Vec<Prefractured>,
     pub(crate) explosive_cfg: Vec<(u32, ExplosionConfig)>,
@@ -285,6 +294,8 @@ impl World {
             exclusions: Exclusions::default(),
             geom_class: Vec::new(),
             geom_xf: Vec::new(),
+            cloth_geoms: Vec::new(),
+            geoms_enabled_since_refresh: Vec::new(),
             cloths: Vec::new(),
             prefractured: Vec::new(),
             explosive_cfg: Vec::new(),
@@ -564,13 +575,18 @@ impl World {
             self.wake_island_of(id.index(), None);
         }
         let flags = self.bodies.flags_mut(id.index());
+        let was_disabled = flags.contains(BodyFlags::DISABLED);
         if enabled {
             flags.remove(BodyFlags::DISABLED);
         } else {
             flags.insert(BodyFlags::DISABLED);
         }
         for g in &self.body_geoms[id.index()] {
-            self.geoms[g.index()].enabled = enabled;
+            let geom = &mut self.geoms[g.index()];
+            if enabled && (was_disabled || !geom.enabled) {
+                self.geoms_enabled_since_refresh.push(g.0);
+            }
+            geom.enabled = enabled;
         }
     }
 
@@ -930,6 +946,9 @@ impl World {
     /// narrow phase reads (see the `geom_class` field).
     pub(crate) fn refresh_aabbs_into(&mut self, out: &mut Vec<(GeomId, Aabb)>) {
         out.clear();
+        self.geoms_enabled_since_refresh.clear();
+        self.cloth_geoms.clear();
+        let mut cloth_geoms = (!self.cloths.is_empty()).then_some(&mut self.cloth_geoms);
         let bodies = &self.bodies;
         let exclusions = &self.exclusions;
         self.geom_class.clear();
@@ -974,6 +993,14 @@ impl World {
                 g.aabb = g.shape.aabb(&world_t);
             }
             out.push((GeomId(i as u32), g.aabb));
+            if let Some(listable) = &mut cloth_geoms {
+                let blast = g
+                    .body
+                    .is_some_and(|b| bodies.flags(b.index()).contains(BodyFlags::BLAST_VOLUME));
+                if class.bits & GeomClass::BODY_DISABLED == 0 && !blast {
+                    listable.push((i as u32, g.aabb));
+                }
+            }
         }
     }
 
@@ -1109,32 +1136,80 @@ impl World {
         }
     }
 
-    pub(crate) fn update_cloth_contact_lists(&mut self) {
-        for cloth in &mut self.cloths {
+    /// Rebuilds every cloth's contact lists: the bodies (in the order of
+    /// their first listed geom) and world-static geoms (ascending) whose
+    /// geom is enabled and whose AABB, as cached by this step's refresh,
+    /// overlaps the cloth's box grown by 0.2 m — skipping disabled bodies
+    /// and blast volumes.
+    ///
+    /// Runs after `process_contact_events`, so the enabled bits and body
+    /// flags are read as they are now (a shattered parent is gone, its
+    /// debris are in) while the AABBs are the refresh's. The candidates
+    /// are the refresh's `cloth_geoms` — which leaves out the dormant
+    /// debris that make up most of Mix's geoms — plus the two kinds it
+    /// cannot hold: geoms added since (blast bodies) and geoms switched on
+    /// since (`geoms_enabled_since_refresh`), tested from `geoms`
+    /// directly.
+    pub(crate) fn update_cloth_contact_lists(&mut self, scratch: &mut ContactListScratch) {
+        if self.cloths.is_empty() {
+            return;
+        }
+        scratch.boxes.clear();
+        scratch
+            .boxes
+            .extend(self.cloths.iter().map(|c| c.aabb(0.2)));
+        scratch.bin_geoms(&self.cloth_geoms);
+
+        // Candidates the table does not hold, in ascending order.
+        let late = &mut scratch.late;
+        late.clear();
+        late.extend(self.geom_class.len() as u32..self.geoms.len() as u32);
+        late.extend_from_slice(&self.geoms_enabled_since_refresh);
+        late.sort_unstable();
+        late.dedup();
+
+        scratch.stamp.resize(self.bodies.len(), 0);
+        for (ci, cloth) in self.cloths.iter_mut().enumerate() {
+            let bb = scratch.boxes[ci];
+            let hits = &mut scratch.hits[ci];
+            let before = hits.len();
+            for &gi in late.iter() {
+                let g = &self.geoms[gi as usize];
+                if g.enabled && bb.overlaps(&g.aabb) {
+                    hits.push(gi);
+                }
+            }
+            if hits.len() > before {
+                hits.sort_unstable();
+                hits.dedup();
+            }
+            scratch.epoch = scratch.epoch.wrapping_add(1);
+            if scratch.epoch == 0 {
+                scratch.stamp.fill(0);
+                scratch.epoch = 1;
+            }
             cloth.contact_bodies.clear();
             cloth.contact_static_geoms.clear();
-            let bb = cloth.aabb(0.2);
-            for (gi, g) in self.geoms.iter().enumerate() {
-                if !g.enabled || !bb.overlaps(&g.aabb) {
+            for &gi in hits.iter() {
+                let g = &self.geoms[gi as usize];
+                if !g.enabled {
                     continue;
                 }
                 match g.body {
                     Some(b) => {
-                        if self.bodies.is_disabled(b.index())
-                            || self
-                                .bodies
-                                .flags(b.index())
-                                .contains(BodyFlags::BLAST_VOLUME)
+                        let bi = b.index();
+                        if self.bodies.is_disabled(bi)
+                            || self.bodies.flags(bi).contains(BodyFlags::BLAST_VOLUME)
+                            || scratch.stamp[bi] == scratch.epoch
                         {
                             continue;
                         }
-                        if !cloth.contact_bodies.contains(&b.0) {
-                            cloth.contact_bodies.push(b.0);
-                        }
+                        scratch.stamp[bi] = scratch.epoch;
+                        cloth.contact_bodies.push(b.0);
                     }
                     // World-static geoms (ground plane, terrain) collide
                     // with cloth too.
-                    None => cloth.contact_static_geoms.push(gi as u32),
+                    None => cloth.contact_static_geoms.push(gi),
                 }
             }
         }
@@ -1248,6 +1323,39 @@ impl World {
             }
         });
         expired
+    }
+}
+
+/// Reusable buffers of [`World::update_cloth_contact_lists`], owned by
+/// the step pipeline.
+#[derive(Debug, Default)]
+pub(crate) struct ContactListScratch {
+    /// Each cloth's box, grown by the contact margin.
+    boxes: Vec<Aabb>,
+    /// Per cloth: the geoms whose AABB overlaps its box, ascending.
+    hits: Vec<Vec<u32>>,
+    /// Geoms outside the refresh's table, ascending.
+    late: Vec<u32>,
+    /// Per body: the `epoch` it was last listed at (deduplication).
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl ContactListScratch {
+    /// Fills `hits`: for every `(geom, AABB)` of `table`, in table order,
+    /// every cloth box it overlaps.
+    fn bin_geoms(&mut self, table: &[(u32, Aabb)]) {
+        self.hits.resize_with(self.boxes.len(), Vec::new);
+        for h in &mut self.hits {
+            h.clear();
+        }
+        for &(gid, bb) in table {
+            for (ci, b) in self.boxes.iter().enumerate() {
+                if b.overlaps(&bb) {
+                    self.hits[ci].push(gid);
+                }
+            }
+        }
     }
 }
 
@@ -1639,5 +1747,71 @@ mod cloth_static_tests {
         for v in w.cloth(cid).vertices() {
             assert!(v.pos.y > -0.05, "cloth fell through the floor: {:?}", v.pos);
         }
+    }
+
+    /// The contact lists are built after `process_contact_events`, which
+    /// can change a body between the AABB refresh and the list build: a
+    /// bomb disabled by its own explosion, a blast body added, a
+    /// pre-fractured parent disabled and its debris enabled and re-posed.
+    /// A list reads the geom's enabled bit and the body's flags as they
+    /// are at build time, but the AABB cached at refresh time — so the
+    /// debris land on the list where they lay dormant, not where the
+    /// shatter put them. This pins that answer step by step.
+    #[test]
+    fn contact_lists_see_mid_step_shatter() {
+        let mut w = World::new(WorldConfig::default());
+        let ground = w.add_static_geom(Shape::plane(Vec3::UNIT_Y, 0.0));
+        // Spawned over the cloth, then moved half out of its box: the
+        // dormant debris stay at the spawn pose.
+        let parent = w.add_prefractured(
+            Vec3::new(0.0, 0.5, 0.0),
+            parallax_math::Quat::IDENTITY,
+            Vec3::splat(0.5),
+            8.0,
+            crate::fracture::FractureConfig::default(),
+        );
+        w.bodies
+            .set_position(parent.index(), Vec3::new(1.3, 0.5, 0.0));
+        let bomb = w.add_body(
+            BodyDesc::dynamic(Vec3::new(-1.2, 0.6, 0.0)).with_shape(Shape::sphere(0.3), 1.0),
+        );
+        w.make_explosive(bomb, ExplosionConfig::default());
+        let pins: Vec<usize> = (0..16).collect();
+        let cid = w.add_cloth(Cloth::rectangle(
+            Vec3::new(-1.5, 0.6, -1.0),
+            2.5,
+            2.0,
+            4,
+            4,
+            &pins,
+        ));
+        let debris = w.prefractured[0].debris.clone();
+        let ids = |v: &[BodyId]| v.iter().map(|b| b.0).collect::<Vec<u32>>();
+
+        // The explosion step: the bomb overlapped the cloth at refresh,
+        // but is disabled by the time the lists are built.
+        let mut steps = 0;
+        while w.step().events.explosions == 0 {
+            steps += 1;
+            assert!(steps < 100, "the bomb never exploded");
+            assert_eq!(w.cloth(cid).contact_bodies(), &[parent.0, bomb.0]);
+        }
+        assert_eq!(w.cloth(cid).contact_bodies(), &[parent.0]);
+        assert_eq!(w.cloth(cid).contact_static_geoms(), &[ground.0]);
+
+        // The shatter step: the parent is disabled at build time, and every
+        // debris piece is listed by its dormant AABB, all of which overlap
+        // the cloth.
+        let p = w.step();
+        assert_eq!(p.events.shattered, 1);
+        assert!(w.body(parent).is_disabled());
+        assert_eq!(w.cloth(cid).contact_bodies(), ids(&debris).as_slice());
+        assert_eq!(w.cloth(cid).contact_static_geoms(), &[ground.0]);
+
+        // The next refresh sees the debris where the shatter put them, half
+        // of them past the cloth's box.
+        w.step();
+        let near = [debris[0], debris[2], debris[4], debris[6]];
+        assert_eq!(w.cloth(cid).contact_bodies(), ids(&near).as_slice());
     }
 }

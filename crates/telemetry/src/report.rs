@@ -156,6 +156,17 @@ pub const NARROWPHASE_HITS_COUNTER: &str = "physics.narrowphase.hits";
 /// See [`NARROWPHASE_CANDIDATES_COUNTER`].
 pub const NARROWPHASE_CONTACTS_COUNTER: &str = "physics.narrowphase.contacts";
 
+/// Counters of the cloth collision pass: vertex-collider tests (skipped
+/// ones included), ray casts run, ray casts skipped and projections
+/// skipped because a bound proved the exact routine would miss.
+pub const CLOTH_TESTS_COUNTER: &str = "physics.cloth.collision_tests";
+/// See [`CLOTH_TESTS_COUNTER`].
+pub const CLOTH_CCD_CASTS_COUNTER: &str = "physics.cloth.ccd_casts";
+/// See [`CLOTH_TESTS_COUNTER`].
+pub const CLOTH_CCD_CULLED_COUNTER: &str = "physics.cloth.ccd_culled";
+/// See [`CLOTH_TESTS_COUNTER`].
+pub const CLOTH_PROJECT_OUT_CULLED_COUNTER: &str = "physics.cloth.project_out_culled";
+
 /// Largest `telemetry.spans_dropped` gauge value across records: the
 /// cumulative number of spans the recording process lost to full ring
 /// buffers (0 when the gauge was never set — nothing was dropped).
@@ -329,6 +340,24 @@ pub fn render(records: &[StepRecord]) -> String {
             100.0 * active as f64 / candidates as f64,
             100.0 * hits as f64 / active.max(1) as f64,
             contacts as f64 / hits.max(1) as f64
+        );
+    }
+
+    // Cloth collision: how many vertex-collider tests a bound settled
+    // without running the exact ray cast or projection.
+    let tests = merged.counter(CLOTH_TESTS_COUNTER);
+    if tests > 0 {
+        let casts = merged.counter(CLOTH_CCD_CASTS_COUNTER);
+        let casts_culled = merged.counter(CLOTH_CCD_CULLED_COUNTER);
+        let projections = tests.saturating_sub(casts + casts_culled);
+        let projections_culled = merged.counter(CLOTH_PROJECT_OUT_CULLED_COUNTER);
+        let _ = writeln!(
+            out,
+            "\nCloth collision: {tests} test(s); {} ray cast(s), {:.1}% culled; \
+             {projections} projection(s), {:.1}% culled",
+            casts + casts_culled,
+            100.0 * casts_culled as f64 / (casts + casts_culled).max(1) as f64,
+            100.0 * projections_culled as f64 / projections.max(1) as f64
         );
     }
 
@@ -561,6 +590,26 @@ mod tests {
             "{text}"
         );
         assert!(!render(&[rec(0, 1, 1)]).contains("Narrow phase"));
+    }
+
+    #[test]
+    fn cloth_collision_line_reports_cull_shares() {
+        let mut a = rec(0, 1, 1);
+        a.metrics.counters = vec![
+            (CLOTH_TESTS_COUNTER.into(), 1_000),
+            (CLOTH_CCD_CASTS_COUNTER.into(), 50),
+            (CLOTH_CCD_CULLED_COUNTER.into(), 150),
+            (CLOTH_PROJECT_OUT_CULLED_COUNTER.into(), 600),
+        ];
+        let text = render(&[a]);
+        assert!(
+            text.contains(
+                "Cloth collision: 1000 test(s); 200 ray cast(s), 75.0% culled; \
+                 800 projection(s), 75.0% culled"
+            ),
+            "{text}"
+        );
+        assert!(!render(&[rec(0, 1, 1)]).contains("Cloth collision"));
     }
 
     #[test]

@@ -49,8 +49,12 @@ cargo bench --offline -p parallax-bench --bench kernels -- --quick
 cargo bench --offline -p parallax-bench --bench archsim_components -- --quick
 # ... and the narrow phase's: every per-pair kernel case and the whole
 # stage over a Mix-shaped and an Explosions-shaped candidate list at each
-# SIMD width (the trailing word filters the bench labels).
+# SIMD width (the trailing word filters the bench labels) ...
 cargo bench --offline -p parallax-bench --bench physics_kernels -- --quick narrowphase
+# ... and the cloth step's: Mix's drape and uniform at the resolved SIMD
+# mode, bare and against a Mix-shaped collider set (ns per projection, ns
+# per collision test).
+cargo bench --offline -p parallax-bench --bench physics_kernels -- --quick cloth
 
 # Telemetry smoke: record 10 Mix steps through the JSONL sink, then
 # validate the stream (parses, all five phases present, nonzero walls)

@@ -13,10 +13,14 @@
 //! by index in row order, the level schedule walked through a permutation,
 //! `I⁻¹·j_ang` re-multiplied at every impulse application — the role
 //! `BruteForce` plays for the broad phase.
+//!
+//! The cloth step is held the same way to `cloth_reference`: the scalar
+//! step as it stood before its relaxation schedule spanned iterations and
+//! its collision pass skipped tests.
 
 use parallax_math::simd::{ScalarX4, Wide4};
 use parallax_math::{Mat3, Quat, SimdMode, Transform, Vec3};
-use parallax_physics::cloth::Cloth;
+use parallax_physics::cloth::{Cloth, ClothConfig, ClothStats};
 use parallax_physics::contact::{ContactManifold, ContactPoint};
 use parallax_physics::integrator;
 use parallax_physics::joint::{Joint, JointKind};
@@ -33,6 +37,13 @@ fn wide_modes() -> Vec<SimdMode> {
         .into_iter()
         .filter(|m| m.clamp_to_supported() == *m)
         .collect()
+}
+
+/// Every mode this host can execute, scalar first.
+fn all_modes() -> Vec<SimdMode> {
+    let mut modes = vec![SimdMode::Scalar];
+    modes.extend(wide_modes());
+    modes
 }
 
 fn bits(v: Vec3) -> [u32; 3] {
@@ -471,40 +482,542 @@ proptest! {
         }
     }
 
-    /// The cloth Verlet + relaxation kernels over random mesh sizes and
-    /// pin sets (vertex counts 4..=63 cover every remainder), including
-    /// the scalar collision phase on top.
+    /// `Cloth::step` in every SIMD mode against the reference step below,
+    /// vertices and `ClothStats` bit for bit: every side length from 2 to
+    /// 26 (every lane remainder, and the Mix drape), random pins, 0 to 12
+    /// relaxation iterations through `with_config`, and a random subset,
+    /// in random order, of colliders of every shape kind under a gravity
+    /// strong enough to trigger the ray-cast pass.
     #[test]
     fn cloth_step_is_bit_identical(
-        nx in 2usize..9,
-        nz in 2usize..8,
+        nx in 2usize..27,
+        nz in 2usize..27,
         pin_mask in any::<u32>(),
         steps in 1usize..5,
-        with_collider in any::<bool>(),
+        iterations in 0usize..13,
+        collider_mask in any::<u8>(),
+        order_seed in any::<u64>(),
+        gravity in -600.0f32..0.0,
     ) {
-        let colliders = if with_collider {
-            vec![(Shape::sphere(0.45), Transform::from_position(Vec3::new(0.2, -0.3, 0.1)))]
-        } else {
-            Vec::new()
+        let config = ClothConfig { iterations, ..ClothConfig::default() };
+        let colliders = cloth_reference::colliders(collider_mask, order_seed);
+        let gravity = Vec3::new(0.0, gravity, 0.0);
+        let pins: Vec<usize> = (0..nx * nz).filter(|i| pin_mask & (1 << (i % 32)) != 0).collect();
+        let build = || {
+            Cloth::rectangle(Vec3::new(-0.5, 0.4, -0.5), 1.0, 1.0, nx, nz, &pins).with_config(config)
         };
-        let run = |mode: SimdMode| {
-            let pins: Vec<usize> = (0..nx * nz).filter(|i| pin_mask & (1 << (i % 32)) != 0).collect();
-            let mut c = Cloth::rectangle(Vec3::new(-0.5, 0.4, -0.5), 1.0, 1.0, nx, nz, &pins);
-            for _ in 0..steps {
-                c.step(Vec3::new(0.0, -10.0, 0.0), 0.01, &colliders, mode);
-            }
-            c.vertices()
-                .iter()
-                .flat_map(|v| {
-                    let p = bits(v.pos);
-                    let q = bits(v.prev);
-                    [p[0], p[1], p[2], q[0], q[1], q[2]]
+        let mut reference = cloth_reference::RefCloth::of(&build(), config);
+        let expected: Vec<ClothStats> =
+            (0..steps).map(|_| reference.step(gravity, 0.01, &colliders)).collect();
+        for mode in all_modes() {
+            let mut c = build();
+            let stats: Vec<ClothStats> =
+                (0..steps).map(|_| c.step(gravity, 0.01, &colliders, mode)).collect();
+            prop_assert_eq!(&stats, &expected, "{} stats diverged", mode.name());
+            prop_assert_eq!(
+                cloth_reference::vertex_bits(c.vertices()),
+                reference.vertex_bits(),
+                "{} diverged",
+                mode.name()
+            );
+        }
+    }
+}
+
+/// `with_config` re-keys the relaxation schedule: a cloth configured
+/// twice runs the second configuration's iteration count, and every count
+/// from 0 to 12 equals the reference with that count.
+#[test]
+fn cloth_with_config_matches_the_reference_at_every_iteration_count() {
+    let colliders = cloth_reference::colliders(u8::MAX, 7);
+    let gravity = Vec3::new(0.0, -300.0, 0.0);
+    for iterations in 0..=12 {
+        let config = ClothConfig {
+            iterations,
+            ..ClothConfig::default()
+        };
+        let build = || {
+            Cloth::rectangle(Vec3::new(-0.5, 0.4, -0.5), 1.0, 1.0, 9, 7, &[0, 8])
+                .with_config(ClothConfig {
+                    iterations: 12 - iterations,
+                    ..config
                 })
-                .collect::<Vec<u32>>()
+                .with_config(config)
         };
-        let reference = run(SimdMode::Scalar);
-        for mode in wide_modes() {
-            prop_assert_eq!(run(mode), reference.clone(), "{} diverged", mode.name());
+        let reference = cloth_reference::RefCloth::of(&build(), config);
+        for mode in all_modes() {
+            let mut c = build();
+            let mut r = reference.clone();
+            for step in 0..6 {
+                let expected = r.step(gravity, 0.01, &colliders);
+                let stats = c.step(gravity, 0.01, &colliders, mode);
+                assert_eq!(
+                    stats,
+                    expected,
+                    "{iterations} iterations, {} step {step}",
+                    mode.name()
+                );
+                assert_eq!(expected.projections, c.constraints().len() * iterations);
+            }
+            assert_eq!(
+                cloth_reference::vertex_bits(c.vertices()),
+                r.vertex_bits(),
+                "{iterations} iterations, {}",
+                mode.name()
+            );
+        }
+    }
+}
+
+/// Collision decisions at the edges of the bounds the step uses to skip
+/// tests: vertices placed exactly on each collider's AABB faces, on those
+/// faces grown by one and two thicknesses, one ULP either side of each,
+/// on a heightfield's `max_height` (plus a thickness, plus and minus one
+/// ULP; one field with a NaN sample), and at NaN.
+/// Gravity is zero and relaxation off, so
+/// every vertex sits exactly where it was placed when the collision pass
+/// runs; two more passes move every vertex 0.1 m down, and along a
+/// slant, so that its ray-cast segment ends exactly on those planes.
+#[test]
+fn cloth_collision_boundaries_match_the_reference() {
+    let mut all = cloth_reference::colliders(u8::MAX, 0);
+    // A field with a NaN sample: its heights bound nothing, so neither
+    // may a cull.
+    let mut wild = vec![0.05f32; 16];
+    wild[0] = f32::NAN;
+    let wild_pose = Transform::from_position(Vec3::new(0.1, 0.1, 0.0));
+    all.push((
+        Shape::heightfield(parallax_physics::Heightfield::new(4, 4, 0.3, wild)),
+        wild_pose,
+    ));
+    let config = ClothConfig {
+        iterations: 0,
+        ..ClothConfig::default()
+    };
+    let t = config.thickness;
+    let mut sets: Vec<Vec<(Shape, Transform)>> = all.iter().map(|c| vec![c.clone()]).collect();
+    sets.push(all.clone());
+    for set in &sets {
+        let mut targets: Vec<Vec3> = Vec::new();
+        for (shape, pose) in set {
+            let bb = shape.aabb(pose);
+            let mid = (bb.min + bb.max) * 0.5;
+            for axis in 0..3 {
+                for (face, outward) in [(bb.min[axis], -1.0f32), (bb.max[axis], 1.0)] {
+                    for grow in [0.0, t, 2.0 * t] {
+                        let plane = face + outward * grow;
+                        for v in [plane.next_down(), plane, plane.next_up()] {
+                            let mut p: [f32; 3] = mid.into();
+                            p[axis] = v;
+                            targets.push(p.into());
+                        }
+                    }
+                }
+            }
+            if let Shape::Heightfield(hf) = shape {
+                let top = hf.local_aabb().max.y;
+                for y in [top, top + t] {
+                    for y in [y.next_down(), y, y.next_up()] {
+                        for (x, z) in [(0.0, 0.0), (0.13, -0.27), (5.0, 5.0)] {
+                            targets.push(pose.apply(Vec3::new(x, y, z)));
+                        }
+                    }
+                }
+            }
+        }
+        // Over the wild field's NaN corner cell, where the slanted drop
+        // below arrives from a cell of finite samples.
+        for y in [0.1, 0.15, 0.3] {
+            targets.push(wild_pose.apply(Vec3::new(-0.4, y, -0.4)));
+        }
+        targets.push(Vec3::new(f32::NAN, 0.0, 0.0));
+        targets.push(Vec3::splat(f32::NAN));
+        for drop in [
+            Vec3::ZERO,
+            Vec3::new(0.0, -0.1, 0.0),
+            Vec3::new(-0.3, -0.05, -0.3),
+        ] {
+            let gravity = drop / (0.01 * 0.01);
+            let step = gravity * (0.01 * 0.01);
+            let side = (targets.len() as f32).sqrt().ceil().max(2.0) as usize;
+            let build = || {
+                let mut c =
+                    Cloth::rectangle(Vec3::new(40.0, 40.0, 40.0), 1.0, 1.0, side, side, &[])
+                        .with_config(config);
+                for (i, &p) in targets.iter().enumerate() {
+                    c.move_pinned(i, cloth_reference::start_to_land(p, step));
+                }
+                c
+            };
+            let mut reference = cloth_reference::RefCloth::of(&build(), config);
+            let expected = reference.step(gravity, 0.01, set);
+            assert!(expected.collision_tests > 0);
+            for mode in all_modes() {
+                let mut c = build();
+                assert_eq!(
+                    c.step(gravity, 0.01, set, mode),
+                    expected,
+                    "{}",
+                    mode.name()
+                );
+                assert_eq!(
+                    cloth_reference::vertex_bits(c.vertices()),
+                    reference.vertex_bits(),
+                    "{} drop {drop:?}",
+                    mode.name()
+                );
+            }
+        }
+    }
+}
+
+/// The cloth step as it stood before its relaxation schedule spanned
+/// iterations and before its collision pass skipped tests: a scalar
+/// Verlet sweep; per iteration, every constraint in index order; then,
+/// for every unpinned vertex, a ray cast against the colliders in order up
+/// to the first hit when the vertex moved more than twice its thickness,
+/// and a projection out of every collider. The collision routines for
+/// the shapes whose code the step now bounds (the capsule and heightfield
+/// ray marches, every projection) are the pre-change copies below.
+mod cloth_reference {
+    use parallax_math::{Quat, Transform, Vec3};
+    use parallax_physics::cloth::{Cloth, ClothConfig, ClothStats, ClothVertex};
+    use parallax_physics::narrowphase::closest_point_on_segment;
+    use parallax_physics::ray::{self, Ray, RayHit};
+    use parallax_physics::{Heightfield, Shape, TriMesh};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    #[derive(Clone)]
+    pub struct RefCloth {
+        verts: Vec<ClothVertex>,
+        constraints: Vec<(usize, usize, f32)>,
+        iterations: usize,
+        damping: f32,
+        thickness: f32,
+    }
+
+    /// Vertex bits (position, then previous position), every NaN folded
+    /// to one pattern: NaN payloads are not part of the contract.
+    pub fn vertex_bits(verts: &[ClothVertex]) -> Vec<u32> {
+        let b = |x: f32| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        };
+        verts
+            .iter()
+            .flat_map(|v| [v.pos.x, v.pos.y, v.pos.z, v.prev.x, v.prev.y, v.prev.z].map(b))
+            .collect()
+    }
+
+    impl RefCloth {
+        pub fn of(c: &Cloth, config: ClothConfig) -> RefCloth {
+            RefCloth {
+                verts: c.vertices().to_vec(),
+                constraints: c
+                    .constraints()
+                    .iter()
+                    .map(|k| (k.a as usize, k.b as usize, k.rest))
+                    .collect(),
+                iterations: config.iterations,
+                damping: config.damping,
+                thickness: config.thickness,
+            }
+        }
+
+        pub fn vertex_bits(&self) -> Vec<u32> {
+            vertex_bits(&self.verts)
+        }
+
+        pub fn step(
+            &mut self,
+            gravity: Vec3,
+            dt: f32,
+            colliders: &[(Shape, Transform)],
+        ) -> ClothStats {
+            let mut stats = ClothStats {
+                vertices: self.verts.len(),
+                projections: self.constraints.len() * self.iterations,
+                ..ClothStats::default()
+            };
+            let g = gravity * (dt * dt);
+            for v in &mut self.verts {
+                if v.pinned {
+                    continue;
+                }
+                let next = Vec3::new(
+                    v.pos.x + (v.pos.x - v.prev.x) * self.damping + g.x,
+                    v.pos.y + (v.pos.y - v.prev.y) * self.damping + g.y,
+                    v.pos.z + (v.pos.z - v.prev.z) * self.damping + g.z,
+                );
+                v.prev = v.pos;
+                v.pos = next;
+            }
+            for _ in 0..self.iterations {
+                for &(a, b, rest) in &self.constraints {
+                    let (pa, pb) = (self.verts[a].pinned, self.verts[b].pinned);
+                    let (va, vb) = (self.verts[a].pos, self.verts[b].pos);
+                    let (dx, dy, dz) = (vb.x - va.x, vb.y - va.y, vb.z - va.z);
+                    let len = (dx * dx + dy * dy + dz * dz).sqrt();
+                    if len <= 1e-12 {
+                        continue;
+                    }
+                    let e = (len - rest) * 0.5;
+                    let c = Vec3::new((dx / len) * e, (dy / len) * e, (dz / len) * e);
+                    if !pa {
+                        let s = if pb { 2.0 } else { 1.0 };
+                        self.verts[a].pos =
+                            Vec3::new(va.x + c.x * s, va.y + c.y * s, va.z + c.z * s);
+                    }
+                    if !pb {
+                        let s = if pa { 2.0 } else { 1.0 };
+                        self.verts[b].pos =
+                            Vec3::new(vb.x - c.x * s, vb.y - c.y * s, vb.z - c.z * s);
+                    }
+                }
+            }
+            for v in &mut self.verts {
+                if v.pinned {
+                    continue;
+                }
+                let travel = v.pos - v.prev;
+                if travel.length() > self.thickness * 2.0 {
+                    let ray = Ray::between(v.prev, v.pos);
+                    for (shape, t) in colliders {
+                        stats.collision_tests += 1;
+                        if let Some(hit) = cast_shape(&ray, shape, t) {
+                            v.pos = hit.point + hit.normal * self.thickness;
+                            v.prev = v.prev.lerp(v.pos, 0.5);
+                            stats.collisions_resolved += 1;
+                            break;
+                        }
+                    }
+                }
+                for (shape, t) in colliders {
+                    stats.collision_tests += 1;
+                    if let Some(pushed) = project_out(v.pos, shape, t, self.thickness) {
+                        v.pos = pushed;
+                        v.prev = v.prev.lerp(v.pos, 0.5);
+                        stats.collisions_resolved += 1;
+                    }
+                }
+            }
+            stats
+        }
+    }
+
+    /// A start point whose Verlet step by `step` (from rest, no damping
+    /// term) lands exactly on `target`, when one within a few ULPs exists.
+    pub fn start_to_land(target: Vec3, step: Vec3) -> Vec3 {
+        let (target, step): ([f32; 3], [f32; 3]) = (target.into(), step.into());
+        let mut p = target;
+        for axis in 0..3 {
+            if step[axis] == 0.0 || !target[axis].is_finite() {
+                continue;
+            }
+            let mut x = target[axis] - step[axis];
+            for _ in 0..8 {
+                // Verlet from rest: `prev` is the start itself.
+                let prev = x;
+                let landed = x + (x - prev) * 0.995 + step[axis];
+                if landed == target[axis] {
+                    break;
+                }
+                x = if landed < target[axis] {
+                    x.next_up()
+                } else {
+                    x.next_down()
+                };
+            }
+            p[axis] = x;
+        }
+        p.into()
+    }
+
+    /// One collider of every shape kind around the unit cloth at
+    /// (-0.5..0.5, 0.4, -0.5..0.5), the kinds picked by `mask` (a sphere
+    /// always) and shuffled by `seed`.
+    pub fn colliders(mask: u8, seed: u64) -> Vec<(Shape, Transform)> {
+        let tilt =
+            |x: f32, z: f32, a: f32| Quat::from_axis_angle(Vec3::new(x, 0.0, z).normalized(), a);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let heights: Vec<f32> = (0..64).map(|_| rng.gen_range(-0.08f32..0.08)).collect();
+        let all = vec![
+            (
+                Shape::sphere(0.3),
+                Transform::from_position(Vec3::new(0.2, 0.05, 0.1)),
+            ),
+            (
+                Shape::cuboid(Vec3::new(0.3, 0.05, 0.2)),
+                Transform::new(Vec3::new(-0.2, 0.2, 0.0), tilt(1.0, 0.3, 0.4)),
+            ),
+            (
+                Shape::capsule(0.1, 0.3),
+                Transform::new(Vec3::new(0.0, 0.3, 0.3), tilt(0.2, 1.0, 1.4)),
+            ),
+            (Shape::plane(Vec3::UNIT_Y, -0.3), Transform::IDENTITY),
+            (
+                Shape::heightfield(Heightfield::new(8, 8, 0.2, heights)),
+                Transform::from_position(Vec3::new(0.1, 0.12, -0.1)),
+            ),
+            (
+                Shape::heightfield(Heightfield::new(4, 4, 0.3, vec![0.0; 16])),
+                Transform::new(Vec3::new(-0.3, 0.0, 0.2), tilt(1.0, 1.0, 0.3)),
+            ),
+            (
+                Shape::trimesh(TriMesh::new(
+                    vec![
+                        Vec3::new(-0.4, 0.0, -0.4),
+                        Vec3::new(0.4, 0.0, -0.4),
+                        Vec3::new(0.0, 0.1, 0.4),
+                    ],
+                    vec![[0, 1, 2]],
+                )),
+                Transform::from_position(Vec3::new(0.0, 0.25, 0.0)),
+            ),
+            (
+                Shape::capsule(0.05, 0.2),
+                Transform::from_position(Vec3::new(-0.3, 0.1, -0.3)),
+            ),
+        ];
+        let mut picked: Vec<_> = all
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| *i == 0 || mask & (1 << i) != 0)
+            .map(|(_, c)| c)
+            .collect();
+        for i in (1..picked.len()).rev() {
+            picked.swap(i, rng.gen_range(0..i + 1));
+        }
+        picked
+    }
+
+    fn cast_shape(ray: &Ray, shape: &Shape, pose: &Transform) -> Option<RayHit> {
+        match shape {
+            Shape::Capsule { radius, half_len } => {
+                let axis = pose.apply_vector(Vec3::UNIT_Y) * *half_len;
+                ray_capsule(ray, pose.position - axis, pose.position + axis, *radius)
+            }
+            Shape::Heightfield(hf) => ray_heightfield(ray, hf, pose),
+            _ => ray::cast_shape(ray, shape, pose),
+        }
+    }
+
+    fn ray_heightfield(ray: &Ray, hf: &Heightfield, pose: &Transform) -> Option<RayHit> {
+        let local_o = pose.apply_inverse(ray.origin);
+        let local_d = pose.rotation.rotate_inverse(ray.dir);
+        let steps = 128;
+        let dt = ray.max_t / steps as f32;
+        let mut prev_above = local_o.y >= hf.height_at(local_o.x, local_o.z);
+        for i in 1..=steps {
+            let t = dt * i as f32;
+            let p = local_o + local_d * t;
+            let above = p.y >= hf.height_at(p.x, p.z);
+            if above != prev_above {
+                let tm = t - dt * 0.5;
+                let pm = local_o + local_d * tm;
+                let n = pose.apply_vector(hf.normal_at(pm.x, pm.z));
+                return Some(RayHit {
+                    t: tm,
+                    point: ray.at(tm),
+                    normal: n,
+                });
+            }
+            prev_above = above;
+        }
+        None
+    }
+
+    fn ray_capsule(ray: &Ray, a: Vec3, b: Vec3, radius: f32) -> Option<RayHit> {
+        let steps = 64;
+        let dt = ray.max_t / steps as f32;
+        let dist = |p: Vec3| {
+            let c = closest_point_on_segment(a, b, p);
+            (p - c).length() - radius
+        };
+        if dist(ray.origin) <= 0.0 {
+            return Some(RayHit {
+                t: 0.0,
+                point: ray.origin,
+                normal: -ray.dir,
+            });
+        }
+        for i in 1..=steps {
+            let t = dt * i as f32;
+            if dist(ray.at(t)) <= 0.0 {
+                let (mut lo, mut hi) = (t - dt, t);
+                for _ in 0..12 {
+                    let mid = 0.5 * (lo + hi);
+                    if dist(ray.at(mid)) <= 0.0 {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                let point = ray.at(hi);
+                let c = closest_point_on_segment(a, b, point);
+                return Some(RayHit {
+                    t: hi,
+                    point,
+                    normal: (point - c).normalized(),
+                });
+            }
+        }
+        None
+    }
+
+    fn project_out(p: Vec3, shape: &Shape, t: &Transform, thickness: f32) -> Option<Vec3> {
+        match shape {
+            Shape::Sphere { radius } => {
+                let d = p - t.position;
+                let r = radius + thickness;
+                let (dir, len) = d.normalized_with_length().unwrap_or((Vec3::UNIT_Y, 0.0));
+                (len < r).then(|| t.position + dir * r)
+            }
+            Shape::Cuboid { half } => {
+                let local = t.apply_inverse(p);
+                let grown = *half + Vec3::splat(thickness);
+                let inside =
+                    local.abs().x < grown.x && local.abs().y < grown.y && local.abs().z < grown.z;
+                if !inside {
+                    return None;
+                }
+                let d = grown - local.abs();
+                let mut out = local;
+                if d.x <= d.y && d.x <= d.z {
+                    out.x = grown.x * local.x.signum();
+                } else if d.y <= d.z {
+                    out.y = grown.y * local.y.signum();
+                } else {
+                    out.z = grown.z * local.z.signum();
+                }
+                Some(t.apply(out))
+            }
+            Shape::Capsule { radius, half_len } => {
+                let axis = t.apply_vector(Vec3::UNIT_Y);
+                let closest = closest_point_on_segment(
+                    t.position - axis * *half_len,
+                    t.position + axis * *half_len,
+                    p,
+                );
+                let d = p - closest;
+                let r = radius + thickness;
+                let (dir, len) = d.normalized_with_length().unwrap_or((Vec3::UNIT_Y, 0.0));
+                (len < r).then(|| closest + dir * r)
+            }
+            Shape::Plane { normal, offset } => {
+                let dist = p.dot(*normal) - offset - thickness;
+                (dist < 0.0).then(|| p - *normal * dist)
+            }
+            Shape::Heightfield(hf) => {
+                let local = t.apply_inverse(p);
+                let h = hf.height_at(local.x, local.z) + thickness;
+                (local.y < h).then(|| t.apply(Vec3::new(local.x, h, local.z)))
+            }
+            Shape::TriMesh(_) => None,
         }
     }
 }
