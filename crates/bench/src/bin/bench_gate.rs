@@ -1,160 +1,204 @@
-//! The performance regression gate.
+//! The regression gates: one binary, one exit-code table.
 //!
 //! ```text
-//! bench_gate record  [--out BENCH_scenes.json] [--steps N] [--warmup N]
-//!                    [--scale F] [--config SPEC] [--quick]
-//! bench_gate compare [--baseline BENCH_scenes.json] [--threshold F]
-//!                    [--steps N] [--warmup N] [--config SPEC] [--quick]
-//!                    [--allow-missing-baseline] [--inject-delay PHASE:NANOS]
+//! bench_gate scenes record  [--baseline PATH] [--steps N] [--warmup N]
+//!                           [--scale F] [--config SPEC] [--quick]
+//! bench_gate scenes compare [--baseline PATH] [--steps N] [--warmup N]
+//!                           [--config SPEC] [--quick] [--inject-delay PHASE:NANOS]
+//! bench_gate server record|compare [--baseline PATH] [--quick]
+//! bench_gate digest [--quick]
 //! ```
 //!
-//! `record` steps every paper scene for a fixed window and writes the
-//! raw per-phase wall-time samples (plus telemetry counter deltas) to a
-//! schema-versioned JSON baseline. `compare` re-runs the same scenes at
-//! the baseline's scale/threads and exits nonzero when any scene×phase
-//! is statistically significantly slower than the baseline beyond the
-//! threshold — "significantly" meaning the entire bootstrap confidence
-//! interval of the relative median change clears it, so one noisy step
-//! on a busy host cannot fail CI.
+//! Exit codes: 0 pass; 1 slower than the baseline beyond the threshold,
+//! over the digest budget, or below the fleet's sustain floor; 2 bad
+//! usage, or a baseline that is missing, unreadable, of another schema
+//! or gate, or recorded on a machine with another fingerprint (the
+//! message names the field and the re-record command).
 //!
-//! `--quick` is the CI smoke shape: 10 steps and a +100% threshold, so
-//! it only trips on catastrophic slowdowns but still exercises the full
-//! record → parse → compare → verdict path on every run.
+//! `scenes` steps every paper scene and gates per-phase walls against
+//! `BENCH_scenes.json`; `server` drives a live fleet and gates request
+//! latency against `BENCH_server.json`; `digest` measures what the
+//! flight recorder's digests cost on Mix against an absolute budget.
+//! Every wall is stated at the reference speed (`gate` module docs).
+//! A row fails only when the entire bootstrap confidence interval of the
+//! relative median change clears the threshold — `--quick` fresh runs
+//! use the gate's quick threshold, full runs its full one.
 //!
-//! `--config SPEC` is a `RunConfig` spec (README, "Run configuration").
-//! `record` applies it on top of the default configuration and stores
-//! the result in the envelope. `compare` runs at the baseline's recorded
-//! configuration; a `--config` that changes it turns the gate into an
-//! A/B of the two configurations, both re-measured interleaved — which is
-//! how the SIMD, sleeping, warm-start, digest, thread and broad-phase
-//! effects are measured. `--inject-delay` plants a slowdown in one phase
-//! (the gate's own acceptance test).
+//! `scenes --config SPEC` is a `RunConfig` spec (README, "Run
+//! configuration"). `record` applies it on top of the default
+//! configuration and stores the result in the baseline. `compare` runs
+//! at the baseline's recorded configuration; a `--config` that changes
+//! it turns the gate into an A/B of the two configurations, both
+//! re-measured interleaved. `--inject-delay` plants a slowdown in one
+//! phase (the gate's own acceptance test).
 
 use std::time::Duration;
 
 use parallax_bench::cli::{parse_or_exit, Flags, SPEC_USAGE};
-use parallax_bench::harness::{
-    compare_baselines, record, record_sides, Baseline, GateConfig, PhaseComparison,
-};
+use parallax_bench::gate::scenes::{self, paired_step_cost, SceneConfig, Scenes};
+use parallax_bench::gate::server::{self, Fleet, ServerConfig};
+use parallax_bench::gate::{report, Baseline, Gate, EXIT_PASS, EXIT_REFUSED, EXIT_SLOWER};
 use parallax_bench::print_table;
-use parallax_physics::digest::phase_by_name;
-use parallax_physics::{set_injected_phase_delay, PhaseKind};
+use parallax_physics::digest::{phase_by_name, phase_bytes_hashed};
+use parallax_physics::set_injected_phase_delay;
+use parallax_workloads::RunConfig;
 
-struct Args {
-    mode: Mode,
+const USAGE: &str = "usage: bench_gate scenes record  [--baseline PATH] [--steps N] [--warmup N] \
+                     [--scale F] [--config SPEC] [--quick]\n\
+                     \x20      bench_gate scenes compare [--baseline PATH] [--steps N] \
+                     [--warmup N] [--config SPEC] [--quick] [--inject-delay PHASE:NANOS]\n\
+                     \x20      bench_gate server record|compare [--baseline PATH] [--quick]\n\
+                     \x20      bench_gate digest [--quick]\n\
+                     exit: 0 pass, 1 slower / over budget / below the sustain floor, \
+                     2 bad usage or a baseline that cannot be compared";
+
+enum Command {
+    Scenes {
+        record: bool,
+        args: SceneArgs,
+    },
+    Server {
+        record: bool,
+        path: String,
+        quick: bool,
+    },
+    Digest {
+        quick: bool,
+    },
+}
+
+struct SceneArgs {
     path: String,
-    /// Window, scale and threshold as asked for; `run` is the default
-    /// configuration with every `--config` applied (what `record` uses).
-    cfg: GateConfig,
+    /// The default configuration with every `--config` applied (what
+    /// `record` uses).
+    run: RunConfig,
     /// The `--config` specs themselves: `compare` applies them on top of
     /// the baseline's recorded configuration instead.
     config: Vec<String>,
-    threshold: Option<f64>,
+    /// `--steps`, or [`scenes::QUICK_STEPS`] under `--quick`.
+    steps: Option<usize>,
+    warmup: Option<usize>,
+    scale: Option<f32>,
     quick: bool,
-    allow_missing: bool,
-    inject_delay: Option<(PhaseKind, Duration)>,
 }
 
-#[derive(PartialEq)]
-enum Mode {
-    Record,
-    Compare,
-}
-
-const USAGE: &str = "usage: bench_gate record  [--out PATH] [--steps N] [--warmup N] \
-                     [--scale F] [--config SPEC] [--quick]\n\
-                     \x20      bench_gate compare [--baseline PATH] [--threshold F] \
-                     [--steps N] [--warmup N] [--config SPEC] [--quick] \
-                     [--allow-missing-baseline] [--inject-delay PHASE:NANOS]\n\
-                     compare runs at the baseline's recorded configuration; a --config \
-                     that changes it measures A (recorded) against B (changed) instead";
-
-fn parse_args(flags: &mut Flags) -> Result<Args, String> {
-    let mode = match flags.next_flag().as_deref() {
-        Some("record") => Mode::Record,
-        Some("compare") => Mode::Compare,
-        other => return Err(format!("expected subcommand record|compare, got {other:?}")),
+fn parse_args(flags: &mut Flags) -> Result<Command, String> {
+    let gate = flags.next_flag();
+    let mode = match gate.as_deref() {
+        Some("scenes" | "server") => match flags.next_flag().as_deref() {
+            Some("record") => Some(true),
+            Some("compare") => Some(false),
+            other => return Err(format!("expected record|compare, got {other:?}")),
+        },
+        Some("digest") => None,
+        other => return Err(format!("expected scenes|server|digest, got {other:?}")),
     };
-    let mut args = Args {
-        path: "BENCH_scenes.json".to_string(),
-        mode,
-        cfg: GateConfig::default(),
-        config: Vec::new(),
-        threshold: None,
-        quick: false,
-        allow_missing: false,
-        inject_delay: None,
-    };
-    let mut steps: Option<usize> = None;
-    let mut warmup = None;
+    let mut path = None;
+    let mut quick = false;
+    let mut run = RunConfig::default();
+    let mut config = Vec::new();
+    let (mut steps, mut warmup, mut scale) = (None, None, None);
+    let scene_gate = gate.as_deref() == Some("scenes");
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--out" | "--baseline" => args.path = flags.value()?,
-            "--steps" => steps = Some(flags.parse()?),
-            "--warmup" => warmup = Some(flags.parse()?),
-            "--scale" => args.cfg.scale = flags.parse()?,
-            "--config" => {
+            "--quick" => quick = true,
+            "--baseline" if mode.is_some() => path = Some(flags.value()?),
+            "--steps" if scene_gate => steps = Some(flags.parse::<usize>()?.max(2)),
+            "--warmup" if scene_gate => warmup = Some(flags.parse()?),
+            "--scale" if scene_gate && mode == Some(true) => scale = Some(flags.parse()?),
+            "--config" if scene_gate => {
                 let spec = flags.value()?;
-                args.cfg
-                    .run
-                    .apply(&spec)
-                    .map_err(|e| format!("--config: {e}"))?;
-                args.config.push(spec);
+                run.apply(&spec).map_err(|e| format!("--config: {e}"))?;
+                config.push(spec);
             }
-            "--threshold" => args.threshold = Some(flags.parse()?),
-            "--quick" => args.quick = true,
-            "--allow-missing-baseline" => args.allow_missing = true,
-            "--inject-delay" => {
+            "--inject-delay" if scene_gate && mode == Some(false) => {
                 let spec = flags.value()?;
-                let delay = spec.split_once(':').and_then(|(phase, ns)| {
-                    let ns = ns.trim().parse().ok()?;
-                    Some((phase_by_name(phase.trim())?, Duration::from_nanos(ns)))
-                });
-                args.inject_delay = Some(delay.ok_or_else(|| {
-                    format!("--inject-delay: expected PHASE:NANOS, got {spec:?}")
-                })?);
+                let (phase, delay) = spec
+                    .split_once(':')
+                    .and_then(|(phase, ns)| {
+                        let ns = ns.trim().parse().ok()?;
+                        Some((phase_by_name(phase.trim())?, Duration::from_nanos(ns)))
+                    })
+                    .ok_or_else(|| format!("--inject-delay: expected PHASE:NANOS, got {spec:?}"))?;
+                set_injected_phase_delay(phase, delay);
             }
             _ => return Err(flags.unknown()),
         }
     }
-    if let Some(t) = args.threshold {
-        args.cfg.threshold = t;
-    }
-    if args.quick {
-        args.cfg = args.cfg.clone().quick();
-    }
-    if let Some(s) = steps {
-        args.cfg.steps = s.max(2);
-    }
-    if let Some(w) = warmup {
-        args.cfg.warmup = w;
-    }
-    Ok(args)
+    Ok(match (gate.as_deref(), mode) {
+        (Some("scenes"), Some(record)) => {
+            let args = SceneArgs {
+                path: path.unwrap_or_else(|| Scenes::PATH.to_string()),
+                run,
+                config,
+                steps: steps.or(quick.then_some(scenes::QUICK_STEPS)),
+                warmup,
+                scale,
+                quick,
+            };
+            Command::Scenes { record, args }
+        }
+        (_, Some(record)) => Command::Server {
+            record,
+            path: path.unwrap_or_else(|| Fleet::PATH.to_string()),
+            quick,
+        },
+        _ => Command::Digest { quick },
+    })
 }
 
 fn main() {
-    let args = parse_or_exit(&format!("{USAGE}\n{SPEC_USAGE}"), parse_args);
-    if let Some((phase, delay)) = args.inject_delay {
-        set_injected_phase_delay(phase, delay);
-    }
-    match args.mode {
-        Mode::Record => run_record(&args),
-        Mode::Compare => run_compare(&args),
+    let command = parse_or_exit(&format!("{USAGE}\n{SPEC_USAGE}"), parse_args);
+    let code = match command {
+        Command::Scenes { record: true, args } => record_scenes(&args),
+        Command::Scenes {
+            record: false,
+            args,
+        } => compare_scenes(&args),
+        Command::Server {
+            record,
+            path,
+            quick,
+        } => run_server(record, &path, quick),
+        Command::Digest { quick } => run_digest(quick),
+    };
+    std::process::exit(code);
+}
+
+/// The baseline at `path`, or the refusal printed and `None`.
+fn load<G: Gate>(path: &str) -> Option<Baseline<G>> {
+    Baseline::load(path)
+        .inspect_err(|e| eprintln!("error: {e}"))
+        .ok()
+}
+
+/// Writes `baseline` to `path`: [`EXIT_PASS`], or the error printed and
+/// [`EXIT_REFUSED`].
+fn save<G: Gate>(baseline: &Baseline<G>, path: &str) -> i32 {
+    match baseline.save(path) {
+        Ok(()) => {
+            println!("\nwrote baseline to {path}");
+            EXIT_PASS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            EXIT_REFUSED
+        }
     }
 }
 
-fn run_record(args: &Args) {
-    let cfg = &args.cfg;
+/// The reference speed of a run beside its baseline's.
+fn print_speeds(base_probe_ns: f64, fresh_probe_ns: f64) {
     println!(
-        "recording {} scene(s): {} steps (+{} warmup) @ scale {}, {}",
-        cfg.scenes.len(),
-        cfg.steps,
-        cfg.warmup,
-        cfg.scale,
-        cfg.run
+        "reference probe: {:.0} µs here, {:.0} µs when the baseline was recorded \
+         (walls on both sides are stated at the reference speed)",
+        fresh_probe_ns / 1e3,
+        base_probe_ns / 1e3
     );
-    let baseline = record(cfg);
-    let rows: Vec<Vec<String>> = baseline
+}
+
+fn scene_medians(recording: &Scenes) -> Vec<Vec<String>> {
+    recording
         .scenes
         .iter()
         .map(|sc| {
@@ -165,62 +209,63 @@ fn run_record(args: &Args) {
                 format!("{:.3}", med / 1e6),
             ]
         })
-        .collect();
-    print_table("Recorded medians", &["Scene", "Bodies", "Step ms"], &rows);
-    if let Err(e) = std::fs::write(&args.path, baseline.to_json()) {
-        eprintln!("error: cannot write {}: {e}", args.path);
-        std::process::exit(1);
-    }
-    println!("\nwrote baseline to {}", args.path);
+        .collect()
 }
 
-fn run_compare(args: &Args) {
-    let src = match std::fs::read_to_string(&args.path) {
-        Ok(s) => s,
-        Err(e) if args.allow_missing => {
-            eprintln!(
-                "warning: no baseline at {} ({e}); nothing to gate against, passing. \
-                 Record one with `bench_gate record --out {}`.",
-                args.path, args.path
-            );
-            return;
-        }
-        Err(e) => {
-            eprintln!("error: cannot read baseline {}: {e}", args.path);
-            std::process::exit(2);
-        }
+fn record_scenes(args: &SceneArgs) -> i32 {
+    let default = SceneConfig::default();
+    let cfg = &SceneConfig {
+        steps: args.steps.unwrap_or(default.steps),
+        warmup: args.warmup.unwrap_or(default.warmup),
+        scale: args.scale.unwrap_or(default.scale),
+        run: args.run,
+        scenes: default.scenes,
     };
-    let base = match Baseline::from_json(&src) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {}: {e}", args.path);
-            std::process::exit(2);
-        }
-    };
-    base.fingerprint.warn_unless_current();
+    println!(
+        "recording {} scene(s): {} steps (+{} warmup) @ scale {}, {}",
+        cfg.scenes.len(),
+        cfg.steps,
+        cfg.warmup,
+        cfg.scale,
+        cfg.run
+    );
+    let baseline = scenes::record(cfg);
+    print_table(
+        "Recorded medians (reference speed)",
+        &["Scene", "Bodies", "Step ms"],
+        &scene_medians(&baseline.gate),
+    );
+    save(&baseline, &args.path)
+}
 
-    // The fresh run matches the baseline's workload exactly; the sample
-    // count, the threshold and an explicit --config are the comparer's.
-    let mut run = base.config.run;
+fn compare_scenes(args: &SceneArgs) -> i32 {
+    let Some(base) = load::<Scenes>(&args.path) else {
+        return EXIT_REFUSED;
+    };
+    // The fresh run matches the baseline's workload and window start
+    // exactly, so its steps are the baseline's first steps of the same
+    // trajectory; how many, and an explicit --config, are the comparer's.
+    let recorded = &base.gate.config;
+    let mut run = recorded.run;
     for spec in &args.config {
         run.apply(spec).expect("validated by the flag parse");
     }
-    let cfg = GateConfig {
-        scale: base.config.scale,
+    let cfg = SceneConfig {
+        steps: args.steps.unwrap_or(recorded.steps),
+        warmup: args.warmup.unwrap_or(recorded.warmup),
         run,
-        scenes: base.config.scenes.clone(),
-        ..args.cfg.clone()
+        ..recorded.clone()
     };
-    let threshold = if args.threshold.is_some() || args.quick {
-        args.cfg.threshold
+    let threshold = if args.quick {
+        scenes::QUICK_THRESHOLD
     } else {
-        base.config.threshold
+        scenes::THRESHOLD
     };
     println!(
         "comparing against {} ({} scene(s), threshold +{:.0}%): {} steps (+{} warmup) \
          @ scale {}, {}",
         args.path,
-        base.scenes.len(),
+        base.gate.scenes.len(),
         threshold * 100.0,
         cfg.steps,
         cfg.warmup,
@@ -228,75 +273,134 @@ fn run_compare(args: &Args) {
         cfg.run
     );
     // Same configuration: gate against the stored samples — comparing
-    // with the past is the point. A changed one: the stored samples were
-    // taken minutes to months ago, and host drift since then easily
-    // exceeds a configuration's effect, so both sides are re-measured
-    // interleaved within each scene and the baseline only contributes the
-    // workload.
-    let (base, fresh) = if run == base.config.run {
-        (base, record(&cfg))
+    // with the past is the point. A changed one: both sides re-measured
+    // interleaved within each scene, the baseline only contributing the
+    // workload, so the verdicts measure the configuration change.
+    let (base, fresh) = if run == recorded.run {
+        let fresh = scenes::record(&cfg);
+        (base, fresh)
     } else {
         println!(
             "A({}) vs B({run}): both re-measured interleaved; the verdicts measure the \
              configuration change, not a code change",
-            base.config.run
+            recorded.run
         );
-        let base_cfg = GateConfig {
-            run: base.config.run,
+        let base_cfg = SceneConfig {
+            run: recorded.run,
             ..cfg.clone()
         };
-        record_sides([&base_cfg, &cfg]).into()
+        scenes::record_sides([&base_cfg, &cfg]).into()
     };
-    let rows = compare_baselines(&base, &fresh, threshold);
+    print_speeds(base.probe_ns, fresh.probe_ns);
+    let rows = scenes::compare(&base.gate, &fresh.gate, threshold);
+    report("Scene gate", &rows, threshold)
+}
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scene.clone(),
-                r.phase.to_string(),
-                format!("{:.3}", r.cmp.base_median / 1e6),
-                format!("{:.3}", r.cmp.cand_median / 1e6),
-                format!("{:+.0}%", r.cmp.rel_change * 100.0),
-                format!("[{:+.0}%, {:+.0}%]", r.cmp.ci.0 * 100.0, r.cmp.ci.1 * 100.0),
-                r.cmp.verdict.label().to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Scene gate",
-        &[
-            "Scene", "Phase", "Base ms", "Now ms", "Change", "95% CI", "Verdict",
-        ],
-        &table,
+fn run_server(record: bool, path: &str, quick: bool) -> i32 {
+    let base = if record {
+        None
+    } else {
+        let Some(base) = load::<Fleet>(path) else {
+            return EXIT_REFUSED;
+        };
+        Some(base)
+    };
+    // Compare measures the baseline's cells at its rate and floor; the
+    // windows are the comparer's.
+    let mut cfg = ServerConfig::default();
+    if quick {
+        cfg = cfg.quick();
+    }
+    if let Some(base) = &base {
+        let recorded = &base.gate.config;
+        cfg.cells = recorded.cells.clone();
+        cfg.step_rate = recorded.step_rate;
+        cfg.min_sustain = recorded.min_sustain;
+    }
+    let threshold = if quick {
+        server::QUICK_THRESHOLD
+    } else {
+        server::THRESHOLD
+    };
+    println!(
+        "{} {} cell(s) at {} Hz: warmup {} ms, measure {} ms, {} client(s)",
+        if record { "recording" } else { "comparing" },
+        cfg.cells.len(),
+        cfg.step_rate,
+        cfg.warmup_ms,
+        cfg.measure_ms,
+        cfg.clients
     );
+    let fresh = server::record(&cfg);
+    let mut code = match &base {
+        None => save(&fresh, path),
+        Some(base) => {
+            print_speeds(base.probe_ns, fresh.probe_ns);
+            let rows = server::compare(&base.gate, &fresh.gate, threshold);
+            report("Server gate", &rows, threshold)
+        }
+    };
+    for failure in fresh.gate.sustain_failures() {
+        eprintln!("SUSTAIN FAILED: {failure}");
+        code = code.max(EXIT_SLOWER);
+    }
+    code
+}
 
-    let regressions: Vec<&PhaseComparison> = rows.iter().filter(|r| r.is_regression()).collect();
-    if regressions.is_empty() {
+fn run_digest(quick: bool) -> i32 {
+    let sides = SceneConfig::digest_sides(quick);
+    let (steps, warmup, scale) = (sides[1].steps, sides[1].warmup, sides[1].scale);
+    // Body slots: everything a digest folds, dormant debris included.
+    let bodies = sides[0]
+        .run
+        .build(sides[0].scenes[0], scale)
+        .world
+        .bodies()
+        .len();
+    let budget = scenes::DIGEST_BUDGET_NS_PER_BODY_STEP;
+    println!(
+        "digest overhead on Mix: {steps} steps (+{warmup} warmup), {bodies} body slots, \
+         budget {budget:.0} ns per body-step at the reference speed"
+    );
+    for attempt in 1..=scenes::DIGEST_ATTEMPTS {
+        let hashed_before = phase_bytes_hashed();
+        let [off, on] = scenes::record_sides([&sides[0], &sides[1]]);
+        // Only the on side hashes, warm-up steps included, in every pass.
+        let stepped = scenes::RECORD_PASSES * (steps + warmup);
+        let hashed = (phase_bytes_hashed() - hashed_before) as f64 / stepped as f64;
+        let (off, on) = (&off.gate.scenes[0], &on.gate.scenes[0]);
+        let Some(cost) = paired_step_cost(off, on) else {
+            eprintln!("error: the paired recording produced no samples");
+            return EXIT_REFUSED;
+        };
+        let step = parallax_telemetry::median(&off.step_totals()).unwrap_or(1.0);
+        let per_body = |ns: f64| ns / bodies as f64;
         println!(
-            "\ngate passed: no scene/phase slower than baseline beyond +{:.0}%",
-            threshold * 100.0
+            "  cost {:+.1} µs/step, CI [{:+.1}, {:+.1}]: {:.1}% of a {:.2} ms step, \
+             {:.3} ns per hashed byte ({hashed:.0} B/step)",
+            cost.median_ns / 1e3,
+            cost.ci_ns.0 / 1e3,
+            cost.ci_ns.1 / 1e3,
+            100.0 * cost.median_ns / step,
+            step / 1e6,
+            cost.median_ns / hashed.max(1.0),
         );
-        return;
-    }
-    for r in &regressions {
-        eprintln!(
-            "REGRESSION: {} / {}: median {:.3} ms -> {:.3} ms ({:+.0}%, 95% CI \
-             [{:+.0}%, {:+.0}%] beyond +{:.0}%)",
-            r.scene,
-            r.phase,
-            r.cmp.base_median / 1e6,
-            r.cmp.cand_median / 1e6,
-            r.cmp.rel_change * 100.0,
-            r.cmp.ci.0 * 100.0,
-            r.cmp.ci.1 * 100.0,
-            threshold * 100.0
+        let verdict = format!(
+            "{:.0} ns per body-step (CI [{:.0}, {:.0}])",
+            per_body(cost.median_ns),
+            per_body(cost.ci_ns.0),
+            per_body(cost.ci_ns.1),
+        );
+        if !cost.over_digest_budget(bodies) {
+            println!("digest gate passed: within budget: {verdict}");
+            return EXIT_PASS;
+        }
+        println!(
+            "digest: recording {attempt} of {} over budget: {verdict}, entirely above \
+             {budget:.0}",
+            scenes::DIGEST_ATTEMPTS
         );
     }
-    eprintln!(
-        "\ngate FAILED: {} regression(s) across {} scene/phase pair(s)",
-        regressions.len(),
-        rows.len()
-    );
-    std::process::exit(1);
+    eprintln!("digest gate FAILED: over budget in every recording");
+    EXIT_SLOWER
 }

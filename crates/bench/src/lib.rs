@@ -15,8 +15,7 @@
 pub mod bisect;
 pub mod cli;
 pub mod experiments;
-pub mod harness;
-pub mod server_gate;
+pub mod gate;
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -320,15 +319,6 @@ pub fn warm_measure(
     let mut r = sim.run_steps(&[]);
     r.time = time;
     r
-}
-
-/// Serializes the unit tests that switch, or count on, the process-global
-/// telemetry flag: `harness::record` turns it back off on return, which
-/// zeroes the counters a concurrent `server_gate::record` is sampling.
-#[cfg(test)]
-pub(crate) fn telemetry_flag_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

@@ -139,7 +139,7 @@ impl Digest {
     /// accumulators — independent multiply/rotate chains the CPU can
     /// pipeline, instead of a buffer store and branch per word. The
     /// digests run inside the phase walls, so this path is what keeps
-    /// them inside their per-step budget (see `digest_overhead`).
+    /// them inside their per-step budget (see `bench_gate digest`).
     pub fn write_f32s(&mut self, lane: &[f32]) {
         let mut rest = lane;
         while self.buffered != 0 && rest.len() >= 2 {
@@ -376,8 +376,8 @@ fn fold_contact_cache(d: &mut Digest, cache: &ContactCache) {
 static PHASE_BYTES_HASHED: AtomicU64 = AtomicU64::new(0);
 
 /// Total bytes hashed by the per-phase digests of every world in this
-/// process since it started: what `digest_overhead` divides the measured
-/// cost by. Five relaxed adds a step, and only with digests on.
+/// process since it started: what `bench_gate digest` divides the
+/// measured cost by. Five relaxed adds a step, and only with digests on.
 pub fn phase_bytes_hashed() -> u64 {
     PHASE_BYTES_HASHED.load(Ordering::Relaxed)
 }
@@ -543,20 +543,147 @@ pub struct Divergence {
 }
 
 /// Compares two worlds lane-by-lane and reports the first differing
-/// value: bodies in index order (each body's lanes in a fixed order),
-/// then cloth vertices, joints, blasts and the clock. Returns `None`
-/// when the compared state is bit-identical.
+/// value, over everything [`world_digest`] folds: bodies in index order
+/// (each body's lanes in a fixed order, forces and torques included),
+/// then cloth vertices, joints, blasts, the prefractured shatter flags,
+/// the sleeping-island table with its free list and the wake queue, the
+/// contact cache and the clock. Returns `None` when the compared state is
+/// bit-identical.
 pub fn first_divergence(a: &World, b: &World) -> Option<Divergence> {
-    if a.bodies.len() != b.bodies.len() {
-        return Some(Divergence {
-            location: "body count".into(),
-            body: None,
-            a_bits: a.bodies.len() as u64,
-            b_bits: b.bodies.len() as u64,
-        });
-    }
+    let count =
+        |what: &str, x: usize, y: usize| field(|| what.to_string(), "count", x as u64, y as u64);
+    count("body", a.bodies.len(), b.bodies.len())
+        .or_else(|| body_divergence(&a.bodies, &b.bodies))
+        .or_else(|| count("cloth", a.cloths.len(), b.cloths.len()))
+        .or_else(|| {
+            let mut cloths = a.cloths.iter().zip(&b.cloths).enumerate();
+            cloths.find_map(|(ci, (ca, cb))| {
+                let (va, vb) = (ca.vertices(), cb.vertices());
+                count(&format!("cloth {ci} vertex"), va.len(), vb.len()).or_else(|| {
+                    va.iter().zip(vb).enumerate().find_map(|(vi, (x, y))| {
+                        first_field(
+                            || format!("cloth {ci} vertex {vi}"),
+                            None,
+                            [
+                                ("pos.x", bits(x.pos.x), bits(y.pos.x)),
+                                ("pos.y", bits(x.pos.y), bits(y.pos.y)),
+                                ("pos.z", bits(x.pos.z), bits(y.pos.z)),
+                                ("prev.x", bits(x.prev.x), bits(y.prev.x)),
+                                ("prev.y", bits(x.prev.y), bits(y.prev.y)),
+                                ("prev.z", bits(x.prev.z), bits(y.prev.z)),
+                            ],
+                        )
+                    })
+                })
+            })
+        })
+        .or_else(|| count("joint", a.joints.len(), b.joints.len()))
+        .or_else(|| {
+            let mut joints = a.joints.iter().zip(&b.joints).enumerate();
+            joints.find_map(|(ji, (x, y))| {
+                first_field(
+                    || format!("joint {ji}"),
+                    None,
+                    [
+                        (
+                            "accumulated_load",
+                            bits(x.accumulated_load),
+                            bits(y.accumulated_load),
+                        ),
+                        ("last_impulse", bits(x.last_impulse), bits(y.last_impulse)),
+                        ("broken", x.broken as u64, y.broken as u64),
+                    ],
+                )
+            })
+        })
+        .or_else(|| count("blast", a.blasts.len(), b.blasts.len()))
+        .or_else(|| {
+            let mut blasts = a.blasts.iter().zip(&b.blasts).enumerate();
+            blasts.find_map(|(k, (x, y))| {
+                first_field(
+                    || format!("blast {k}"),
+                    None,
+                    [
+                        ("body", x.body.0 as u64, y.body.0 as u64),
+                        ("center.x", bits(x.center.x), bits(y.center.x)),
+                        ("center.y", bits(x.center.y), bits(y.center.y)),
+                        ("center.z", bits(x.center.z), bits(y.center.z)),
+                        ("radius", bits(x.radius), bits(y.radius)),
+                        ("steps_left", x.steps_left as u64, y.steps_left as u64),
+                        ("impulse", bits(x.impulse), bits(y.impulse)),
+                        ("fresh", x.fresh as u64, y.fresh as u64),
+                    ],
+                )
+            })
+        })
+        .or_else(|| count("prefractured", a.prefractured.len(), b.prefractured.len()))
+        .or_else(|| {
+            let mut objects = a.prefractured.iter().zip(&b.prefractured).enumerate();
+            objects.find_map(|(k, (x, y))| {
+                let at = || format!("prefractured {k}");
+                field(at, "shattered", x.shattered, y.shattered)
+            })
+        })
+        .or_else(|| sleep_divergence(a, b))
+        .or_else(|| match (a.pipeline.as_ref(), b.pipeline.as_ref()) {
+            (Some(pa), Some(pb)) => cache_divergence(pa.contact_cache(), pb.contact_cache()),
+            _ => None,
+        })
+        .or_else(|| field(String::new, "step counter", a.steps, b.steps))
+        .or_else(|| field(String::new, "clock", a.time.to_bits(), b.time.to_bits()))
+}
+
+/// `(name, bits on side A, bits on side B)` of one compared value.
+type Field<'n> = (&'n str, u64, u64);
+
+fn bits(x: f32) -> u64 {
+    u64::from(x.to_bits())
+}
+
+/// The first of `fields` that differs, located as `"{at} {name}"` (just
+/// the name when `at` is empty).
+fn first_field<'n>(
+    at: impl FnOnce() -> String,
+    body: Option<u32>,
+    fields: impl IntoIterator<Item = Field<'n>>,
+) -> Option<Divergence> {
+    let (name, a_bits, b_bits) = fields.into_iter().find(|&(_, x, y)| x != y)?;
+    let at = at();
+    let location = if at.is_empty() {
+        name.to_string()
+    } else {
+        format!("{at} {name}")
+    };
+    Some(Divergence {
+        location,
+        body,
+        a_bits,
+        b_bits,
+    })
+}
+
+/// One integer field: [`first_field`] of a single value.
+fn field(
+    at: impl FnOnce() -> String,
+    name: &str,
+    x: impl Into<u64>,
+    y: impl Into<u64>,
+) -> Option<Divergence> {
+    first_field(at, None, [(name, x.into(), y.into())])
+}
+
+/// The first differing entry of two id lists: their lengths, then the
+/// entries in order, located as `"{at} count"` / `"{at} {index}"`.
+fn list_divergence(at: &str, a: &[u32], b: &[u32]) -> Option<Divergence> {
+    field(|| at.to_string(), "count", a.len() as u64, b.len() as u64).or_else(|| {
+        let mut entries = a.iter().zip(b).enumerate();
+        entries.find_map(|(k, (&x, &y))| field(|| at.to_string(), &k.to_string(), x, y))
+    })
+}
+
+fn body_divergence(a: &BodyStore, b: &BodyStore) -> Option<Divergence> {
     type LaneFn = fn(&BodyStore) -> &Vec<f32>;
-    let named_lanes: [(&str, LaneFn); 13] = [
+    let named_lanes: [(&str, LaneFn); 19] = [
         ("pos.x", |s| &s.pos.x),
         ("pos.y", |s| &s.pos.y),
         ("pos.z", |s| &s.pos.z),
@@ -570,114 +697,152 @@ pub fn first_divergence(a: &World, b: &World) -> Option<Divergence> {
         ("ang_vel.x", |s| &s.ang_vel.x),
         ("ang_vel.y", |s| &s.ang_vel.y),
         ("ang_vel.z", |s| &s.ang_vel.z),
+        ("force.x", |s| &s.force.x),
+        ("force.y", |s| &s.force.y),
+        ("force.z", |s| &s.force.z),
+        ("torque.x", |s| &s.torque.x),
+        ("torque.y", |s| &s.torque.y),
+        ("torque.z", |s| &s.torque.z),
     ];
-    for i in 0..a.bodies.len() {
-        for (name, lane) in &named_lanes {
-            let (va, vb) = (lane(&a.bodies)[i], lane(&b.bodies)[i]);
-            if va.to_bits() != vb.to_bits() {
-                return Some(Divergence {
-                    location: format!("body {i} {name}"),
-                    body: Some(i as u32),
-                    a_bits: va.to_bits() as u64,
-                    b_bits: vb.to_bits() as u64,
-                });
+    (0..a.len()).find_map(|i| {
+        let lanes = named_lanes
+            .iter()
+            .map(|(name, lane)| (*name, bits(lane(a)[i]), bits(lane(b)[i])));
+        let rest = [
+            ("flags", a.flags[i].0 as u64, b.flags[i].0 as u64),
+            (
+                "sleep_timer",
+                a.sleep_timer[i] as u64,
+                b.sleep_timer[i] as u64,
+            ),
+            ("sleep_ema", bits(a.sleep_ema[i]), bits(b.sleep_ema[i])),
+        ];
+        first_field(|| format!("body {i}"), Some(i as u32), lanes.chain(rest))
+    })
+}
+
+/// The sleeping-island table (slot by slot: occupancy, members,
+/// manifolds), its free list and the wake queue.
+fn sleep_divergence(a: &World, b: &World) -> Option<Divergence> {
+    let (sa, sb) = (&a.sleep, &b.sleep);
+    let slots = sa.islands.iter().zip(&sb.islands).enumerate();
+    field(
+        || "sleep island".into(),
+        "count",
+        sa.islands.len() as u64,
+        sb.islands.len() as u64,
+    )
+    .or_else(|| {
+        slots.into_iter().find_map(|(k, (x, y))| {
+            let at = format!("sleep island {k}");
+            match (x, y) {
+                (Some(x), Some(y)) => list_divergence(&format!("{at} body"), &x.bodies, &y.bodies)
+                    .or_else(|| manifolds_divergence(&at, &x.manifolds, &y.manifolds)),
+                _ => field(|| at, "asleep", x.is_some(), y.is_some()),
             }
-        }
-        if a.bodies.flags[i] != b.bodies.flags[i] {
-            return Some(Divergence {
-                location: format!("body {i} flags"),
-                body: Some(i as u32),
-                a_bits: a.bodies.flags[i].0 as u64,
-                b_bits: b.bodies.flags[i].0 as u64,
-            });
-        }
-        if a.bodies.sleep_timer[i] != b.bodies.sleep_timer[i] {
-            return Some(Divergence {
-                location: format!("body {i} sleep_timer"),
-                body: Some(i as u32),
-                a_bits: a.bodies.sleep_timer[i] as u64,
-                b_bits: b.bodies.sleep_timer[i] as u64,
-            });
-        }
-        let (ea, eb) = (a.bodies.sleep_ema[i], b.bodies.sleep_ema[i]);
-        if ea.to_bits() != eb.to_bits() {
-            return Some(Divergence {
-                location: format!("body {i} sleep_ema"),
-                body: Some(i as u32),
-                a_bits: ea.to_bits() as u64,
-                b_bits: eb.to_bits() as u64,
-            });
-        }
-    }
-    for (ci, (ca, cb)) in a.cloths.iter().zip(&b.cloths).enumerate() {
-        for (vi, (va, vb)) in ca.vertices().iter().zip(cb.vertices()).enumerate() {
-            for (name, xa, xb) in [
-                ("pos.x", va.pos.x, vb.pos.x),
-                ("pos.y", va.pos.y, vb.pos.y),
-                ("pos.z", va.pos.z, vb.pos.z),
-                ("prev.x", va.prev.x, vb.prev.x),
-                ("prev.y", va.prev.y, vb.prev.y),
-                ("prev.z", va.prev.z, vb.prev.z),
-            ] {
-                if xa.to_bits() != xb.to_bits() {
-                    return Some(Divergence {
-                        location: format!("cloth {ci} vertex {vi} {name}"),
-                        body: None,
-                        a_bits: xa.to_bits() as u64,
-                        b_bits: xb.to_bits() as u64,
-                    });
-                }
-            }
-        }
-    }
-    for (ji, (ja, jb)) in a.joints.iter().zip(&b.joints).enumerate() {
-        for (name, xa, xb) in [
-            ("accumulated_load", ja.accumulated_load, jb.accumulated_load),
-            ("last_impulse", ja.last_impulse, jb.last_impulse),
-        ] {
-            if xa.to_bits() != xb.to_bits() {
-                return Some(Divergence {
-                    location: format!("joint {ji} {name}"),
-                    body: None,
-                    a_bits: xa.to_bits() as u64,
-                    b_bits: xb.to_bits() as u64,
-                });
-            }
-        }
-        if ja.broken != jb.broken {
-            return Some(Divergence {
-                location: format!("joint {ji} broken"),
-                body: None,
-                a_bits: ja.broken as u64,
-                b_bits: jb.broken as u64,
-            });
-        }
-    }
-    if a.blasts.len() != b.blasts.len() {
-        return Some(Divergence {
-            location: "blast count".into(),
-            body: None,
-            a_bits: a.blasts.len() as u64,
-            b_bits: b.blasts.len() as u64,
-        });
-    }
-    if a.steps != b.steps {
-        return Some(Divergence {
-            location: "step counter".into(),
-            body: None,
-            a_bits: a.steps,
-            b_bits: b.steps,
-        });
-    }
-    if a.time.to_bits() != b.time.to_bits() {
-        return Some(Divergence {
-            location: "clock".into(),
-            body: None,
-            a_bits: a.time.to_bits(),
-            b_bits: b.time.to_bits(),
-        });
-    }
-    None
+        })
+    })
+    .or_else(|| list_divergence("sleep free list", &sa.free, &sb.free))
+    .or_else(|| list_divergence("wake queue", &sa.pending_wakes, &sb.pending_wakes))
+}
+
+fn manifolds_divergence(
+    at: &str,
+    a: &[ContactManifold],
+    b: &[ContactManifold],
+) -> Option<Divergence> {
+    field(
+        || format!("{at} manifold"),
+        "count",
+        a.len() as u64,
+        b.len() as u64,
+    )
+    .or_else(|| {
+        a.iter().zip(b).enumerate().find_map(|(k, (x, y))| {
+            let at = format!("{at} manifold {k}");
+            first_field(
+                || at.clone(),
+                None,
+                [
+                    ("geom_a", x.geom_a.0 as u64, y.geom_a.0 as u64),
+                    ("geom_b", x.geom_b.0 as u64, y.geom_b.0 as u64),
+                    ("friction", bits(x.friction), bits(y.friction)),
+                    ("restitution", bits(x.restitution), bits(y.restitution)),
+                    ("point count", x.len() as u64, y.len() as u64),
+                ],
+            )
+            .or_else(|| {
+                let mut points = x.points.into_iter().zip(&y.points).enumerate();
+                points.find_map(|(pi, (p, q))| {
+                    first_field(
+                        || format!("{at} point {pi}"),
+                        None,
+                        [
+                            ("position.x", bits(p.position.x), bits(q.position.x)),
+                            ("position.y", bits(p.position.y), bits(q.position.y)),
+                            ("position.z", bits(p.position.z), bits(q.position.z)),
+                            ("normal.x", bits(p.normal.x), bits(q.normal.x)),
+                            ("normal.y", bits(p.normal.y), bits(q.normal.y)),
+                            ("normal.z", bits(p.normal.z), bits(q.normal.z)),
+                            ("depth", bits(p.depth), bits(q.depth)),
+                            ("feature", p.feature as u64, q.feature as u64),
+                        ],
+                    )
+                })
+            })
+        })
+    })
+}
+
+/// The contact cache in sorted-key order, as [`world_digest`] folds it.
+fn cache_divergence(a: &ContactCache, b: &ContactCache) -> Option<Divergence> {
+    let (ea, eb) = (a.sorted_entries(), b.sorted_entries());
+    field(
+        || "contact cache".into(),
+        "count",
+        ea.len() as u64,
+        eb.len() as u64,
+    )
+    .or_else(|| {
+        ea.iter()
+            .zip(&eb)
+            .enumerate()
+            .find_map(|(k, (&(ka, x), &(kb, y)))| {
+                let at = format!("contact cache {k}");
+                first_field(
+                    || at.clone(),
+                    None,
+                    [
+                        ("geom_a", ka.0 .0 as u64, kb.0 .0 as u64),
+                        ("geom_b", ka.1 .0 as u64, kb.1 .0 as u64),
+                        ("age", x.age() as u64, y.age() as u64),
+                        (
+                            "point count",
+                            x.points().len() as u64,
+                            y.points().len() as u64,
+                        ),
+                    ],
+                )
+                .or_else(|| {
+                    let mut points = x.points().iter().zip(y.points()).enumerate();
+                    points.find_map(|(pi, (p, q))| {
+                        first_field(
+                            || format!("{at} point {pi}"),
+                            None,
+                            [
+                                ("feature", p.feature as u64, q.feature as u64),
+                                ("position.x", bits(p.position.x), bits(q.position.x)),
+                                ("position.y", bits(p.position.y), bits(q.position.y)),
+                                ("position.z", bits(p.position.z), bits(q.position.z)),
+                                ("lambda.n", bits(p.lambdas[0]), bits(q.lambdas[0])),
+                                ("lambda.t1", bits(p.lambdas[1]), bits(q.lambdas[1])),
+                                ("lambda.t2", bits(p.lambdas[2]), bits(q.lambdas[2])),
+                            ],
+                        )
+                    })
+                })
+            })
+    })
 }
 
 #[cfg(test)]
@@ -727,6 +892,134 @@ mod tests {
     fn empty_digest_matches_xxh64_empty() {
         // XXH64 of the empty input with seed 0 is a published constant.
         assert_eq!(Digest::new(0).finish(), 0xEF46_DB37_51D8_E999);
+    }
+
+    /// A world holding every kind of state [`world_digest`] folds:
+    /// bodies resting in contact (so the contact cache holds pairs), a
+    /// joint, a cloth, a prefractured box, a blast, and a sleeping-island
+    /// table with a free slot and a pending wake.
+    fn everything_world() -> World {
+        use crate::cloth::Cloth;
+        use crate::contact::ContactPoint;
+        use crate::explosion::BlastVolume;
+        use crate::fracture::FractureConfig;
+        use crate::joint::{Joint, JointKind};
+        use crate::sleep::SleepingIsland;
+
+        let mut w = World::new(WorldConfig::default());
+        w.add_static_geom(Shape::plane(Vec3::UNIT_Y, 0.0));
+        for i in 0..3 {
+            w.add_body(
+                BodyDesc::dynamic(Vec3::new(i as f32 * 1.1, 0.5, 0.0))
+                    .with_shape(Shape::cuboid(Vec3::splat(0.5)), 1.0),
+            );
+        }
+        let anchor = w.add_body(BodyDesc::fixed(Vec3::new(5.0, 2.0, 0.0)));
+        let bob = w.add_body(
+            BodyDesc::dynamic(Vec3::new(6.0, 2.0, 0.0)).with_shape(Shape::sphere(0.2), 1.0),
+        );
+        let ball = JointKind::Ball {
+            anchor_a: Vec3::ZERO,
+            anchor_b: Vec3::new(-1.0, 0.0, 0.0),
+        };
+        w.add_joint(Joint::new(ball, anchor, bob));
+        w.add_cloth(Cloth::rectangle(
+            Vec3::new(-2.0, 1.5, -0.5),
+            1.0,
+            1.0,
+            3,
+            3,
+            &[0],
+        ));
+        let (rotation, half) = (parallax_math::Quat::IDENTITY, Vec3::splat(0.5));
+        let box_at = Vec3::new(0.0, 0.5, 4.0);
+        w.add_prefractured(box_at, rotation, half, 2.0, FractureConfig::default());
+        for _ in 0..10 {
+            w.step();
+        }
+        w.blasts.push(BlastVolume {
+            body: bob,
+            center: Vec3::new(1.0, 2.0, 3.0),
+            radius: 2.0,
+            steps_left: 3,
+            impulse: 5.0,
+            fresh: true,
+        });
+        let mut manifold = ContactManifold::new(GeomId(0), GeomId(1));
+        manifold.push(ContactPoint {
+            position: Vec3::new(0.1, 0.2, 0.3),
+            normal: Vec3::UNIT_Y,
+            depth: 0.01,
+            feature: 2,
+        });
+        let island = SleepingIsland {
+            bodies: vec![0, 1],
+            manifolds: vec![manifold],
+        };
+        w.sleep.islands.extend([Some(island), None]);
+        w.sleep.free.push(1);
+        w.sleep.pending_wakes.push(2);
+        assert!(!w.pipeline().contact_cache().is_empty());
+        w
+    }
+
+    fn flip(x: &mut f32) {
+        *x = f32::from_bits(x.to_bits() ^ 1);
+    }
+
+    /// Rewrites the first contact-cache entry through `edit(age, points)`.
+    fn edit_cache(w: &mut World, edit: fn(&mut u32, &mut [crate::contact_cache::CachedPoint])) {
+        let cache = w.pipeline.as_mut().expect("stepped").contact_cache_mut();
+        let (key, pair) = cache.sorted_entries()[0];
+        let (key, mut age, mut points) = (*key, pair.age(), pair.points().to_vec());
+        edit(&mut age, &mut points);
+        cache.insert_raw(key, age, points);
+    }
+
+    #[test]
+    fn first_divergence_names_every_component_the_digest_folds() {
+        type Case = (&'static str, fn(&mut World));
+        let cases: [Case; 17] = [
+            ("body 1 force.y", |w| flip(&mut w.bodies.force.y[1])),
+            ("body 2 torque.z", |w| flip(&mut w.bodies.torque.z[2])),
+            ("blast 0 body", |w| w.blasts[0].body.0 ^= 1),
+            ("blast 0 center.y", |w| flip(&mut w.blasts[0].center.y)),
+            ("blast 0 radius", |w| flip(&mut w.blasts[0].radius)),
+            ("blast 0 steps_left", |w| w.blasts[0].steps_left ^= 1),
+            ("blast 0 impulse", |w| flip(&mut w.blasts[0].impulse)),
+            ("blast 0 fresh", |w| w.blasts[0].fresh ^= true),
+            ("prefractured 0 shattered", |w| {
+                w.prefractured[0].shattered ^= true
+            }),
+            ("sleep island 0 body 1", |w| {
+                w.sleep.islands[0].as_mut().unwrap().bodies[1] ^= 1
+            }),
+            ("sleep island 0 manifold 0 point 0 depth", |w| {
+                let island = w.sleep.islands[0].as_mut().unwrap();
+                flip(&mut island.manifolds[0].points[0].depth)
+            }),
+            ("sleep island 1 asleep", |w| {
+                w.sleep.islands[1] = w.sleep.islands[0].clone()
+            }),
+            ("sleep free list 0", |w| w.sleep.free[0] ^= 1),
+            ("wake queue 0", |w| w.sleep.pending_wakes[0] ^= 1),
+            ("contact cache 0 age", |w| edit_cache(w, |age, _| *age ^= 1)),
+            ("contact cache 0 point 0 position.x", |w| {
+                edit_cache(w, |_, points| flip(&mut points[0].position.x))
+            }),
+            ("contact cache 0 point 0 lambda.n", |w| {
+                edit_cache(w, |_, points| flip(&mut points[0].lambdas[0]))
+            }),
+        ];
+        let a = everything_world();
+        assert_eq!(first_divergence(&a, &everything_world()), None);
+        for (component, mutate) in cases {
+            let mut b = everything_world();
+            mutate(&mut b);
+            assert_ne!(world_digest(&a), world_digest(&b), "{component}: digest");
+            let div = first_divergence(&a, &b).unwrap_or_else(|| panic!("{component}: none"));
+            assert_eq!(div.location, component);
+        }
     }
 
     #[test]

@@ -187,12 +187,18 @@ impl SessionConfig {
     /// requests happen to arrive make one fleet's wake-up count — and its
     /// CPU per step — follow request timing, and restarting a late
     /// session's clock from "now" puts a whole fleet on one phase, at
-    /// half the cost, from its first stall past `max_catchup` on.
+    /// half the cost, from its first stall past `max_catchup` on. The
+    /// slot's first tick is its offset itself, so on a clock younger than
+    /// the offset the session comes due at the offset — within one period,
+    /// like everywhere else, not one period late.
     fn first_due_ns(&self, id: u64, now_ns: u64) -> u64 {
         self.period_ns().map_or(0, |period| {
             let slots = (period / SLOT_NS).max(1);
             let offset = id % slots * (period / slots);
-            (now_ns.saturating_sub(offset) / period + 1) * period + offset
+            match now_ns.checked_sub(offset) {
+                Some(since) => (since / period + 1) * period + offset,
+                None => offset,
+            }
         })
     }
 }
@@ -1069,6 +1075,28 @@ mod tests {
         let mut infos: Vec<String> = table.infos().iter().map(SessionInfo::to_json).collect();
         infos.sort();
         assert_eq!(infos, expected, "{what}: infos");
+    }
+
+    /// A clock younger than a session's slot offset: the first tick of
+    /// that slot still comes within one period of the rate switch, so
+    /// ticks one period apart from the switch advance every session once.
+    #[test]
+    fn a_young_clock_loses_no_tick() {
+        let _serial = crate::schedule_guard();
+        let table = SessionTable::default();
+        let ids: Vec<u64> = (0..16)
+            .map(|seed| table.create(manual(4, seed)).expect("create").id)
+            .collect();
+        // 1 ms: before the first tick of all but one of the 16 slots.
+        let start = 1_000_000;
+        for &id in &ids {
+            table.with_session(id, |s| s.set_step_rate(60.0, start));
+        }
+        let period = (1e9 / 60.0) as u64;
+        for tick in 1..=4 {
+            let advanced = table.step_due(start + tick * period);
+            assert_eq!(advanced, ids.len(), "tick {tick}");
+        }
     }
 
     #[test]

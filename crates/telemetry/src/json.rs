@@ -5,7 +5,8 @@
 //! recursive-descent parser here. The value model is just enough for
 //! telemetry records: objects keep insertion order, numbers are `f64`
 //! (every quantity we export is well under 2^53, so `u64` round-trips
-//! exactly).
+//! exactly). Documents built as a [`Json`] tree are written back with
+//! [`Json::render`], so a file's reader and writer share one model.
 
 use std::fmt::Write as _;
 
@@ -80,6 +81,101 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// The value as numbers, if it is an array of nothing else.
+    pub fn as_nums(&self) -> Option<Vec<f64>> {
+        self.as_arr()?.iter().map(Json::as_f64).collect()
+    }
+
+    /// An object of `members`, in order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// An array of numbers.
+    pub fn nums(xs: &[f64]) -> Json {
+        Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect())
+    }
+
+    /// The document as text: a container that holds only scalars (or
+    /// empty containers) on one line, any other with one member per line,
+    /// indented two spaces a level, and a final newline. Non-finite numbers are written as
+    /// `null`, which JSON has no other way to say.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+                return;
+            }
+            Json::Num(_) => return out.push_str("null"),
+            Json::Str(s) => return write_str(out, s),
+            Json::Arr(xs) => ('[', ']', xs.iter().map(|x| (None, x)).collect()),
+            Json::Obj(m) => (
+                '{',
+                '}',
+                m.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+        };
+        let flat = items.iter().all(|(_, v)| match v {
+            Json::Arr(xs) => xs.is_empty(),
+            Json::Obj(m) => m.is_empty(),
+            _ => true,
+        });
+        let pad = |out: &mut String, depth: usize| {
+            if !flat {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', 2 * depth));
+            }
+        };
+        out.push(open);
+        for (i, (key, value)) in items.iter().enumerate() {
+            if i > 0 {
+                out.push_str(if flat { ", " } else { "," });
+            }
+            pad(out, depth + 1);
+            if let Some(key) = key {
+                write_str(out, key);
+                out.push_str(": ");
+            }
+            value.write(out, depth + 1);
+        }
+        if !items.is_empty() {
+            pad(out, depth);
+        }
+        out.push(close);
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
     }
 }
 
@@ -309,6 +405,39 @@ mod tests {
         write_str(&mut buf, original);
         let parsed = Json::parse(&buf).unwrap();
         assert_eq!(parsed.as_str(), Some(original));
+    }
+
+    #[test]
+    fn render_round_trips_and_keeps_scalar_arrays_on_one_line() {
+        let doc = Json::obj([
+            ("name", Json::from("a \"b\"")),
+            ("n", Json::from(3usize)),
+            ("x", Json::from(0.35)),
+            ("ok", Json::Bool(true)),
+            ("none", Json::Null),
+            ("nan", Json::from(f64::NAN)),
+            ("walls", Json::nums(&[1.0, 2.5, 1e12])),
+            ("rows", Json::Arr(vec![Json::obj([("k", Json::nums(&[]))])])),
+            ("empty", Json::obj([])),
+        ]);
+        let text = doc.render();
+        assert!(
+            text.contains("\"walls\": [1, 2.5, 1000000000000]"),
+            "{text}"
+        );
+        assert!(text.contains("\n    {\"k\": []}\n"), "{text}");
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back.get("nan"), Some(&Json::Null));
+        let Json::Obj(mut members) = doc else {
+            unreachable!()
+        };
+        members[5].1 = Json::Null;
+        assert_eq!(back, Json::Obj(members));
+        assert_eq!(
+            back.get("walls").unwrap().as_nums(),
+            Some(vec![1.0, 2.5, 1e12])
+        );
+        assert_eq!(back.get("name").unwrap().as_nums(), None);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * [`compare`] — the noise-aware two-sample verdict the `bench_gate`
 //!   binary gates on: *slower* / *faster* only when the whole bootstrap
 //!   confidence interval of the relative median change clears a
-//!   threshold, *indistinguishable* otherwise.
+//!   threshold, *indistinguishable* otherwise,
+//! * [`Probe`] — the host's speed, timed beside the work, so that a wall
+//!   can be stated at a fixed reference speed ([`at_reference_speed`]).
 //!
 //! No RNG crate, no float formatting crate, no allocation beyond the
 //! scratch vectors: the module must stay usable from the `off`-feature
@@ -183,11 +185,116 @@ pub fn bootstrap_median_ci(samples: &[f64], cfg: &BootstrapConfig) -> Option<(f6
     ))
 }
 
+/// Wall of one [`Probe::sample`] at the reference speed, in nanoseconds:
+/// the kernel's wall on the 2-core x86-64 VM the benchmark was sized on,
+/// in its fast state — the host speed at which the regression gates'
+/// absolute floors and budgets were set (on a host whose probe reads
+/// 510–680 µs, the digests cost 57–62 ns per body-step at this speed,
+/// where the budget's derivation measured 55–75). The benchmark's own
+/// host-speed probe runs the same kernel at the same scale. Only a
+/// scale: it cancels when two recordings are compared.
+pub const REFERENCE_PROBE_NS: f64 = 400_000.0;
+
+/// A small compute-bound reference kernel, timed beside measured work.
+///
+/// Shared hosts change speed by up to a quarter for tens of seconds at a
+/// time, longer than a recording, so no repetition inside one averages
+/// it away. The probe slows and speeds with the measured code, and no
+/// change to that code can move it, so a wall scaled by
+/// `REFERENCE_PROBE_NS / probe wall` shows a code change in full and a
+/// host change not at all. The kernel — a multiply-add sweep over 16 KB
+/// of floats, then a xorshift walk with data-dependent branches — stays
+/// inside the L1 cache on purpose: one that touched more would evict the
+/// measured working set, and step walls follow the core's speed, which
+/// this tracks, far better than the memory system's.
+#[derive(Debug)]
+pub struct Probe {
+    buf: Vec<f32>,
+    state: u64,
+}
+
+impl Default for Probe {
+    fn default() -> Probe {
+        Probe::new()
+    }
+}
+
+impl Probe {
+    /// A probe with its buffer touched.
+    pub fn new() -> Probe {
+        let mut probe = Probe {
+            buf: vec![1.0; 4 * 1024],
+            state: 0x2545_F491_4F6C_DD1D,
+        };
+        probe.sample();
+        probe
+    }
+
+    /// Runs the kernel once and returns its wall in nanoseconds.
+    pub fn sample(&mut self) -> f64 {
+        let start = std::time::Instant::now();
+        let mut acc = 0.0f32;
+        for _ in 0..80 {
+            for x in self.buf.iter_mut() {
+                *x = *x * 0.9999 + 0.0001;
+                acc += *x * *x;
+            }
+        }
+        let mut s = self.state;
+        let mut mix = 0u64;
+        for _ in 0..30_000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            if s & 1 == 0 {
+                mix = mix.wrapping_add(s >> 3);
+            } else if s & 2 == 0 {
+                mix ^= s;
+            } else {
+                mix = mix.rotate_left(5);
+            }
+        }
+        self.state = s;
+        std::hint::black_box((acc, mix));
+        start.elapsed().as_nanos() as f64
+    }
+
+    /// The median wall of three samples taken now: the host's speed for
+    /// the block of work about to be timed, robust to one preempted run.
+    pub fn speed(&mut self) -> f64 {
+        let mut walls = [self.sample(), self.sample(), self.sample()];
+        walls.sort_by(f64::total_cmp);
+        walls[1]
+    }
+}
+
+/// `wall` stated at the reference speed, given the [`Probe`] wall
+/// `probe_ns` timed beside it.
+pub fn at_reference_speed(wall: f64, probe_ns: f64) -> f64 {
+    wall * REFERENCE_PROBE_NS / probe_ns.max(1.0)
+}
+
+/// Probe walls timed one per block of work, in time order, smoothed: each
+/// the median of the walls within two blocks of it. A host's speed state
+/// outlasts a few blocks, one disturbed probe run does not, so this tracks
+/// the host without carrying the probe's own noise into every block (in a
+/// debug build, where a probe run takes milliseconds, per-block factors
+/// made half of the tiny A/A comparisons fail).
+pub fn smoothed_speeds(probe_walls: &[f64]) -> Vec<f64> {
+    (0..probe_walls.len())
+        .map(|i| {
+            let near = &probe_walls[i.saturating_sub(2)..(i + 3).min(probe_walls.len())];
+            median(near).unwrap_or(REFERENCE_PROBE_NS)
+        })
+        .collect()
+}
+
 /// The outcome of a two-sample comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The candidate's median is significantly below the baseline's
-    /// (the whole interval clears `-threshold`).
+    /// (the whole interval clears `1 / (1 + threshold) - 1`, the mirror
+    /// of `+threshold` in ratio: a +100 % threshold is crossed by halving).
     Faster,
     /// The confidence interval straddles the threshold band: any
     /// difference is within noise at this threshold.
@@ -233,7 +340,8 @@ pub struct Comparison {
 /// the relative difference of the resample medians is recorded; the
 /// verdict is [`Verdict::Slower`] / [`Verdict::Faster`] only when the
 /// *entire* `1 - alpha` interval of that distribution lies beyond
-/// `threshold` (e.g. `0.25` = 25%). Unequal sample counts are fine —
+/// `threshold` (e.g. `0.25` = 25% slower), or beyond its mirror in ratio
+/// (`1 / 1.25 - 1` = 20% faster). Unequal sample counts are fine —
 /// each series is resampled at its own length.
 pub fn compare(
     baseline: &[f64],
@@ -271,7 +379,7 @@ pub fn compare(
     let threshold = threshold.abs();
     let verdict = if ci.0 > threshold {
         Verdict::Slower
-    } else if ci.1 < -threshold {
+    } else if ci.1 < 1.0 / (1.0 + threshold) - 1.0 {
         Verdict::Faster
     } else {
         Verdict::Indistinguishable
@@ -381,6 +489,29 @@ mod tests {
         let shifted = series(1300.0, 60, 15);
         let v = compare(&base, &shifted, 1.0, &cfg).unwrap();
         assert_eq!(v.verdict, Verdict::Indistinguishable, "{v:?}");
+
+        // Halving mirrors doubling: at +100% it reads faster, and a 40%
+        // cut does not.
+        let v = compare(&base, &series(400.0, 60, 16), 1.0, &cfg).unwrap();
+        assert_eq!(v.verdict, Verdict::Faster, "{v:?}");
+        let v = compare(&base, &series(600.0, 60, 17), 1.0, &cfg).unwrap();
+        assert_eq!(v.verdict, Verdict::Indistinguishable, "{v:?}");
+    }
+
+    #[test]
+    fn walls_scale_to_the_reference_speed() {
+        // A host 25% slower than the reference: its walls shrink back.
+        let slow = REFERENCE_PROBE_NS * 1.25;
+        assert!((at_reference_speed(12.5, slow) - 10.0).abs() < 1e-9);
+        assert_eq!(at_reference_speed(7.0, REFERENCE_PROBE_NS), 7.0);
+        // One disturbed probe run is smoothed away; a lasting change is not.
+        let walls = [400.0, 401.0, 900.0, 399.0, 500.0, 500.0, 500.0];
+        assert_eq!(
+            smoothed_speeds(&walls),
+            [401.0, 400.5, 401.0, 500.0, 500.0, 500.0, 500.0]
+        );
+        let wall = Probe::new().speed();
+        assert!(wall > 1e3 && wall < 5e8, "{wall}");
     }
 
     #[test]

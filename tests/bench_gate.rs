@@ -9,17 +9,16 @@
 
 use std::time::Duration;
 
-use parallax_bench::harness::{compare_baselines, record, Baseline, GateConfig};
+use parallax_bench::gate::scenes::{compare, record, SceneConfig, Scenes, QUICK_THRESHOLD};
+use parallax_bench::gate::Baseline;
 use parallax_physics::{set_injected_phase_delay, InvariantMonitor, PhaseKind};
 use parallax_workloads::{BenchmarkId, RunConfig, SceneParams};
 
-fn tiny_gate() -> GateConfig {
-    GateConfig {
+fn tiny_gate() -> SceneConfig {
+    SceneConfig {
         steps: 8,
         warmup: 2,
         scale: 0.05,
-        // The CI smoke threshold: only a gross slowdown may trip.
-        threshold: 1.0,
         run: RunConfig::parse("simd=scalar").expect("spec"),
         // Two scenes whose broad-phase is tens of microseconds at this
         // scale, so the injected delay is a huge *relative* change.
@@ -35,12 +34,15 @@ fn gate_passes_identical_build_and_fails_slowed_build() {
     let cfg = tiny_gate();
     let base = record(&cfg);
 
-    // Through the on-disk form, as `bench_gate compare` reads it.
-    let parsed = Baseline::from_json(&base.to_json()).expect("baseline round-trips");
+    // Through the on-disk form, as `bench_gate scenes compare` reads it.
+    let parsed = Baseline::<Scenes>::from_json(&base.to_json().render())
+        .expect("baseline round-trips")
+        .gate;
 
-    // Identical build: a fresh recording of the same binary must pass.
-    let fresh = record(&cfg);
-    let rows = compare_baselines(&parsed, &fresh, cfg.threshold);
+    // Identical build: a fresh recording of the same binary must pass
+    // at the CI smoke threshold.
+    let fresh = record(&cfg).gate;
+    let rows = compare(&parsed, &fresh, QUICK_THRESHOLD);
     // Five pipeline phases plus the per-scene "step total" row.
     assert_eq!(
         rows.len(),
@@ -59,16 +61,16 @@ fn gate_passes_identical_build_and_fails_slowed_build() {
     // *other* phases may slow too on a 1-core host — the gate naming
     // Broadphase as the dominant regression is what matters.)
     set_injected_phase_delay(PhaseKind::Broadphase, Duration::from_millis(20));
-    let slowed = record(&cfg);
+    let slowed = record(&cfg).gate;
     set_injected_phase_delay(PhaseKind::Broadphase, Duration::ZERO);
 
-    let rows = compare_baselines(&parsed, &slowed, cfg.threshold);
+    let rows = compare(&parsed, &slowed, QUICK_THRESHOLD);
     let regressions: Vec<_> = rows.iter().filter(|r| r.is_regression()).collect();
     assert!(!regressions.is_empty(), "slowed build passed the gate");
     for id in &cfg.scenes {
         let broad = regressions
             .iter()
-            .find(|r| r.scene == id.name() && r.phase == "Broadphase");
+            .find(|r| r.what == format!("{} / Broadphase", id.name()));
         assert!(
             broad.is_some(),
             "Broadphase regression of {} not flagged: {regressions:?}",
@@ -79,10 +81,10 @@ fn gate_passes_identical_build_and_fails_slowed_build() {
         // scene's biggest relative change.
         let max = rows
             .iter()
-            .filter(|r| r.scene == id.name())
+            .filter(|r| r.what.starts_with(id.name()))
             .max_by(|a, b| a.cmp.rel_change.total_cmp(&b.cmp.rel_change))
             .expect("rows");
-        assert_eq!(max.phase, "Broadphase", "{max:?}");
+        assert!(max.what.ends_with("/ Broadphase"), "{max:?}");
     }
 }
 
