@@ -350,41 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_other_schemas_and_gates() {
-        use super::scenes::Scenes;
-        use super::server::Fleet;
-        assert!(Baseline::<Scenes>::from_json("not json").is_err());
-        // The schema-2 scene layout and the schema-1 fleet layout.
-        let v2 = "{\"schema_version\": 2, \"experiment\": \"scene_gate\"}";
-        let err = Baseline::<Scenes>::from_json(v2).unwrap_err();
-        assert!(err.contains("schema v2") && err.contains("v3"), "{err}");
-        let v1 = "{\"schema_version\": 1, \"experiment\": \"server_gate\"}";
-        assert!(Baseline::<Fleet>::from_json(v1)
-            .unwrap_err()
-            .contains("schema v1"));
-        let other = "{\"schema_version\": 3, \"gate\": \"server\"}";
-        let err = Baseline::<Scenes>::from_json(other).unwrap_err();
-        assert!(err.contains("\"server\" baseline"), "{err}");
-        // A spec this build cannot parse names the field.
-        let doc = |run: &str| {
-            let config = format!("{{\"steps\": 4, \"warmup\": 1, \"scale\": 0.05{run}}}");
-            let doc = Json::obj([
-                ("schema_version", Json::from(3usize)),
-                ("gate", "scenes".into()),
-                ("fingerprint", Fingerprint::current().to_json()),
-                ("probe_ns", Json::from(400_000.0)),
-                ("config", Json::parse(&config).unwrap()),
-                ("scenes", Json::Arr(Vec::new())),
-            ]);
-            Baseline::<Scenes>::from_json(&doc.render())
-        };
-        assert!(doc(", \"run\": \"threads=2\"").is_ok());
-        assert!(doc("").unwrap_err().contains("\"run\""));
-        let err = doc(", \"run\": \"simd=neon\"").unwrap_err();
-        assert!(err.contains("\"run\"") && err.contains("\"neon\""), "{err}");
-    }
-
-    #[test]
     fn judge_needs_both_the_interval_and_the_absolute_floor() {
         let base: Vec<f64> = (0..40).map(|i| 20_000.0 + (i % 7) as f64 * 100.0).collect();
         let double: Vec<f64> = base.iter().map(|x| 2.0 * x).collect();

@@ -540,4 +540,34 @@ mod tests {
         assert!(!cost(60.0, 6).over_digest_budget(bodies));
         assert!(cost(120.0, 7).over_digest_budget(bodies));
     }
+
+    #[test]
+    fn from_json_rejects_other_schemas() {
+        use super::super::Fingerprint;
+        assert!(Baseline::<Scenes>::from_json("not json").is_err());
+        // The schema-2 scene layout.
+        let v2 = "{\"schema_version\": 2, \"experiment\": \"scene_gate\"}";
+        let err = Baseline::<Scenes>::from_json(v2).unwrap_err();
+        assert!(err.contains("schema v2") && err.contains("v3"), "{err}");
+        let other = "{\"schema_version\": 3, \"gate\": \"server\"}";
+        let err = Baseline::<Scenes>::from_json(other).unwrap_err();
+        assert!(err.contains("\"server\" baseline"), "{err}");
+        // A spec this build cannot parse names the field.
+        let doc = |run: &str| {
+            let config = format!("{{\"steps\": 4, \"warmup\": 1, \"scale\": 0.05{run}}}");
+            let doc = Json::obj([
+                ("schema_version", Json::from(3usize)),
+                ("gate", "scenes".into()),
+                ("fingerprint", Fingerprint::current().to_json()),
+                ("probe_ns", Json::from(400_000.0)),
+                ("config", Json::parse(&config).unwrap()),
+                ("scenes", Json::Arr(Vec::new())),
+            ]);
+            Baseline::<Scenes>::from_json(&doc.render())
+        };
+        assert!(doc(", \"run\": \"threads=2\"").is_ok());
+        assert!(doc("").unwrap_err().contains("\"run\""));
+        let err = doc(", \"run\": \"simd=neon\"").unwrap_err();
+        assert!(err.contains("\"run\"") && err.contains("\"neon\""), "{err}");
+    }
 }

@@ -493,4 +493,16 @@ mod tests {
         assert!(b.probe_ns > 0.0);
         Baseline::<Fleet>::from_json(&b.to_json().render()).expect("round trip");
     }
+
+    #[test]
+    fn from_json_rejects_other_experiments() {
+        assert!(Baseline::<Fleet>::from_json("not json").is_err());
+        // The schema-1 fleet layout.
+        let v1 = "{\"schema_version\": 1, \"experiment\": \"server_gate\"}";
+        let err = Baseline::<Fleet>::from_json(v1).unwrap_err();
+        assert!(err.contains("schema v1") && err.contains("v3"), "{err}");
+        let other = "{\"schema_version\": 3, \"gate\": \"scenes\"}";
+        let err = Baseline::<Fleet>::from_json(other).unwrap_err();
+        assert!(err.contains("\"scenes\" baseline"), "{err}");
+    }
 }
