@@ -13,7 +13,7 @@ use parallax_archsim::config::{L2Config, MachineConfig};
 use parallax_archsim::multicore::{MulticoreSim, SimOptions};
 use parallax_archsim::offchip::Link;
 use parallax_math::SimdMode;
-use parallax_physics::{world_digest, StepProfile};
+use parallax_physics::{chunk_digests, world_digest, StepProfile};
 use parallax_trace::StepTrace;
 use parallax_workloads::{BenchmarkId, SceneParams};
 
@@ -255,5 +255,100 @@ fn explosions_matches_the_pinned_simulated_statistics() {
         (228_102_987, 272_882, 0x8a8b_8a69_c901_7eff),
         0x8cad_f219_eabd_6e5d,
         0x6781_ab98_97a4_6aec,
+    );
+}
+
+// ---------------------------------------------------------------------
+// Flight-recorder goldens: the per-phase digests, the chunk digests and
+// the snapshot bytes.
+//
+// The world digests above fold the end state only, with sleeping off.
+// These pin what the divergence bisector reads — every step's five phase
+// digests and the body-chunk digests — and the PXSN bytes, with sleeping
+// off and on, so a change to how state is walked must reproduce them.
+
+fn recorder_scene(id: BenchmarkId, sleeping: bool, digests: bool) -> parallax_workloads::Scene {
+    id.build(&SceneParams {
+        scale: 0.2,
+        threads: 1,
+        warm_starting: true,
+        sleeping,
+        digests,
+        simd: SimdMode::Scalar,
+        ..SceneParams::default()
+    })
+}
+
+/// FNV of every step's phase digests over 60 steps, then of the chunk
+/// digests (64 bodies a chunk) of the end state.
+fn phase_and_chunk_golden(id: BenchmarkId) -> u64 {
+    let mut scene = recorder_scene(id, false, true);
+    let mut h = Fnv::new();
+    for _ in 0..STEPS {
+        let digests = scene.step().digests.expect("digests are on");
+        for d in digests {
+            h.word(d);
+        }
+    }
+    for (lo, hi, d) in chunk_digests(&scene.world, 64) {
+        h.word(lo as u64);
+        h.word(hi as u64);
+        h.word(d);
+    }
+    h.0
+}
+
+fn bytes_golden(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.word(bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h.word(u64::from_le_bytes(word));
+    }
+    h.0
+}
+
+#[test]
+fn mix_phase_and_chunk_digests_match_the_pinned_values() {
+    assert_eq!(
+        phase_and_chunk_golden(BenchmarkId::Mix),
+        0x95e8_4cf1_9e7c_da29
+    );
+}
+
+#[test]
+fn explosions_phase_and_chunk_digests_match_the_pinned_values() {
+    assert_eq!(
+        phase_and_chunk_golden(BenchmarkId::Explosions),
+        0x6d61_9917_54ca_22e5
+    );
+}
+
+#[test]
+fn mix_snapshot_bytes_match_the_pinned_values() {
+    let mut scene = recorder_scene(BenchmarkId::Mix, false, false);
+    for _ in 0..STEPS {
+        scene.step();
+    }
+    assert_eq!(bytes_golden(&scene.world.snapshot()), 0x8c1a_bb50_6a75_34d7);
+}
+
+#[test]
+fn sleeping_resting_snapshot_and_digest_match_the_pinned_values() {
+    let mut scene = recorder_scene(BenchmarkId::Resting, true, false);
+    let mut steps = 0;
+    while scene.world.sleeping_body_count() == 0 {
+        assert!(steps < 2000, "Resting never fell asleep");
+        scene.step();
+        steps += 1;
+    }
+    assert_eq!(
+        (
+            steps,
+            bytes_golden(&scene.world.snapshot()),
+            world_digest(&scene.world)
+        ),
+        (36, 0x609f_5161_d8a8_96e5, 0xbc6f_c24c_7e56_0d55)
     );
 }
