@@ -251,4 +251,31 @@ mod tests {
             BisectOutcome::Diverged(r) => panic!("spurious divergence: {}", r.summary()),
         }
     }
+
+    /// The fault `scripts/verify.sh` injects through the CLI: the report
+    /// names its step, its phase, the chunk of body 0 and the lane it
+    /// flipped, which is what `chunk_digests` and `first_divergence` see.
+    #[test]
+    fn injected_fault_is_located_to_its_lane() {
+        let cfg = BisectConfig {
+            scene: BenchmarkId::Mix,
+            steps: 40,
+            scale: 0.1,
+            fault: Some(DigestFault::parse("17:Narrowphase").expect("spec")),
+            ..Default::default()
+        };
+        let BisectOutcome::Diverged(report) = bisect(&cfg, &mut |_| {}) else {
+            panic!("the injected fault was not detected");
+        };
+        assert_eq!(
+            (report.step, report.phase, report.body_range),
+            (17, Some(PhaseKind::Narrowphase), Some((0, 64)))
+        );
+        let lane = report.lane.as_ref().expect("a located lane");
+        assert_eq!(
+            (lane.location.as_str(), lane.body),
+            ("body 0 pos.x", Some(0))
+        );
+        assert_eq!(lane.a_bits ^ lane.b_bits, 1, "{}", report.summary());
+    }
 }

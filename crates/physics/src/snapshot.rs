@@ -16,7 +16,15 @@
 //! integers are little-endian; all floats are raw IEEE-754 bit patterns
 //! (`to_bits`), which is what makes the round trip exact. The version is
 //! bumped on any layout change; [`restore`] rejects unknown versions
-//! rather than guessing.
+//! rather than guessing. The body section writes the 40 `f32` lanes of
+//! the store's lane table (`store::BODY_LANES`) in table order, then the
+//! flags and island lanes.
+//!
+//! [`restore`] parses and validates everything before it commits, so a
+//! failed restore leaves the world as it was. Every id it reads — a body,
+//! a slot of the sleeping-island table, a geom — is checked against the
+//! table it indexes ([`SnapshotError::IdOutOfRange`]): the bytes may come
+//! from outside the process, and a bad id would panic the next step.
 //!
 //! Version 2 appends the island-sleeping state (per-body sleep timers
 //! and activity EMAs, the sleeping-island table with its parked
@@ -36,8 +44,8 @@
 //!   therefore requires a world built by the same scene constructor —
 //!   which the tooling always has, since it builds both sides from
 //!   [`crate::WorldConfig`] + scene parameters.
-//! - **Derived state**: world-space inertia and the SIMD movable mask are
-//!   recomputed, broad-phase AABBs are refreshed at the next step.
+//! - **Derived state**: the SIMD movable mask is recomputed and
+//!   broad-phase AABBs are refreshed at the next step.
 
 use std::sync::Arc;
 
@@ -52,6 +60,7 @@ use crate::island::SLEEP_SLOT_BIT;
 use crate::joint::JointKind;
 use crate::shape::{Geom, GeomId, Shape};
 use crate::sleep::{SleepSystem, SleepingIsland};
+use crate::store::{BodyStore, BODY_LANES};
 use crate::world::World;
 
 /// Snapshot magic bytes.
@@ -61,20 +70,40 @@ pub const VERSION: u32 = 2;
 /// Oldest version [`restore`] still reads (pre-sleeping snapshots).
 pub const MIN_VERSION: u32 = 1;
 
-/// Error restoring a snapshot: truncated/corrupt input, version
-/// mismatch, or structural mismatch with the receiving world.
+/// Error restoring a snapshot. A failed restore leaves the world as it
+/// was.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotError(String);
+pub enum SnapshotError {
+    /// Truncated or corrupt input, a version this build does not read, or
+    /// a structure the receiving world does not have.
+    Invalid(String),
+    /// An id that names no entry of the table it indexes: a body, a slot
+    /// of the sleeping-island table or a geom.
+    IdOutOfRange {
+        /// The snapshot field the id was read from, e.g. `"wake queue"`.
+        field: &'static str,
+        /// The id.
+        id: u32,
+        /// Entries in the table it indexes.
+        len: usize,
+    },
+}
 
 impl SnapshotError {
     fn new(msg: impl Into<String>) -> Self {
-        SnapshotError(msg.into())
+        SnapshotError::Invalid(msg.into())
     }
 }
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "snapshot restore failed: {}", self.0)
+        match self {
+            SnapshotError::Invalid(msg) => write!(f, "snapshot restore failed: {msg}"),
+            SnapshotError::IdOutOfRange { field, id, len } => write!(
+                f,
+                "snapshot restore failed: {field} holds id {id}, outside a table of {len}"
+            ),
+        }
     }
 }
 
@@ -177,12 +206,38 @@ impl<'a> Reader<'a> {
             self.f32()?,
         ))
     }
-    fn f32_lane(&mut self, n: usize) -> Result<Vec<f32>, SnapshotError> {
+    fn u32_lane(&mut self, n: usize) -> Result<Vec<u32>, SnapshotError> {
         let bytes = self.take(n * 4)?;
         Ok(bytes
             .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4"))))
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4")))
             .collect())
+    }
+    fn f32_lane(&mut self, n: usize) -> Result<Vec<f32>, SnapshotError> {
+        Ok(self.u32_lane(n)?.into_iter().map(f32::from_bits).collect())
+    }
+    /// An id into a table of `len` entries, read from `field`.
+    fn id(&mut self, field: &'static str, len: usize) -> Result<u32, SnapshotError> {
+        let id = self.u32()?;
+        check_id(field, id, len)?;
+        Ok(id)
+    }
+    /// A counted list of ids into a table of `len` entries.
+    fn ids(&mut self, field: &'static str, len: usize) -> Result<Vec<u32>, SnapshotError> {
+        let n = self.count(4)?;
+        let ids = self.u32_lane(n)?;
+        ids.iter().try_for_each(|&id| check_id(field, id, len))?;
+        Ok(ids)
+    }
+}
+
+/// Refuses an id that names no entry of the table it indexes, before the
+/// step that would index with it panics.
+fn check_id(field: &'static str, id: u32, len: usize) -> Result<(), SnapshotError> {
+    if (id as usize) < len {
+        Ok(())
+    } else {
+        Err(SnapshotError::IdOutOfRange { field, id, len })
     }
 }
 
@@ -199,11 +254,11 @@ pub fn snapshot(world: &World) -> Vec<u8> {
     w.u64(world.steps);
     w.f64(world.time);
 
-    // Bodies: every f32 lane in a fixed order, then flags and islands.
+    // Bodies: every f32 lane in table order, then flags and islands.
     let b = &world.bodies;
     w.u64(b.len() as u64);
-    for lane in body_lanes(b) {
-        w.f32_lane(lane);
+    for lane in &BODY_LANES {
+        w.f32_lane((lane.get)(b));
     }
     for f in &b.flags {
         w.u32(f.0);
@@ -422,51 +477,6 @@ pub fn snapshot(world: &World) -> Vec<u8> {
     w.buf
 }
 
-fn body_lanes(b: &crate::store::BodyStore) -> [&[f32]; 40] {
-    [
-        &b.pos.x,
-        &b.pos.y,
-        &b.pos.z,
-        &b.rot.w,
-        &b.rot.x,
-        &b.rot.y,
-        &b.rot.z,
-        &b.lin_vel.x,
-        &b.lin_vel.y,
-        &b.lin_vel.z,
-        &b.ang_vel.x,
-        &b.ang_vel.y,
-        &b.ang_vel.z,
-        &b.force.x,
-        &b.force.y,
-        &b.force.z,
-        &b.torque.x,
-        &b.torque.y,
-        &b.torque.z,
-        &b.inv_mass,
-        &b.inv_inertia_local.e[0],
-        &b.inv_inertia_local.e[1],
-        &b.inv_inertia_local.e[2],
-        &b.inv_inertia_local.e[3],
-        &b.inv_inertia_local.e[4],
-        &b.inv_inertia_local.e[5],
-        &b.inv_inertia_local.e[6],
-        &b.inv_inertia_local.e[7],
-        &b.inv_inertia_local.e[8],
-        &b.inv_inertia_world.e[0],
-        &b.inv_inertia_world.e[1],
-        &b.inv_inertia_world.e[2],
-        &b.inv_inertia_world.e[3],
-        &b.inv_inertia_world.e[4],
-        &b.inv_inertia_world.e[5],
-        &b.inv_inertia_world.e[6],
-        &b.inv_inertia_world.e[7],
-        &b.inv_inertia_world.e[8],
-        &b.linear_damping,
-        &b.angular_damping,
-    ]
-}
-
 // --- restore ------------------------------------------------------------
 
 /// Restores state captured by [`snapshot`] into `world`. The world keeps
@@ -486,20 +496,15 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
     let steps = r.u64()?;
     let time = r.f64()?;
 
-    // Bodies.
-    let n = r.count(40 * 4)?;
-    let mut lanes: Vec<Vec<f32>> = Vec::with_capacity(40);
-    for _ in 0..40 {
-        lanes.push(r.f32_lane(n)?);
+    // Bodies, into a store of their own until everything has validated.
+    let n = r.count(BODY_LANES.len() * 4)?;
+    let mut bodies = BodyStore::default();
+    for lane in &BODY_LANES {
+        *(lane.get_mut)(&mut bodies) = r.f32_lane(n)?;
     }
-    let mut flags = Vec::with_capacity(n);
-    for _ in 0..n {
-        flags.push(BodyFlags(r.u32()?));
-    }
-    let mut island = Vec::with_capacity(n);
-    for _ in 0..n {
-        island.push(r.u32()?);
-    }
+    bodies.flags = r.u32_lane(n)?.into_iter().map(BodyFlags).collect();
+    bodies.island = r.u32_lane(n)?;
+    bodies.movable_mask = vec![0.0; n];
 
     // Geoms.
     let geom_count = r.count(1)?;
@@ -563,18 +568,8 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
     }
     let mut body_geoms = Vec::with_capacity(bg_count);
     for _ in 0..bg_count {
-        let k = r.count(4)?;
-        let mut list = Vec::with_capacity(k);
-        for _ in 0..k {
-            let g = r.u32()?;
-            if g as usize >= geom_count {
-                return Err(SnapshotError::new(format!(
-                    "body geom list references geom {g} of {geom_count}"
-                )));
-            }
-            list.push(GeomId(g));
-        }
-        body_geoms.push(list);
+        let list = r.ids("body geom list", geom_count)?;
+        body_geoms.push(list.into_iter().map(GeomId).collect());
     }
 
     // Joints.
@@ -667,16 +662,8 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
                 pinned: r.u8()? != 0,
             });
         }
-        let bc = r.count(4)?;
-        let mut contact_bodies = Vec::with_capacity(bc);
-        for _ in 0..bc {
-            contact_bodies.push(r.u32()?);
-        }
-        let gc = r.count(4)?;
-        let mut contact_static_geoms = Vec::with_capacity(gc);
-        for _ in 0..gc {
-            contact_static_geoms.push(r.u32()?);
-        }
+        let contact_bodies = r.ids("cloth contact body", n)?;
+        let contact_static_geoms = r.ids("cloth contact static geom", geom_count)?;
         cloth_states.push((verts, contact_bodies, contact_static_geoms));
     }
 
@@ -698,7 +685,7 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
     let mut explosive_cfg = Vec::with_capacity(ec);
     for _ in 0..ec {
         explosive_cfg.push((
-            r.u32()?,
+            r.id("explosive config body", n)?,
             ExplosionConfig {
                 blast_radius: r.f32()?,
                 duration_steps: r.u32()?,
@@ -712,7 +699,7 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
     let mut blasts = Vec::with_capacity(bc);
     for _ in 0..bc {
         blasts.push(BlastVolume {
-            body: BodyId(r.u32()?),
+            body: BodyId(r.id("blast body", n)?),
             center: r.vec3()?,
             radius: r.f32()?,
             steps_left: r.u32()?,
@@ -725,7 +712,10 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
     let cc = r.count(20)?;
     let mut cache_entries = Vec::with_capacity(cc);
     for _ in 0..cc {
-        let key = (GeomId(r.u32()?), GeomId(r.u32()?));
+        let key = (
+            GeomId(r.id("contact cache key", geom_count)?),
+            GeomId(r.id("contact cache key", geom_count)?),
+        );
         let age = r.u32()?;
         let pc = r.count(28)?;
         let mut points = Vec::with_capacity(pc);
@@ -739,14 +729,10 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
         cache_entries.push((key, age, points));
     }
 
-    // Sleep state (v2+). A v1 snapshot predates sleeping: reset to
-    // "everything awake" and strip any sleep markers defensively.
-    let (sleep_timer, sleep_ema, sleep_sys) = if version >= 2 {
-        let mut timers = Vec::with_capacity(n);
-        for _ in 0..n {
-            timers.push(r.u32()?);
-        }
-        let ema = r.f32_lane(n)?;
+    // Sleep state (v2+).
+    let sleep = if version >= 2 {
+        bodies.sleep_timer = r.u32_lane(n)?;
+        bodies.sleep_ema = r.f32_lane(n)?;
         let slot_count = r.count(1)?;
         let mut slots = Vec::with_capacity(slot_count);
         for _ in 0..slot_count {
@@ -754,21 +740,14 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
                 slots.push(None);
                 continue;
             }
-            let bc = r.count(4)?;
-            let mut members = Vec::with_capacity(bc);
-            for _ in 0..bc {
-                let bi = r.u32()?;
-                if bi as usize >= n {
-                    return Err(SnapshotError::new(format!(
-                        "sleeping island references body {bi} of {n}"
-                    )));
-                }
-                members.push(bi);
-            }
+            let members = r.ids("sleeping island body", n)?;
             let mc = r.count(24)?;
             let mut manifolds = Vec::with_capacity(mc);
             for _ in 0..mc {
-                let mut m = ContactManifold::new(GeomId(r.u32()?), GeomId(r.u32()?));
+                let mut m = ContactManifold::new(
+                    GeomId(r.id("parked manifold geom", geom_count)?),
+                    GeomId(r.id("parked manifold geom", geom_count)?),
+                );
                 m.friction = r.f32()?;
                 m.restitution = r.f32()?;
                 let pc = r.count(28)?;
@@ -793,27 +772,33 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
                 manifolds,
             }));
         }
-        let fc = r.count(4)?;
-        let mut free = Vec::with_capacity(fc);
-        for _ in 0..fc {
-            free.push(r.u32()?);
+        let free = r.ids("sleep free list", slot_count)?;
+        let pending_wakes = r.ids("wake queue", n)?;
+        // A sleeping body's island lane names its slot in the table.
+        for &lane in &bodies.island {
+            if lane != u32::MAX && lane & SLEEP_SLOT_BIT != 0 {
+                check_id("island lane sleep slot", lane & !SLEEP_SLOT_BIT, slot_count)?;
+            }
         }
-        let wc = r.count(4)?;
-        let mut pending_wakes = Vec::with_capacity(wc);
-        for _ in 0..wc {
-            pending_wakes.push(r.u32()?);
+        SleepSystem {
+            islands: slots,
+            free,
+            pending_wakes,
         }
-        (
-            timers,
-            ema,
-            SleepSystem {
-                islands: slots,
-                free,
-                pending_wakes,
-            },
-        )
     } else {
-        (vec![0u32; n], vec![0.0f32; n], SleepSystem::default())
+        // Before sleeping existed: everything awake, sleep markers
+        // stripped defensively.
+        bodies.sleep_timer = vec![0; n];
+        bodies.sleep_ema = vec![0.0; n];
+        for f in &mut bodies.flags {
+            f.0 &= !BodyFlags::SLEEPING.0;
+        }
+        for lane in &mut bodies.island {
+            if *lane != u32::MAX && *lane & SLEEP_SLOT_BIT != 0 {
+                *lane = u32::MAX;
+            }
+        }
+        SleepSystem::default()
     };
 
     if r.pos != bytes.len() {
@@ -823,21 +808,12 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
         )));
     }
 
-    // Everything parsed and validated — commit. Body lanes are rebuilt
-    // wholesale: slots only ever grow in this engine, so a snapshot with
-    // fewer bodies than the target simply truncates (bisect restores an
-    // *earlier* state into a world that has since spawned bodies).
-    if version < 2 {
-        for f in &mut flags {
-            f.0 &= !BodyFlags::SLEEPING.0;
-        }
-        for lane in &mut island {
-            if *lane != u32::MAX && *lane & SLEEP_SLOT_BIT != 0 {
-                *lane = u32::MAX;
-            }
-        }
-    }
-    apply_bodies(world, n, &lanes, flags, island, sleep_timer, sleep_ema);
+    // Everything parsed and validated — commit. The body store is
+    // replaced wholesale: slots only ever grow in this engine, so a
+    // snapshot with fewer bodies than the target simply truncates (bisect
+    // restores an *earlier* state into a world that has since spawned
+    // bodies).
+    world.bodies = bodies;
     world.geoms = geoms;
     world.body_geoms = body_geoms;
     world.exclusions.restore(&excluded_pairs, &joints);
@@ -854,7 +830,7 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
     }
     world.explosive_cfg = explosive_cfg;
     world.blasts = blasts;
-    world.sleep = sleep_sys;
+    world.sleep = sleep;
     let pipeline = world
         .pipeline
         .as_mut()
@@ -870,55 +846,6 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
     world.steps = steps;
     world.time = time;
     Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply_bodies(
-    world: &mut World,
-    n: usize,
-    lanes: &[Vec<f32>],
-    flags: Vec<BodyFlags>,
-    island: Vec<u32>,
-    sleep_timer: Vec<u32>,
-    sleep_ema: Vec<f32>,
-) {
-    let b = &mut world.bodies;
-    // Consume the 40 lanes in the exact order `body_lanes` wrote them.
-    let mut it = lanes.iter().cloned();
-    let mut lane = move || it.next().expect("40 body lanes");
-    b.pos.x = lane();
-    b.pos.y = lane();
-    b.pos.z = lane();
-    b.rot.w = lane();
-    b.rot.x = lane();
-    b.rot.y = lane();
-    b.rot.z = lane();
-    b.lin_vel.x = lane();
-    b.lin_vel.y = lane();
-    b.lin_vel.z = lane();
-    b.ang_vel.x = lane();
-    b.ang_vel.y = lane();
-    b.ang_vel.z = lane();
-    b.force.x = lane();
-    b.force.y = lane();
-    b.force.z = lane();
-    b.torque.x = lane();
-    b.torque.y = lane();
-    b.torque.z = lane();
-    b.inv_mass = lane();
-    for e in 0..9 {
-        b.inv_inertia_local.e[e] = lane();
-    }
-    for e in 0..9 {
-        b.inv_inertia_world.e[e] = lane();
-    }
-    b.linear_damping = lane();
-    b.angular_damping = lane();
-    b.flags = flags;
-    b.island = island;
-    b.sleep_timer = sleep_timer;
-    b.sleep_ema = sleep_ema;
-    b.movable_mask = vec![0.0; n];
 }
 
 #[cfg(test)]
@@ -980,6 +907,34 @@ mod tests {
             a.step();
             b.step();
             assert_eq!(world_digest(&a), world_digest(&b), "diverged at step {i}");
+        }
+    }
+
+    #[test]
+    fn every_body_lane_round_trips_and_the_digested_ones_are_named() {
+        use crate::digest::first_divergence;
+        use crate::store::LaneClass;
+        let mut a = playground();
+        for _ in 0..5 {
+            a.step();
+        }
+        for lane in &BODY_LANES {
+            let mut b = playground();
+            b.restore(&a.snapshot()).expect("restore");
+            let x = &mut (lane.get_mut)(&mut b.bodies)[1];
+            *x = f32::from_bits(x.to_bits() ^ 1);
+            let mut c = playground();
+            c.restore(&b.snapshot()).expect("restore");
+            assert_eq!(
+                (lane.get)(&c.bodies)[1].to_bits(),
+                (lane.get)(&b.bodies)[1].to_bits()
+            );
+            if lane.class == LaneClass::Mass {
+                continue;
+            }
+            assert_ne!(world_digest(&a), world_digest(&b), "{}", lane.name);
+            let div = first_divergence(&a, &b).expect(lane.name);
+            assert_eq!(div.location, format!("body 1 {}", lane.name));
         }
     }
 
@@ -1117,6 +1072,92 @@ mod tests {
         assert!(err.contains("excluded pair references body"), "{err}");
         // Neither attempt half-applied.
         assert_eq!(w.snapshot(), snap);
+    }
+
+    /// Plants an id from outside the world into a copy of `playground()`
+    /// and requires a restore of its snapshot to name `field` and leave
+    /// the receiving world as it was.
+    fn assert_refuses(field: &str, plant: fn(&mut World)) {
+        let mut source = playground();
+        plant(&mut source);
+        let mut target = playground();
+        let before = target.snapshot();
+        match target.restore(&source.snapshot()) {
+            Err(SnapshotError::IdOutOfRange { field: got, .. }) => assert_eq!(got, field),
+            other => panic!("{field}: {other:?}"),
+        }
+        assert_eq!(target.snapshot(), before, "{field}: half applied");
+    }
+
+    #[test]
+    fn restore_refuses_a_wake_queue_entry_outside_the_bodies() {
+        assert_refuses("wake queue", |w| w.sleep.pending_wakes.push(1000));
+    }
+
+    #[test]
+    fn restore_refuses_a_blast_body_outside_the_bodies() {
+        assert_refuses("blast body", |w| {
+            w.blasts.push(BlastVolume {
+                body: BodyId(1000),
+                center: Vec3::ZERO,
+                radius: 1.0,
+                steps_left: 2,
+                impulse: 1.0,
+                fresh: true,
+            })
+        });
+    }
+
+    #[test]
+    fn restore_refuses_an_explosive_config_body_outside_the_bodies() {
+        assert_refuses("explosive config body", |w| {
+            w.explosive_cfg.push((1000, ExplosionConfig::default()))
+        });
+    }
+
+    #[test]
+    fn restore_refuses_a_cloth_contact_body_outside_the_bodies() {
+        assert_refuses("cloth contact body", |w| {
+            w.cloths[0].contact_bodies.push(1000)
+        });
+    }
+
+    #[test]
+    fn restore_refuses_a_free_slot_outside_the_sleep_table() {
+        assert_refuses("sleep free list", |w| w.sleep.free.push(3));
+    }
+
+    #[test]
+    fn restore_refuses_an_island_lane_slot_outside_the_sleep_table() {
+        assert_refuses("island lane sleep slot", |w| {
+            w.bodies.island[0] = SLEEP_SLOT_BIT | 3
+        });
+    }
+
+    #[test]
+    fn restore_refuses_a_parked_manifold_geom_outside_the_geoms() {
+        assert_refuses("parked manifold geom", |w| {
+            let island = SleepingIsland {
+                bodies: vec![0],
+                manifolds: vec![ContactManifold::new(GeomId(0), GeomId(1000))],
+            };
+            w.sleep.islands.push(Some(island))
+        });
+    }
+
+    #[test]
+    fn restore_refuses_a_contact_cache_key_outside_the_geoms() {
+        assert_refuses("contact cache key", |w| {
+            let cache = w.pipeline.as_mut().expect("idle").contact_cache_mut();
+            cache.insert_raw((GeomId(0), GeomId(1000)), 0, Vec::new())
+        });
+    }
+
+    #[test]
+    fn restore_refuses_a_cloth_contact_static_geom_outside_the_geoms() {
+        assert_refuses("cloth contact static geom", |w| {
+            w.cloths[0].contact_static_geoms.push(1000)
+        });
     }
 
     #[test]

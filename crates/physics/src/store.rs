@@ -19,6 +19,10 @@
 //! [`BodyStore::set_velocity`]) — the solver write-back and the contact
 //! cache's warm-start seeding both go through these two methods instead of
 //! duplicating index arithmetic.
+//!
+//! `BODY_LANES` lists the store's `f32` lanes once, with their names and
+//! accessors: the digests, the divergence finder and snapshot/restore
+//! read that table rather than their own lists of lanes.
 
 use parallax_math::{Mat3, Quat, Transform, Vec3};
 
@@ -125,6 +129,84 @@ impl LanesMat3 {
         }
     }
 }
+
+/// Which part of a body's state a lane of [`BODY_LANES`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LaneClass {
+    /// Pose and velocities: every digest folds them.
+    Motion,
+    /// Force and torque accumulators: the whole-world digest folds them.
+    Load,
+    /// Inverse mass, both inverse inertias and damping: fixed when the
+    /// body is made, or derived from its pose; only snapshots carry them.
+    Mass,
+}
+
+/// One `f32` lane of a [`BodyStore`].
+pub(crate) struct BodyLane {
+    /// Field path, as divergence reports name it (`"body 3 pos.x"`).
+    pub(crate) name: &'static str,
+    pub(crate) class: LaneClass,
+    pub(crate) get: fn(&BodyStore) -> &[f32],
+    pub(crate) get_mut: fn(&mut BodyStore) -> &mut Vec<f32>,
+}
+
+macro_rules! body_lanes {
+    ($(($class:ident, $name:literal, $($field:tt)+)),+ $(,)?) => {
+        [$(BodyLane {
+            name: $name,
+            class: LaneClass::$class,
+            get: |b| &b.$($field)+,
+            get_mut: |b| &mut b.$($field)+,
+        }),+]
+    };
+}
+
+/// Every `f32` lane of a [`BodyStore`], in snapshot order. The digests,
+/// the divergence finder and the snapshot's body section all read this
+/// table; the `u32` lanes and the sleep lanes are not in it.
+pub(crate) static BODY_LANES: [BodyLane; 40] = body_lanes![
+    (Motion, "pos.x", pos.x),
+    (Motion, "pos.y", pos.y),
+    (Motion, "pos.z", pos.z),
+    (Motion, "rot.w", rot.w),
+    (Motion, "rot.x", rot.x),
+    (Motion, "rot.y", rot.y),
+    (Motion, "rot.z", rot.z),
+    (Motion, "lin_vel.x", lin_vel.x),
+    (Motion, "lin_vel.y", lin_vel.y),
+    (Motion, "lin_vel.z", lin_vel.z),
+    (Motion, "ang_vel.x", ang_vel.x),
+    (Motion, "ang_vel.y", ang_vel.y),
+    (Motion, "ang_vel.z", ang_vel.z),
+    (Load, "force.x", force.x),
+    (Load, "force.y", force.y),
+    (Load, "force.z", force.z),
+    (Load, "torque.x", torque.x),
+    (Load, "torque.y", torque.y),
+    (Load, "torque.z", torque.z),
+    (Mass, "inv_mass", inv_mass),
+    (Mass, "inv_inertia_local.e[0]", inv_inertia_local.e[0]),
+    (Mass, "inv_inertia_local.e[1]", inv_inertia_local.e[1]),
+    (Mass, "inv_inertia_local.e[2]", inv_inertia_local.e[2]),
+    (Mass, "inv_inertia_local.e[3]", inv_inertia_local.e[3]),
+    (Mass, "inv_inertia_local.e[4]", inv_inertia_local.e[4]),
+    (Mass, "inv_inertia_local.e[5]", inv_inertia_local.e[5]),
+    (Mass, "inv_inertia_local.e[6]", inv_inertia_local.e[6]),
+    (Mass, "inv_inertia_local.e[7]", inv_inertia_local.e[7]),
+    (Mass, "inv_inertia_local.e[8]", inv_inertia_local.e[8]),
+    (Mass, "inv_inertia_world.e[0]", inv_inertia_world.e[0]),
+    (Mass, "inv_inertia_world.e[1]", inv_inertia_world.e[1]),
+    (Mass, "inv_inertia_world.e[2]", inv_inertia_world.e[2]),
+    (Mass, "inv_inertia_world.e[3]", inv_inertia_world.e[3]),
+    (Mass, "inv_inertia_world.e[4]", inv_inertia_world.e[4]),
+    (Mass, "inv_inertia_world.e[5]", inv_inertia_world.e[5]),
+    (Mass, "inv_inertia_world.e[6]", inv_inertia_world.e[6]),
+    (Mass, "inv_inertia_world.e[7]", inv_inertia_world.e[7]),
+    (Mass, "inv_inertia_world.e[8]", inv_inertia_world.e[8]),
+    (Mass, "linear_damping", linear_damping),
+    (Mass, "angular_damping", angular_damping),
+];
 
 /// SoA storage of all rigid-body dynamic state in a world.
 #[derive(Debug, Clone, Default)]

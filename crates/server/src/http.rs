@@ -221,7 +221,7 @@ fn route(table: &Arc<SessionTable>, req: &Request) -> Response {
                             "{{\"id\":{id},\"restored\":true,\"steps\":{steps}}}\n"
                         ))
                     }
-                    Some(Err(err)) => Response::bad_request(&format!("restore failed: {err:?}")),
+                    Some(Err(err)) => Response::bad_request(&err.to_string()),
                     None => not_found_session(id),
                 },
                 (_, "step" | "restore" | "rate") => Response::method_not_allowed(method, "POST"),

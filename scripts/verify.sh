@@ -107,7 +107,7 @@ cargo run --release --offline -q -p parallax-bench --bin soak -- --quick
 
 # Divergence bisector end to end through the CLI: inject a single-ULP
 # fault into side B at step 17's narrow phase and require the report to
-# name exactly that coordinate. bisect exits 3 on divergence — that IS
+# name exactly that coordinate: step, phase, body chunk and lane. bisect exits 3 on divergence — that IS
 # the expected outcome here.
 set +e
 cargo run --release --offline -q -p parallax-bench --bin bisect -- \
@@ -116,7 +116,8 @@ cargo run --release --offline -q -p parallax-bench --bin bisect -- \
 bisect_rc=$?
 set -e
 test "$bisect_rc" -eq 3
-grep -q "^divergence: step=17 phase=Narrowphase" "$tmp/bisect.out"
+grep -q '^divergence: step=17 phase=Narrowphase bodies=0\.\.64 lane="body 0 pos\.x"' \
+    "$tmp/bisect.out"
 
 # Cross-sleep bisect smoke: a sleep-on side diverges from a sleep-off
 # side at the first sleep transition *by design* — the bisector must

@@ -202,3 +202,34 @@ fn snapshot_restore_reproduces_the_trajectory_over_http() {
     step_session(addr, id, 60);
     assert_eq!(body_state_line(addr, id), first_run);
 }
+
+#[test]
+fn hostile_restore_is_refused_and_the_session_still_steps() {
+    let server = parallax_server::serve("127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    let id = create_session(addr, r#"{"bodies":4,"seed":5}"#);
+    step_session(addr, id, 10);
+    let (status, snapshot) =
+        http_request(addr, "GET", &format!("/sessions/{id}/snapshot"), "", b"").expect("snapshot");
+    assert_eq!(status, 200);
+
+    // The snapshot ends with the wake queue: an empty one is a zero count.
+    // Replace it with one entry naming a body the world does not have.
+    let (head, wakes) = snapshot.split_at(snapshot.len() - 8);
+    assert_eq!(wakes, 0u64.to_le_bytes(), "no wake pending after a step");
+    let hostile = [head, &1u64.to_le_bytes(), &1000u32.to_le_bytes()].concat();
+    let (status, body) = http_request(
+        addr,
+        "POST",
+        &format!("/sessions/{id}/restore"),
+        "application/octet-stream",
+        &hostile,
+    )
+    .expect("hostile restore");
+    assert_eq!(status, 400);
+    let body = String::from_utf8_lossy(&body);
+    assert!(body.contains("wake queue"), "{body}");
+
+    // The refused restore changed nothing: the session steps on.
+    assert_eq!(step_session(addr, id, 5), 15);
+}
