@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
 use parallax_math::{Quat, SimdMode, Transform, Vec3};
-use parallax_physics::broadphase::{Broadphase, SweepAndPrune, UniformGrid};
+use parallax_physics::broadphase::{Broadphase, SweepAndPrune, UniformGrid, GRID_CELL};
 use parallax_physics::narrowphase::collide_shapes;
 use parallax_physics::{
     BodyDesc, Cloth, GeomId, Heightfield, Shape, ShapeKind, World, WorldConfig,
@@ -214,7 +214,7 @@ fn bench_narrowphase_stage(c: &mut Criterion) {
                 .map(|(i, g)| (GeomId(i as u32), g.aabb()))
                 .collect();
             let mut candidates = Vec::new();
-            UniformGrid::new(1.2).pairs_into(&aabbs, &mut candidates);
+            UniformGrid::new(GRID_CELL).pairs_into(&aabbs, &mut candidates);
             let mut pairs = Vec::new();
             let hits = world.collide_candidates(&candidates, &mut pairs).len();
             let active: Vec<_> = pairs.iter().filter(|p| p.active).collect();

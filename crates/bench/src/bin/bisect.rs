@@ -7,9 +7,6 @@
 //!        --a threads=1,simd=scalar --b threads=8,simd=avx2
 //! ```
 //!
-//! `--a broadphase=sap --b broadphase=grid` holds the persistent grid to
-//! the history-free sweep-and-prune rebuild; it must report no divergence.
-//!
 //! Exit status: 0 when the sides are bit-identical, 3 when a divergence
 //! was found (the report line starts with `divergence:`), 2 on usage
 //! errors. `--a` and `--b` are `RunConfig` specs (README, "Run

@@ -18,10 +18,7 @@
 //!    lane ([`parallax_physics::first_divergence`]).
 //!
 //! Both sides are built from the same benchmark and scale and differ
-//! only in their [`RunConfig`]. Every broad phase emits the same
-//! canonical candidate list, so `broadphase=sap` against
-//! `broadphase=grid` must report clean: the history-free rebuild is the
-//! reference the persistent grid is held to. A cross-sleep bisection
+//! only in their [`RunConfig`]. A cross-sleep bisection
 //! (`sleep=on` vs `sleep=off`) is *expected* to diverge at the first
 //! sleep transition — running it localizes exactly where the fast path
 //! first bites, which doubles as a smoke test that the bisector

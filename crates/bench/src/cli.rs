@@ -9,7 +9,7 @@ use parallax_workloads::{BenchmarkId, RunConfig};
 
 /// The usage line of a [`RunConfig`] spec, for binaries that take one.
 pub const SPEC_USAGE: &str = "SPEC: threads=N,simd=scalar|sse2|avx2,sleep=on|off,warm=on|off,\
-                              digest=on|off,broadphase=grid|sap (every key optional)";
+                              digest=on|off (every key optional)";
 
 /// A cursor over a command line that remembers the flag it last handed
 /// out, so the value accessors can name it in their errors.

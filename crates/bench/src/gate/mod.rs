@@ -365,4 +365,23 @@ mod tests {
         assert_eq!(v.cmp.verdict, Verdict::Indistinguishable);
         assert!(judge("x".into(), &[], &base, 0.5).is_none());
     }
+
+    /// The committed baselines still parse under this build, the scenes'
+    /// `run` spec included. `load` may refuse one only because it was
+    /// recorded on another machine.
+    #[test]
+    fn committed_baselines_load() {
+        fn check<G: Gate>() {
+            let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), G::PATH);
+            if let Err(why) = Baseline::<G>::load(&path) {
+                assert!(why.contains("recorded on another machine"), "{why}");
+                let src = std::fs::read_to_string(&path).expect("committed baseline");
+                if let Err(why) = Baseline::<G>::from_json(&src) {
+                    panic!("{path}: {why}");
+                }
+            }
+        }
+        check::<scenes::Scenes>();
+        check::<server::Fleet>();
+    }
 }

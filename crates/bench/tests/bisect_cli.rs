@@ -22,6 +22,7 @@ fn zero_steps_zero_chunk_and_unknown_keys_exit_2_before_running() {
             "--chunk",
         ),
         (&["--a", "cores=4"], "\"cores\""),
+        (&["--a", "broadphase=sap"], "\"broadphase\""),
         (&["--b", "threads=0"], "--b"),
         (&["--threads", "2"], "--threads"),
     ] {

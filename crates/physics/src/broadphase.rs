@@ -6,15 +6,17 @@
 //! here emits the same canonical candidate list (sorted, deduplicated,
 //! `a < b`), so they are interchangeable down to the phase digests:
 //!
-//! * [`UniformGrid`] — a persistent uniform spatial hash (the default,
-//!   `BroadphaseKind::Grid { cell: 1.2 }`). Proxies carry fat AABBs and the
-//!   set of fat-overlapping pairs is maintained by deltas, so a step pays
-//!   for the geoms that left their margin, not for the population. Its two
-//!   invariants (tight ⊆ fat; pair list ⊇ fat-overlapping pairs) are
-//!   purely geometric — see the type's documentation.
+//! * [`UniformGrid`] — a persistent uniform spatial hash, the broad phase
+//!   every world runs (cell edge [`GRID_CELL`]). Proxies carry fat AABBs
+//!   and the set of fat-overlapping pairs is maintained by deltas, so a
+//!   step pays for the geoms that left their margin, not for the
+//!   population. Its two invariants (tight ⊆ fat; pair list ⊇
+//!   fat-overlapping pairs) are purely geometric — see the type's
+//!   documentation.
 //! * [`SweepAndPrune`] — sort-and-sweep along the X axis (the algorithm
 //!   ODE's `dxSAPSpace` uses), rebuilt from the AABBs every step: the
-//!   history-free reference the grid is compared against by digest.
+//!   history-free reference the grid's candidates are checked against,
+//!   step by step, and the other side of the broad-phase ablation.
 //! * [`BruteForce`] — all pairs; the oracle of the property tests.
 
 use std::collections::HashMap;
@@ -22,6 +24,9 @@ use std::collections::HashMap;
 use parallax_math::{Aabb, Vec3};
 
 use crate::shape::GeomId;
+
+/// Cell edge (m) of the [`UniformGrid`] every world's broad phase runs.
+pub const GRID_CELL: f32 = 1.2;
 
 /// Work statistics produced by a broad-phase pass (consumed by the trace
 /// layer to derive instruction counts).

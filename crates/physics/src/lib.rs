@@ -79,4 +79,4 @@ pub use snapshot::{
     VERSION as SNAPSHOT_VERSION,
 };
 pub use store::{BodiesView, BodyMut, BodyRef, BodyStore};
-pub use world::{BroadphaseKind, World, WorldConfig};
+pub use world::{World, WorldConfig};

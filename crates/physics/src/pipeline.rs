@@ -18,7 +18,7 @@ use parallax_math::{Aabb, Transform, Vec3};
 use parallax_telemetry as telemetry;
 
 use crate::body::BodyId;
-use crate::broadphase::{Broadphase, BroadphaseStats, SweepAndPrune, UniformGrid};
+use crate::broadphase::{Broadphase, BroadphaseStats, UniformGrid, GRID_CELL};
 use crate::contact::ContactManifold;
 use crate::contact_cache::{self, ContactCache, WarmStats};
 use crate::digest;
@@ -30,11 +30,11 @@ use crate::parallel::Executor;
 use crate::probe::{ClothWork, IslandWork, PairWork, PhaseKind, StepEvents, StepProfile};
 use crate::shape::{GeomClass, GeomId, Shape};
 use crate::solver::{self, RowParams, RowSet, VelState, STATIC_BODY};
-use crate::world::{BroadphaseKind, ContactListScratch, World};
+use crate::world::{ContactListScratch, World};
 
 /// Serial phase 1: refresh world AABBs and produce candidate pairs.
 pub struct BroadphaseStage {
-    imp: BroadphaseImpl,
+    grid: UniformGrid,
     aabbs: Vec<(GeomId, Aabb)>,
     candidates: Vec<(GeomId, GeomId)>,
 }
@@ -99,35 +99,10 @@ pub struct ClothStage {
     lists: ContactListScratch,
 }
 
-enum BroadphaseImpl {
-    Grid(Box<UniformGrid>),
-    Sap(SweepAndPrune),
-}
-
-impl BroadphaseImpl {
-    fn of(kind: BroadphaseKind) -> BroadphaseImpl {
-        match kind {
-            BroadphaseKind::Grid { cell } => BroadphaseImpl::Grid(Box::new(UniformGrid::new(cell))),
-            BroadphaseKind::SweepAndPrune => BroadphaseImpl::Sap(SweepAndPrune::new()),
-        }
-    }
-
-    fn pairs_into(
-        &mut self,
-        aabbs: &[(GeomId, Aabb)],
-        out: &mut Vec<(GeomId, GeomId)>,
-    ) -> BroadphaseStats {
-        match self {
-            BroadphaseImpl::Grid(g) => g.pairs_into(aabbs, out),
-            BroadphaseImpl::Sap(s) => s.pairs_into(aabbs, out),
-        }
-    }
-}
-
 impl BroadphaseStage {
-    fn new(kind: BroadphaseKind) -> Self {
+    fn new() -> Self {
         BroadphaseStage {
-            imp: BroadphaseImpl::of(kind),
+            grid: UniformGrid::new(GRID_CELL),
             aabbs: Vec::new(),
             candidates: Vec::new(),
         }
@@ -136,9 +111,9 @@ impl BroadphaseStage {
     /// Refreshes world AABBs and fills `self.candidates`.
     fn run(&mut self, world: &mut World) -> BroadphaseStats {
         world.refresh_aabbs_into(&mut self.aabbs);
-        let stats = self.imp.pairs_into(&self.aabbs, &mut self.candidates);
-        // Solver row order follows candidate order, so every algorithm
-        // must emit the canonical list (see `Broadphase::pairs_into`).
+        let stats = self.grid.pairs_into(&self.aabbs, &mut self.candidates);
+        // Solver row order follows candidate order, so the grid must emit
+        // the canonical list (see `Broadphase::pairs_into`).
         debug_assert!(
             self.candidates.iter().all(|(a, b)| a < b)
                 && self.candidates.windows(2).all(|w| w[0] < w[1]),
@@ -956,11 +931,11 @@ impl std::fmt::Debug for StepPipeline {
 }
 
 impl StepPipeline {
-    /// Builds the pipeline for a world configuration.
-    pub(crate) fn new(threads: usize, broadphase: BroadphaseKind) -> Self {
+    /// Builds the pipeline with an executor `threads` wide.
+    pub(crate) fn new(threads: usize) -> Self {
         StepPipeline {
             executor: Executor::new(threads),
-            broadphase: BroadphaseStage::new(broadphase),
+            broadphase: BroadphaseStage::new(),
             narrowphase: NarrowphaseStage::new(),
             island_creation: IslandCreationStage::new(),
             island_processing: IslandProcessingStage::new(),
@@ -980,6 +955,21 @@ impl StepPipeline {
     /// The cross-step contact cache (inspection hook for tests/tools).
     pub fn contact_cache(&self) -> &ContactCache {
         &self.contact_cache
+    }
+
+    /// The `(geom, AABB)` list the last broad phase refreshed: the grid's
+    /// input (inspection hook for tests/tools). A coasting step leaves it
+    /// as the last full step left it; [`World::collide_candidates`]
+    /// refreshes it too.
+    pub fn broadphase_aabbs(&self) -> &[(GeomId, Aabb)] {
+        &self.broadphase.aabbs
+    }
+
+    /// The candidate pairs the grid emitted for
+    /// [`broadphase_aabbs`](Self::broadphase_aabbs) in the last full
+    /// step: the grid's output (inspection hook for tests/tools).
+    pub fn broadphase_candidates(&self) -> &[(GeomId, GeomId)] {
+        &self.broadphase.candidates
     }
 
     /// Mutable cache access for snapshot restore (see [`crate::snapshot`]).
@@ -1018,12 +1008,6 @@ impl StepPipeline {
         world.refresh_aabbs_into(&mut self.broadphase.aabbs);
         self.narrowphase
             .run(world, &self.executor, candidates, pairs);
-    }
-
-    /// Replaces the broad-phase algorithm (ablation hook).
-    pub(crate) fn set_broadphase(&mut self, kind: BroadphaseKind) {
-        self.broadphase = BroadphaseStage::new(kind);
-        self.quiet.rest = Rest::Moving;
     }
 
     /// Runs one step over `world`, returning the work profile.

@@ -50,11 +50,6 @@ pub struct WorldConfig {
     pub max_angular_velocity: f32,
     /// Physics steps per displayed frame (paper: 3).
     pub steps_per_frame: usize,
-    /// Broad-phase algorithm. The paper's engine updates a spatial hash
-    /// each step (the default here, maintained incrementally);
-    /// sweep-and-prune, rebuilt every step, is the reference it is
-    /// compared against.
-    pub broadphase: BroadphaseKind,
     /// Spring stiffness used by slider suspensions.
     pub slider_spring_k: f32,
     /// Spring damping used by slider suspensions.
@@ -107,7 +102,6 @@ impl Default for WorldConfig {
             max_linear_velocity: 100.0,
             max_angular_velocity: 50.0,
             steps_per_frame: 3,
-            broadphase: BroadphaseKind::Grid { cell: 1.2 },
             slider_spring_k: 35_000.0,
             slider_spring_c: 1_200.0,
             warm_starting: true,
@@ -120,18 +114,6 @@ impl Default for WorldConfig {
             sleep_steps: 30,
         }
     }
-}
-
-/// Broad-phase algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BroadphaseKind {
-    /// Persistent uniform spatial hash with the given cell size (default).
-    Grid {
-        /// Cell edge length in metres.
-        cell: f32,
-    },
-    /// Sort-and-sweep along the X axis.
-    SweepAndPrune,
 }
 
 /// Why a body pair is excluded from collision: each unbroken joint
@@ -284,7 +266,7 @@ impl std::fmt::Debug for World {
 impl World {
     /// Creates an empty world.
     pub fn new(config: WorldConfig) -> Self {
-        let pipeline = StepPipeline::new(config.threads, config.broadphase);
+        let pipeline = StepPipeline::new(config.threads);
         World {
             config,
             bodies: BodyStore::default(),
@@ -330,23 +312,10 @@ impl World {
     }
 
     /// Mutable access to the configuration (e.g. to change thread count).
-    ///
-    /// Note: changing `config.broadphase` here has no effect on an already
-    /// constructed world — use [`World::set_broadphase`].
     #[inline]
     pub fn config_mut(&mut self) -> &mut WorldConfig {
         self.touch();
         &mut self.config
-    }
-
-    /// Switches the broad-phase algorithm (used by the ablation study).
-    pub fn set_broadphase(&mut self, kind: BroadphaseKind) {
-        self.touch();
-        self.config.broadphase = kind;
-        self.pipeline
-            .as_mut()
-            .expect("pipeline present outside step")
-            .set_broadphase(kind);
     }
 
     /// The step pipeline (stages + persistent executor).

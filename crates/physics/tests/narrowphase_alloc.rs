@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use parallax_math::Vec3;
-use parallax_physics::broadphase::{Broadphase, UniformGrid};
+use parallax_physics::broadphase::{Broadphase, UniformGrid, GRID_CELL};
 use parallax_physics::{BodyDesc, GeomId, Shape, World, WorldConfig};
 
 struct Counting;
@@ -92,7 +92,7 @@ fn steady_state_narrow_phase_does_not_allocate() {
         .map(|(i, g)| (GeomId(i as u32), g.aabb()))
         .collect();
     let mut candidates = Vec::new();
-    UniformGrid::new(1.2).pairs_into(&aabbs, &mut candidates);
+    UniformGrid::new(GRID_CELL).pairs_into(&aabbs, &mut candidates);
     let mut pairs = Vec::new();
     let hits = world.collide_candidates(&candidates, &mut pairs).len();
     assert!(

@@ -1,13 +1,13 @@
 //! The one run-configuration grammar.
 //!
-//! The engine promises bit-identical trajectories across executor width,
-//! SIMD width and broad-phase algorithm (and across sleeping until the
-//! first sleep event); warm starting and per-phase digests are the two
-//! other switches a run can differ in. [`RunConfig`] is those six axes as
-//! one printable value, spelled
+//! The engine promises bit-identical trajectories across executor width
+//! and SIMD width (and across sleeping until the first sleep event); warm
+//! starting and per-phase digests are the two other switches a run can
+//! differ in. [`RunConfig`] is those five axes as one printable value,
+//! spelled
 //!
 //! ```text
-//! threads=N,simd=scalar|sse2|avx2,sleep=on|off,warm=on|off,digest=on|off,broadphase=grid|sap
+//! threads=N,simd=scalar|sse2|avx2,sleep=on|off,warm=on|off,digest=on|off
 //! ```
 //!
 //! with every key optional. Every binary that takes a configuration takes
@@ -15,7 +15,7 @@
 //! BENCH envelope prints it, and nothing below a `main` reads the
 //! environment: a run is what its `RunConfig` says.
 
-use parallax_physics::{BroadphaseKind, SimdMode, WorldConfig};
+use parallax_physics::{SimdMode, WorldConfig};
 
 use crate::{BenchmarkId, Scene, SceneParams};
 
@@ -33,14 +33,12 @@ pub struct RunConfig {
     pub warm: bool,
     /// Per-phase state digests (the flight recorder's fingerprints).
     pub digest: bool,
-    /// Broad-phase algorithm.
-    pub broadphase: BroadphaseKind,
 }
 
 impl Default for RunConfig {
     /// The engine's own defaults ([`WorldConfig::default`]): one thread,
     /// the widest SIMD mode this CPU executes, sleeping off, warm starting
-    /// on, digests off, the persistent grid.
+    /// on, digests off.
     fn default() -> Self {
         let w = WorldConfig::default();
         RunConfig {
@@ -49,7 +47,6 @@ impl Default for RunConfig {
             sleep: w.sleeping,
             warm: w.warm_starting,
             digest: w.digests,
-            broadphase: w.broadphase,
         }
     }
 }
@@ -68,16 +65,12 @@ impl std::fmt::Display for RunConfig {
         let on_off = |on: bool| if on { "on" } else { "off" };
         write!(
             f,
-            "threads={},simd={},sleep={},warm={},digest={},broadphase={}",
+            "threads={},simd={},sleep={},warm={},digest={}",
             self.threads,
             self.simd.name(),
             on_off(self.sleep),
             on_off(self.warm),
             on_off(self.digest),
-            match self.broadphase {
-                BroadphaseKind::Grid { .. } => "grid",
-                BroadphaseKind::SweepAndPrune => "sap",
-            }
         )
     }
 }
@@ -113,19 +106,9 @@ impl RunConfig {
                 "sleep" => run.sleep = parse_on_off(key, value)?,
                 "warm" => run.warm = parse_on_off(key, value)?,
                 "digest" => run.digest = parse_on_off(key, value)?,
-                "broadphase" => {
-                    run.broadphase = match value {
-                        "grid" => RunConfig::default().broadphase,
-                        "sap" => BroadphaseKind::SweepAndPrune,
-                        other => {
-                            return Err(format!("broadphase: expected grid|sap, got {other:?}"))
-                        }
-                    }
-                }
                 other => {
                     return Err(format!(
-                        "unknown key {other:?} (expected threads, simd, sleep, warm, digest, \
-                         broadphase)"
+                        "unknown key {other:?} (expected threads, simd, sleep, warm, digest)"
                     ))
                 }
             }
@@ -135,8 +118,6 @@ impl RunConfig {
     }
 
     /// The scene parameters of this configuration at `scale` and `seed`.
-    /// The broad phase is not a scene parameter: [`RunConfig::build`]
-    /// applies it to the built world.
     pub fn scene_params(&self, scale: f32, seed: u64) -> SceneParams {
         SceneParams {
             scale,
@@ -150,11 +131,9 @@ impl RunConfig {
     }
 
     /// Builds benchmark `id` at `scale` (default seed) under this
-    /// configuration, broad phase included.
+    /// configuration.
     pub fn build(&self, id: BenchmarkId, scale: f32) -> Scene {
-        let mut scene = id.build(&self.scene_params(scale, SceneParams::DEFAULT_SEED));
-        scene.world.set_broadphase(self.broadphase);
-        scene
+        id.build(&self.scene_params(scale, SceneParams::DEFAULT_SEED))
     }
 }
 
@@ -164,21 +143,15 @@ mod tests {
 
     #[test]
     fn display_round_trips_over_the_whole_value_matrix() {
-        let grid = RunConfig::default().broadphase;
         for simd in [SimdMode::Scalar, SimdMode::Sse2, SimdMode::Avx2] {
             for threads in [1, 2, 8] {
-                for bits in 0..16u32 {
+                for bits in 0..8u32 {
                     let c = RunConfig {
                         threads,
                         simd,
                         sleep: bits & 1 != 0,
                         warm: bits & 2 != 0,
                         digest: bits & 4 != 0,
-                        broadphase: if bits & 8 != 0 {
-                            BroadphaseKind::SweepAndPrune
-                        } else {
-                            grid
-                        },
                     };
                     assert_eq!(RunConfig::parse(&c.to_string()), Ok(c), "{c}");
                 }
@@ -191,16 +164,16 @@ mod tests {
         assert_eq!(RunConfig::parse(""), Ok(RunConfig::default()));
         let base = RunConfig::parse("threads=8,simd=scalar,sleep=on,digest=on").unwrap();
         let mut c = base;
-        c.apply(" warm=off , broadphase=sap ").unwrap();
+        c.apply(" warm=off , sleep=off ").unwrap();
         assert_eq!(
             c,
             RunConfig {
                 warm: false,
-                broadphase: BroadphaseKind::SweepAndPrune,
+                sleep: false,
                 ..base
             }
         );
-        c.apply("broadphase=grid,warm=on").unwrap();
+        c.apply("sleep=on,warm=on").unwrap();
         assert_eq!(c, base);
     }
 
@@ -214,7 +187,8 @@ mod tests {
             ("sleep=maybe", "\"maybe\""),
             ("warm=1", "\"1\""),
             ("digest=true", "\"true\""),
-            ("broadphase=bvh", "\"bvh\""),
+            ("broadphase=sap", "\"broadphase\""),
+            ("broadphase=grid", "\"broadphase\""),
             ("threads", "\"threads\""),
         ] {
             let mut c = RunConfig::default();
@@ -228,13 +202,10 @@ mod tests {
 
     #[test]
     fn build_applies_every_axis_to_the_world() {
-        let c =
-            RunConfig::parse("threads=2,simd=scalar,sleep=on,warm=off,digest=on,broadphase=sap")
-                .unwrap();
+        let c = RunConfig::parse("threads=2,simd=scalar,sleep=on,warm=off,digest=on").unwrap();
         let scene = c.build(BenchmarkId::Periodic, 0.05);
         let w = scene.world.config();
         assert_eq!((w.threads, w.simd), (2, SimdMode::Scalar));
         assert!(w.sleeping && !w.warm_starting && w.digests);
-        assert_eq!(w.broadphase, BroadphaseKind::SweepAndPrune);
     }
 }

@@ -2,7 +2,7 @@
 //! sphere and report convergence of the constraint relaxation.
 //!
 //! ```text
-//! cargo run --release -p parallax-examples --example cloth_drape
+//! cargo run --release -p parallax-bench --example cloth_drape
 //! ```
 
 use parallax_math::Vec3;

@@ -2,7 +2,7 @@
 //! — the Breakable-benchmark features driven through the public API.
 //!
 //! ```text
-//! cargo run --release -p parallax-examples --example demolition
+//! cargo run --release -p parallax-bench --example demolition
 //! ```
 
 use parallax_math::Vec3;

@@ -3,7 +3,7 @@
 //! the paper's §8 study driven through the public API.
 //!
 //! ```text
-//! cargo run --release -p parallax-examples --example design_space
+//! cargo run --release -p parallax-bench --example design_space
 //! ```
 
 use parallax::arch::ParallaxSystem;

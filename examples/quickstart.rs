@@ -2,7 +2,7 @@
 //! simulated desktop core.
 //!
 //! ```text
-//! cargo run --release -p parallax-examples --example quickstart
+//! cargo run --release -p parallax-bench --example quickstart
 //! ```
 
 use parallax_archsim::config::MachineConfig;

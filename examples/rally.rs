@@ -2,7 +2,7 @@
 //! ingredients assembled by hand, with multithreaded engine execution.
 //!
 //! ```text
-//! cargo run --release -p parallax-examples --example rally
+//! cargo run --release -p parallax-bench --example rally
 //! ```
 
 use parallax_math::Vec3;

@@ -18,10 +18,11 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 #                          cleanliness of the island-sleeping fast path;
 #   snapshot_roundtrip     snapshot -> restore bit-identical on Mix, random
 #                          worlds and the cross thread/SIMD grid;
-#   broadphase_equivalence the persistent grid against the sweep-and-prune
-#                          rebuild, every phase of every step on Mix and
-#                          Breakable (sleeping on and off, through a mid-run
-#                          restore and an enable toggle);
+#   broadphase_equivalence the grid's candidates against sweep-and-prune
+#                          on the same AABB list after every step of Mix,
+#                          Breakable and Explosions (sleeping on and off,
+#                          through a shatter, a mid-run restore and an
+#                          enable toggle); run again in release below;
 #   golden_digests         trajectories and every simulated statistic of
 #                          Mix and Explosions pinned across commits;
 #   archsim properties     the division-free, hash-free hierarchy against a
@@ -132,14 +133,11 @@ set -e
 test "$bisect_rc" -eq 3
 grep -q "^divergence: step=" "$tmp/bisect_sleep.out"
 
-# Persistent broad phase: the grid is held to the history-free
-# sweep-and-prune rebuild by digest; the two bisections run the whole
-# 200-step horizon on Mix and Explosions and must exit 0 (no divergence).
-for scene in Mix Explosions; do
-    cargo run --release --offline -q -p parallax-bench --bin bisect -- \
-        --scene "$scene" --steps 200 --scale 0.2 \
-        --a broadphase=sap --b broadphase=grid >/dev/null 2>&1
-done
+# Persistent broad phase: the per-step oracle once more in the release
+# profile — after every one of 250 steps of Mix, Breakable and Explosions
+# at scale 0.2, the grid's candidates must equal the history-free
+# sweep-and-prune rebuild's on the same AABB list.
+cargo test --release --offline -q -p parallax-bench --test broadphase_equivalence
 
 # Island-processing data path: two bisections hold the scalar
 # single-thread step to the two-thread AVX2 one — packed solver rows,

@@ -3,7 +3,7 @@
 //! phase) fails it naming the exact scene and phase, and the invariant
 //! monitor stays quiet on a healthy scene.
 //!
-//! This file is its own test binary (see `crates/integration/Cargo.toml`)
+//! This file is its own test binary (see `crates/bench/Cargo.toml`)
 //! because the injected phase delay is process-global: keeping it here
 //! means it can never leak into unrelated unit tests.
 

@@ -21,7 +21,7 @@
 //! on top of each point (and that bodies actually sleep).
 
 use parallax_math::Vec3;
-use parallax_physics::{BodyDesc, PhaseKind, Shape, SimdMode, World, WorldConfig};
+use parallax_physics::{BodyDesc, PhaseKind, Shape, SimdMode, World};
 use parallax_trace::StepTrace;
 use parallax_workloads::{BenchmarkId, RunConfig, Scene};
 
@@ -144,10 +144,7 @@ fn record_driven(
 /// (islands above the queue threshold), loose spheres (small islands) and
 /// a cloth sheet.
 fn build_dense_world(run: RunConfig) -> World {
-    let mut w = World::new(WorldConfig {
-        broadphase: run.broadphase,
-        ..run.scene_params(1.0, 0).world_config()
-    });
+    let mut w = World::new(run.scene_params(1.0, 0).world_config());
     w.add_static_geom(Shape::plane(Vec3::UNIT_Y, 0.0));
     for s in 0..4 {
         for i in 0..4 {

@@ -24,7 +24,7 @@
 
 use parallax_math::{SimdMode, Vec3};
 use parallax_physics::{
-    world_digest, BodyDesc, BodyId, BroadphaseKind, Cloth, ExplosionConfig, FractureConfig, GeomId,
+    world_digest, BodyDesc, BodyId, Cloth, ExplosionConfig, FractureConfig, GeomId,
     InvariantMonitor, Joint, JointKind, Shape, StepProfile, World, WorldConfig,
 };
 use parallax_telemetry::stats::SplitMix64;
@@ -346,10 +346,6 @@ fn every_world_mutator_ends_the_coast() {
             Box::new(|w: &mut World| {
                 let _ = w.config_mut();
             }),
-        ),
-        (
-            "set_broadphase",
-            Box::new(|w: &mut World| w.set_broadphase(BroadphaseKind::Grid { cell: 1.2 })),
         ),
         (
             "add_body",
