@@ -5,7 +5,11 @@
 //! AABB clouds — including negative coordinates, exactly touching boxes and
 //! plane-sized AABBs that land in the grid's global bin — and the
 //! persistent grid must keep doing so over whole sequences of frames,
-//! whatever its history.
+//! whatever its history — with, frame for frame, the counts of the grid's
+//! algorithm on its original data path (`support/reference_grid.rs`).
+
+#[path = "support/reference_grid.rs"]
+mod reference_grid;
 
 use parallax_math::{Aabb, Vec3};
 use parallax_physics::broadphase::{
@@ -15,6 +19,7 @@ use parallax_physics::shape::GeomId;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reference_grid::{counts, ReferenceGrid};
 
 fn aabb_cloud(max_len: usize) -> impl Strategy<Value = Vec<(f32, f32, f32, f32, f32, f32)>> {
     // (center xyz in ±20, half-extents in (0, 3]) per box.
@@ -74,8 +79,8 @@ struct Actor {
     huge: bool,
 }
 
-/// Deterministic frame generator: every frame each actor jitters inside
-/// the grid's margin, drifts out of it, teleports, toggles its presence
+/// Deterministic frame generator: every frame each actor stays exactly
+/// where it was, jitters inside the grid's margin, drifts out of it, teleports, toggles its presence
 /// (disable / re-enable) or swells to a plane-sized box and back; new
 /// actors appear at the end of the id range (fracture debris).
 struct Sequence {
@@ -109,7 +114,8 @@ impl Sequence {
         for i in 0..self.actors.len() {
             let roll = self.rng.gen_range(0u32..100);
             let step = match roll {
-                0..=54 => self.offset(0.02),
+                0..=29 => Vec3::ZERO,
+                30..=54 => self.offset(0.02),
                 55..=79 => self.offset(0.4),
                 80..=84 => {
                     self.actors[i].center = Vec3::ZERO;
@@ -160,7 +166,8 @@ impl Sequence {
 }
 
 /// Feeds `frames` frames of one sequence to long-lived grids (one per cell
-/// size), checking every frame against a fresh oracle; returns the stats.
+/// size), checking every frame's pairs against a fresh oracle and its
+/// counts against a reference grid fed the same frames; returns the stats.
 fn run_sequence(
     cloud: &[(f32, f32, f32, f32, f32, f32)],
     seed: u64,
@@ -168,14 +175,22 @@ fn run_sequence(
 ) -> Vec<BroadphaseStats> {
     let mut sequence = Sequence::new(cloud, seed);
     let mut grids = CELLS.map(UniformGrid::new);
+    let mut references = CELLS.map(ReferenceGrid::new);
     let mut out = Vec::new();
     let mut stats = Vec::new();
     for frame in 0..frames {
         let aabbs = sequence.frame();
         let oracle = emitted(&mut BruteForce::new(), &aabbs);
-        for grid in &mut grids {
-            stats.push(grid.pairs_into(&aabbs, &mut out));
+        for (grid, reference) in grids.iter_mut().zip(&mut references) {
+            let s = grid.pairs_into(&aabbs, &mut out);
             assert_eq!(out, oracle, "grid diverged at frame {frame} (seed {seed})");
+            let r = reference.pairs_into(&aabbs, &mut out);
+            assert_eq!(
+                counts(&s),
+                counts(&r),
+                "grid counts left the reference's at frame {frame} (seed {seed})"
+            );
+            stats.push(s);
         }
         sequence.advance();
     }
