@@ -12,11 +12,21 @@ use parallax_physics::narrowphase::collide_shapes;
 use parallax_physics::{
     BodyDesc, Cloth, GeomId, Heightfield, Shape, ShapeKind, World, WorldConfig,
 };
+use parallax_workloads::{BenchmarkId, RunConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
+}
+
+/// Whether the label filter (the first argument that is not a flag)
+/// selects `label`, as the harness decides it.
+fn selected(label: &str) -> bool {
+    std::env::args()
+        .skip(1)
+        .find(|a| !a.starts_with('-'))
+        .is_none_or(|f| label.contains(&f))
 }
 
 fn bench_broadphase(c: &mut Criterion) {
@@ -73,6 +83,44 @@ fn bench_broadphase(c: &mut Criterion) {
             b.iter(|| grid.pairs_into(grid_frame.next().unwrap(), &mut out));
         });
     }
+
+    // The engine's own input: Mix at full scale, the AABB lists its
+    // refresh wrote for steps 12–60. Each run warms a fresh grid with step
+    // 12 and replays steps 13–60 through it, as `scene_static` steps them;
+    // only the replay is timed, and printed per step.
+    let label = "broadphase/mix_steps_13_to_60";
+    if !selected(label) {
+        group.finish();
+        return;
+    }
+    let mut scene = RunConfig::default().build(BenchmarkId::Mix, 1.0);
+    let lists: Vec<_> = (0..=60)
+        .map(|_| {
+            scene.step();
+            scene.world.pipeline().broadphase_aabbs().to_vec()
+        })
+        .collect();
+    let (warm, replay) = (&lists[12], &lists[13..]);
+    let (mut spent, mut runs, mut candidates) = (Duration::ZERO, 0u32, 0);
+    let mut out = Vec::new();
+    group.bench_function("mix_steps_13_to_60", |b| {
+        b.iter(|| {
+            let mut grid = UniformGrid::new(GRID_CELL);
+            grid.pairs_into(warm, &mut out);
+            let start = Instant::now();
+            for list in replay {
+                candidates += grid.pairs_into(list, &mut out).pairs;
+            }
+            spent += start.elapsed();
+            runs += 1;
+        });
+    });
+    let steps = runs * replay.len() as u32;
+    println!(
+        "  {label}: {:.0} ns per step ({} candidates a step)",
+        spent.as_nanos() as f64 / steps.max(1) as f64,
+        candidates / steps.max(1) as usize
+    );
     group.finish();
 }
 

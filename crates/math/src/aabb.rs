@@ -56,14 +56,18 @@ impl Aabb {
     }
 
     /// Returns `true` if the boxes overlap (closed intervals).
+    ///
+    /// The six compares are combined with `&`, not `&&`: no branch to
+    /// mispredict, and the same answer (a NaN compare is `false` either
+    /// way).
     #[inline]
     pub fn overlaps(&self, other: &Aabb) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-            && self.min.z <= other.max.z
-            && self.max.z >= other.min.z
+        (self.min.x <= other.max.x)
+            & (self.max.x >= other.min.x)
+            & (self.min.y <= other.max.y)
+            & (self.max.y >= other.min.y)
+            & (self.min.z <= other.max.z)
+            & (self.max.z >= other.min.z)
     }
 
     /// Returns `true` if `p` is inside the box (closed).
@@ -78,14 +82,15 @@ impl Aabb {
     }
 
     /// Returns `true` if `other` lies entirely inside the box (closed).
+    /// Branch-free, as [`overlaps`](Self::overlaps).
     #[inline]
     pub fn contains(&self, other: &Aabb) -> bool {
-        self.min.x <= other.min.x
-            && self.min.y <= other.min.y
-            && self.min.z <= other.min.z
-            && self.max.x >= other.max.x
-            && self.max.y >= other.max.y
-            && self.max.z >= other.max.z
+        (self.min.x <= other.min.x)
+            & (self.min.y <= other.min.y)
+            & (self.min.z <= other.min.z)
+            & (self.max.x >= other.max.x)
+            & (self.max.y >= other.max.y)
+            & (self.max.z >= other.max.z)
     }
 
     /// Smallest box containing both.

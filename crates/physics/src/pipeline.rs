@@ -37,6 +37,9 @@ pub struct BroadphaseStage {
     grid: UniformGrid,
     aabbs: Vec<(GeomId, Aabb)>,
     candidates: Vec<(GeomId, GeomId)>,
+    /// The last run's wall split into the refresh and the grid, taken
+    /// only while telemetry is on (zero otherwise).
+    split: [Duration; 2],
 }
 
 /// Parallel phase 2: exact contact generation over the candidate pairs.
@@ -105,13 +108,19 @@ impl BroadphaseStage {
             grid: UniformGrid::new(GRID_CELL),
             aabbs: Vec::new(),
             candidates: Vec::new(),
+            split: [Duration::ZERO; 2],
         }
     }
 
     /// Refreshes world AABBs and fills `self.candidates`.
     fn run(&mut self, world: &mut World) -> BroadphaseStats {
+        let start = telemetry::enabled().then(Instant::now);
         world.refresh_aabbs_into(&mut self.aabbs);
+        let refreshed = start.map(|t| (t, t.elapsed()));
         let stats = self.grid.pairs_into(&self.aabbs, &mut self.candidates);
+        self.split = refreshed.map_or([Duration::ZERO; 2], |(t, refresh)| {
+            [refresh, t.elapsed().saturating_sub(refresh)]
+        });
         // Solver row order follows candidate order, so the grid must emit
         // the canonical list (see `Broadphase::pairs_into`).
         debug_assert!(
@@ -695,6 +704,14 @@ struct PipelineTelemetry {
     broadphase_reinserts: telemetry::Counter,
     /// Fat-overlapping pairs the persistent grid holds (end of step).
     broadphase_fat_pairs: telemetry::Gauge,
+    /// Proxies whose tight box moved and tight tests the grid ran,
+    /// accumulated per step (see `BroadphaseStats`).
+    broadphase_moved: telemetry::Counter,
+    broadphase_tight_tests: telemetry::Counter,
+    /// The broad-phase wall split into the AABB refresh and the grid,
+    /// accumulated per full step.
+    broadphase_refresh_ns: telemetry::Counter,
+    broadphase_grid_ns: telemetry::Counter,
     /// The cloth collision pass, accumulated per step: vertex-collider
     /// tests, ray casts run, ray casts skipped and projections skipped by
     /// a bound that proved a miss (skipped tests are counted as tests).
@@ -734,6 +751,10 @@ impl PipelineTelemetry {
             islands_rebuilt: telemetry::counter("physics.islands_rebuilt"),
             broadphase_reinserts: telemetry::counter("physics.broadphase.reinserts"),
             broadphase_fat_pairs: telemetry::gauge("physics.broadphase.fat_pairs"),
+            broadphase_moved: telemetry::counter("physics.broadphase.moved"),
+            broadphase_tight_tests: telemetry::counter("physics.broadphase.tight_tests"),
+            broadphase_refresh_ns: telemetry::counter("physics.broadphase.refresh_ns"),
+            broadphase_grid_ns: telemetry::counter("physics.broadphase.grid_ns"),
             cloth_tests: telemetry::counter("physics.cloth.collision_tests"),
             cloth_ccd_casts: telemetry::counter("physics.cloth.ccd_casts"),
             cloth_ccd_culled: telemetry::counter("physics.cloth.ccd_culled"),
@@ -1083,6 +1104,11 @@ impl StepPipeline {
         });
         profile.broadphase = stats;
         profile.wall[0] = wall;
+        if telemetry::enabled() {
+            let [refresh, grid] = self.broadphase.split.map(|d| d.as_nanos() as u64);
+            self.telemetry.broadphase_refresh_ns.add(refresh);
+            self.telemetry.broadphase_grid_ns.add(grid);
+        }
 
         // (c) Narrow-phase (parallel) with explosive / cloth / fracture
         // hooks.
@@ -1367,6 +1393,12 @@ impl StepPipeline {
             self.telemetry
                 .broadphase_fat_pairs
                 .set(profile.broadphase.fat_pairs as u64);
+            self.telemetry
+                .broadphase_moved
+                .add(n * profile.broadphase.moved as u64);
+            self.telemetry
+                .broadphase_tight_tests
+                .add(n * profile.broadphase.tight_tests as u64);
         }
     }
 

@@ -815,6 +815,8 @@ pub fn restore(world: &mut World, bytes: &[u8]) -> Result<(), SnapshotError> {
     // bodies).
     world.bodies = bodies;
     world.geoms = geoms;
+    // The restored boxes and poses are not what the refresh cached.
+    world.geom_pose.clear();
     world.body_geoms = body_geoms;
     world.exclusions.restore(&excluded_pairs, &joints);
     world.joints = joints;

@@ -204,6 +204,39 @@ impl Exclusions {
     }
 }
 
+/// What a geom's cached world transform (`World::geom_xf`) and AABB
+/// (`Geom::aabb`) were computed from: the bits of its body's position and
+/// rotation (all zero for a world-static geom), and whether each is
+/// current for that pose. A box kept while its body slept may be older
+/// than the transform.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GeomPose {
+    pose: [u32; 7],
+    xf: bool,
+    aabb: bool,
+}
+
+impl GeomPose {
+    /// Nothing cached: a new geom, or every geom after a restore.
+    pub(crate) const NONE: GeomPose = GeomPose {
+        pose: [0; 7],
+        xf: false,
+        aabb: false,
+    };
+
+    /// Whether the cached transform was computed from `pose` (folded
+    /// branch-free with `^` and `|`: faster here than the arrays' `==`).
+    #[inline]
+    fn xf_for(&self, pose: &[u32; 7]) -> bool {
+        let differ = self
+            .pose
+            .iter()
+            .zip(pose)
+            .fold(0, |acc, (a, b)| acc | (a ^ b));
+        self.xf && differ == 0
+    }
+}
+
 /// The simulation world.
 ///
 /// See the [crate docs](crate) for a complete example.
@@ -223,6 +256,10 @@ pub struct World {
     /// `geom_xf[i]` is meaningful only while `geoms[i]` is enabled.
     pub(crate) geom_class: Vec<GeomClass>,
     pub(crate) geom_xf: Vec<Transform>,
+    /// Per geom, what its `geom_xf` entry and `aabb` were computed from
+    /// (see [`GeomPose`]). Empty after a restore; the refresh pads it
+    /// with [`GeomPose::NONE`] for geoms it has not seen.
+    pub(crate) geom_pose: Vec<GeomPose>,
     /// The geoms a cloth could list, as of the last
     /// [`World::refresh_aabbs_into`] (which writes it when the world has
     /// cloths): every enabled geom whose body is neither disabled nor a
@@ -276,6 +313,7 @@ impl World {
             exclusions: Exclusions::default(),
             geom_class: Vec::new(),
             geom_xf: Vec::new(),
+            geom_pose: Vec::new(),
             cloth_geoms: Vec::new(),
             geoms_enabled_since_refresh: Vec::new(),
             cloths: Vec::new(),
@@ -913,6 +951,12 @@ impl World {
     /// the cached AABBs into `out` for the broad phase and, in the same
     /// walk, the per-geom classifier records and world transforms the
     /// narrow phase reads (see the `geom_class` field).
+    ///
+    /// A geom whose body pose is bit for bit the one its transform and box
+    /// were computed from keeps both (`geom_pose`): a pure function of the
+    /// same bits gives the same bits, so static geoms and dormant debris
+    /// cost a compare, not a transform. Sleeping bodies keep their box
+    /// whatever their pose, as they always have.
     pub(crate) fn refresh_aabbs_into(&mut self, out: &mut Vec<(GeomId, Aabb)>) {
         out.clear();
         self.geoms_enabled_since_refresh.clear();
@@ -922,6 +966,7 @@ impl World {
         let exclusions = &self.exclusions;
         self.geom_class.clear();
         self.geom_xf.resize(self.geoms.len(), Transform::IDENTITY);
+        self.geom_pose.resize(self.geoms.len(), GeomPose::NONE);
         for (i, g) in self.geoms.iter_mut().enumerate() {
             let mut class = GeomClass {
                 body: u32::MAX,
@@ -950,16 +995,25 @@ impl World {
             if !g.enabled {
                 continue;
             }
-            let world_t = match g.body {
-                Some(b) => bodies.transform(b.index()).compose(&g.local),
-                None => g.local,
-            };
-            self.geom_xf[i] = world_t;
+            let cached = &mut self.geom_pose[i];
+            let pose = g.body.map_or([0; 7], |b| bodies.pose_bits(b.index()));
+            if !cached.xf_for(&pose) {
+                self.geom_xf[i] = match g.body {
+                    Some(b) => bodies.transform(b.index()).compose(&g.local),
+                    None => g.local,
+                };
+                *cached = GeomPose {
+                    pose,
+                    xf: true,
+                    aabb: false,
+                };
+            }
             // Sleeping bodies have not moved: keep the cached AABB (the
             // geom stays in the broad-phase so awake bodies can still
             // find it and trigger a contact wake).
-            if !asleep {
-                g.aabb = g.shape.aabb(&world_t);
+            if !asleep && !cached.aabb {
+                g.aabb = g.shape.aabb(&self.geom_xf[i]);
+                cached.aabb = true;
             }
             out.push((GeomId(i as u32), g.aabb));
             if let Some(listable) = &mut cloth_geoms {

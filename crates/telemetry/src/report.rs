@@ -136,6 +136,19 @@ pub const BROADPHASE_FAT_PAIRS_GAUGE: &str = "physics.broadphase.fat_pairs";
 /// persistent grid pays for; a settled scene adds none).
 pub const BROADPHASE_REINSERTS_COUNTER: &str = "physics.broadphase.reinserts";
 
+/// Counter: broad-phase proxies whose tight box changed, bit for bit.
+pub const BROADPHASE_MOVED_COUNTER: &str = "physics.broadphase.moved";
+
+/// Counter: tight tests the persistent grid actually ran (the rest of its
+/// fat pairs reused their last result).
+pub const BROADPHASE_TIGHT_TESTS_COUNTER: &str = "physics.broadphase.tight_tests";
+
+/// Counters: the broad-phase wall split into the AABB refresh and the
+/// grid, nanoseconds summed over full steps.
+pub const BROADPHASE_REFRESH_NS_COUNTER: &str = "physics.broadphase.refresh_ns";
+/// See [`BROADPHASE_REFRESH_NS_COUNTER`].
+pub const BROADPHASE_GRID_NS_COUNTER: &str = "physics.broadphase.grid_ns";
+
 /// Histogram: constraint rows per solved island (its sum is the rows
 /// the solver scheduled).
 pub const SOLVER_ROWS_HISTOGRAM: &str = "physics.solver_rows_per_island";
@@ -324,6 +337,30 @@ pub fn render(records: &[StepRecord]) -> String {
             "  {:<20} {reinserts} proxy(ies) over all steps",
             "re-inserts"
         );
+        let _ = writeln!(
+            out,
+            "  {:<20} {} proxy(ies) over all steps",
+            "moved",
+            merged.counter(BROADPHASE_MOVED_COUNTER)
+        );
+        let _ = writeln!(
+            out,
+            "  {:<20} {} run over all steps",
+            "tight tests",
+            merged.counter(BROADPHASE_TIGHT_TESTS_COUNTER)
+        );
+        let refresh = merged.counter(BROADPHASE_REFRESH_NS_COUNTER);
+        let grid = merged.counter(BROADPHASE_GRID_NS_COUNTER);
+        let steps = records.iter().filter(|r| !r.wall_ns.is_empty()).count() as u64;
+        if refresh + grid > 0 && steps > 0 {
+            let _ = writeln!(
+                out,
+                "  {:<20} refresh {} + grid {} per step",
+                "wall",
+                fmt_ns(refresh as f64 / steps as f64),
+                fmt_ns(grid as f64 / steps as f64)
+            );
+        }
     }
 
     // What the narrow phase was given: most candidates are only
@@ -535,14 +572,34 @@ mod tests {
     fn broadphase_section_reports_fat_pair_level_and_total_churn() {
         let mut a = rec(0, 1, 1);
         a.metrics.gauges = vec![(BROADPHASE_FAT_PAIRS_GAUGE.into(), 900)];
-        a.metrics.counters = vec![(BROADPHASE_REINSERTS_COUNTER.into(), 650)];
+        a.metrics.counters = vec![
+            (BROADPHASE_REINSERTS_COUNTER.into(), 650),
+            (BROADPHASE_MOVED_COUNTER.into(), 700),
+            (BROADPHASE_TIGHT_TESTS_COUNTER.into(), 2000),
+            (BROADPHASE_REFRESH_NS_COUNTER.into(), 3000),
+            (BROADPHASE_GRID_NS_COUNTER.into(), 9000),
+        ];
         let mut b = rec(1, 1, 1);
         b.metrics.gauges = vec![(BROADPHASE_FAT_PAIRS_GAUGE.into(), 880)];
-        b.metrics.counters = vec![(BROADPHASE_REINSERTS_COUNTER.into(), 4)];
+        b.metrics.counters = vec![
+            (BROADPHASE_REINSERTS_COUNTER.into(), 4),
+            (BROADPHASE_MOVED_COUNTER.into(), 10),
+            (BROADPHASE_TIGHT_TESTS_COUNTER.into(), 20),
+            (BROADPHASE_REFRESH_NS_COUNTER.into(), 1000),
+            (BROADPHASE_GRID_NS_COUNTER.into(), 1000),
+        ];
         let text = render(&[a, b]);
         assert!(text.contains("Persistent broad phase:"), "{text}");
         assert!(text.contains("final      880, peak      900"), "{text}");
         assert!(text.contains("654 proxy(ies)"), "{text}");
+        assert!(text.contains("710 proxy(ies)"), "{text}");
+        assert!(text.contains("2020 run"), "{text}");
+        let wall = format!(
+            "refresh {} + grid {} per step",
+            fmt_ns(2000.0),
+            fmt_ns(5000.0)
+        );
+        assert!(text.contains(&wall), "{text}");
         assert!(!render(&[rec(0, 1, 1)]).contains("Persistent broad phase"));
     }
 
