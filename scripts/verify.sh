@@ -18,11 +18,14 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 #                          cleanliness of the island-sleeping fast path;
 #   snapshot_roundtrip     snapshot -> restore bit-identical on Mix, random
 #                          worlds and the cross thread/SIMD grid;
-#   broadphase_equivalence the grid's candidates against sweep-and-prune
-#                          on the same AABB list after every step of Mix,
+#   broadphase_equivalence the refreshed AABBs against a recomputation,
+#                          and the grid's candidates and counts against
+#                          sweep-and-prune and the reference grid on the
+#                          same AABB list, after every step of Mix,
 #                          Breakable and Explosions (sleeping on and off,
-#                          through a shatter, a mid-run restore and an
-#                          enable toggle); run again in release below;
+#                          through a shatter, a mid-run restore, an enable
+#                          toggle and a teleported dormant body); run
+#                          again in release below;
 #   golden_digests         trajectories and every simulated statistic of
 #                          Mix and Explosions pinned across commits;
 #   archsim properties     the division-free, hash-free hierarchy against a
@@ -58,8 +61,11 @@ cargo bench --offline -p parallax-bench --bench archsim_components -- --quick
 cargo bench --offline -p parallax-bench --bench physics_kernels -- --quick narrowphase
 # ... and the cloth step's: Mix's drape and uniform at the resolved SIMD
 # mode, bare and against a Mix-shaped collider set (ns per projection, ns
-# per collision test).
+# per collision test) ...
 cargo bench --offline -p parallax-bench --bench physics_kernels -- --quick cloth
+# ... and the broad phase's: synthetic clouds, plus Mix's own AABB lists
+# of steps 13-60 replayed through a grid warmed with step 12 (ns per step).
+cargo bench --offline -p parallax-bench --bench physics_kernels -- --quick broadphase
 
 # Telemetry smoke: record 10 Mix steps through the JSONL sink, then
 # validate the stream (parses, all five phases present, nonzero walls)
@@ -135,9 +141,12 @@ grep -q "^divergence: step=" "$tmp/bisect_sleep.out"
 
 # Persistent broad phase: the per-step oracle once more in the release
 # profile — after every one of 250 steps of Mix, Breakable and Explosions
-# at scale 0.2, the grid's candidates must equal the history-free
-# sweep-and-prune rebuild's on the same AABB list.
-cargo test --release --offline -q -p parallax-bench --test broadphase_equivalence
+# at scale 0.2, the refreshed AABBs must equal a recomputation, and the
+# grid's candidates and counts must equal the history-free
+# sweep-and-prune rebuild's and the reference grid's on the same AABB
+# list — plus the ignored full-scale Mix case (212 steps).
+cargo test --release --offline -q -p parallax-bench --test broadphase_equivalence -- \
+    --include-ignored
 
 # Island-processing data path: two bisections hold the scalar
 # single-thread step to the two-thread AVX2 one — packed solver rows,
