@@ -298,11 +298,6 @@ impl BankedCache {
         }
     }
 
-    /// Which bank serves `addr`.
-    pub fn bank_of(&self, addr: u64) -> usize {
-        self.route(addr >> self.line_shift).0
-    }
-
     /// `(bank, bank-local line id)` of line id `line`: lines are
     /// interleaved across banks, so within a bank consecutive resident
     /// lines are `banks` lines apart globally. Folding by the bank count
@@ -351,16 +346,6 @@ impl BankedCache {
         for b in &mut self.banks {
             b.flush();
         }
-    }
-
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Total capacity in bytes.
-    pub fn bytes(&self) -> usize {
-        self.banks.iter().map(|b| b.bytes()).sum()
     }
 }
 
@@ -467,7 +452,7 @@ mod tests {
         let mut b = BankedCache::new(4, 1024, 4, 64);
         let mut seen = std::collections::HashSet::new();
         for i in 0..8u64 {
-            seen.insert(b.bank_of(i * 64));
+            seen.insert(b.route(i).0);
             b.access(i * 64, 0);
         }
         assert_eq!(seen.len(), 4, "consecutive lines hit all banks");

@@ -81,11 +81,6 @@ impl CoreConfig {
             name: "Limit Study",
         }
     }
-
-    /// Branch misprediction penalty in cycles (front-end refill).
-    pub fn mispredict_penalty(&self) -> u64 {
-        self.pipeline_depth as u64
-    }
 }
 
 /// Shared-L2 configuration: `banks` 1 MB 4-way banks (paper §5).

@@ -49,9 +49,16 @@ pub struct CoreModel {
     ipc_base: [f64; 5],
     /// Misprediction rate per kernel, looked up on the kernel's first task.
     mispredict_rate: [OnceLock<f64>; 5],
+    /// Misprediction flush penalty: pipeline refill plus the speculative
+    /// state (window × ROB, geometric mean) that must be discarded and
+    /// re-established. Grows with core aggressiveness — this reproduces
+    /// the paper's observation that Narrowphase *degrades* on bigger
+    /// cores.
     flush_penalty: f64,
     /// Fraction of a divide/sqrt's latency the window cannot hide.
     div_exposure: f64,
+    /// Fraction of beyond-L1 memory latency that the window cannot hide
+    /// (memory-level-parallelism discount).
     stall_exposure: f64,
     /// When `true`, branches never mispredict (the paper's "ideal branch
     /// prediction" experiment, §8.2).
@@ -91,15 +98,6 @@ impl CoreModel {
         self.ipc_base[kernel as usize]
     }
 
-    /// Misprediction flush penalty: pipeline refill plus the speculative
-    /// state (window × ROB, geometric mean) that must be discarded and
-    /// re-established. Grows with core aggressiveness — this reproduces
-    /// the paper\'s observation that Narrowphase *degrades* on bigger
-    /// cores.
-    pub fn flush_penalty(&self) -> f64 {
-        self.flush_penalty
-    }
-
     /// Cycles for the compute portion of `ops` (no cache misses).
     pub fn compute_cycles(&self, ops: &OpCounts, kernel: Kernel) -> u64 {
         let instr = ops.total() as f64;
@@ -116,12 +114,6 @@ impl CoreModel {
         let branch_cycles = ops.branch as f64 * mispred_rate * self.flush_penalty;
         let div_cycles = ops.fp_div_sqrt as f64 * DIV_SQRT_LATENCY * self.div_exposure;
         (base + branch_cycles + div_cycles).ceil() as u64
-    }
-
-    /// Fraction of beyond-L1 memory latency that the window cannot hide
-    /// (memory-level-parallelism discount).
-    pub fn stall_exposure(&self) -> f64 {
-        self.stall_exposure
     }
 
     /// Full task cycles: compute plus exposed memory stalls.
@@ -262,10 +254,10 @@ mod tests {
                 assert_eq!(m.ipc_base(kernel), ilp.min(cfg.width as f64));
             }
             assert_eq!(
-                m.flush_penalty(),
+                m.flush_penalty,
                 cfg.pipeline_depth as f64 + ((cfg.rob * cfg.window) as f64).sqrt()
             );
-            assert_eq!(m.stall_exposure(), 1.0 / (1.0 + window.sqrt() / 2.0));
+            assert_eq!(m.stall_exposure, 1.0 / (1.0 + window.sqrt() / 2.0));
         }
     }
 

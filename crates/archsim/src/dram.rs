@@ -82,16 +82,6 @@ impl Dram {
         self.row_hits = 0;
         self.row_misses = 0;
     }
-
-    /// Row-buffer hit rate.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
-    }
 }
 
 impl Default for Dram {
@@ -104,13 +94,19 @@ impl Default for Dram {
 mod tests {
     use super::*;
 
+    /// Row-buffer hit rate so far.
+    fn hit_rate(d: &Dram) -> f64 {
+        let (hits, misses) = d.stats();
+        hits as f64 / (hits + misses) as f64
+    }
+
     #[test]
     fn sequential_stream_mostly_hits_rows() {
         let mut d = Dram::new();
         for i in 0..10_000u64 {
             d.access(i * 64);
         }
-        assert!(d.hit_rate() > 0.95, "hit rate {}", d.hit_rate());
+        assert!(hit_rate(&d) > 0.95, "hit rate {}", hit_rate(&d));
     }
 
     #[test]
@@ -123,7 +119,7 @@ mod tests {
             x ^= x << 17;
             d.access(x % (1 << 30));
         }
-        assert!(d.hit_rate() < 0.2, "hit rate {}", d.hit_rate());
+        assert!(hit_rate(&d) < 0.2, "hit rate {}", hit_rate(&d));
     }
 
     #[test]

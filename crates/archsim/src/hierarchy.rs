@@ -28,18 +28,6 @@ pub struct MemStats {
     pub total_latency: u64,
 }
 
-impl MemStats {
-    /// L2 miss rate over L2 accesses.
-    pub fn l2_miss_rate(&self) -> f64 {
-        let acc = self.l2_hits + self.l2_misses;
-        if acc == 0 {
-            0.0
-        } else {
-            self.l2_misses as f64 / acc as f64
-        }
-    }
-}
-
 /// Line ids the hierarchy accepts: a 256 GB physical address space, which
 /// bounds the writer table's directory and keeps every geometry division
 /// inside its exact range.
@@ -105,8 +93,6 @@ pub struct Hierarchy {
     /// Prefetches issued.
     prefetches: u64,
     stats: MemStats,
-    /// Per-partition L2 miss counts (indexed by partition id).
-    partition_misses: Vec<u64>,
 }
 
 impl Hierarchy {
@@ -138,7 +124,6 @@ impl Hierarchy {
             dram: machine.dram_model.then(Dram::new),
             prefetches: 0,
             stats: MemStats::default(),
-            partition_misses: vec![0; 16],
         }
     }
 
@@ -196,8 +181,6 @@ impl Hierarchy {
             }
             AccessResult::Miss => {
                 self.stats.l2_misses += 1;
-                let p = (partition as usize).min(self.partition_misses.len() - 1);
-                self.partition_misses[p] += 1;
                 latency += match &mut self.dram {
                     Some(d) => d.access(addr),
                     None => self.mem_latency,
@@ -223,16 +206,10 @@ impl Hierarchy {
         self.stats
     }
 
-    /// Per-partition L2 miss counts.
-    pub fn partition_misses(&self) -> &[u64] {
-        &self.partition_misses
-    }
-
     /// Resets every statistic (cache contents and open DRAM rows are
     /// preserved — used between the warm-up and measurement windows).
     pub fn reset_stats(&mut self) {
         self.stats = MemStats::default();
-        self.partition_misses.fill(0);
         self.prefetches = 0;
         if let Some(d) = &mut self.dram {
             d.reset_stats();
@@ -261,16 +238,6 @@ impl Hierarchy {
     /// DRAM model is disabled.
     pub fn dram_stats(&self) -> (u64, u64) {
         self.dram.as_ref().map_or((0, 0), |d| d.stats())
-    }
-
-    /// Number of cores (L1s).
-    pub fn cores(&self) -> usize {
-        self.l1.len()
-    }
-
-    /// Total L2 capacity in bytes.
-    pub fn l2_bytes(&self) -> usize {
-        self.l2.bytes()
     }
 }
 

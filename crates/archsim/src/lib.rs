@@ -11,8 +11,8 @@
 //!   branch streams ([`branchgen`]),
 //! * set-associative **L1/banked-L2 caches** with way-partitioning /
 //!   columnization ([`cache`], [`hierarchy`]),
-//! * an on-chip **2-D mesh** and **HTX/PCIe** off-chip links ([`mesh`],
-//!   [`offchip`]),
+//! * the CG↔FG links — on-chip mesh, HTX, PCIe — as bandwidth and
+//!   latency ([`offchip`]),
 //! * an **OS overhead model** reproducing the Solaris kernel-memory blowup
 //!   the paper measured at 8 threads ([`os`]), and
 //! * a **multi-core frame simulator** ([`multicore`]) that produces the
@@ -41,7 +41,6 @@ pub mod config;
 pub mod core;
 pub mod dram;
 pub mod hierarchy;
-pub mod mesh;
 pub mod multicore;
 pub mod offchip;
 pub mod os;

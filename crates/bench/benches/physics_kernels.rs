@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
 use parallax_math::{Quat, SimdMode, Transform, Vec3};
-use parallax_physics::broadphase::{Broadphase, SweepAndPrune, UniformGrid, GRID_CELL};
+use parallax_physics::broadphase::{SweepAndPrune, UniformGrid, GRID_CELL};
 use parallax_physics::narrowphase::collide_shapes;
 use parallax_physics::{
     BodyDesc, Cloth, GeomId, Heightfield, Shape, ShapeKind, World, WorldConfig,

@@ -9,7 +9,7 @@
 //! 1. Run both configurations to the horizon once; if the end-state
 //!    digests match, report clean.
 //! 2. Binary-search the first divergent step with snapshot-restart
-//!    probes: keep per-side [`SceneCheckpoint`]s at the last known-equal
+//!    probes: keep per-side [`SceneCheckpoint`](parallax_workloads::SceneCheckpoint)s at the last known-equal
 //!    step `lo`, probe the midpoint by restoring and stepping forward,
 //!    and halve. `O(log steps)` probe runs, each shorter than the last.
 //! 3. Re-run the single divergent step with per-phase digests enabled to

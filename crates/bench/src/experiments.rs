@@ -21,7 +21,8 @@ use parallax_archsim::config::{CoreConfig, L2Config, MachineConfig};
 use parallax_archsim::core::CoreModel;
 use parallax_archsim::multicore::{kernel_of, FrameResult, MulticoreSim, PhaseTime, SimOptions};
 use parallax_archsim::offchip::Link;
-use parallax_physics::broadphase::{Broadphase, SweepAndPrune, UniformGrid, GRID_CELL};
+use parallax_physics::broadphase::{SweepAndPrune, UniformGrid, GRID_CELL};
+use parallax_physics::world::STEPS_PER_FRAME;
 use parallax_physics::PhaseKind;
 use parallax_trace::kernels::KernelModel;
 use parallax_trace::{Kernel, OpCounts, StepTrace};
@@ -829,8 +830,7 @@ fn ablations(ctx: &Ctx) {
         BenchmarkId::Mix,
     ] {
         let mut scene = RunConfig::default().build(id, ctx.scale);
-        let measured = scene.world.config().steps_per_frame;
-        let steps: Vec<_> = (0..3 * measured)
+        let steps: Vec<_> = (0..3 * STEPS_PER_FRAME)
             .map(|_| {
                 scene.step();
                 let pipeline = scene.world.pipeline();
@@ -841,21 +841,25 @@ fn ablations(ctx: &Ctx) {
             })
             .collect();
         let mut row = vec![id.abbrev().to_string()];
-        let kernels: [&mut dyn Broadphase; 2] =
-            [&mut UniformGrid::new(GRID_CELL), &mut SweepAndPrune::new()];
-        for kernel in kernels {
+        let mut grid = UniformGrid::new(GRID_CELL);
+        let mut sap = SweepAndPrune::new();
+        for on_grid in [true, false] {
             let mut pairs = Vec::new();
             let (mut tests, mut emitted, mut wall) = (0, 0, Duration::ZERO);
             for (k, (aabbs, candidates)) in steps.iter().enumerate() {
                 let start = Instant::now();
-                let stats = kernel.pairs_into(aabbs, &mut pairs);
+                let stats = if on_grid {
+                    grid.pairs_into(aabbs, &mut pairs)
+                } else {
+                    sap.pairs_into(aabbs, &mut pairs)
+                };
                 let elapsed = start.elapsed();
                 assert!(
                     pairs == *candidates,
                     "{}: a replayed kernel's pairs differ from the engine's candidates",
                     id.name()
                 );
-                if k >= steps.len() - measured {
+                if k >= steps.len() - STEPS_PER_FRAME {
                     tests += stats.overlap_tests;
                     emitted += pairs.len();
                     wall += elapsed;

@@ -21,6 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use parallax_archsim::config::{L2Config, MachineConfig};
 use parallax_archsim::multicore::PhaseTime;
+use parallax_physics::world::STEPS_PER_FRAME;
 use parallax_physics::{PhaseKind, StepProfile};
 use parallax_telemetry::{Snapshot, SpanRecord, StepRecord, TelemetrySink};
 use parallax_trace::StepTrace;
@@ -210,7 +211,7 @@ fn run_measured_with_telemetry(
         scene.step_frame();
     }
     let mut baseline = telemetry_baseline();
-    let steps = measure_frames * scene.world.config().steps_per_frame;
+    let steps = measure_frames * STEPS_PER_FRAME;
     let name = scene.id.name();
     let mut out = Vec::with_capacity(steps);
     for s in 0..steps {

@@ -126,22 +126,10 @@ impl Vec3 {
         self.x.max(self.y).max(self.z)
     }
 
-    /// Smallest component.
-    #[inline]
-    pub fn min_element(self) -> f32 {
-        self.x.min(self.y).min(self.z)
-    }
-
     /// Linear interpolation: `self * (1 - t) + rhs * t`.
     #[inline]
     pub fn lerp(self, rhs: Vec3, t: f32) -> Vec3 {
         self + (rhs - self) * t
-    }
-
-    /// Squared distance to `rhs`.
-    #[inline]
-    pub fn distance_squared(self, rhs: Vec3) -> f32 {
-        (self - rhs).length_squared()
     }
 
     /// Distance to `rhs`.
@@ -339,7 +327,6 @@ mod tests {
         assert_eq!(a.max(b), Vec3::new(3.0, 5.0, 2.5));
         assert_eq!(a.abs(), Vec3::new(1.0, 5.0, 2.0));
         assert_eq!(a.max_element(), 5.0);
-        assert_eq!(a.min_element(), -1.0);
     }
 
     #[test]

@@ -321,11 +321,6 @@ impl ParallaxSystem {
         }
     }
 
-    /// The FG arbiter (exposed for inspection).
-    pub fn arbiter(&self) -> &HierarchicalArbiter {
-        &self.arbiter
-    }
-
     /// Simulates one physics step. Parallel phases run their CG setup on
     /// the CG cores and their kernels on the FG pool, overlapped.
     pub fn simulate_step(&mut self, profile: &StepProfile) -> SystemResult {

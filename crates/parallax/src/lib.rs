@@ -47,4 +47,4 @@ pub use arbiter::HierarchicalArbiter;
 pub use arch::{ParallaxSystem, SystemResult};
 pub use buffering::{tasks_to_hide_latency, HidingReport};
 pub use fgcore::FgCoreType;
-pub use schedule::{fg_phase_timing, fg_phase_timing_for_phase, FgPhaseTiming};
+pub use schedule::{fg_phase_timing, FgPhaseTiming};

@@ -1,114 +1,16 @@
-//! Task farming: the CG→FG protocol (paper §7.3) and the FG pipeline
-//! timing model.
+//! Task farming: the FG pipeline timing model of the CG→FG protocol
+//! (paper §7.3).
 //!
 //! "The hand-shaking between CG and FG cores for data transfers will be
-//! similar to network protocols using control and data packets. The
-//! control packet includes task id (unique), data-set id (unique per task
-//! id), data size, iteration count, and kernel id. Each data packet's
-//! header includes task id and data-set id."
+//! similar to network protocols using control and data packets." The
+//! model prices each task's transfer over the link
+//! ([`fg_phase_timing`]); it does not build the packets.
 
 use parallax_archsim::offchip::Link;
-use parallax_physics::PhaseKind;
 use parallax_trace::Kernel;
 use serde::{Deserialize, Serialize};
 
 use crate::fgcore::{iterations_per_task, task_profile, FgCoreType};
-
-/// A control packet announcing an FG task batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ControlPacket {
-    /// Unique task id (identifies the submitting CG thread).
-    pub task_id: u32,
-    /// Data-set id, unique per task id (identifies the FG core).
-    pub dataset_id: u32,
-    /// Payload size in bytes.
-    pub data_size: u32,
-    /// Kernel iterations to execute.
-    pub iteration_count: u32,
-    /// Which kernel to run (kernel code already resides in FG cores).
-    pub kernel_id: u8,
-}
-
-impl ControlPacket {
-    /// Serialized size in bytes.
-    pub const WIRE_BYTES: usize = 17;
-
-    /// Encodes the packet (big-endian fields, in declaration order).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(Self::WIRE_BYTES);
-        b.extend_from_slice(&self.task_id.to_be_bytes());
-        b.extend_from_slice(&self.dataset_id.to_be_bytes());
-        b.extend_from_slice(&self.data_size.to_be_bytes());
-        b.extend_from_slice(&self.iteration_count.to_be_bytes());
-        b.push(self.kernel_id);
-        b
-    }
-
-    /// Decodes a packet.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` when the buffer is too short.
-    pub fn decode(buf: impl AsRef<[u8]>) -> Option<ControlPacket> {
-        let buf = buf.as_ref();
-        if buf.len() < Self::WIRE_BYTES {
-            return None;
-        }
-        let u32_at = |i: usize| u32::from_be_bytes(buf[i..i + 4].try_into().unwrap());
-        Some(ControlPacket {
-            task_id: u32_at(0),
-            dataset_id: u32_at(4),
-            data_size: u32_at(8),
-            iteration_count: u32_at(12),
-            kernel_id: buf[16],
-        })
-    }
-
-    /// Kernel id for a [`Kernel`].
-    pub fn kernel_id_of(kernel: Kernel) -> u8 {
-        match kernel {
-            Kernel::Narrowphase => 0,
-            Kernel::IslandSolver => 1,
-            Kernel::Cloth => 2,
-            Kernel::Broadphase => 3,
-            Kernel::IslandCreation => 4,
-        }
-    }
-}
-
-/// A data packet header (payload follows on the wire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DataPacketHeader {
-    /// Task id this payload belongs to.
-    pub task_id: u32,
-    /// Data-set id (FG core).
-    pub dataset_id: u32,
-}
-
-impl DataPacketHeader {
-    /// Serialized size in bytes.
-    pub const WIRE_BYTES: usize = 8;
-
-    /// Encodes the header (big-endian fields, in declaration order).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(Self::WIRE_BYTES);
-        b.extend_from_slice(&self.task_id.to_be_bytes());
-        b.extend_from_slice(&self.dataset_id.to_be_bytes());
-        b
-    }
-
-    /// Decodes a header; `None` when too short.
-    pub fn decode(buf: impl AsRef<[u8]>) -> Option<DataPacketHeader> {
-        let buf = buf.as_ref();
-        if buf.len() < Self::WIRE_BYTES {
-            return None;
-        }
-        Some(DataPacketHeader {
-            task_id: u32::from_be_bytes(buf[0..4].try_into().unwrap()),
-            dataset_id: u32::from_be_bytes(buf[4..8].try_into().unwrap()),
-        })
-    }
-}
 
 /// Timing of one FG phase execution.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -178,19 +80,6 @@ pub fn fg_phase_timing(
     }
 }
 
-/// [`fg_phase_timing`] keyed by the engine's phase enumeration instead of
-/// the kernel: resolves the stage's kernel via [`Kernel::of_phase`], so
-/// schedulers driving the pipeline stages don't need their own mapping.
-pub fn fg_phase_timing_for_phase(
-    phase: PhaseKind,
-    core: FgCoreType,
-    count: usize,
-    link: Link,
-    tasks: usize,
-) -> FgPhaseTiming {
-    fg_phase_timing(Kernel::of_phase(phase), core, count, link, tasks)
-}
-
 /// CG-side overhead instructions for dispatching one FG task: data
 /// packing before send, scattering on return, queue management.
 pub const CG_DISPATCH_INSTR: u64 = 90;
@@ -198,34 +87,6 @@ pub const CG_DISPATCH_INSTR: u64 = 90;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn control_packet_roundtrip() {
-        let p = ControlPacket {
-            task_id: 7,
-            dataset_id: 42,
-            data_size: 1668,
-            iteration_count: 100,
-            kernel_id: ControlPacket::kernel_id_of(Kernel::Narrowphase),
-        };
-        let decoded = ControlPacket::decode(p.encode()).expect("roundtrip");
-        assert_eq!(decoded, p);
-    }
-
-    #[test]
-    fn data_header_roundtrip() {
-        let h = DataPacketHeader {
-            task_id: 1,
-            dataset_id: 2,
-        };
-        assert_eq!(DataPacketHeader::decode(h.encode()), Some(h));
-    }
-
-    #[test]
-    fn short_buffers_rejected() {
-        assert!(ControlPacket::decode([0u8; 4]).is_none());
-        assert!(DataPacketHeader::decode([0u8; 4]).is_none());
-    }
 
     #[test]
     fn onchip_narrowphase_hides_communication() {
@@ -281,23 +142,6 @@ mod tests {
             10_000,
         );
         assert!(t150.total_cycles < t50.total_cycles);
-    }
-
-    #[test]
-    fn phase_keyed_timing_matches_kernel_keyed() {
-        for phase in PhaseKind::ALL {
-            let by_phase =
-                fg_phase_timing_for_phase(phase, FgCoreType::Shader, 150, Link::OnChipMesh, 3000);
-            let by_kernel = fg_phase_timing(
-                Kernel::of_phase(phase),
-                FgCoreType::Shader,
-                150,
-                Link::OnChipMesh,
-                3000,
-            );
-            assert_eq!(by_phase.total_cycles, by_kernel.total_cycles);
-            assert_eq!(by_phase.compute_cycles, by_kernel.compute_cycles);
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests for the ParallAX system components.
 
-use parallax::arbiter::HierarchicalArbiter;
+use parallax::arbiter::{FgId, HierarchicalArbiter};
 use parallax::buffering::offloadable_fraction;
 use parallax::fgcore::FgCoreType;
-use parallax::schedule::{fg_phase_timing, ControlPacket, DataPacketHeader};
+use parallax::schedule::fg_phase_timing;
 use parallax_archsim::offchip::Link;
 use parallax_trace::Kernel;
 use proptest::prelude::*;
@@ -41,25 +41,12 @@ proptest! {
         let fg = cg * per;
         let arb = HierarchicalArbiter::new(cg, fg);
         let grants = arb.assign(&vec![per; cg]);
-        prop_assert!((arb.locality(&grants) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn control_packet_roundtrips(task in any::<u32>(), ds in any::<u32>(), size in any::<u32>(), iters in any::<u32>(), k in 0u8..5) {
-        let p = ControlPacket {
-            task_id: task,
-            dataset_id: ds,
-            data_size: size,
-            iteration_count: iters,
-            kernel_id: k,
-        };
-        prop_assert_eq!(ControlPacket::decode(p.encode()), Some(p));
-    }
-
-    #[test]
-    fn data_header_roundtrips(task in any::<u32>(), ds in any::<u32>()) {
-        let h = DataPacketHeader { task_id: task, dataset_id: ds };
-        prop_assert_eq!(DataPacketHeader::decode(h.encode()), Some(h));
+        // Fully local: CG core `c` is granted exactly its own group, the
+        // FG ids `c * per .. (c + 1) * per`.
+        for (c, granted) in grants.iter().enumerate() {
+            let own: Vec<_> = (c * per..(c + 1) * per).map(|id| FgId(id as u32)).collect();
+            prop_assert_eq!(granted, &own, "cg {}", c);
+        }
     }
 
     #[test]

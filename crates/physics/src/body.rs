@@ -164,12 +164,6 @@ impl BodyDesc {
         self
     }
 
-    /// Sets the initial angular velocity.
-    pub fn with_angular_velocity(mut self, w: Vec3) -> Self {
-        self.ang_vel = w;
-        self
-    }
-
     /// Ors in extra behaviour flags (e.g. [`BodyFlags::EXPLOSIVE`]).
     pub fn with_flags(mut self, flags: BodyFlags) -> Self {
         self.flags.insert(flags);

@@ -2,9 +2,10 @@
 //!
 //! The paper notes that broad-phase algorithms that maintain a spatial
 //! structure (hash tables, kd-trees, sweep-and-prune axes) are hard to
-//! parallelize — this is one of the two *serial* phases. Every algorithm
-//! here emits the same canonical candidate list (sorted, deduplicated,
-//! `a < b`), so they are interchangeable down to the phase digests:
+//! parallelize — this is one of the two *serial* phases. Both algorithms
+//! here emit the same canonical candidate list (sorted, deduplicated,
+//! `a < b`) from their inherent `pairs_into`, so they are interchangeable
+//! down to the phase digests:
 //!
 //! * [`UniformGrid`] — a persistent uniform spatial hash, the broad phase
 //!   every world runs (cell edge [`GRID_CELL`]). Proxies carry fat AABBs
@@ -17,7 +18,9 @@
 //!   ODE's `dxSAPSpace` uses), rebuilt from the AABBs every step: the
 //!   history-free reference the grid's candidates are checked against,
 //!   step by step, and the other side of the broad-phase ablation.
-//! * [`BruteForce`] — all pairs; the oracle of the property tests.
+//!
+//! The all-pairs oracle of the property tests, `BruteForce`, lives with
+//! them in `tests/support/`.
 
 use parallax_math::{Aabb, Vec3};
 
@@ -59,29 +62,6 @@ pub struct BroadphaseStats {
     pub tight_tests: usize,
 }
 
-/// A broad-phase algorithm: produces candidate geom pairs from AABBs.
-pub trait Broadphase {
-    /// Computes candidate overlapping pairs into `out` (cleared first),
-    /// reusing `out`'s capacity across calls.
-    ///
-    /// `aabbs` carries `(geom, world aabb)` for every enabled geom, each
-    /// geom once. The emitted pairs are sorted and deduplicated, with
-    /// `a < b`, so every algorithm drives the same downstream order.
-    fn pairs_into(
-        &mut self,
-        aabbs: &[(GeomId, Aabb)],
-        out: &mut Vec<(GeomId, GeomId)>,
-    ) -> BroadphaseStats;
-
-    /// Convenience wrapper around [`pairs_into`](Broadphase::pairs_into)
-    /// allocating a fresh pair vector.
-    fn pairs(&mut self, aabbs: &[(GeomId, Aabb)]) -> (Vec<(GeomId, GeomId)>, BroadphaseStats) {
-        let mut out = Vec::new();
-        let stats = self.pairs_into(aabbs, &mut out);
-        (out, stats)
-    }
-}
-
 /// Sort-and-sweep along the X axis.
 ///
 /// Geoms are sorted by their AABB min-x; a sweep then tests each geom
@@ -105,10 +85,14 @@ impl SweepAndPrune {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Broadphase for SweepAndPrune {
-    fn pairs_into(
+    /// Computes the candidate overlapping pairs into `out` (cleared
+    /// first), reusing `out`'s capacity across calls.
+    ///
+    /// `aabbs` carries `(geom, world aabb)` for every enabled geom, each
+    /// geom once. The emitted pairs are sorted and deduplicated, with
+    /// `a < b`.
+    pub fn pairs_into(
         &mut self,
         aabbs: &[(GeomId, Aabb)],
         out: &mut Vec<(GeomId, GeomId)>,
@@ -154,47 +138,6 @@ impl Broadphase for SweepAndPrune {
             }
         }
         // Sweep order follows min-x; emit the canonical order instead.
-        out.sort_unstable();
-        stats.pairs = out.len();
-        stats
-    }
-}
-
-/// Brute-force all-pairs broad-phase.
-///
-/// Tests every geom pair directly — O(n²), far too slow for real scenes,
-/// but trivially correct. It is the reference oracle the property tests
-/// compare [`SweepAndPrune`] and [`UniformGrid`] against.
-#[derive(Debug, Default)]
-pub struct BruteForce;
-
-impl BruteForce {
-    /// Creates the reference broad-phase.
-    pub fn new() -> Self {
-        BruteForce
-    }
-}
-
-impl Broadphase for BruteForce {
-    fn pairs_into(
-        &mut self,
-        aabbs: &[(GeomId, Aabb)],
-        out: &mut Vec<(GeomId, GeomId)>,
-    ) -> BroadphaseStats {
-        let mut stats = BroadphaseStats {
-            geoms: aabbs.len(),
-            ..Default::default()
-        };
-        out.clear();
-        for (i, (ga, ba)) in aabbs.iter().enumerate() {
-            for (gb, bb) in &aabbs[i + 1..] {
-                stats.overlap_tests += 1;
-                if ba.overlaps(bb) {
-                    let (lo, hi) = if ga < gb { (*ga, *gb) } else { (*gb, *ga) };
-                    out.push((lo, hi));
-                }
-            }
-        }
         out.sort_unstable();
         stats.pairs = out.len();
         stats
@@ -801,10 +744,14 @@ impl UniformGrid {
         }
         tests
     }
-}
 
-impl Broadphase for UniformGrid {
-    fn pairs_into(
+    /// Computes the candidate overlapping pairs into `out` (cleared
+    /// first), reusing `out`'s capacity across calls.
+    ///
+    /// `aabbs` carries `(geom, world aabb)` for every enabled geom, each
+    /// geom once. The emitted pairs are sorted and deduplicated, with
+    /// `a < b`: the list [`SweepAndPrune`] emits for the same boxes.
+    pub fn pairs_into(
         &mut self,
         aabbs: &[(GeomId, Aabb)],
         out: &mut Vec<(GeomId, GeomId)>,
@@ -886,6 +833,15 @@ mod tests {
     use super::*;
     use parallax_math::Vec3;
 
+    /// One `pairs_into` call into a fresh vector.
+    fn collect_pairs(
+        pairs_into: impl FnOnce(&mut Vec<(GeomId, GeomId)>) -> BroadphaseStats,
+    ) -> (Vec<(GeomId, GeomId)>, BroadphaseStats) {
+        let mut out = Vec::new();
+        let stats = pairs_into(&mut out);
+        (out, stats)
+    }
+
     fn boxes(centers: &[Vec3], half: f32) -> Vec<(GeomId, Aabb)> {
         centers
             .iter()
@@ -914,7 +870,7 @@ mod tests {
             ],
             0.5,
         );
-        let (pairs, stats) = SweepAndPrune::new().pairs(&aabbs);
+        let (pairs, stats) = collect_pairs(|o| SweepAndPrune::new().pairs_into(&aabbs, o));
         assert_eq!(pairs, vec![(GeomId(0), GeomId(1))]);
         assert_eq!(stats.pairs, 1);
         assert_eq!(stats.geoms, 3);
@@ -930,7 +886,7 @@ mod tests {
             ],
             0.5,
         );
-        let (pairs, _) = SweepAndPrune::new().pairs(&aabbs);
+        let (pairs, _) = collect_pairs(|o| SweepAndPrune::new().pairs_into(&aabbs, o));
         assert!(pairs.is_empty());
     }
 
@@ -938,7 +894,7 @@ mod tests {
     fn sap_separated_on_other_axes_culled() {
         // Same x interval but far apart in y: the sweep must still reject.
         let aabbs = boxes(&[Vec3::ZERO, Vec3::new(0.0, 100.0, 0.0)], 0.5);
-        let (pairs, stats) = SweepAndPrune::new().pairs(&aabbs);
+        let (pairs, stats) = collect_pairs(|o| SweepAndPrune::new().pairs_into(&aabbs, o));
         assert!(pairs.is_empty());
         assert_eq!(stats.overlap_tests, 1);
     }
@@ -949,8 +905,8 @@ mod tests {
             .map(|i| Vec3::new((i % 5) as f32 * 0.8, (i / 5) as f32 * 0.8, 0.0))
             .collect();
         let aabbs = boxes(&centers, 0.5);
-        let (mut sap, _) = SweepAndPrune::new().pairs(&aabbs);
-        let (mut grid, _) = UniformGrid::new(2.0).pairs(&aabbs);
+        let (mut sap, _) = collect_pairs(|o| SweepAndPrune::new().pairs_into(&aabbs, o));
+        let (mut grid, _) = collect_pairs(|o| UniformGrid::new(2.0).pairs_into(&aabbs, o));
         sap.sort();
         grid.sort();
         assert_eq!(sap, grid);
@@ -964,7 +920,7 @@ mod tests {
             GeomId(2),
             Aabb::from_center_half_extents(Vec3::ZERO, Vec3::splat(1e9)),
         ));
-        let (pairs, _) = UniformGrid::new(1.0).pairs(&aabbs);
+        let (pairs, _) = collect_pairs(|o| UniformGrid::new(1.0).pairs_into(&aabbs, o));
         let pairs = sorted(pairs);
         assert!(pairs.contains(&(GeomId(0), GeomId(2))));
         assert!(pairs.contains(&(GeomId(1), GeomId(2))));
@@ -1003,10 +959,10 @@ mod tests {
         // Two geoms need exactly one comparison (plus none for the
         // single-element case), not an n·log₂n estimate.
         let aabbs = boxes(&[Vec3::ZERO, Vec3::new(5.0, 0.0, 0.0)], 0.5);
-        let (_, stats) = SweepAndPrune::new().pairs(&aabbs);
+        let (_, stats) = collect_pairs(|o| SweepAndPrune::new().pairs_into(&aabbs, o));
         assert_eq!(stats.sort_ops, 1);
         let aabbs = boxes(&[Vec3::ZERO], 0.5);
-        let (_, stats) = SweepAndPrune::new().pairs(&aabbs);
+        let (_, stats) = collect_pairs(|o| SweepAndPrune::new().pairs_into(&aabbs, o));
         assert_eq!(stats.sort_ops, 0);
     }
 
@@ -1030,13 +986,13 @@ mod tests {
             ));
         }
         let mut grid = UniformGrid::new(1.0);
-        let (pairs, first) = grid.pairs(&aabbs);
+        let (pairs, first) = collect_pairs(|o| grid.pairs_into(&aabbs, o));
         let global_pairs = g * (g - 1) / 2 + g * small;
         // Small geoms are 10 apart with cell 1.0 — no cell-local tests.
         assert_eq!(first.overlap_tests, 2 * global_pairs);
         // Every global overlaps everything.
         assert_eq!(pairs.len(), global_pairs);
-        let (pairs, second) = grid.pairs(&aabbs);
+        let (pairs, second) = collect_pairs(|o| grid.pairs_into(&aabbs, o));
         assert_eq!(second.overlap_tests, global_pairs);
         assert_eq!(pairs.len(), global_pairs);
     }
@@ -1049,7 +1005,7 @@ mod tests {
             Vec3::new(8.0, 0.0, 0.0),
         ];
         let mut grid = UniformGrid::new(1.0);
-        let (pairs, first) = grid.pairs(&boxes(&centers, 0.5));
+        let (pairs, first) = collect_pairs(|o| grid.pairs_into(&boxes(&centers, 0.5), o));
         assert_eq!(pairs, vec![(GeomId(0), GeomId(1))]);
         assert_eq!(first.reinserts, 3);
         assert!(first.sort_ops > 0);
@@ -1057,27 +1013,27 @@ mod tests {
         // A proxy has no margin until it first moves; that escape buys it
         // one of 0.1, stretched along the motion.
         centers[1].x = 0.97;
-        let (pairs, escape) = grid.pairs(&boxes(&centers, 0.5));
+        let (pairs, escape) = collect_pairs(|o| grid.pairs_into(&boxes(&centers, 0.5), o));
         assert_eq!(pairs, vec![(GeomId(0), GeomId(1))]);
         assert_eq!(escape.reinserts, 1);
 
         // Jitter inside the margin: no cell work, and the fat pair (0, 1)
         // is filtered out once the tight boxes part.
         centers[1].x = 1.03;
-        let (pairs, jitter) = grid.pairs(&boxes(&centers, 0.5));
+        let (pairs, jitter) = collect_pairs(|o| grid.pairs_into(&boxes(&centers, 0.5), o));
         assert!(pairs.is_empty());
         assert_eq!((jitter.reinserts, jitter.sort_ops), (0, 0));
         assert_eq!((jitter.fat_pairs, jitter.overlap_tests), (1, 1));
 
         // Geom 2 teleports onto geom 0: one re-insert finds the new pair.
         centers[2] = Vec3::new(-0.5, 0.0, 0.0);
-        let (pairs, teleport) = grid.pairs(&boxes(&centers, 0.5));
+        let (pairs, teleport) = collect_pairs(|o| grid.pairs_into(&boxes(&centers, 0.5), o));
         assert_eq!(pairs, vec![(GeomId(0), GeomId(2))]);
         assert_eq!(teleport.reinserts, 1);
 
         // Geom 0 vanishes from the input: its pairs go with it.
         let rest = boxes(&centers, 0.5).split_off(1);
-        let (pairs, vanish) = grid.pairs(&rest);
+        let (pairs, vanish) = collect_pairs(|o| grid.pairs_into(&rest, o));
         assert!(pairs.is_empty());
         assert_eq!((vanish.reinserts, vanish.fat_pairs), (0, 0));
         assert!(vanish.sort_ops > 0, "leaving the cells is counted");
@@ -1085,10 +1041,10 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let (pairs, stats) = SweepAndPrune::new().pairs(&[]);
+        let (pairs, stats) = collect_pairs(|o| SweepAndPrune::new().pairs_into(&[], o));
         assert!(pairs.is_empty());
         assert_eq!(stats.geoms, 0);
-        let (pairs, _) = UniformGrid::new(1.0).pairs(&[]);
+        let (pairs, _) = collect_pairs(|o| UniformGrid::new(1.0).pairs_into(&[], o));
         assert!(pairs.is_empty());
     }
 }

@@ -464,13 +464,12 @@ mod tests {
                     if k % 4 == 3 {
                         s.push(&BodyDesc::fixed(pos).with_shape(Shape::sphere(0.5), 1.0));
                     } else {
-                        s.push(
-                            &BodyDesc::dynamic(pos)
-                                .with_shape(Shape::cuboid(Vec3::splat(0.3)), 0.5 + k as f32)
-                                .with_velocity(Vec3::new(0.1 * k as f32, -0.2, 0.3))
-                                .with_angular_velocity(Vec3::new(0.5, -0.25 * k as f32, 1.0))
-                                .with_damping(0.1, 0.02),
-                        );
+                        let mut desc = BodyDesc::dynamic(pos)
+                            .with_shape(Shape::cuboid(Vec3::splat(0.3)), 0.5 + k as f32)
+                            .with_velocity(Vec3::new(0.1 * k as f32, -0.2, 0.3))
+                            .with_damping(0.1, 0.02);
+                        desc.ang_vel = Vec3::new(0.5, -0.25 * k as f32, 1.0);
+                        s.push(&desc);
                     }
                 }
                 for _ in 0..5 {

@@ -55,50 +55,6 @@ pub struct IslandStats {
     pub islands: usize,
 }
 
-/// Union-find with path halving.
-#[derive(Debug)]
-pub struct UnionFind {
-    parent: Vec<u32>,
-    finds: usize,
-    unions: usize,
-}
-
-impl UnionFind {
-    /// Creates a forest of `n` singletons.
-    pub fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n as u32).collect(),
-            finds: 0,
-            unions: 0,
-        }
-    }
-
-    /// Finds the representative of `x` with path halving.
-    pub fn find(&mut self, x: u32) -> u32 {
-        self.finds += 1;
-        let mut x = x;
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
-    /// Unions the sets containing `a` and `b`; returns `true` if they were
-    /// previously disjoint.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        self.unions += 1;
-        if ra == rb {
-            return false;
-        }
-        self.parent[ra.max(rb) as usize] = ra.min(rb);
-        true
-    }
-}
-
 /// An edge connecting two bodies: either a permanent joint or a contact
 /// manifold produced this step.
 #[derive(Debug, Clone, Copy)]
@@ -125,111 +81,6 @@ pub enum EdgeKind {
     Contact,
 }
 
-/// Builds islands from the constraint edges.
-///
-/// `bodies` is the world body store (used to skip static/disabled bodies).
-/// Bodies' `island` fields are updated in place. Bodies with no edges do
-/// not form islands (they are integrated unconstrained).
-pub fn build_islands(
-    bodies: &mut BodyStore,
-    edges: &[ConstraintEdge],
-) -> (Vec<Island>, IslandStats) {
-    let mut islands = Vec::new();
-    let stats = build_islands_into(bodies, edges, &mut islands);
-    (islands, stats)
-}
-
-/// [`build_islands`] writing into a caller-owned arena: existing `Island`
-/// entries in `out` are cleared and refilled in place, so their inner
-/// buffers are reused step over step.
-pub fn build_islands_into(
-    bodies: &mut BodyStore,
-    edges: &[ConstraintEdge],
-    out: &mut Vec<Island>,
-) -> IslandStats {
-    for island in out.iter_mut() {
-        island.clear();
-    }
-    let mut used = 0usize;
-    let n = bodies.len();
-    let mut uf = UnionFind::new(n);
-    let mut stats = IslandStats {
-        bodies: n,
-        ..Default::default()
-    };
-
-    // Union pass: only dynamic-dynamic edges merge components.
-    for e in edges {
-        if e.body_b == u32::MAX {
-            continue;
-        }
-        let (a, b) = (e.body_a as usize, e.body_b as usize);
-        if bodies.is_movable(a) && bodies.is_movable(b) {
-            uf.union(e.body_a, e.body_b);
-        }
-    }
-
-    // Assign island slots by representative.
-    let mut slot_of_root: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    for i in 0..n {
-        bodies.set_island(i, u32::MAX);
-    }
-
-    // Touch flag: a body belongs to an island only if it participates in at
-    // least one edge (directly or transitively).
-    let mut touched = vec![false; n];
-    for e in edges {
-        if bodies.is_movable(e.body_a as usize) {
-            touched[e.body_a as usize] = true;
-        }
-        if e.body_b != u32::MAX && bodies.is_movable(e.body_b as usize) {
-            touched[e.body_b as usize] = true;
-        }
-    }
-
-    for (i, &is_touched) in touched.iter().enumerate() {
-        if !is_touched || !bodies.is_movable(i) {
-            continue;
-        }
-        let root = uf.find(i as u32);
-        let slot = *slot_of_root.entry(root).or_insert_with(|| {
-            if used == out.len() {
-                out.push(Island::default());
-            }
-            used += 1;
-            (used - 1) as u32
-        });
-        bodies.set_island(i, slot);
-        out[slot as usize].bodies.push(i as u32);
-    }
-    out.truncate(used);
-
-    // Attach edges to islands.
-    for e in edges {
-        let owner = if bodies.is_movable(e.body_a as usize) {
-            bodies.island(e.body_a as usize)
-        } else if e.body_b != u32::MAX && bodies.is_movable(e.body_b as usize) {
-            bodies.island(e.body_b as usize)
-        } else {
-            None
-        };
-        let Some(owner) = owner else {
-            continue;
-        };
-        let island = &mut out[owner as usize];
-        match e.kind {
-            EdgeKind::Joint => island.joints.push(e.index),
-            EdgeKind::Contact => island.manifolds.push(e.index),
-        }
-        island.dof_removed += e.dof;
-    }
-
-    stats.union_ops = uf.unions;
-    stats.find_ops = uf.finds;
-    stats.islands = out.len();
-    stats
-}
-
 /// Persistent, incremental island builder.
 ///
 /// Keeps the union-find forest and scratch lists alive across steps and
@@ -239,10 +90,10 @@ pub fn build_islands_into(
 /// O(bodies + edges). Sleeping bodies are never touched: their island
 /// lane keeps the frozen [`SLEEP_SLOT_BIT`] encoding.
 ///
-/// Produces bit-identical islands, slots and stats ordering to
-/// [`build_islands_into`] when no body sleeps: slots are assigned in
-/// ascending order of each component's lowest body index, exactly like
-/// the from-scratch builder's `0..n` scan.
+/// Produces bit-identical islands, slots and stats ordering to the
+/// from-scratch builder (kept in the tests) when no body sleeps: slots
+/// are assigned in ascending order of each component's lowest body
+/// index, exactly like the from-scratch builder's `0..n` scan.
 #[derive(Debug, Default)]
 pub struct IslandGraph {
     /// Union-find parent, lazily re-initialised per epoch.
@@ -310,7 +161,7 @@ impl IslandGraph {
         }
     }
 
-    /// Incremental equivalent of [`build_islands_into`]: builds the awake
+    /// Incremental equivalent of the from-scratch builder: builds the awake
     /// islands for this step, leaving sleeping bodies' lanes untouched.
     pub fn build(
         &mut self,
@@ -423,8 +274,167 @@ impl IslandGraph {
     }
 }
 
+/// The from-scratch island builder: a fresh union-find over every body
+/// on every call. Kept as the oracle the incremental [`IslandGraph`] is
+/// held to.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Union-find with path halving.
+    #[derive(Debug)]
+    pub(super) struct UnionFind {
+        parent: Vec<u32>,
+        finds: usize,
+        unions: usize,
+    }
+
+    impl UnionFind {
+        /// Creates a forest of `n` singletons.
+        pub(super) fn new(n: usize) -> Self {
+            UnionFind {
+                parent: (0..n as u32).collect(),
+                finds: 0,
+                unions: 0,
+            }
+        }
+
+        /// Finds the representative of `x` with path halving.
+        pub(super) fn find(&mut self, x: u32) -> u32 {
+            self.finds += 1;
+            let mut x = x;
+            while self.parent[x as usize] != x {
+                let gp = self.parent[self.parent[x as usize] as usize];
+                self.parent[x as usize] = gp;
+                x = gp;
+            }
+            x
+        }
+
+        /// Unions the sets containing `a` and `b`; returns `true` if they were
+        /// previously disjoint.
+        pub(super) fn union(&mut self, a: u32, b: u32) -> bool {
+            let ra = self.find(a);
+            let rb = self.find(b);
+            self.unions += 1;
+            if ra == rb {
+                return false;
+            }
+            self.parent[ra.max(rb) as usize] = ra.min(rb);
+            true
+        }
+    }
+
+    /// Builds islands from the constraint edges.
+    ///
+    /// `bodies` is the world body store (used to skip static/disabled bodies).
+    /// Bodies' `island` fields are updated in place. Bodies with no edges do
+    /// not form islands (they are integrated unconstrained).
+    pub(super) fn build_islands(
+        bodies: &mut BodyStore,
+        edges: &[ConstraintEdge],
+    ) -> (Vec<Island>, IslandStats) {
+        let mut islands = Vec::new();
+        let stats = build_islands_into(bodies, edges, &mut islands);
+        (islands, stats)
+    }
+
+    /// [`build_islands`] writing into a caller-owned arena: existing `Island`
+    /// entries in `out` are cleared and refilled in place, so their inner
+    /// buffers are reused step over step.
+    pub(super) fn build_islands_into(
+        bodies: &mut BodyStore,
+        edges: &[ConstraintEdge],
+        out: &mut Vec<Island>,
+    ) -> IslandStats {
+        for island in out.iter_mut() {
+            island.clear();
+        }
+        let mut used = 0usize;
+        let n = bodies.len();
+        let mut uf = UnionFind::new(n);
+        let mut stats = IslandStats {
+            bodies: n,
+            ..Default::default()
+        };
+
+        // Union pass: only dynamic-dynamic edges merge components.
+        for e in edges {
+            if e.body_b == u32::MAX {
+                continue;
+            }
+            let (a, b) = (e.body_a as usize, e.body_b as usize);
+            if bodies.is_movable(a) && bodies.is_movable(b) {
+                uf.union(e.body_a, e.body_b);
+            }
+        }
+
+        // Assign island slots by representative.
+        let mut slot_of_root: std::collections::HashMap<u32, u32> =
+            std::collections::HashMap::new();
+        for i in 0..n {
+            bodies.set_island(i, u32::MAX);
+        }
+
+        // Touch flag: a body belongs to an island only if it participates in at
+        // least one edge (directly or transitively).
+        let mut touched = vec![false; n];
+        for e in edges {
+            if bodies.is_movable(e.body_a as usize) {
+                touched[e.body_a as usize] = true;
+            }
+            if e.body_b != u32::MAX && bodies.is_movable(e.body_b as usize) {
+                touched[e.body_b as usize] = true;
+            }
+        }
+
+        for (i, &is_touched) in touched.iter().enumerate() {
+            if !is_touched || !bodies.is_movable(i) {
+                continue;
+            }
+            let root = uf.find(i as u32);
+            let slot = *slot_of_root.entry(root).or_insert_with(|| {
+                if used == out.len() {
+                    out.push(Island::default());
+                }
+                used += 1;
+                (used - 1) as u32
+            });
+            bodies.set_island(i, slot);
+            out[slot as usize].bodies.push(i as u32);
+        }
+        out.truncate(used);
+
+        // Attach edges to islands.
+        for e in edges {
+            let owner = if bodies.is_movable(e.body_a as usize) {
+                bodies.island(e.body_a as usize)
+            } else if e.body_b != u32::MAX && bodies.is_movable(e.body_b as usize) {
+                bodies.island(e.body_b as usize)
+            } else {
+                None
+            };
+            let Some(owner) = owner else {
+                continue;
+            };
+            let island = &mut out[owner as usize];
+            match e.kind {
+                EdgeKind::Joint => island.joints.push(e.index),
+                EdgeKind::Contact => island.manifolds.push(e.index),
+            }
+            island.dof_removed += e.dof;
+        }
+
+        stats.union_ops = uf.unions;
+        stats.find_ops = uf.finds;
+        stats.islands = out.len();
+        stats
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::*;
     use super::*;
     use crate::body::{BodyDesc, BodyFlags};
     use crate::shape::Shape;

@@ -446,7 +446,6 @@ mod tests {
     fn sleeping_body_that_moves_is_flagged() {
         let mut w = World::new(WorldConfig {
             sleeping: true,
-            sleep_steps: 20,
             ..WorldConfig::default()
         });
         w.add_static_geom(Shape::plane(Vec3::UNIT_Y, 0.0));
@@ -455,7 +454,7 @@ mod tests {
                 .with_shape(Shape::cuboid(Vec3::splat(0.5)), 1.0),
         );
         let mut mon = InvariantMonitor::default();
-        for _ in 0..120 {
+        for _ in 0..130 {
             let profile = w.step();
             let v = mon.check_step(&w, &profile);
             assert!(v.is_empty(), "clean settle raised {v:?}");

@@ -4,7 +4,7 @@
 //! phase exhibits the massive fine-grain parallelism the paper exploits:
 //! every pair is independent. The per-pair entry point is
 //! [`collide_shapes`]; the step pipeline hands whole slices of classified
-//! pairs to [`collide_batch`], which runs one kernel loop per shape-kind
+//! pairs to `collide_batch`, which runs one kernel loop per shape-kind
 //! bucket. Both go through the same dispatcher and the same kernels,
 //! covering sphere, box, capsule, plane, heightfield and triangle-mesh
 //! combinations, and no kernel allocates: a manifold's points are inline

@@ -4,7 +4,7 @@
 //! narrow-phase, island creation, island processing and cloth — two of
 //! which are serial and three parallel. [`StepPipeline`] owns one
 //! stage struct per phase plus the persistent [`Executor`] that serves
-//! the parallel ones, and [`StepPipeline::step`] drives them in order
+//! the parallel ones, and `StepPipeline::step` drives them in order
 //! while filling the [`StepProfile`].
 //!
 //! Each stage carries its own scratch arenas (candidate-pair, manifold,
@@ -18,7 +18,7 @@ use parallax_math::{Aabb, Transform, Vec3};
 use parallax_telemetry as telemetry;
 
 use crate::body::BodyId;
-use crate::broadphase::{Broadphase, BroadphaseStats, UniformGrid, GRID_CELL};
+use crate::broadphase::{BroadphaseStats, UniformGrid, GRID_CELL};
 use crate::contact::ContactManifold;
 use crate::contact_cache::{self, ContactCache, WarmStats};
 use crate::digest;
@@ -30,7 +30,10 @@ use crate::parallel::Executor;
 use crate::probe::{ClothWork, IslandWork, PairWork, PhaseKind, StepEvents, StepProfile};
 use crate::shape::{GeomClass, GeomId, Shape};
 use crate::solver::{self, RowParams, RowSet, VelState, STATIC_BODY};
-use crate::world::{ContactListScratch, World};
+use crate::world::{
+    ContactListScratch, World, DT, GRAVITY, ISLAND_QUEUE_THRESHOLD, MAX_ANGULAR_VELOCITY,
+    MAX_LINEAR_VELOCITY, SOLVER_ITERATIONS,
+};
 
 /// Serial phase 1: refresh world AABBs and produce candidate pairs.
 pub struct BroadphaseStage {
@@ -122,7 +125,7 @@ impl BroadphaseStage {
             [refresh, t.elapsed().saturating_sub(refresh)]
         });
         // Solver row order follows candidate order, so the grid must emit
-        // the canonical list (see `Broadphase::pairs_into`).
+        // the canonical list (see `UniformGrid::pairs_into`).
         debug_assert!(
             self.candidates.iter().all(|(a, b)| a < b)
                 && self.candidates.windows(2).all(|w| w[0] < w[1]),
@@ -376,14 +379,7 @@ impl IslandProcessingStage {
             warm_starting,
             digests,
         } = opts;
-        let params = RowParams {
-            dt: world.config.dt,
-            erp: world.config.erp,
-            contact_cfm: world.config.contact_cfm,
-            ..Default::default()
-        };
-        let iterations = world.config.solver_iterations;
-        let threshold = world.config.island_queue_threshold;
+        let params = RowParams::default();
         let mode = world.config.simd.clamp_to_supported();
 
         // Partition by the DOF filter. The index lists are rebuilt from the
@@ -392,7 +388,7 @@ impl IslandProcessingStage {
         self.queued_idx.clear();
         self.small_idx.clear();
         for (i, island) in islands.iter().enumerate() {
-            if island.dof_removed > threshold {
+            if island.dof_removed > ISLAND_QUEUE_THRESHOLD {
                 self.queued_idx.push(i as u32);
             } else {
                 self.small_idx.push(i as u32);
@@ -492,7 +488,7 @@ impl IslandProcessingStage {
                 }
                 debug_assert_eq!(rows.len(), island.dof_removed);
 
-                let stats = solver::solve(rows, vel, iterations, mode);
+                let stats = solver::solve(rows, vel, SOLVER_ITERATIONS, mode);
 
                 let contact_updates = if warm_starting {
                     contact_spans
@@ -553,7 +549,7 @@ impl IslandProcessingStage {
                         dof_removed: island.dof_removed,
                         iterations: stats.iterations,
                         residual: stats.total_delta,
-                        queued: island.dof_removed > threshold,
+                        queued: island.dof_removed > ISLAND_QUEUE_THRESHOLD,
                         // Seeded by the island index so identical impulse
                         // vectors in different islands still hash apart.
                         lambda_digest: if digests {
@@ -619,8 +615,6 @@ impl ClothStage {
     /// for real execution — vertex level is what the FG timing model
     /// exploits).
     fn run(&mut self, world: &mut World, executor: &Executor) -> Vec<ClothWork> {
-        let gravity = world.config.gravity;
-        let dt = world.config.dt;
         let mode = world.config.simd.clamp_to_supported();
 
         // Gather collider lists per cloth (shape + pose snapshots), reusing
@@ -651,7 +645,7 @@ impl ClothStage {
         let label = PhaseKind::Cloth.region_label();
         executor.map_mut_into_labeled(label, &mut world.cloths, &mut self.results, |i, cloth| {
             let colliders = collider_sets[i].as_slice();
-            let stats = cloth.step(gravity, dt, colliders, mode);
+            let stats = cloth.step(GRAVITY, DT, colliders, mode);
             ClothWork {
                 cloth: i as u32,
                 stats,
@@ -1048,8 +1042,6 @@ impl StepPipeline {
         let spans = self.telemetry.phase_spans;
 
         let mut profile = StepProfile::default();
-        let dt = world.config.dt;
-        let gravity = world.config.gravity;
         let mode = world.config.simd.clamp_to_supported();
         // Per-phase state digests (flight recorder / divergence bisection).
         // Computed inside each phase's timed block so the digest cost is
@@ -1079,7 +1071,7 @@ impl StepPipeline {
             && world.blasts.is_empty()
             && world.fully_asleep()
             && world.bodies.forces_clear();
-        integrator::apply_forces(&mut world.bodies, gravity, dt, mode);
+        integrator::apply_forces(&mut world.bodies, GRAVITY, DT, mode);
 
         // Fast path: a fully empty world has no phase work at all, but
         // the profile must still report a wall time for every phase.
@@ -1194,11 +1186,11 @@ impl StepPipeline {
             // loop.
             integrator::clamp_velocities(
                 &mut world.bodies,
-                world.config.max_linear_velocity,
-                world.config.max_angular_velocity,
+                MAX_LINEAR_VELOCITY,
+                MAX_ANGULAR_VELOCITY,
                 mode,
             );
-            integrator::integrate(&mut world.bodies, dt, mode);
+            integrator::integrate(&mut world.bodies, DT, mode);
             // Serial sleep pass on post-solve velocities: update every
             // awake body's activity EMA/quiet timer and deactivate
             // islands that are fully at rest (when sleeping is enabled).
@@ -1277,10 +1269,9 @@ impl StepPipeline {
             && profile.events == StepEvents::default()
             && world.fully_asleep()
             && world.joints.iter().all(Joint::is_unloaded)
-            && world.bodies.speeds_within(
-                world.config.max_linear_velocity,
-                world.config.max_angular_velocity,
-            );
+            && world
+                .bodies
+                .speeds_within(MAX_LINEAR_VELOCITY, MAX_ANGULAR_VELOCITY);
         self.quiet
             .record(world.mutation_epoch, fixed_point, &profile);
         profile
@@ -1328,9 +1319,8 @@ impl StepPipeline {
             ScheduleTotals::default(),
         );
         self.publish_digests(digests);
-        let dt = world.config.dt as f64;
         for _ in 0..n {
-            world.time += dt;
+            world.time += DT as f64;
         }
         world.steps += n;
         digests
@@ -1438,7 +1428,7 @@ impl StepPipeline {
     ) -> StepProfile {
         let expired = world.expire_blasts();
 
-        world.time += world.config.dt as f64;
+        world.time += DT as f64;
         world.steps += 1;
 
         profile.events = StepEvents {
@@ -1616,7 +1606,7 @@ mod tests {
         assert_eq!(coast.digests, armed.digests);
         assert_eq!(w.sleeping_body_count(), 4);
         assert_eq!(w.step_count(), steps + 1);
-        assert_eq!(w.time(), time + w.config().dt as f64);
+        assert_eq!(w.time(), time + DT as f64);
     }
 
     #[test]

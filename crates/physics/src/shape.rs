@@ -133,12 +133,6 @@ impl Heightfield {
             Vec3::new(self.width_x() * 0.5, self.max_height, self.width_z() * 0.5),
         )
     }
-
-    /// Number of height samples.
-    #[inline]
-    pub fn sample_count(&self) -> usize {
-        self.heights.len()
-    }
 }
 
 /// An indexed triangle mesh used for static terrain/obstacles.

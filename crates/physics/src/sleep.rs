@@ -2,7 +2,7 @@
 //!
 //! Settled scenes pay almost nothing: once every body in an island has
 //! been quiet (velocity EMA below threshold) for
-//! [`crate::WorldConfig::sleep_steps`] consecutive steps, the whole
+//! [`SLEEP_STEPS`](crate::world::SLEEP_STEPS) consecutive steps, the whole
 //! island is deactivated. Sleeping bodies are masked out of the
 //! integrator sweeps, their broad-phase AABBs stay frozen, their
 //! internal contact pairs bypass narrow-phase entirely (the manifolds

@@ -957,7 +957,6 @@ mod tests {
         let build = || {
             let mut w = World::new(WorldConfig {
                 sleeping: true,
-                sleep_steps: 20,
                 ..WorldConfig::default()
             });
             w.add_static_geom(Shape::plane(Vec3::UNIT_Y, 0.0));
@@ -970,12 +969,12 @@ mod tests {
             w
         };
         let mut a = build();
-        for _ in 0..120 {
+        for _ in 0..130 {
             a.step();
         }
         assert!(
             a.sleeping_body_count() > 0,
-            "boxes at rest height must fall asleep within 120 steps"
+            "boxes at rest height must fall asleep within 130 steps"
         );
         let snap = a.snapshot();
         let mut b = build();

@@ -41,6 +41,7 @@ use parallax_math::{Mat3, Transform, Vec3};
 
 use crate::contact::ContactManifold;
 use crate::joint::{Joint, JointKind};
+use crate::world::{CONTACT_CFM, DT, ERP};
 
 /// Velocity-space state of one body inside the solver scratch arrays.
 ///
@@ -661,7 +662,8 @@ fn project_chunk4<V: Wide4>(
     }
 }
 
-/// Parameters controlling row construction.
+/// Parameters controlling row construction. The default is the engine's:
+/// the world's [`DT`], [`ERP`] and [`CONTACT_CFM`].
 #[derive(Debug, Clone, Copy)]
 pub struct RowParams {
     /// Time step.
@@ -679,9 +681,9 @@ pub struct RowParams {
 impl Default for RowParams {
     fn default() -> Self {
         RowParams {
-            dt: 0.01,
-            erp: 0.2,
-            contact_cfm: 1e-5,
+            dt: DT,
+            erp: ERP,
+            contact_cfm: CONTACT_CFM,
             slop: 0.005,
             restitution_threshold: 0.5,
         }

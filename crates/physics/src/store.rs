@@ -16,7 +16,7 @@
 //!
 //! The store is also the single owner of the velocity gather/scatter used
 //! by the constraint solver ([`BodyStore::vel_state`] /
-//! [`BodyStore::set_velocity`]) — the solver write-back and the contact
+//! `BodyStore::set_velocity`) — the solver write-back and the contact
 //! cache's warm-start seeding both go through these two methods instead of
 //! duplicating index arithmetic.
 //!

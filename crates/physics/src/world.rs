@@ -23,37 +23,44 @@ use crate::probe::StepProfile;
 use crate::shape::{Geom, GeomClass, GeomId, Shape};
 use crate::store::{BodiesView, BodyMut, BodyRef, BodyStore};
 
-/// Global simulation parameters.
-///
-/// Defaults follow the paper: ∆t = 0.01 s, 20 solver iterations, 3 steps
-/// executed per displayed frame.
+/// Gravitational acceleration.
+pub const GRAVITY: Vec3 = Vec3::new(0.0, -9.81, 0.0);
+/// Time step (s) (paper: ∆t = 0.01 s).
+pub const DT: f32 = 0.01;
+/// Constraint-solver relaxation iterations per step (paper: 20).
+pub const SOLVER_ITERATIONS: usize = 20;
+/// Error-reduction parameter for positional correction.
+pub const ERP: f32 = 0.2;
+/// Constraint-force mixing for contacts.
+pub const CONTACT_CFM: f32 = 1e-5;
+/// Islands with more DOF removed than this go to the work queue
+/// (paper: 25).
+pub const ISLAND_QUEUE_THRESHOLD: usize = 25;
+/// Linear velocity cap (m/s) for numerical stability.
+pub const MAX_LINEAR_VELOCITY: f32 = 100.0;
+/// Angular velocity cap (rad/s).
+pub const MAX_ANGULAR_VELOCITY: f32 = 50.0;
+/// Physics steps per displayed frame (paper: 3).
+pub const STEPS_PER_FRAME: usize = 3;
+/// Spring stiffness used by slider suspensions.
+pub const SLIDER_SPRING_K: f32 = 35_000.0;
+/// Spring damping used by slider suspensions.
+pub const SLIDER_SPRING_C: f32 = 1_200.0;
+/// Linear-velocity quietness threshold (m/s) for the sleep EMA.
+pub const SLEEP_LIN_THRESHOLD: f32 = 0.08;
+/// Angular-velocity quietness threshold (rad/s) for the sleep EMA.
+pub const SLEEP_ANG_THRESHOLD: f32 = 0.10;
+/// Consecutive quiet steps every island member needs before the island
+/// sleeps.
+pub const SLEEP_STEPS: u32 = 30;
+
+/// The run's settable axes. Everything the paper fixes (∆t, solver
+/// iterations, steps per frame, the queue threshold, ...) is a constant of
+/// this module instead.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
-    /// Gravitational acceleration.
-    pub gravity: Vec3,
-    /// Time step (s).
-    pub dt: f32,
-    /// Constraint-solver relaxation iterations per step.
-    pub solver_iterations: usize,
-    /// Error-reduction parameter for positional correction.
-    pub erp: f32,
-    /// Constraint-force mixing for contacts.
-    pub contact_cfm: f32,
     /// Worker threads for the parallel phases (1 = serial).
     pub threads: usize,
-    /// Islands with more DOF removed than this go to the work queue
-    /// (paper: 25).
-    pub island_queue_threshold: usize,
-    /// Linear velocity cap (m/s) for numerical stability.
-    pub max_linear_velocity: f32,
-    /// Angular velocity cap (rad/s).
-    pub max_angular_velocity: f32,
-    /// Physics steps per displayed frame (paper: 3).
-    pub steps_per_frame: usize,
-    /// Spring stiffness used by slider suspensions.
-    pub slider_spring_k: f32,
-    /// Spring damping used by slider suspensions.
-    pub slider_spring_c: f32,
     /// Warm-start the contact solver from the previous step's accumulated
     /// impulses (the cross-step contact cache). On by default; turn off
     /// for ablation runs comparing cold-start convergence.
@@ -73,45 +80,24 @@ pub struct WorldConfig {
     pub digest_fault: Option<crate::digest::DigestFault>,
     /// Island sleeping (the temporal-coherence fast path, see
     /// [`crate::sleep`]): islands whose bodies have all been quiet for
-    /// [`WorldConfig::sleep_steps`] consecutive steps are deactivated and
-    /// skipped by every phase until a wake event. Off by default.
+    /// [`SLEEP_STEPS`] consecutive steps are deactivated and skipped by
+    /// every phase until a wake event. Off by default.
     /// Bit-deterministic across thread counts and SIMD modes; note that
     /// sleeping zeroes residual velocities, so a sleeping run's
     /// trajectory differs from a non-sleeping run only from the first
     /// sleep event onward.
     pub sleeping: bool,
-    /// Linear-velocity quietness threshold (m/s) for the sleep EMA.
-    pub sleep_lin_threshold: f32,
-    /// Angular-velocity quietness threshold (rad/s) for the sleep EMA.
-    pub sleep_ang_threshold: f32,
-    /// Consecutive quiet steps every island member needs before the
-    /// island sleeps.
-    pub sleep_steps: u32,
 }
 
 impl Default for WorldConfig {
     fn default() -> Self {
         WorldConfig {
-            gravity: Vec3::new(0.0, -9.81, 0.0),
-            dt: 0.01,
-            solver_iterations: 20,
-            erp: 0.2,
-            contact_cfm: 1e-5,
             threads: 1,
-            island_queue_threshold: 25,
-            max_linear_velocity: 100.0,
-            max_angular_velocity: 50.0,
-            steps_per_frame: 3,
-            slider_spring_k: 35_000.0,
-            slider_spring_c: 1_200.0,
             warm_starting: true,
             simd: SimdMode::resolve(),
             digests: false,
             digest_fault: None,
             sleeping: false,
-            sleep_lin_threshold: 0.08,
-            sleep_ang_threshold: 0.10,
-            sleep_steps: 30,
         }
     }
 }
@@ -754,8 +740,8 @@ impl World {
         islands: &[crate::island::Island],
         manifolds: &[ContactManifold],
     ) -> usize {
-        let lin2 = self.config.sleep_lin_threshold * self.config.sleep_lin_threshold;
-        let ang2 = self.config.sleep_ang_threshold * self.config.sleep_ang_threshold;
+        let lin2 = SLEEP_LIN_THRESHOLD * SLEEP_LIN_THRESHOLD;
+        let ang2 = SLEEP_ANG_THRESHOLD * SLEEP_ANG_THRESHOLD;
         for i in 0..self.bodies.len() {
             if self.bodies.is_sleeping(i) {
                 continue;
@@ -786,7 +772,7 @@ impl World {
             let ready = island
                 .bodies
                 .iter()
-                .all(|&bi| self.bodies.sleep_timer[bi as usize] >= self.config.sleep_steps);
+                .all(|&bi| self.bodies.sleep_timer[bi as usize] >= SLEEP_STEPS);
             if !ready {
                 continue;
             }
@@ -838,9 +824,7 @@ impl World {
 
     /// Runs one displayed frame: `steps_per_frame` simulation steps.
     pub fn step_frame(&mut self) -> Vec<StepProfile> {
-        (0..self.config.steps_per_frame)
-            .map(|_| self.step())
-            .collect()
+        (0..STEPS_PER_FRAME).map(|_| self.step()).collect()
     }
 
     /// Advances the simulation by one ∆t, returning the work profile.
@@ -882,8 +866,7 @@ impl World {
     // --- step internals (called by the pipeline stages) -------------------------
 
     pub(crate) fn apply_slider_springs(&mut self) {
-        let k = self.config.slider_spring_k;
-        let c = self.config.slider_spring_c;
+        let (k, c) = (SLIDER_SPRING_K, SLIDER_SPRING_C);
         for j in &self.joints {
             if j.is_broken() {
                 continue;

@@ -1,6 +1,7 @@
 //! Property-based equivalence of the broad-phase algorithms.
 //!
-//! [`BruteForce`] tests every pair and is trivially correct; sweep-and-prune
+//! `BruteForce` (`support/brute_force.rs`) tests every pair and is
+//! trivially correct; sweep-and-prune
 //! and the uniform grid must emit exactly the same pair list on arbitrary
 //! AABB clouds — including negative coordinates, exactly touching boxes and
 //! plane-sized AABBs that land in the grid's global bin — and the
@@ -8,13 +9,14 @@
 //! whatever its history — with, frame for frame, the counts of the grid's
 //! algorithm on its original data path (`support/reference_grid.rs`).
 
+#[path = "support/brute_force.rs"]
+mod brute_force;
 #[path = "support/reference_grid.rs"]
 mod reference_grid;
 
+use brute_force::BruteForce;
 use parallax_math::{Aabb, Vec3};
-use parallax_physics::broadphase::{
-    Broadphase, BroadphaseStats, BruteForce, SweepAndPrune, UniformGrid,
-};
+use parallax_physics::broadphase::{BroadphaseStats, SweepAndPrune, UniformGrid};
 use parallax_physics::shape::GeomId;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -51,19 +53,24 @@ fn build(cloud: &[(f32, f32, f32, f32, f32, f32)]) -> Vec<(GeomId, Aabb)> {
 
 const CELLS: [f32; 3] = [0.5, 1.2, 4.0];
 
-/// The pairs exactly as emitted: the canonical order (sorted, deduplicated,
-/// `a < b`) is part of every algorithm's contract.
-fn emitted(bp: &mut dyn Broadphase, aabbs: &[(GeomId, Aabb)]) -> Vec<(GeomId, GeomId)> {
-    bp.pairs(aabbs).0
+/// The pairs exactly as one `pairs_into` call emits them: the canonical
+/// order (sorted, deduplicated, `a < b`) is part of every algorithm's
+/// contract.
+fn emitted(
+    pairs_into: impl FnOnce(&mut Vec<(GeomId, GeomId)>) -> BroadphaseStats,
+) -> Vec<(GeomId, GeomId)> {
+    let mut out = Vec::new();
+    pairs_into(&mut out);
+    out
 }
 
 fn assert_all_agree(aabbs: &[(GeomId, Aabb)]) {
-    let oracle = emitted(&mut BruteForce::new(), aabbs);
+    let oracle = emitted(|o| BruteForce.pairs_into(aabbs, o));
     assert!(oracle.iter().all(|(a, b)| a < b) && oracle.windows(2).all(|w| w[0] < w[1]));
-    let sap = emitted(&mut SweepAndPrune::new(), aabbs);
+    let sap = emitted(|o| SweepAndPrune::new().pairs_into(aabbs, o));
     assert_eq!(sap, oracle, "sweep-and-prune diverged from brute force");
     for cell in CELLS {
-        let grid = emitted(&mut UniformGrid::new(cell), aabbs);
+        let grid = emitted(|o| UniformGrid::new(cell).pairs_into(aabbs, o));
         assert_eq!(grid, oracle, "grid (cell {cell}) diverged from brute force");
     }
 }
@@ -180,7 +187,7 @@ fn run_sequence(
     let mut stats = Vec::new();
     for frame in 0..frames {
         let aabbs = sequence.frame();
-        let oracle = emitted(&mut BruteForce::new(), &aabbs);
+        let oracle = emitted(|o| BruteForce.pairs_into(&aabbs, o));
         for (grid, reference) in grids.iter_mut().zip(&mut references) {
             let s = grid.pairs_into(&aabbs, &mut out);
             assert_eq!(out, oracle, "grid diverged at frame {frame} (seed {seed})");
@@ -239,7 +246,7 @@ proptest! {
                 .map(|&(x, y, z, hx, hy, hz)| (x + dx * frame as f32, y, z, hx, hy, hz))
                 .collect();
             let aabbs = build(&shifted);
-            let oracle = emitted(&mut BruteForce::new(), &aabbs);
+            let oracle = emitted(|o| BruteForce.pairs_into(&aabbs, o));
             sap.pairs_into(&aabbs, &mut out);
             prop_assert_eq!(&out, &oracle, "SAP frame {}", frame);
             grid.pairs_into(&aabbs, &mut out);
@@ -268,9 +275,10 @@ fn settled_sequence_does_no_cell_work() {
     let aabbs = build(&cloud);
     for cell in CELLS {
         let mut grid = UniformGrid::new(cell);
-        let (first, _) = grid.pairs(&aabbs);
+        let first = emitted(|o| grid.pairs_into(&aabbs, o));
+        let mut pairs = Vec::new();
         for _ in 0..3 {
-            let (pairs, stats) = grid.pairs(&aabbs);
+            let stats = grid.pairs_into(&aabbs, &mut pairs);
             assert_eq!(pairs, first);
             assert_eq!((stats.sort_ops, stats.reinserts), (0, 0));
         }

@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use parallax_math::Vec3;
-use parallax_physics::broadphase::{Broadphase, UniformGrid, GRID_CELL};
+use parallax_physics::broadphase::{UniformGrid, GRID_CELL};
 use parallax_physics::{BodyDesc, GeomId, Shape, World, WorldConfig};
 
 struct Counting;

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use parallax_math::{Aabb, Vec3};
-use parallax_physics::broadphase::{Broadphase, BroadphaseStats};
+use parallax_physics::broadphase::BroadphaseStats;
 use parallax_physics::shape::GeomId;
 
 /// See the module documentation; same constants as the engine's grid.
@@ -160,8 +160,9 @@ impl ReferenceGrid {
     }
 }
 
-impl Broadphase for ReferenceGrid {
-    fn pairs_into(
+impl ReferenceGrid {
+    /// The engine grid's `pairs_into`, on this data path.
+    pub fn pairs_into(
         &mut self,
         aabbs: &[(GeomId, Aabb)],
         out: &mut Vec<(GeomId, GeomId)>,

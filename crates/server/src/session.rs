@@ -28,12 +28,11 @@
 //!
 //! Every session world is built with `threads: 1`: its own pipeline is
 //! serial, and the server parallelizes *across* sessions instead. A
-//! batch step hands each due session to the shared
-//! [`Executor`](parallax_physics::parallel::Executor) as exactly one
-//! job; a job locks its own session and touches nothing else, so the
-//! only cross-session interaction is which thread happens to run the
-//! job — and a serial world's trajectory does not depend on the thread
-//! it runs on. Batch composition therefore cannot perturb any member's
+//! batch step hands each due session to the shared [`Executor`] as
+//! exactly one job; a job locks its own session and touches nothing
+//! else, so the only cross-session interaction is which thread happens
+//! to run the job — and a serial world's trajectory does not depend on
+//! the thread it runs on. Batch composition therefore cannot perturb any member's
 //! trajectory. The integration suite pins this with a 500-noisy-neighbor
 //! digest comparison.
 

@@ -2,7 +2,7 @@
 //!
 //! Layout: metric *names* live in a process-global table guarded by a
 //! mutex that is touched only at registration time (cold). Metric
-//! *values* live in per-thread [`Shard`]s — flat arrays of `AtomicU64`
+//! *values* live in per-thread `Shard`s — flat arrays of `AtomicU64`
 //! slots indexed by the metric's id — so the hot path is one
 //! thread-local lookup plus one relaxed atomic RMW on memory no other
 //! thread writes. No allocation, no locking, no false sharing between

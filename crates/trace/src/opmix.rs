@@ -40,11 +40,6 @@ impl OpCounts {
             + self.other
     }
 
-    /// Total floating-point operations.
-    pub fn fp_total(&self) -> u64 {
-        self.fp_add + self.fp_mul + self.fp_div_sqrt
-    }
-
     /// Scales all counts by `k` (building an `n`-task workload from a
     /// single-task cost model).
     pub fn scaled(&self, k: u64) -> OpCounts {
@@ -125,7 +120,6 @@ mod tests {
     #[test]
     fn total_sums_all_classes() {
         assert_eq!(sample().total(), 100);
-        assert_eq!(sample().fp_total(), 22);
     }
 
     #[test]

@@ -179,11 +179,6 @@ pub fn spawn_humanoid(world: &mut World, pos: Vec3, yaw: f32) -> Humanoid {
 }
 
 impl Humanoid {
-    /// Number of segments (always 16).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Applies a punch/shove impulse through the root, used by the combat
     /// scenes to keep groups interacting.
     pub fn shove(&self, world: &mut World, impulse: Vec3) {
@@ -202,7 +197,7 @@ mod tests {
     fn humanoid_has_sixteen_segments_fifteen_joints() {
         let mut w = World::new(WorldConfig::default());
         let h = spawn_humanoid(&mut w, Vec3::ZERO, 0.0);
-        assert_eq!(h.segment_count(), 16);
+        assert_eq!(h.segments.len(), 16);
         assert_eq!(h.joints.len(), 15);
     }
 

@@ -103,11 +103,6 @@ pub fn spawn_car(world: &mut World, pos: Vec3, yaw: f32, breakable: Option<f32>)
 }
 
 impl Car {
-    /// Total bodies per car.
-    pub const BODIES: usize = 9;
-    /// Total joints per car.
-    pub const JOINTS: usize = 8;
-
     /// Drives the car by spinning its wheels (crude torque drive).
     pub fn drive(&self, world: &mut World, torque: f32) {
         for w in self.wheels {
@@ -139,8 +134,9 @@ mod tests {
     fn car_has_expected_composition() {
         let mut w = World::new(WorldConfig::default());
         let c = spawn_car(&mut w, Vec3::new(0.0, 1.0, 0.0), 0.0, None);
-        assert_eq!(c.joints.len(), Car::JOINTS);
-        assert_eq!(w.bodies().len(), Car::BODIES);
+        assert_eq!(c.joints.len(), 8);
+        // Chassis, four hubs, four wheels.
+        assert_eq!(w.bodies().len(), 9);
     }
 
     #[test]

@@ -35,6 +35,7 @@ pub mod scenes;
 pub mod session;
 pub mod stats;
 
+use parallax_physics::world::STEPS_PER_FRAME;
 use parallax_physics::{SimdMode, World, WorldConfig};
 use serde::{Deserialize, Serialize};
 
@@ -350,9 +351,7 @@ impl Scene {
 
     /// Runs one displayed frame (3 steps) and returns the profiles.
     pub fn step_frame(&mut self) -> Vec<parallax_physics::StepProfile> {
-        (0..self.world.config().steps_per_frame)
-            .map(|_| self.step())
-            .collect()
+        (0..STEPS_PER_FRAME).map(|_| self.step()).collect()
     }
 
     /// Warms the scene up and returns profiles for the paper's measured

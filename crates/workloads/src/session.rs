@@ -59,7 +59,7 @@ fn unit(state: &mut u64) -> f32 {
 }
 
 impl SessionWorld {
-    /// Builds the world: `bodies` boxes in stacks of [`STACK`] on a
+    /// Builds the world: `bodies` boxes in stacks of `STACK` on a
     /// ground plane, each stack's base jittered from `seed`. Worlds are
     /// single-threaded (`threads: 1`) — the server parallelizes *across*
     /// sessions, not within one.

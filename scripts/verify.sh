@@ -38,6 +38,9 @@ cargo test -q --offline
 cargo test --release -q --offline -p parallax-math
 cargo fmt --check
 cargo clippy --workspace --offline --all-targets -- -D warnings
+# Rustdoc with warnings as errors: a deleted or private item must not
+# leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # The rule the run configuration rests on: nothing below a `main` reads
 # the environment, and no retired variable name comes back. The one

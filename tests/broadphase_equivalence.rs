@@ -29,7 +29,7 @@
 mod reference_grid;
 
 use parallax_math::{Aabb, Vec3};
-use parallax_physics::broadphase::{Broadphase, SweepAndPrune};
+use parallax_physics::broadphase::SweepAndPrune;
 use parallax_physics::{BodyDesc, BodyFlags, BodyId, GeomId, Shape, World, WorldConfig};
 use parallax_workloads::{BenchmarkId, RunConfig};
 use reference_grid::{counts, ReferenceGrid};

@@ -12,7 +12,8 @@
 //! the solve as it stood before its data path was packed — rows addressed
 //! by index in row order, the level schedule walked through a permutation,
 //! `I⁻¹·j_ang` re-multiplied at every impulse application — the role
-//! `BruteForce` plays for the broad phase.
+//! `BruteForce` (`crates/physics/tests/support/brute_force.rs`) plays
+//! for the broad phase.
 //!
 //! The cloth step is held the same way to `cloth_reference`: the scalar
 //! step as it stood before its relaxation schedule spanned iterations and

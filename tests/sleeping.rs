@@ -37,7 +37,6 @@ fn settling_world(threads: usize, sleeping: bool) -> World {
     let mut w = World::new(WorldConfig {
         threads,
         sleeping,
-        sleep_steps: 20,
         digests: true,
         ..WorldConfig::default()
     });
@@ -112,16 +111,20 @@ fn sleeping_run_matches_non_sleeping_run_until_first_sleep_event() {
 fn wake_all_reconverges_and_stays_deterministic_across_threads() {
     let run = |threads: usize| {
         let mut w = settling_world(threads, true);
-        for _ in 0..150 {
+        for _ in 0..160 {
             w.step();
         }
         let slept = w.sleeping_body_count();
         let rest = positions(&w);
         w.wake_all();
         assert_eq!(w.sleeping_body_count(), 0, "wake_all left sleepers");
-        for _ in 0..150 {
+        for _ in 0..160 {
             w.step();
         }
+        assert!(
+            w.sleeping_body_count() > 0,
+            "threads = {threads}: never slept again"
+        );
         (
             slept,
             rest,
