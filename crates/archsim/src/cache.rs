@@ -263,11 +263,6 @@ impl Cache {
     pub fn flush(&mut self) {
         self.ways.fill(INVALID);
     }
-
-    /// Capacity in bytes.
-    pub fn bytes(&self) -> usize {
-        self.ways.len() << self.line_shift
-    }
 }
 
 /// A multi-bank cache: line-interleaved across `banks` banks.
@@ -472,16 +467,21 @@ mod tests {
 
     #[test]
     fn non_power_of_two_sets_work() {
-        // 12 KB, 4-way, 64B lines → 48 sets. 100 lines (≈2 per set) fit.
+        // 12 KB, 4-way, 64B lines → 48 sets of 4: 192 lines, line `i` in
+        // set `i % 48`, so lines 0..192 fill every set exactly.
         let mut c = Cache::new(12 * 1024, 4, 64);
-        for i in 0..100u64 {
-            c.access(i * 64, 0);
+        let lines = 192u64;
+        for i in 0..lines {
+            assert_eq!(c.access(i * 64, 0), AccessResult::Miss, "line {i} cold");
         }
-        for i in 0..100u64 {
-            c.access(i * 64, 0);
+        for i in 0..lines {
+            assert_eq!(c.access(i * 64, 0), AccessResult::Hit, "line {i} resident");
         }
-        let (h, _) = c.stats();
-        assert!(h > 0);
-        assert_eq!(c.bytes(), 12 * 1024);
+        assert_eq!(c.stats(), (lines, lines));
+        // A 193rd line maps to set 0, which is full: it evicts exactly one
+        // line, the least recently used of that set (line 0), and no other.
+        assert_eq!(c.access(lines * 64, 0), AccessResult::Miss);
+        let gone: Vec<u64> = (0..=lines).filter(|&i| !c.probe(i * 64)).collect();
+        assert_eq!(gone, [0]);
     }
 }

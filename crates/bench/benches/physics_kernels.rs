@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId as CritId, Criterion};
 use parallax_math::{Quat, SimdMode, Transform, Vec3};
-use parallax_physics::broadphase::{SweepAndPrune, UniformGrid, GRID_CELL};
+use parallax_physics::broadphase::{GridScratch, SweepAndPrune, UniformGrid, GRID_CELL};
 use parallax_physics::narrowphase::collide_shapes;
 use parallax_physics::{
     BodyDesc, Cloth, GeomId, Heightfield, Shape, ShapeKind, World, WorldConfig,
@@ -48,14 +48,14 @@ fn bench_broadphase(c: &mut Criterion) {
         // The harness calls each closure once per sample; the structures
         // live outside so that every sample continues one history.
         let mut sap = SweepAndPrune::new();
-        let mut grid = UniformGrid::new(2.0);
+        let (mut grid, mut scratch) = (UniformGrid::new(2.0), GridScratch::default());
         let mut out = Vec::new();
         group.bench_with_input(CritId::new("sweep_and_prune", n), &aabbs, |b, aabbs| {
             b.iter(|| sap.pairs_into(aabbs, &mut out));
         });
         // On a frozen cloud the persistent grid runs its zero-churn path.
         group.bench_with_input(CritId::new("uniform_grid", n), &aabbs, |b, aabbs| {
-            b.iter(|| grid.pairs_into(aabbs, &mut out));
+            b.iter(|| grid.pairs_into(aabbs, &mut out, &mut scratch));
         });
 
         // A coherent sequence gives churn a number: every frame each box
@@ -80,7 +80,7 @@ fn bench_broadphase(c: &mut Criterion) {
         });
         let mut grid_frame = frames.iter().cycle();
         group.bench_function(CritId::new("uniform_grid_coherent", n), |b| {
-            b.iter(|| grid.pairs_into(grid_frame.next().unwrap(), &mut out));
+            b.iter(|| grid.pairs_into(grid_frame.next().unwrap(), &mut out, &mut scratch));
         });
     }
 
@@ -102,14 +102,14 @@ fn bench_broadphase(c: &mut Criterion) {
         .collect();
     let (warm, replay) = (&lists[12], &lists[13..]);
     let (mut spent, mut runs, mut candidates) = (Duration::ZERO, 0u32, 0);
-    let mut out = Vec::new();
+    let (mut out, mut scratch) = (Vec::new(), GridScratch::default());
     group.bench_function("mix_steps_13_to_60", |b| {
         b.iter(|| {
             let mut grid = UniformGrid::new(GRID_CELL);
-            grid.pairs_into(warm, &mut out);
+            grid.pairs_into(warm, &mut out, &mut scratch);
             let start = Instant::now();
             for list in replay {
-                candidates += grid.pairs_into(list, &mut out).pairs;
+                candidates += grid.pairs_into(list, &mut out, &mut scratch).pairs;
             }
             spent += start.elapsed();
             runs += 1;
@@ -262,9 +262,14 @@ fn bench_narrowphase_stage(c: &mut Criterion) {
                 .map(|(i, g)| (GeomId(i as u32), g.aabb()))
                 .collect();
             let mut candidates = Vec::new();
-            UniformGrid::new(GRID_CELL).pairs_into(&aabbs, &mut candidates);
-            let mut pairs = Vec::new();
-            let hits = world.collide_candidates(&candidates, &mut pairs).len();
+            UniformGrid::new(GRID_CELL).pairs_into(
+                &aabbs,
+                &mut candidates,
+                &mut GridScratch::default(),
+            );
+            let (mut pairs, mut manifolds) = (Vec::new(), Vec::new());
+            world.collide_candidates(&candidates, &mut pairs, &mut manifolds);
+            let hits = manifolds.len();
             let active: Vec<_> = pairs.iter().filter(|p| p.active).collect();
             let box_box = active
                 .iter()
@@ -280,7 +285,10 @@ fn bench_narrowphase_stage(c: &mut Criterion) {
                 pct(hits, active.len()),
             );
             group.bench_function(label, |b| {
-                b.iter(|| world.collide_candidates(&candidates, &mut pairs).len())
+                b.iter(|| {
+                    world.collide_candidates(&candidates, &mut pairs, &mut manifolds);
+                    manifolds.len()
+                })
             });
         }
     }

@@ -11,11 +11,14 @@
 //! ```
 //!
 //! `--check-phases` exits nonzero unless every physics step record
-//! carries all five pipeline phases with a positive total — the tier-1
-//! smoke test in `scripts/verify.sh` relies on this.
+//! carries all five pipeline phases with a positive total and the world's
+//! `physics.heap_bytes.*` gauges, whose components sum to their total,
+//! and some record carries the stepping thread's scratch bytes — the
+//! tier-1 smoke test in `scripts/verify.sh` relies on this.
 
 use parallax_bench::cli::{parse_or_exit, Flags};
 use parallax_physics::PhaseKind;
+use parallax_telemetry::report::heap_bytes;
 use parallax_telemetry::{chrome_trace, read_jsonl, render_critical_path, report, StepRecord};
 
 fn check_phases(records: &[StepRecord]) -> Result<(), String> {
@@ -40,9 +43,25 @@ fn check_phases(records: &[StepRecord]) -> Result<(), String> {
                 r.step, r.scene
             ));
         }
+        let Some(heap) = heap_bytes(r) else {
+            return Err(format!(
+                "step {} of {:?} carries no physics.heap_bytes gauges",
+                r.step, r.scene
+            ));
+        };
+        let sum: u64 = heap.components.iter().map(|&(_, b)| b).sum();
+        if sum != heap.total {
+            return Err(format!(
+                "step {} of {:?}: the heap components sum to {sum} bytes, the total says {}",
+                r.step, r.scene, heap.total
+            ));
+        }
+    }
+    if !(physics.iter()).any(|r| heap_bytes(r).is_some_and(|heap| heap.thread_scratch > 0)) {
+        return Err("no record carries the thread's scratch bytes".to_string());
     }
     println!(
-        "ok: {} physics record(s), all {} phases present",
+        "ok: {} physics record(s), all {} phases and the heap gauges present",
         physics.len(),
         PhaseKind::ALL.len()
     );

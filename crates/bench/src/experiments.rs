@@ -21,7 +21,7 @@ use parallax_archsim::config::{CoreConfig, L2Config, MachineConfig};
 use parallax_archsim::core::CoreModel;
 use parallax_archsim::multicore::{kernel_of, FrameResult, MulticoreSim, PhaseTime, SimOptions};
 use parallax_archsim::offchip::Link;
-use parallax_physics::broadphase::{SweepAndPrune, UniformGrid, GRID_CELL};
+use parallax_physics::broadphase::{GridScratch, SweepAndPrune, UniformGrid, GRID_CELL};
 use parallax_physics::world::STEPS_PER_FRAME;
 use parallax_physics::PhaseKind;
 use parallax_trace::kernels::KernelModel;
@@ -841,7 +841,7 @@ fn ablations(ctx: &Ctx) {
             })
             .collect();
         let mut row = vec![id.abbrev().to_string()];
-        let mut grid = UniformGrid::new(GRID_CELL);
+        let (mut grid, mut grid_scratch) = (UniformGrid::new(GRID_CELL), GridScratch::default());
         let mut sap = SweepAndPrune::new();
         for on_grid in [true, false] {
             let mut pairs = Vec::new();
@@ -849,7 +849,7 @@ fn ablations(ctx: &Ctx) {
             for (k, (aabbs, candidates)) in steps.iter().enumerate() {
                 let start = Instant::now();
                 let stats = if on_grid {
-                    grid.pairs_into(aabbs, &mut pairs)
+                    grid.pairs_into(aabbs, &mut pairs, &mut grid_scratch)
                 } else {
                     sap.pairs_into(aabbs, &mut pairs)
                 };

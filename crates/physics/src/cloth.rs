@@ -461,6 +461,24 @@ impl Cloth {
         self
     }
 
+    /// Heap bytes of the vertices, topology, schedule (shared ones
+    /// charged in full), step buffers and contact lists.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::heap::vec_bytes;
+        use std::mem::size_of_val;
+        let schedule = &self.schedule;
+        vec_bytes(&self.verts)
+            + size_of_val(&*self.constraints)
+            + vec_bytes(&self.triangles)
+            + size_of_val(&**schedule)
+            + vec_bytes(&schedule.order)
+            + vec_bytes(&schedule.ends)
+            + vec_bytes(&self.scratch.rows)
+            + vec_bytes(&self.scratch.bounds)
+            + vec_bytes(&self.contact_bodies)
+            + vec_bytes(&self.contact_static_geoms)
+    }
+
     /// The vertices.
     #[inline]
     pub fn vertices(&self) -> &[ClothVertex] {

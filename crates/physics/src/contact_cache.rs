@@ -181,6 +181,18 @@ impl ContactCache {
         self.map.is_empty()
     }
 
+    /// Heap bytes of the table and of every entry's points.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::heap::{map_bytes, vec_bytes};
+        map_bytes(&self.map)
+            + self
+                .map
+                .values()
+                .map(|p| vec_bytes(&p.points))
+                .sum::<usize>()
+            + vec_bytes(&self.scratch)
+    }
+
     /// Drops every entry (warm-starting ablation off-switch).
     pub fn clear(&mut self) {
         self.map.clear();

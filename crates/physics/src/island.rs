@@ -123,6 +123,15 @@ impl IslandGraph {
         }
     }
 
+    /// Heap bytes of the forest and the body lists.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::heap::vec_bytes;
+        vec_bytes(&self.parent)
+            + vec_bytes(&self.stamp)
+            + vec_bytes(&self.touched)
+            + vec_bytes(&self.last_awake)
+    }
+
     /// Requests a full island-lane reset on the next build. Call after
     /// restoring body state from a snapshot, when `last_awake` no longer
     /// matches the lanes actually stored.
@@ -224,21 +233,25 @@ impl IslandGraph {
         }
 
         // Slot assignment in ascending body order (first-encounter per
-        // root), matching the from-scratch builder's `0..n` scan.
+        // root), matching the from-scratch builder's `0..n` scan. A union
+        // hangs the larger root under the smaller, so a component's root
+        // is its lowest body: the scan meets it first, opens the slot, and
+        // every later member reads the slot off the root's lane.
         self.touched.sort_unstable();
         let mut used = 0usize;
-        let mut slot_of_root: std::collections::HashMap<u32, u32> =
-            std::collections::HashMap::new();
         for k in 0..self.touched.len() {
             let bi = self.touched[k];
             let root = self.find(bi);
-            let slot = *slot_of_root.entry(root).or_insert_with(|| {
+            let slot = if root == bi {
                 if used == out.len() {
                     out.push(Island::default());
                 }
                 used += 1;
                 (used - 1) as u32
-            });
+            } else {
+                debug_assert!(root < bi, "a root is its component's lowest body");
+                bodies.island_raw(root as usize)
+            };
             bodies.set_island(bi as usize, slot);
             out[slot as usize].bodies.push(bi);
             self.last_awake.push(bi);

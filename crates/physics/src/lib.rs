@@ -44,6 +44,7 @@ pub mod contact_cache;
 pub mod digest;
 pub mod explosion;
 pub mod fracture;
+pub mod heap;
 pub mod integrator;
 pub mod island;
 pub mod joint;
@@ -67,6 +68,7 @@ pub use contact_cache::ContactCache;
 pub use digest::{chunk_digests, first_divergence, world_digest, Digest, DigestFault, Divergence};
 pub use explosion::ExplosionConfig;
 pub use fracture::FractureConfig;
+pub use heap::HeapBytes;
 pub use joint::{Joint, JointId, JointKind};
 pub use monitor::{InvariantMonitor, MonitorConfig, Violation};
 pub use parallax_math::SimdMode;

@@ -400,6 +400,46 @@ impl Executor {
     }
 }
 
+/// A mutable slice that the jobs of one parallel region write through,
+/// each job its own span: how a region fills flat output arrays whose
+/// per-item lengths differ (island processing's velocities, joint sums
+/// and contact impulses).
+pub(crate) struct Spans<'a, T> {
+    base: SendPtr<T>,
+    len: usize,
+    _slice: std::marker::PhantomData<&'a mut [T]>,
+}
+
+impl<'a, T: Send> Spans<'a, T> {
+    /// Lends out `slice` for the region.
+    pub(crate) fn new(slice: &'a mut [T]) -> Self {
+        Spans {
+            base: SendPtr(slice.as_mut_ptr()),
+            len: slice.len(),
+            _slice: std::marker::PhantomData,
+        }
+    }
+
+    /// The elements at `range`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is reversed or runs past the slice.
+    ///
+    /// # Safety
+    ///
+    /// No two spans taken from one `Spans` may overlap.
+    pub(crate) unsafe fn span(&self, range: std::ops::Range<usize>) -> &'a mut [T] {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "span out of bounds"
+        );
+        // SAFETY: in bounds (checked above) of a slice mutably borrowed for
+        // `'a`; the caller keeps the spans disjoint.
+        unsafe { std::slice::from_raw_parts_mut(self.base.at(range.start), range.len()) }
+    }
+}
+
 /// Raw pointer wrapper that may cross into the `Sync` closure. Element
 /// access goes through [`SendPtr::at`] so closures capture the wrapper
 /// (which is `Sync`), not the raw pointer field.

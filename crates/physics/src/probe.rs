@@ -282,6 +282,15 @@ impl Clone for StepProfile {
 }
 
 impl StepProfile {
+    /// Heap bytes of the work records.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::heap::vec_bytes;
+        let islands: usize = (self.islands.iter())
+            .map(|w| vec_bytes(&w.bodies) + vec_bytes(&w.joints))
+            .sum();
+        vec_bytes(&self.pairs) + vec_bytes(&self.islands) + islands + vec_bytes(&self.cloths)
+    }
+
     /// Total contact points generated this step.
     pub fn total_contacts(&self) -> usize {
         self.pairs.iter().map(|p| p.contacts as usize).sum()

@@ -371,6 +371,19 @@ impl Shape {
             Shape::TriMesh(_) => ShapeKind::TriMesh,
         }
     }
+
+    /// Heap bytes of a terrain payload (charged to every holder of the
+    /// shared data); 0 for the primitives.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::heap::vec_bytes;
+        match self {
+            Shape::Heightfield(hf) => size_of::<Heightfield>() + vec_bytes(&hf.heights),
+            Shape::TriMesh(mesh) => {
+                size_of::<TriMesh>() + vec_bytes(&mesh.vertices) + vec_bytes(&mesh.triangles)
+            }
+            _ => 0,
+        }
+    }
 }
 
 /// The primitive a [`Shape`] is, as one byte: what the narrow phase

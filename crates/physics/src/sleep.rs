@@ -65,6 +65,16 @@ impl SleepSystem {
         self.islands.iter().filter(|s| s.is_some()).count()
     }
 
+    /// Heap bytes of the slot table, every sleeping island's lists and
+    /// the queues.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::heap::vec_bytes;
+        let islands: usize = (self.islands.iter().flatten())
+            .map(|isle| vec_bytes(&isle.bodies) + vec_bytes(&isle.manifolds))
+            .sum();
+        vec_bytes(&self.islands) + islands + vec_bytes(&self.free) + vec_bytes(&self.pending_wakes)
+    }
+
     /// Returns `true` when nothing sleeps and no wake is pending, so the
     /// per-step sleep bookkeeping can be skipped entirely.
     #[inline]

@@ -256,6 +256,35 @@ impl BodyStore {
         self.inv_mass.is_empty()
     }
 
+    /// Heap bytes of every lane.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::heap::vec_bytes;
+        let v3 = |l: &Lanes3| vec_bytes(&l.x) + vec_bytes(&l.y) + vec_bytes(&l.z);
+        let m3 = |l: &LanesMat3| l.e.iter().map(vec_bytes).sum::<usize>();
+        let rot = &self.rot;
+        [
+            &self.pos,
+            &self.lin_vel,
+            &self.ang_vel,
+            &self.force,
+            &self.torque,
+        ]
+        .into_iter()
+        .map(v3)
+        .sum::<usize>()
+            + [&rot.w, &rot.x, &rot.y, &rot.z, &self.inv_mass]
+                .into_iter()
+                .chain([&self.linear_damping, &self.angular_damping])
+                .chain([&self.movable_mask, &self.sleep_ema])
+                .map(vec_bytes)
+                .sum::<usize>()
+            + m3(&self.inv_inertia_local)
+            + m3(&self.inv_inertia_world)
+            + vec_bytes(&self.flags)
+            + vec_bytes(&self.island)
+            + vec_bytes(&self.sleep_timer)
+    }
+
     /// Appends a body built from `desc` and returns its slot index.
     ///
     /// Inertia comes from the first shape (or a unit sphere when the body

@@ -16,7 +16,7 @@ mod reference_grid;
 
 use brute_force::BruteForce;
 use parallax_math::{Aabb, Vec3};
-use parallax_physics::broadphase::{BroadphaseStats, SweepAndPrune, UniformGrid};
+use parallax_physics::broadphase::{BroadphaseStats, GridScratch, SweepAndPrune, UniformGrid};
 use parallax_physics::shape::GeomId;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -69,8 +69,9 @@ fn assert_all_agree(aabbs: &[(GeomId, Aabb)]) {
     assert!(oracle.iter().all(|(a, b)| a < b) && oracle.windows(2).all(|w| w[0] < w[1]));
     let sap = emitted(|o| SweepAndPrune::new().pairs_into(aabbs, o));
     assert_eq!(sap, oracle, "sweep-and-prune diverged from brute force");
+    let mut scratch = GridScratch::default();
     for cell in CELLS {
-        let grid = emitted(|o| UniformGrid::new(cell).pairs_into(aabbs, o));
+        let grid = emitted(|o| UniformGrid::new(cell).pairs_into(aabbs, o, &mut scratch));
         assert_eq!(grid, oracle, "grid (cell {cell}) diverged from brute force");
     }
 }
@@ -181,7 +182,9 @@ fn run_sequence(
     frames: usize,
 ) -> Vec<BroadphaseStats> {
     let mut sequence = Sequence::new(cloud, seed);
+    // One scratch serves every grid, as one thread's serves every world.
     let mut grids = CELLS.map(UniformGrid::new);
+    let mut scratch = GridScratch::default();
     let mut references = CELLS.map(ReferenceGrid::new);
     let mut out = Vec::new();
     let mut stats = Vec::new();
@@ -189,7 +192,7 @@ fn run_sequence(
         let aabbs = sequence.frame();
         let oracle = emitted(|o| BruteForce.pairs_into(&aabbs, o));
         for (grid, reference) in grids.iter_mut().zip(&mut references) {
-            let s = grid.pairs_into(&aabbs, &mut out);
+            let s = grid.pairs_into(&aabbs, &mut out, &mut scratch);
             assert_eq!(out, oracle, "grid diverged at frame {frame} (seed {seed})");
             let r = reference.pairs_into(&aabbs, &mut out);
             assert_eq!(
@@ -238,7 +241,7 @@ proptest! {
         // Persistent state (SAP's kept permutation, the grid's scratch)
         // must not change results across frames of slowly moving boxes.
         let mut sap = SweepAndPrune::new();
-        let mut grid = UniformGrid::new(1.2);
+        let (mut grid, mut scratch) = (UniformGrid::new(1.2), GridScratch::default());
         let mut out = Vec::new();
         for frame in 0..3 {
             let shifted: Vec<_> = cloud
@@ -249,7 +252,7 @@ proptest! {
             let oracle = emitted(|o| BruteForce.pairs_into(&aabbs, o));
             sap.pairs_into(&aabbs, &mut out);
             prop_assert_eq!(&out, &oracle, "SAP frame {}", frame);
-            grid.pairs_into(&aabbs, &mut out);
+            grid.pairs_into(&aabbs, &mut out, &mut scratch);
             prop_assert_eq!(&out, &oracle, "grid frame {}", frame);
         }
     }
@@ -274,11 +277,11 @@ fn settled_sequence_does_no_cell_work() {
         .collect();
     let aabbs = build(&cloud);
     for cell in CELLS {
-        let mut grid = UniformGrid::new(cell);
-        let first = emitted(|o| grid.pairs_into(&aabbs, o));
+        let (mut grid, mut scratch) = (UniformGrid::new(cell), GridScratch::default());
+        let first = emitted(|o| grid.pairs_into(&aabbs, o, &mut scratch));
         let mut pairs = Vec::new();
         for _ in 0..3 {
-            let stats = grid.pairs_into(&aabbs, &mut pairs);
+            let stats = grid.pairs_into(&aabbs, &mut pairs, &mut scratch);
             assert_eq!(pairs, first);
             assert_eq!((stats.sort_ops, stats.reinserts), (0, 0));
         }

@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use parallax_math::Vec3;
-use parallax_physics::broadphase::{UniformGrid, GRID_CELL};
+use parallax_physics::broadphase::{GridScratch, UniformGrid, GRID_CELL};
 use parallax_physics::{BodyDesc, GeomId, Shape, World, WorldConfig};
 
 struct Counting;
@@ -92,9 +92,10 @@ fn steady_state_narrow_phase_does_not_allocate() {
         .map(|(i, g)| (GeomId(i as u32), g.aabb()))
         .collect();
     let mut candidates = Vec::new();
-    UniformGrid::new(GRID_CELL).pairs_into(&aabbs, &mut candidates);
-    let mut pairs = Vec::new();
-    let hits = world.collide_candidates(&candidates, &mut pairs).len();
+    UniformGrid::new(GRID_CELL).pairs_into(&aabbs, &mut candidates, &mut GridScratch::default());
+    let (mut pairs, mut manifolds) = (Vec::new(), Vec::new());
+    world.collide_candidates(&candidates, &mut pairs, &mut manifolds);
+    let hits = manifolds.len();
     assert!(
         candidates.len() > 100 && hits > 70,
         "the stacks must be in contact: {} candidates, {hits} hits",
@@ -110,7 +111,8 @@ fn steady_state_narrow_phase_does_not_allocate() {
     for round in 0..5 {
         let mut contacts = 0;
         let n = allocations_in(|| {
-            contacts = world.collide_candidates(&candidates, &mut pairs).len();
+            world.collide_candidates(&candidates, &mut pairs, &mut manifolds);
+            contacts = manifolds.len();
         });
         assert!(contacts > 70, "round {round}: {contacts} hits");
         assert_eq!(n, 0, "round {round}: the narrow phase allocated {n} times");

@@ -644,8 +644,8 @@ fn box_box_lanes_match_the_vec_reference_at_every_width() {
         let candidates: Vec<_> = (0..cases.len() as u32)
             .map(|i| (GeomId(2 * i), GeomId(2 * i + 1)))
             .collect();
-        let mut pairs = Vec::new();
-        let got = world.collide_candidates(&candidates, &mut pairs).to_vec();
+        let (mut pairs, mut got) = (Vec::new(), Vec::new());
+        world.collide_candidates(&candidates, &mut pairs, &mut got);
         assert_eq!(pairs.len(), cases.len());
         let mut got = got.iter().peekable();
         for (i, (ha, _, hb, _)) in cases.iter().enumerate() {
@@ -714,8 +714,8 @@ fn box_plane_matches_the_reference_through_the_stage() {
             }
             candidates.push((GeomId(2 * i as u32), GeomId(2 * i as u32 + 1)));
         }
-        let mut pairs = Vec::new();
-        let got = world.collide_candidates(&candidates, &mut pairs).to_vec();
+        let (mut pairs, mut got) = (Vec::new(), Vec::new());
+        world.collide_candidates(&candidates, &mut pairs, &mut got);
         let mut got = got.iter().peekable();
         for (i, (half, _, _, offset)) in cases.iter().enumerate() {
             let flipped = i % 2 == 0;
@@ -988,8 +988,8 @@ fn manifold_bits(m: &ContactManifold) -> (u32, u32, [u32; 2], Vec<[u32; 8]>) {
 fn assert_stage_matches_oracle(world: &mut World, excluded: &[(u32, u32)], what: &str) {
     let candidates = all_pairs(world);
     let (want_pairs, want) = stage_oracle(world, excluded, &candidates);
-    let mut pairs = Vec::new();
-    let got = world.collide_candidates(&candidates, &mut pairs).to_vec();
+    let (mut pairs, mut got) = (Vec::new(), Vec::new());
+    world.collide_candidates(&candidates, &mut pairs, &mut got);
     assert_eq!(pairs, want_pairs, "{what}: pair records");
     assert_eq!(
         got.iter().map(manifold_bits).collect::<Vec<_>>(),
@@ -1012,7 +1012,7 @@ fn bucketed_stage_matches_one_collide_call_per_pair() {
         assert_stage_matches_oracle(&mut world, &excluded, &format!("seed {seed}"));
         let candidates = all_pairs(&world);
         let mut pairs = Vec::new();
-        world.collide_candidates(&candidates, &mut pairs);
+        world.collide_candidates(&candidates, &mut pairs, &mut Vec::new());
         dropped += candidates.len() - pairs.len();
         for p in &pairs {
             if p.active {
@@ -1047,12 +1047,9 @@ fn stage_output_is_identical_across_threads_and_simd_modes() {
             for simd in [SimdMode::Scalar, SimdMode::resolve()] {
                 let Generated { mut world, .. } = generated_world(seed, threads, simd);
                 let candidates = all_pairs(&world);
-                let mut pairs = Vec::new();
-                let arena: Vec<_> = world
-                    .collide_candidates(&candidates, &mut pairs)
-                    .iter()
-                    .map(manifold_bits)
-                    .collect();
+                let (mut pairs, mut manifolds) = (Vec::new(), Vec::new());
+                world.collide_candidates(&candidates, &mut pairs, &mut manifolds);
+                let arena: Vec<_> = manifolds.iter().map(manifold_bits).collect();
                 assert!(pairs.iter().any(|p| !p.active) && arena.len() > 100);
                 outputs.push((threads, simd, pairs, arena));
             }

@@ -6,7 +6,7 @@
 //! |---|---|---|
 //! | `GET`  | `/` | plain-text API index |
 //! | `GET`  | `/health` | liveness + fleet summary |
-//! | `GET`  | `/metrics` | Prometheus text (shared registry) |
+//! | `GET`  | `/metrics` | Prometheus text (shared registry, plus `server_session_heap_bytes`) |
 //! | `GET`  | `/sessions` | list sessions |
 //! | `POST` | `/sessions` | create (body: optional [`SessionConfig`] JSON) |
 //! | `GET`  | `/sessions/:id` | one session's summary |
@@ -20,6 +20,7 @@
 //! The transport is `telemetry::net::HttpServer` — the same bounded
 //! worker pool, size limits and timeouts the observability plane uses.
 
+use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
@@ -128,10 +129,17 @@ fn route(table: &Arc<SessionTable>, req: &Request) -> Response {
             // `server.steps` counts off-schedule sessions' ticks once
             // they are settled.
             table.settle_coasting(telemetry::now_ns());
-            Response::ok(
-                "text/plain; version=0.0.4",
-                telemetry::prometheus_text(&telemetry::snapshot()),
-            )
+            let mut text = telemetry::prometheus_text(&telemetry::snapshot());
+            // `server.session_heap_bytes` is summed here, at the scrape,
+            // and written straight into the text: a registry gauge is kept
+            // per thread and max-merged, and the request workers take
+            // turns serving scrapes.
+            let _ = writeln!(
+                text,
+                "# TYPE server_session_heap_bytes gauge\nserver_session_heap_bytes {}",
+                table.session_heap_bytes()
+            );
+            Response::ok("text/plain; version=0.0.4", text)
         }
         ("GET", ["sessions"]) => {
             let infos = table.infos();
@@ -419,6 +427,24 @@ mod tests {
             metrics.contains("server_sessions"),
             "session gauge missing from metrics:\n{metrics}"
         );
+        // The sessions are manual, so nothing steps between the scrape
+        // and the sum taken here.
+        let heap: usize = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("server_session_heap_bytes "))
+            .and_then(|v| v.parse().ok())
+            .expect("session heap gauge");
+        let table = server.table();
+        let each: Vec<usize> = (table.infos().iter())
+            .map(|info| {
+                table
+                    .with_session(info.id, |s| s.world().heap_bytes().total())
+                    .expect("live")
+            })
+            .collect();
+        assert_eq!(each.len(), 3);
+        assert!(each.iter().all(|&b| b > 0), "{each:?}");
+        assert_eq!(heap, each.iter().sum::<usize>());
     }
 
     #[test]

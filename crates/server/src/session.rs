@@ -748,6 +748,15 @@ impl SessionTable {
         infos
     }
 
+    /// The heap bytes the live sessions' worlds retain
+    /// ([`parallax_physics::World::heap_bytes`]), summed: the fleet's state,
+    /// without the stepping threads' scratch.
+    pub fn session_heap_bytes(&self) -> usize {
+        (self.all_sessions().iter())
+            .map(|arc| Self::lock_session(arc).world.heap_bytes().total())
+            .sum()
+    }
+
     /// Brings every off-schedule session up to `now_ns`; returns how many
     /// advanced.
     pub(crate) fn settle_coasting(&self, now_ns: u64) -> usize {

@@ -405,7 +405,7 @@ fn every_world_mutator_ends_the_coast() {
         (
             "collide_candidates",
             Box::new(|w: &mut World| {
-                let _ = w.collide_candidates(&[(GeomId(0), GeomId(1))], &mut Vec::new());
+                w.collide_candidates(&[(GeomId(0), GeomId(1))], &mut Vec::new(), &mut Vec::new());
             }),
         ),
         (
