@@ -191,6 +191,7 @@ fn main() {
             ring.push(flight_entry(step, &profile));
         }
         if recording || observe.is_some() || flight.is_some() {
+            scene.world.publish_heap_bytes();
             let record = build_step_record(
                 "physics",
                 args.scene.name(),

@@ -261,6 +261,7 @@ fn main() {
         for v in monitor.check_step(&scene.world, &profile) {
             eprintln!("violation at step {steps}: {v}");
         }
+        scene.world.publish_heap_bytes();
         let record = build_step_record(
             "physics",
             args.scene.name(),

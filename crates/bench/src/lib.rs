@@ -216,6 +216,7 @@ fn run_measured_with_telemetry(
     let mut out = Vec::with_capacity(steps);
     for s in 0..steps {
         let profile = scene.step();
+        scene.world.publish_heap_bytes();
         let record = build_step_record("physics", name, s as u64, Some(&profile), &mut baseline);
         sink_step_record(&record);
         out.push(profile);
